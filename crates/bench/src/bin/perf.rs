@@ -24,9 +24,6 @@
 //! * `fabric`, `quick` — workload provenance;
 //! * `engines[]` — per engine (`greedy`, `negotiated`):
 //!   * `suite_wall_ms` — total wall-clock of mapping the whole suite;
-//!   * `jobs1_wall_us` / `jobs4_wall_us` — the threads axis: the same
-//!     suite swept under `--jobs 1` and `--jobs 4` (min of N sweeps);
-//!     the harness asserts jobs=4 never loses to jobs=1 beyond noise;
 //!   * `results[]` — per circuit: `latency_us`, `wall_us`, and the
 //!     engine's cumulative `epochs` / `rip_iterations` /
 //!     `ripped_routes` / `max_segment_pressure`.
@@ -119,48 +116,12 @@ fn main() {
             );
         }
         let suite_wall_ms = suite_start.elapsed().as_millis() as u64;
-        // Threads axis: the whole suite swept again under --jobs 1 and
-        // --jobs 4 (min of N sweeps to damp scheduler noise). Results
-        // are byte-identical by contract, so only the wall moves; on a
-        // many-core host jobs=4 should win, and on any host it must
-        // not lose beyond noise — the parallel layers degrade to the
-        // sequential path when cores are scarce, so the margin below
-        // is generous (1.5x plus absolute slop for sub-ms suites).
-        let sweeps = if quick { 2 } else { 3 };
-        let wall_at = |jobs: usize| -> u64 {
-            let flow = flow.clone().jobs(jobs);
-            (0..sweeps)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    for bench in &wb.benchmarks {
-                        let placement =
-                            Placement::center(flow.fabric(), bench.program.num_qubits());
-                        flow.map_with(&bench.program, policy, &placement)
-                            .expect("benchmarks map cleanly");
-                    }
-                    t0.elapsed().as_micros() as u64
-                })
-                .min()
-                .expect("at least one sweep")
-        };
-        let jobs1_wall_us = wall_at(1);
-        let jobs4_wall_us = wall_at(4);
-        println!(
-            "{kind} suite wall: {suite_wall_ms} ms | jobs=1 {jobs1_wall_us} µs, \
-             jobs=4 {jobs4_wall_us} µs (min of {sweeps})\n"
-        );
-        assert!(
-            jobs4_wall_us as f64 <= jobs1_wall_us as f64 * 1.5 + 20_000.0,
-            "{kind}: --jobs 4 suite wall {jobs4_wall_us} µs regressed past \
-             --jobs 1 ({jobs1_wall_us} µs) beyond noise"
-        );
+        println!("{kind} suite wall: {suite_wall_ms} ms\n");
         engines.push_raw(
             &JsonObject::new()
                 .string("router", kind.as_str())
                 .number("suite_wall_ms", suite_wall_ms)
                 .number("suite_wall_us", suite_wall_us)
-                .number("jobs1_wall_us", jobs1_wall_us)
-                .number("jobs4_wall_us", jobs4_wall_us)
                 .raw("results", &results.build())
                 .build(),
         );

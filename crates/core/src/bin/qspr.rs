@@ -15,9 +15,10 @@
 //! `--fabric` takes `quale45x85` (default) or a path to a fabric file —
 //! a JSON `FabricSpec` document or plain ASCII art (auto-detected); `--router` is `greedy` (default), `negotiated`
 //! (PathFinder-style rip-up-and-reroute) or `race` (run both engines —
-//! and the slack-feedback pilot under `--sta-feedback` — concurrently
-//! and keep the lowest latency); `--jobs N` grants the run N worker
-//! threads with byte-identical output at every N; `--format` is `text`
+//! and the slack-feedback pilot under `--sta-feedback` — one after
+//! another and keep the lowest latency); `--jobs N` runs the placer's
+//! MVFB seeds on N worker threads with byte-identical output at every
+//! N; `--format` is `text`
 //! (default) or `json` (stable machine-readable schema); `CODE` is one
 //! of `5,1,3`, `7,1,3`, `9,1,3`, `14,8,3`, `19,1,7`, `23,1,7`.
 //!
@@ -85,7 +86,7 @@ options:
   --policy P    mapper policy for `map` (default qspr)
   --router R    routing engine: greedy (default), negotiated or race
   --m N         MVFB seed count (default 25)
-  --jobs N      worker threads per mapping run (default 1; identical output at any N)
+  --jobs N      placement seeds run on N threads (default 1; identical output at any N)
   --threads T   worker threads for `batch`/`serve` (default: all CPUs)
   --format FMT  output format: text (default) or json
   --suite       add the paper's six benchmark circuits to the batch
@@ -569,7 +570,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     let cache_capacity = cli.cache()?;
     // Per-request "jobs" budget: the worker pool already fans out
     // across requests, so each request gets at most its fair share of
-    // the host's cores — pool threads times intra-map jobs can never
+    // the host's cores — pool threads times seed threads can never
     // oversubscribe. Clamping is safe because jobs never changes
     // response bytes.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -222,14 +222,13 @@ impl Flow {
     }
 
     /// Grants the flow up to `jobs` worker threads (clamped to at
-    /// least 1; default 1): the routing engine may parallelize inside
-    /// an epoch (the mapper additionally clamps its grant to the
-    /// host's cores — oversubscription only adds speculation
-    /// overhead), and `--router race` runs its engine legs
-    /// concurrently.
-    /// Purely a performance hint — results are byte-identical at every
-    /// value, so `jobs` is deliberately *not* a [`Flow::fingerprint`]
-    /// axis and cached answers remain valid across thread counts.
+    /// least 1; default 1) for its placer: MVFB runs its seeds, and
+    /// Monte Carlo its draws, concurrently (the mapper additionally
+    /// clamps the grant to the host's cores, see [`Mapper::jobs`]).
+    /// Purely a performance hint — placers fold their results in seed
+    /// order, so results are byte-identical at every value, `jobs` is
+    /// deliberately *not* a [`Flow::fingerprint`] axis, and cached
+    /// answers remain valid across thread counts.
     pub fn jobs(mut self, jobs: usize) -> Flow {
         self.jobs = jobs.max(1);
         self
@@ -456,15 +455,15 @@ impl Flow {
         })
     }
 
-    /// The speculative racing driver behind `--router race`
+    /// The race meta-engine behind `--router race`
     /// ([`qspr_route::RouterKind::Race`]): run the greedy and
     /// negotiated engines on the whole flow — plus the slack-feedback
     /// pilot when [`Flow::sta_feedback`] is enabled — and keep the leg
     /// with the lowest latency, breaking ties toward the earlier leg in
-    /// the fixed `[greedy, negotiated, negotiated+sta]` order. Every
-    /// leg is seed-deterministic and the winner is chosen by a pure
-    /// config-order rule, so the race result is byte-identical whether
-    /// the legs run sequentially (`jobs = 1`) or concurrently.
+    /// the fixed `[greedy, negotiated, negotiated+sta]` order. Legs run
+    /// one after another, each placing on this flow's [`Flow::jobs`]
+    /// threads; every leg is seed-deterministic, so the race result is
+    /// too.
     fn run_race(&self, program: &Program) -> Result<FlowResult, QsprError> {
         let run_started = Instant::now();
         let _race = qspr_obs::span("race");
@@ -476,44 +475,13 @@ impl Flow {
         if self.sta_feedback {
             legs.push(base.router(RouterKind::Negotiated).sta_feedback(true));
         }
-        let results: Vec<Result<FlowResult, QsprError>> = if self.jobs > 1 {
-            let relay = qspr_obs::Relay::capture();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = legs
-                    .iter()
-                    .map(|leg| {
-                        let relay = relay.clone();
-                        scope.spawn(move || {
-                            let _sink = relay.install();
-                            let _leg = qspr_obs::span("race_leg");
-                            leg.run(program)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("race leg panicked"))
-                    .collect()
-            })
-        } else {
-            legs.iter()
-                .map(|leg| {
-                    let _leg = qspr_obs::span("race_leg");
-                    leg.run(program)
-                })
-                .collect()
-        };
-        // Every leg always runs to completion; the earliest error in
-        // leg order wins error reporting, the lowest latency (earliest
-        // leg on ties) wins the race.
         let mut best: Option<FlowResult> = None;
-        for result in results {
-            let result = result?;
-            let better = match &best {
-                Some(b) => result.latency < b.latency,
-                None => true,
+        for leg in &legs {
+            let result = {
+                let _leg = qspr_obs::span("race_leg");
+                leg.run(program)?
             };
-            if better {
+            if best.as_ref().map_or(true, |b| result.latency < b.latency) {
                 best = Some(result);
             }
         }

@@ -293,26 +293,35 @@ impl Shard {
         Some(self.slab[slot].value.clone())
     }
 
-    fn insert(&mut self, key: String, value: String, expires: Option<Instant>) {
+    /// Inserts `key` unless a live entry already holds it, and returns
+    /// the value now cached under `key` (`value` itself when the shard
+    /// keeps nothing). An existing live entry is promoted and kept: the
+    /// first writer wins.
+    fn insert(
+        &mut self,
+        key: String,
+        value: String,
+        now: Instant,
+        expires: Option<Instant>,
+    ) -> String {
         if self.capacity == 0 {
-            return;
+            return value;
+        }
+        if let Some(&slot) = self.map.get(&key) {
+            if self.slab[slot].expires.map_or(true, |at| now < at) {
+                self.promote(slot);
+                return self.slab[slot].value.clone();
+            }
+            self.remove(slot);
+            self.evictions += 1;
         }
         let entry_bytes = key.len() + value.len();
-        if let Some(&slot) = self.map.get(&key) {
-            self.bytes = self.bytes - self.slab[slot].bytes + entry_bytes;
-            self.slab[slot].value = value;
-            self.slab[slot].bytes = entry_bytes;
-            self.slab[slot].expires = expires;
-            self.promote(slot);
-            self.shrink_to_bytes();
-            return;
-        }
         if self.map.len() == self.capacity {
             self.evict_tail();
         }
         let entry = ShardEntry {
             key: key.clone(),
-            value,
+            value: value.clone(),
             bytes: entry_bytes,
             expires,
             prev: NONE,
@@ -338,6 +347,7 @@ impl Shard {
         self.map.insert(key, slot);
         self.bytes += entry_bytes;
         self.shrink_to_bytes();
+        value
     }
 
     /// Evicts from the tail until the byte budget holds (the freshly
@@ -414,7 +424,8 @@ impl Shard {
 ///
 /// With one shard, no TTL and no byte cap, the observable hit/miss/
 /// eviction behavior is identical to a mutex-wrapped [`LruCache`] (an
-/// equivalence the tests replay op-for-op).
+/// equivalence the tests replay op-for-op). Unlike [`LruCache`], an
+/// insert never replaces a live entry (see [`ShardedCache::insert`]).
 ///
 /// # Examples
 ///
@@ -497,14 +508,21 @@ impl ShardedCache {
         (hash % self.shards.len() as u64) as usize
     }
 
-    /// Inserts (or replaces) `key`, stamping the configured TTL and
-    /// evicting LRU entries past the shard's entry or byte budget.
-    pub fn insert(&self, key: String, value: String) {
-        let expires = self.ttl.map(|ttl| Instant::now() + ttl);
+    /// Inserts `key` unless a live entry already holds it, stamping the
+    /// configured TTL and evicting LRU entries past the shard's entry or
+    /// byte budget. Returns the value now cached under `key`, or `value`
+    /// itself when the cache keeps nothing.
+    ///
+    /// The first writer wins: two identical cold requests that race each
+    /// other both answer with the body of whichever finished first, so
+    /// every later hit replays exactly what they sent.
+    pub fn insert(&self, key: String, value: String) -> String {
+        let now = Instant::now();
+        let expires = self.ttl.map(|ttl| now + ttl);
         self.shard_for(&key)
             .lock()
             .expect("cache shard lock")
-            .insert(key, value, expires);
+            .insert(key, value, now, expires)
     }
 
     /// Number of shards.

@@ -41,12 +41,12 @@
 //! | `POST /shutdown` | — | `{"status":"shutting-down"}`, then a graceful drain |
 //!
 //! Defaults mirror the CLI: `policy` `"qspr"`, `router` `"greedy"`,
-//! `m` 25, `jobs` 1, `trace` false. The `"jobs"` field grants the
-//! mapper worker threads for intra-request parallelism (the `--jobs`
-//! flag of `qspr map`); it never changes response bytes, and the
-//! service clamps it to [`MapService::jobs_budget`] so concurrent
-//! request workers times intra-map threads cannot oversubscribe the
-//! host. `POST /batch` runs its programs through
+//! `m` 25, `jobs` 1, `trace` false. The `"jobs"` field runs the
+//! request's MVFB seeds on that many threads, like the `--jobs` flag
+//! of `qspr map`; it never changes response bytes, and the service
+//! clamps it to [`MapService::jobs_budget`] so concurrent request
+//! workers times seed threads cannot oversubscribe the host.
+//! `POST /batch` runs its programs through
 //! [`crate::BatchMapper`] under the same clamp, consults
 //! the cache per circuit (its items share cache entries with
 //! `/compare`), and replies with one input-ordered array however the
@@ -70,7 +70,9 @@
 //! pure function of the fingerprint **except** for the `"timing"`
 //! object of `/map` (placement/run wall-clock, reported exactly like
 //! the CLI does — see [`normalize_timing`]). The cache stores the cold
-//! response verbatim, so repeated requests are byte-identical;
+//! response verbatim and the first writer of a key wins: a miss that
+//! finishes after an identical one answers with the body already
+//! cached, so repeated requests are byte-identical;
 //! `/compare` and `/batch` responses carry no clock at all and are
 //! byte-identical to the CLI's for the same inputs. The `loadgen`
 //! binary in `qspr-bench` asserts both properties under concurrent
@@ -633,7 +635,7 @@ impl MapService {
             Err(e) => return error_response(400, &e.to_string()),
         };
         // The budget clamp keeps batch-level concurrency (the worker
-        // pool) times intra-map parallelism bounded no matter what the
+        // pool) times seed parallelism bounded no matter what the
         // body asked for; results are byte-identical at every value.
         request.jobs = request.jobs.min(self.jobs_budget);
         // A request-supplied fabric document replaces the resident
@@ -684,10 +686,9 @@ impl MapService {
             }),
         };
         match result {
-            Ok(json) => {
-                self.cache.insert(key, json.clone());
-                Response::new(200, json)
-            }
+            // An identical request may have finished first; answer with
+            // what the cache holds so every replay matches this reply.
+            Ok(json) => Response::new(200, self.cache.insert(key, json)),
             // The program parsed but cannot be mapped (stall, placement
             // mismatch): the request was well-formed, the content is not
             // processable.
@@ -750,9 +751,7 @@ impl MapService {
                 Err(e) => return error_response(422, &e.to_string()),
             };
             for (&i, item) in missing.iter().zip(report.items.iter()) {
-                let json = item.row.to_json();
-                self.cache.insert(keys[i].clone(), json.clone());
-                rows[i] = Some(json);
+                rows[i] = Some(self.cache.insert(keys[i].clone(), item.row.to_json()));
             }
         }
         let mut array = JsonArray::new();

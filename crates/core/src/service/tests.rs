@@ -738,7 +738,7 @@ fn sharded_cache_accounts_bytes_exactly() {
         cache.shard_stats().iter().map(|s| s.bytes).sum::<u64>(),
         expected
     );
-    // Replacement adjusts, never leaks.
+    // A repeated insert keeps the first value and never leaks.
     cache.insert("key-0".into(), "longer-value".repeat(4));
     assert_eq!(cache.audit_bytes(), cache.bytes());
     // Evictions release their bytes.
@@ -786,6 +786,35 @@ fn sharded_cache_expires_entries_lazily() {
     // Reinsert starts a fresh TTL.
     cache.insert("a".into(), "beta".into());
     assert_eq!(cache.get("a"), Some("beta".into()));
+}
+
+#[test]
+fn sharded_cache_keeps_the_first_writer() {
+    let cache = ShardedCache::new(CacheConfig {
+        entries: 16,
+        shards: 2,
+        ttl: Some(Duration::from_millis(40)),
+        max_bytes: None,
+    });
+    // Two identical cold requests racing: the later insert answers with
+    // the body the earlier one cached, and so does every later hit.
+    assert_eq!(cache.insert("k".into(), "first".into()), "first");
+    assert_eq!(cache.insert("k".into(), "second".into()), "first");
+    assert_eq!(cache.get("k"), Some("first".into()));
+    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.audit_bytes(), cache.bytes());
+    // An expired entry no longer counts as written.
+    std::thread::sleep(Duration::from_millis(60));
+    assert_eq!(cache.insert("k".into(), "third".into()), "third");
+    assert_eq!(cache.get("k"), Some("third".into()));
+    assert_eq!(cache.audit_bytes(), cache.bytes());
+    // A disabled cache keeps nothing and hands each writer its own body.
+    let off = ShardedCache::new(CacheConfig {
+        entries: 0,
+        ..CacheConfig::default()
+    });
+    assert_eq!(off.insert("k".into(), "mine".into()), "mine");
+    assert_eq!(off.get("k"), None);
 }
 
 #[test]

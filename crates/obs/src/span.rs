@@ -171,7 +171,7 @@ impl Drop for SpanGuard {
 /// A captured span context for carrying the calling thread's sink and
 /// innermost open span into worker threads.
 ///
-/// Parallel sections (speculative routing, engine racing) run work on
+/// Parallel sections (the placers' seed workers) run work on
 /// scoped threads, but spans are delivered to per-thread sinks and
 /// parented by a per-thread stack — a worker would either record
 /// nothing (thread-local sink elsewhere) or start a fresh root tree.

@@ -19,6 +19,11 @@
 //!   pass over all `m` random seeds wins. If the best pass was backward,
 //!   the reported control trace is its reversal (§IV.A).
 //!
+//! The multi-start placers run their seeds (Monte Carlo: their draws)
+//! on the mapper's [`job_count`](qspr_sim::Mapper::job_count) threads.
+//! Per-seed inputs are drawn up front and results are folded in seed
+//! order, so solutions are byte-identical at any thread count.
+//!
 //! Every engine implements the object-safe [`Placer`] trait and returns
 //! the engine-agnostic [`PlacerSolution`], so flows can hold a
 //! `dyn Placer` and third-party crates can plug in their own engines —
@@ -49,6 +54,7 @@
 mod monte_carlo;
 mod mvfb;
 mod placer;
+mod seeds;
 
 pub use monte_carlo::MonteCarloPlacer;
 pub use mvfb::{MvfbConfig, MvfbPlacer, MvfbSolution};

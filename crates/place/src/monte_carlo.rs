@@ -11,6 +11,7 @@ use qspr_qasm::Program;
 use qspr_sim::{MapError, Mapper, Placement};
 
 use crate::placer::{PassDirection, Placer, PlacerSolution};
+use crate::seeds::run_indexed;
 
 /// The paper's Monte Carlo baseline placer: `runs` random permutations of
 /// the center traps are mapped; the cheapest wins.
@@ -57,33 +58,40 @@ impl Placer for MonteCarloPlacer {
         "monte-carlo"
     }
 
-    /// Runs the search.
+    /// Runs the search: the permutations are drawn in sequence from
+    /// the RNG stream, mapped on the mapper's
+    /// [`job_count`](Mapper::job_count) threads, and folded in draw
+    /// order, keeping the first of equal latencies. The solution is
+    /// therefore the same at any thread count.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`MapError`] (e.g. a stalled mapping on a
-    /// degenerate fabric). `runs == 0` is reported as a stall, since no
-    /// placement was ever produced.
+    /// Propagates the [`MapError`] of the first failing draw (e.g. a
+    /// stalled mapping on a degenerate fabric). `runs == 0` is reported
+    /// as a stall, since no placement was ever produced.
     fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
         let _span = qspr_obs::span("place");
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.rng_seed);
-        let mut best: Option<(Time, Placement)> = None;
-        for _ in 0..self.runs {
-            let placement =
-                Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng);
-            let outcome = mapper.map(program, &placement)?;
-            if best.as_ref().map_or(true, |(l, _)| outcome.latency() < *l) {
-                best = Some((outcome.latency(), placement));
+        let mut placements: Vec<Placement> = (0..self.runs)
+            .map(|_| Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng))
+            .collect();
+        let latencies = run_indexed(mapper.job_count(), placements.len(), |i| {
+            mapper.map(program, &placements[i]).map(|o| o.latency())
+        })?;
+        let mut best: Option<(Time, usize)> = None;
+        for (i, latency) in latencies.into_iter().enumerate() {
+            if best.map_or(true, |(l, _)| latency < l) {
+                best = Some((latency, i));
             }
         }
-        let (latency, placement) = best.ok_or(MapError::Stalled {
+        let (latency, winner) = best.ok_or(MapError::Stalled {
             remaining: program.instructions().len(),
         })?;
         Ok(PlacerSolution {
             latency,
             direction: PassDirection::Forward,
-            initial_placement: placement,
+            initial_placement: placements.swap_remove(winner),
             runs: self.runs,
             cpu: started.elapsed(),
         })
@@ -147,6 +155,26 @@ C-Z q4,q0
             .unwrap();
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.initial_placement, b.initial_placement);
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_solution() {
+        let fabric = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let program = Program::parse(FIG3).unwrap();
+        let placer = MonteCarloPlacer::new(6, 11);
+        let expected = placer.place(&mapper, &program).unwrap();
+        for jobs in [2, 4] {
+            let got = placer.place(&mapper.clone().jobs(jobs), &program).unwrap();
+            assert_eq!(got.latency, expected.latency, "jobs={jobs}");
+            assert_eq!(got.direction, expected.direction, "jobs={jobs}");
+            assert_eq!(
+                got.initial_placement, expected.initial_placement,
+                "jobs={jobs}"
+            );
+            assert_eq!(got.runs, expected.runs, "jobs={jobs}");
+        }
     }
 
     #[test]

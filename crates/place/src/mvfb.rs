@@ -11,6 +11,7 @@ use qspr_qasm::Program;
 use qspr_sim::{MapError, Mapper, Placement};
 
 use crate::placer::{PassDirection, Placer, PlacerSolution};
+use crate::seeds::run_indexed;
 
 /// MVFB tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +47,10 @@ impl MvfbConfig {
 /// the equal-effort comparison of Table 1.
 pub type MvfbSolution = PlacerSolution;
 
+/// The winning pass of a search: its latency, direction and starting
+/// placement.
+type Pass = (Time, PassDirection, Placement);
+
 /// The Multi-start Variable-length Forward/Backward placer.
 ///
 /// For each of `m` random center placements, alternate forward passes of
@@ -69,6 +74,48 @@ impl MvfbPlacer {
     pub fn config(&self) -> &MvfbConfig {
         &self.config
     }
+
+    /// One seed's forward/backward local search from a random center
+    /// placement drawn with `seed`. Returns the seed's best pass (the
+    /// first of equal latencies) and the number of passes it ran.
+    fn search_seed(
+        &self,
+        mapper: &Mapper<'_>,
+        program: &Program,
+        reversed: &Program,
+        seed: u64,
+    ) -> Result<(Option<Pass>, usize), MapError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut placement =
+            Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng);
+        let mut best: Option<Pass> = None;
+        let mut runs = 0usize;
+        let mut stale = 0usize;
+        let mut forward = true;
+        for _ in 0..self.config.max_passes_per_seed {
+            let prog = if forward { program } else { reversed };
+            let outcome = mapper.map(prog, &placement)?;
+            runs += 1;
+            let latency = outcome.latency();
+            if best.as_ref().map_or(true, |(l, _, _)| latency < *l) {
+                let direction = if forward {
+                    PassDirection::Forward
+                } else {
+                    PassDirection::Backward
+                };
+                best = Some((latency, direction, placement.clone()));
+                stale = 0;
+            } else {
+                stale += 1;
+                if stale >= self.config.patience {
+                    break;
+                }
+            }
+            placement = outcome.final_placement().clone();
+            forward = !forward;
+        }
+        Ok((best, runs))
+    }
 }
 
 impl Placer for MvfbPlacer {
@@ -76,53 +123,37 @@ impl Placer for MvfbPlacer {
         "mvfb"
     }
 
-    /// Runs the search.
+    /// Runs the search, one seed per task on the mapper's
+    /// [`job_count`](Mapper::job_count) threads.
+    ///
+    /// The per-seed RNG seeds are drawn up front from the master stream
+    /// (one draw per seed, so a seed's stream is independent of how many
+    /// passes earlier seeds ran), and the seeds' bests are folded in
+    /// seed order, keeping the first of equal latencies. The solution is
+    /// therefore the same at any thread count.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`MapError`]; reports a stall when configured
-    /// with zero seeds.
+    /// Propagates the [`MapError`] of the first failing seed; reports a
+    /// stall when configured with zero seeds.
     fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
         let _span = qspr_obs::span("place");
         let started = Instant::now();
         let reversed = program.reversed();
         let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
-        let mut best: Option<(Time, PassDirection, Placement)> = None;
-        let mut total_runs = 0usize;
+        let seeds: Vec<u64> = (0..self.config.seeds).map(|_| rng.gen()).collect();
+        let searches = run_indexed(mapper.job_count(), seeds.len(), |i| {
+            self.search_seed(mapper, program, &reversed, seeds[i])
+        })?;
 
-        for _ in 0..self.config.seeds {
-            // Derive a per-seed stream so seeds are independent of how
-            // many passes earlier seeds consumed.
-            let mut seed_rng = StdRng::seed_from_u64(rng.gen());
-            let mut placement =
-                Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut seed_rng);
-            let mut seed_best = Time::MAX;
-            let mut stale = 0usize;
-            let mut forward = true;
-            for _ in 0..self.config.max_passes_per_seed {
-                let prog = if forward { program } else { &reversed };
-                let outcome = mapper.map(prog, &placement)?;
-                total_runs += 1;
-                let latency = outcome.latency();
-                let direction = if forward {
-                    PassDirection::Forward
-                } else {
-                    PassDirection::Backward
-                };
-                if best.as_ref().map_or(true, |(l, _, _)| latency < *l) {
-                    best = Some((latency, direction, placement.clone()));
+        let mut best: Option<Pass> = None;
+        let mut total_runs = 0usize;
+        for (seed_best, runs) in searches {
+            total_runs += runs;
+            if let Some(pass) = seed_best {
+                if best.as_ref().map_or(true, |(l, _, _)| pass.0 < *l) {
+                    best = Some(pass);
                 }
-                if latency < seed_best {
-                    seed_best = latency;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= self.config.patience {
-                        break;
-                    }
-                }
-                placement = outcome.final_placement().clone();
-                forward = !forward;
             }
         }
 
@@ -250,6 +281,24 @@ C-Z q4,q0
         // shared prefix stream the first seed coincides.
         assert!(many.latency <= few.latency);
         assert!(many.runs > few.runs);
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_solution() {
+        let (fabric, tech, program) = setup();
+        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let placer = MvfbPlacer::new(MvfbConfig::new(6, 11));
+        let expected = placer.place(&mapper, &program).unwrap();
+        for jobs in [2, 4] {
+            let got = placer.place(&mapper.clone().jobs(jobs), &program).unwrap();
+            assert_eq!(got.latency, expected.latency, "jobs={jobs}");
+            assert_eq!(got.direction, expected.direction, "jobs={jobs}");
+            assert_eq!(
+                got.initial_placement, expected.initial_placement,
+                "jobs={jobs}"
+            );
+            assert_eq!(got.runs, expected.runs, "jobs={jobs}");
+        }
     }
 
     #[test]

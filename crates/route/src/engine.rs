@@ -53,10 +53,9 @@ use std::str::FromStr;
 
 use qspr_fabric::{Time, Topology, TrapId};
 
-use crate::par::map_striped;
 use crate::plan::RoutePlan;
 use crate::resource::{Resource, ResourceState};
-use crate::router::{Overlay, ReadSet, Router, RouterConfig};
+use crate::router::{Overlay, Router, RouterConfig};
 
 /// One mover of a batch-routing epoch: a qubit that must travel from
 /// trap `from` to trap `to` starting now.
@@ -147,11 +146,10 @@ pub trait RoutingEngine {
     /// Tells the engine a plan was committed (feeds history terms).
     fn note_booked(&mut self, plan: &RoutePlan);
 
-    /// Grants the engine up to `jobs` worker threads for intra-batch
-    /// parallelism. Purely a performance hint: results are guaranteed
-    /// byte-identical at every value (the speculative parallel paths
-    /// validate against recorded read sets and fall back to the
-    /// sequential code on any overlap). The default ignores the hint.
+    /// A thread-count hint. Engines run on the mapping thread and
+    /// ignore it; parallelism lives in the placers, which run whole
+    /// mappings concurrently. Kept only so existing wrapper engines
+    /// that forward it still compile.
     fn set_parallelism(&mut self, _jobs: usize) {}
 
     /// `true` when this engine implements
@@ -247,7 +245,7 @@ pub enum RouterKind {
     Greedy,
     /// PathFinder-style rip-up-and-reroute ([`NegotiatedRouter`]).
     Negotiated,
-    /// Speculative engine racing: run every engine configuration and
+    /// Engine racing: run every engine configuration and
     /// keep the best latency with a config-order tie-break. The racing
     /// composition lives above the engine seam (in `qspr`'s flow,
     /// which runs one full mapping per leg); as a plain factory this
@@ -381,7 +379,6 @@ pub struct GreedyRouter<'a> {
     router: Router<'a>,
     scratch: ResourceState,
     stats: RoutingStats,
-    jobs: usize,
 }
 
 impl<'a> GreedyRouter<'a> {
@@ -391,7 +388,6 @@ impl<'a> GreedyRouter<'a> {
             router: Router::new(topology, config),
             scratch: ResourceState::new(topology),
             stats: RoutingStats::default(),
-            jobs: 1,
         }
     }
 }
@@ -414,11 +410,7 @@ impl RoutingEngine for GreedyRouter<'_> {
         state: &ResourceState,
         requests: &[RouteRequest],
     ) -> (Vec<Option<RoutePlan>>, EpochStats) {
-        let (plans, max_pressure) = if self.jobs > 1 && requests.len() >= PAR_THRESHOLD {
-            greedy_solve_par(&self.router, &mut self.scratch, state, requests, self.jobs)
-        } else {
-            greedy_solve(&self.router, &mut self.scratch, state, requests)
-        };
+        let (plans, max_pressure) = greedy_solve(&self.router, &mut self.scratch, state, requests);
         let epoch = EpochStats {
             iterations: 0,
             ripped: 0,
@@ -430,10 +422,6 @@ impl RoutingEngine for GreedyRouter<'_> {
 
     fn note_booked(&mut self, plan: &RoutePlan) {
         self.router.note_booked(plan);
-    }
-
-    fn set_parallelism(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
     }
 
     fn stats(&self) -> RoutingStats {
@@ -511,7 +499,6 @@ pub struct NegotiatedRouter<'a> {
     uncon: Router<'a>,
     empty: ResourceState,
     uncon_cache: std::collections::HashMap<(TrapId, TrapId), Time>,
-    jobs: usize,
 }
 
 impl<'a> NegotiatedRouter<'a> {
@@ -545,7 +532,6 @@ impl<'a> NegotiatedRouter<'a> {
             ),
             empty: ResourceState::new(topology),
             uncon_cache: std::collections::HashMap::new(),
-            jobs: 1,
         }
     }
 
@@ -728,243 +714,6 @@ impl<'a> NegotiatedRouter<'a> {
         }
     }
 
-    /// Speculative parallel round 0 of [`NegotiatedRouter::negotiate`],
-    /// byte-identical to the sequential loop.
-    ///
-    /// Round 0 starts from all-zero batch bookings, so every mover is
-    /// routed concurrently against a zero overlay with its reads
-    /// recorded; the mover-order merge adopts an answer iff none of
-    /// its read resources carries a booking from an earlier mover yet
-    /// — the speculative search then saw exactly the overlay the
-    /// sequential code would have used. Invalidated movers re-route
-    /// inline under the live overlay.
-    fn round0_speculative(
-        &mut self,
-        state: &ResourceState,
-        requests: &[RouteRequest],
-        pres: u64,
-    ) -> Vec<Option<RoutePlan>> {
-        let zero_seg = vec![0u8; self.extra_segments.len()];
-        let zero_junc = vec![0u8; self.extra_junctions.len()];
-        let workers = self.jobs.min(requests.len());
-        let mut routers: Vec<Router<'_>> = (0..workers).map(|_| self.router.clone()).collect();
-        let history = &self.history;
-        let hist_weight = self.negotiation.hist_weight;
-        let speculated = map_striped(&mut routers, requests.len(), |r, i| {
-            let overlay = Overlay {
-                extra_segments: &zero_seg,
-                extra_junctions: &zero_junc,
-                soft: true,
-                pres_weight: pres,
-                history,
-                hist_weight,
-            };
-            r.begin_read_log();
-            let plan = r.route_with(state, requests[i].from, requests[i].to, Some(&overlay));
-            (plan, r.take_read_set())
-        });
-        let mut plans = Vec::with_capacity(requests.len());
-        for (req, (plan, reads)) in requests.iter().zip(speculated) {
-            let clean = reads
-                .segments
-                .iter()
-                .all(|s| self.extra_segments[s.index()] == 0)
-                && reads
-                    .junctions
-                    .iter()
-                    .all(|j| self.extra_junctions[j.index()] == 0);
-            let plan = if clean {
-                plan
-            } else {
-                let overlay = self.overlay(pres);
-                self.router
-                    .route_with(state, req.from, req.to, Some(&overlay))
-            };
-            if let Some(p) = &plan {
-                self.book_extra(p);
-            }
-            plans.push(plan);
-        }
-        plans
-    }
-
-    /// One region-parallel rip-up round, byte-identical to the
-    /// sequential round when it reports `true`; `false` means the
-    /// speculation was discarded without touching any engine state and
-    /// the caller must run the round sequentially.
-    ///
-    /// The crossing movers are partitioned into conflict regions by
-    /// union-find over the *conflicted* resources their round-start
-    /// plans share. Each region replays its movers in slot order
-    /// against the frozen round-start bookings plus region-local
-    /// deltas, recording every resource read. The speculation is valid
-    /// only when no region read a resource that another region wrote
-    /// (old or new plan bookings): each mover then provably saw the
-    /// same overlay values the sequential interleaving would have
-    /// shown it, and replaying the unbook/book deltas in global slot
-    /// order reproduces the sequential engine state exactly.
-    fn rip_round_speculative(
-        &mut self,
-        state: &ResourceState,
-        plans: &mut [Option<RoutePlan>],
-        crossing: &[usize],
-        pres: u64,
-        epoch: &mut EpochStats,
-    ) -> bool {
-        const NONE: usize = usize::MAX;
-        const MULTI: usize = usize::MAX - 1;
-        let n = crossing.len();
-
-        // Union-find over shared conflicted resources; roots stay the
-        // smallest member, so regions come out ordered by first mover.
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let mut parent: Vec<usize> = (0..n).collect();
-        let mut seg_owner = vec![NONE; self.extra_segments.len()];
-        let mut junc_owner = vec![NONE; self.extra_junctions.len()];
-        for (pos, &slot) in crossing.iter().enumerate() {
-            let plan = plans[slot].as_ref().expect("crossing implies a plan");
-            for u in plan.resources() {
-                if !self.is_conflicted(u.resource) {
-                    continue;
-                }
-                let owner = match u.resource {
-                    Resource::Segment(s) => &mut seg_owner[s.index()],
-                    Resource::Junction(j) => &mut junc_owner[j.index()],
-                };
-                if *owner == NONE {
-                    *owner = pos;
-                } else {
-                    let a = find(&mut parent, *owner);
-                    let b = find(&mut parent, pos);
-                    if a != b {
-                        parent[a.max(b)] = a.min(b);
-                    }
-                }
-            }
-        }
-        let mut regions: Vec<Vec<usize>> = Vec::new();
-        let mut root_region = vec![NONE; n];
-        for (pos, &slot) in crossing.iter().enumerate() {
-            let root = find(&mut parent, pos);
-            if root_region[root] == NONE {
-                root_region[root] = regions.len();
-                regions.push(Vec::new());
-            }
-            regions[root_region[root]].push(slot);
-        }
-        if regions.len() < 2 {
-            return false;
-        }
-
-        // Renegotiate the regions concurrently against the frozen
-        // round-start bookings.
-        let frozen_seg = self.extra_segments.clone();
-        let frozen_junc = self.extra_junctions.clone();
-        let workers = self.jobs.min(regions.len());
-        let mut routers: Vec<Router<'_>> = (0..workers).map(|_| self.router.clone()).collect();
-        let history = &self.history;
-        let hist_weight = self.negotiation.hist_weight;
-        let plans_ref: &[Option<RoutePlan>] = plans;
-        let regions_ref = &regions;
-        // Per-region outcome: `(slot, replacement plan)` pairs plus the
-        // resources the region's searches read (for validation below).
-        type RegionOutcome = (Vec<(usize, Option<RoutePlan>)>, ReadSet);
-        let outcomes: Vec<RegionOutcome> =
-            map_striped(&mut routers, regions.len(), |r, region_idx| {
-                let mut seg = frozen_seg.clone();
-                let mut junc = frozen_junc.clone();
-                let mut results = Vec::new();
-                let mut reads = ReadSet::default();
-                for &slot in &regions_ref[region_idx] {
-                    let old = plans_ref[slot].as_ref().expect("crossing implies a plan");
-                    unbook_into(&mut seg, &mut junc, old);
-                    let overlay = Overlay {
-                        extra_segments: &seg,
-                        extra_junctions: &junc,
-                        soft: true,
-                        pres_weight: pres,
-                        history,
-                        hist_weight,
-                    };
-                    r.begin_read_log();
-                    let plan = r.route_with(state, old.from_trap(), old.to_trap(), Some(&overlay));
-                    let set = r.take_read_set();
-                    reads.segments.extend(set.segments);
-                    reads.junctions.extend(set.junctions);
-                    if let Some(p) = &plan {
-                        book_into(&mut seg, &mut junc, p);
-                    }
-                    results.push((slot, plan));
-                }
-                (results, reads)
-            });
-
-        // Validate: a read is safe only when the resource is untouched
-        // or written solely by the reader's own region.
-        fn mark(owner: &mut usize, region: usize) {
-            if *owner == NONE || *owner == region {
-                *owner = region;
-            } else {
-                *owner = MULTI;
-            }
-        }
-        let mut seg_writer = vec![NONE; self.extra_segments.len()];
-        let mut junc_writer = vec![NONE; self.extra_junctions.len()];
-        for (region_idx, (results, _)) in outcomes.iter().enumerate() {
-            for (slot, new_plan) in results {
-                let old = plans[*slot].as_ref().expect("crossing implies a plan");
-                for u in old.resources() {
-                    match u.resource {
-                        Resource::Segment(s) => mark(&mut seg_writer[s.index()], region_idx),
-                        Resource::Junction(j) => mark(&mut junc_writer[j.index()], region_idx),
-                    }
-                }
-                for u in new_plan.iter().flat_map(|p| p.resources()) {
-                    match u.resource {
-                        Resource::Segment(s) => mark(&mut seg_writer[s.index()], region_idx),
-                        Resource::Junction(j) => mark(&mut junc_writer[j.index()], region_idx),
-                    }
-                }
-            }
-        }
-        for (region_idx, (_, reads)) in outcomes.iter().enumerate() {
-            let safe = reads.segments.iter().all(|s| {
-                let o = seg_writer[s.index()];
-                o == NONE || o == region_idx
-            }) && reads.junctions.iter().all(|j| {
-                let o = junc_writer[j.index()];
-                o == NONE || o == region_idx
-            });
-            if !safe {
-                return false;
-            }
-        }
-
-        // Adopt: replay every mover's unbook/book delta in global slot
-        // order — the exact mutation sequence of the sequential round.
-        let mut merged: Vec<(usize, Option<RoutePlan>)> = outcomes
-            .into_iter()
-            .flat_map(|(results, _)| results)
-            .collect();
-        merged.sort_by_key(|&(slot, _)| slot);
-        for (slot, new_plan) in merged {
-            let old = plans[slot].take().expect("crossing implies a plan");
-            self.unbook_extra(&old);
-            epoch.ripped += 1;
-            if let Some(p) = &new_plan {
-                self.book_extra(p);
-            }
-            plans[slot] = new_plan;
-        }
-        true
-    }
-
     /// The negotiation proper: soft-capacity routing plus incremental
     /// rip-up-and-reroute (each round re-routes only the movers
     /// touching a conflicted resource), then a hard-capacity commit
@@ -979,58 +728,36 @@ impl<'a> NegotiatedRouter<'a> {
         let mut pres = self.negotiation.pres_weight;
 
         // Round 0: everyone routes, seeing the movers before them and
-        // paying soft prices for contention. With parallelism granted,
-        // the movers are speculatively routed concurrently against the
-        // untouched overlay and merged in mover order — byte-identical
-        // either way.
-        let mut plans: Vec<Option<RoutePlan>> = if self.jobs > 1 && requests.len() >= PAR_THRESHOLD
-        {
-            self.round0_speculative(state, requests, pres)
-        } else {
-            let mut plans = Vec::with_capacity(requests.len());
-            for req in requests {
-                let overlay = self.overlay(pres);
-                let plan = self
-                    .router
-                    .route_with(state, req.from, req.to, Some(&overlay));
-                if let Some(p) = &plan {
-                    self.book_extra(p);
-                }
-                plans.push(plan);
+        // paying soft prices for contention.
+        let mut plans: Vec<Option<RoutePlan>> = Vec::with_capacity(requests.len());
+        for req in requests {
+            let overlay = self.overlay(pres);
+            let plan = self
+                .router
+                .route_with(state, req.from, req.to, Some(&overlay));
+            if let Some(p) = &plan {
+                self.book_extra(p);
             }
-            plans
-        };
+            plans.push(plan);
+        }
 
         // Negotiation rounds: rip up whatever crosses an over-used
         // resource and let it find a less contended path; everyone else
-        // keeps their route untouched. A mover's plan is still its
-        // round-start plan when it is examined (each slot is visited
-        // once), so the crossing set can be computed up front — which
-        // the region-parallel path leans on.
+        // keeps their route untouched.
         for _ in 0..self.negotiation.max_iterations {
             if self.mark_conflicts(state, epoch) == 0 {
                 break;
             }
             epoch.iterations += 1;
             pres = pres.saturating_mul(self.negotiation.pres_growth);
-            let crossing: Vec<usize> = plans
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| {
-                    slot.as_ref().is_some_and(|p| {
-                        p.resources().iter().any(|u| self.is_conflicted(u.resource))
-                    })
-                })
-                .map(|(i, _)| i)
-                .collect();
-            let speculated = self.jobs > 1
-                && crossing.len() >= PAR_THRESHOLD
-                && self.rip_round_speculative(state, &mut plans, &crossing, pres, epoch);
-            if speculated {
-                continue;
-            }
-            for &i in &crossing {
-                let ripped = plans[i].take().expect("crossing implies a plan");
+            for slot in plans.iter_mut() {
+                let crosses = slot
+                    .as_ref()
+                    .is_some_and(|p| p.resources().iter().any(|u| self.is_conflicted(u.resource)));
+                if !crosses {
+                    continue;
+                }
+                let ripped = slot.take().expect("crossing implies a plan");
                 self.unbook_extra(&ripped);
                 epoch.ripped += 1;
                 let overlay = self.overlay(pres);
@@ -1043,7 +770,7 @@ impl<'a> NegotiatedRouter<'a> {
                 if let Some(p) = &plan {
                     self.book_extra(p);
                 }
-                plans[i] = plan;
+                *slot = plan;
             }
         }
 
@@ -1085,11 +812,8 @@ impl RoutingEngine for NegotiatedRouter<'_> {
         state: &ResourceState,
         requests: &[RouteRequest],
     ) -> (Vec<Option<RoutePlan>>, EpochStats) {
-        let (greedy, greedy_pressure) = if self.jobs > 1 && requests.len() >= PAR_THRESHOLD {
-            greedy_solve_par(&self.router, &mut self.scratch, state, requests, self.jobs)
-        } else {
-            greedy_solve(&self.router, &mut self.scratch, state, requests)
-        };
+        let (greedy, greedy_pressure) =
+            greedy_solve(&self.router, &mut self.scratch, state, requests);
         let mut epoch = EpochStats {
             iterations: 0,
             ripped: 0,
@@ -1126,10 +850,6 @@ impl RoutingEngine for NegotiatedRouter<'_> {
 
     fn note_booked(&mut self, plan: &RoutePlan) {
         self.router.note_booked(plan);
-    }
-
-    fn set_parallelism(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
     }
 
     fn refines(&self) -> bool {
@@ -1248,118 +968,6 @@ fn greedy_solve(
             }
             None => plans.push(None),
         }
-    }
-    (plans, pressure)
-}
-
-/// Books every resource of `plan` into detached overlay arrays (the
-/// region-local counterpart of [`NegotiatedRouter::book_extra`], same
-/// saturating arithmetic, no touched-list upkeep).
-fn book_into(seg: &mut [u8], junc: &mut [u8], plan: &RoutePlan) {
-    for u in plan.resources() {
-        let slot = match u.resource {
-            Resource::Segment(s) => &mut seg[s.index()],
-            Resource::Junction(j) => &mut junc[j.index()],
-        };
-        *slot = slot.saturating_add(1);
-    }
-}
-
-/// Inverse of [`book_into`].
-fn unbook_into(seg: &mut [u8], junc: &mut [u8], plan: &RoutePlan) {
-    for u in plan.resources() {
-        let slot = match u.resource {
-            Resource::Segment(s) => &mut seg[s.index()],
-            Resource::Junction(j) => &mut junc[j.index()],
-        };
-        *slot = slot.saturating_sub(1);
-    }
-}
-
-/// Minimum mover count before a speculative parallel path is
-/// attempted; below this the fork/join overhead dwarfs the searches.
-/// The threshold is pure tuning — both sides of it produce identical
-/// bytes.
-const PAR_THRESHOLD: usize = 4;
-
-/// Resources written (booked or unbooked) during an order-based merge,
-/// used to validate speculative answers: a plan routed against the
-/// frozen snapshot is adoptable iff its recorded read set avoids every
-/// resource an earlier mover changed — the search then saw exactly the
-/// values the sequential code would have shown it.
-struct DirtyMask {
-    seg: Vec<bool>,
-    junc: Vec<bool>,
-}
-
-impl DirtyMask {
-    fn new(topology: &Topology) -> DirtyMask {
-        DirtyMask {
-            seg: vec![false; topology.segments().len()],
-            junc: vec![false; topology.junctions().len()],
-        }
-    }
-
-    fn mark(&mut self, resource: Resource) {
-        match resource {
-            Resource::Segment(s) => self.seg[s.index()] = true,
-            Resource::Junction(j) => self.junc[j.index()] = true,
-        }
-    }
-
-    fn disjoint(&self, reads: &ReadSet) -> bool {
-        reads.segments.iter().all(|s| !self.seg[s.index()])
-            && reads.junctions.iter().all(|j| !self.junc[j.index()])
-    }
-}
-
-/// Speculative parallel [`greedy_solve`], byte-identical to it.
-///
-/// Every mover is routed concurrently against the frozen `state` with
-/// its resource reads recorded, then a sequential mover-index merge
-/// adopts each answer whose read set is untouched by earlier bookings
-/// — those searches provably saw the same weights and tolls the
-/// sequential code would have shown them, so their plans (including
-/// `None` = blocked) match byte for byte. Invalidated movers re-route
-/// inline against the accumulated scratch, exactly like the sequential
-/// loop.
-fn greedy_solve_par(
-    router: &Router<'_>,
-    scratch: &mut ResourceState,
-    state: &ResourceState,
-    requests: &[RouteRequest],
-    jobs: usize,
-) -> (Vec<Option<RoutePlan>>, u8) {
-    let workers = jobs.min(requests.len());
-    let mut routers: Vec<Router<'_>> = (0..workers).map(|_| router.clone()).collect();
-    let speculated = map_striped(&mut routers, requests.len(), |r, i| {
-        r.begin_read_log();
-        let plan = r.route(state, requests[i].from, requests[i].to);
-        (plan, r.take_read_set())
-    });
-
-    scratch.clone_from(state);
-    let mut dirty = DirtyMask::new(router.topology());
-    let mut pressure = 0u8;
-    let mut plans = Vec::with_capacity(requests.len());
-    for (req, (plan, reads)) in requests.iter().zip(speculated) {
-        let plan = if dirty.disjoint(&reads) {
-            plan
-        } else {
-            router.route(scratch, req.from, req.to)
-        };
-        if let Some(p) = &plan {
-            for u in p.resources() {
-                scratch
-                    .book(u.resource)
-                    .expect("capacity-checked plans stay below u8::MAX bookings");
-                dirty.mark(u.resource);
-                if let Resource::Segment(_) = u.resource {
-                    pressure = pressure.max(scratch.usage(u.resource));
-                }
-            }
-        }
-        plans.push(plan);
     }
     (plans, pressure)
 }
@@ -1585,134 +1193,5 @@ mod tests {
             let _ = engine.route_batch(&state, &[RouteRequest::new(traps[i], traps[i + 20])]);
         }
         assert_eq!(engine.stats().epochs, 3);
-    }
-
-    /// Congested multi-epoch workload: center-crossing movers under
-    /// capacity 1 so both the speculative merge conflicts and the
-    /// rip-up rounds actually fire.
-    fn congested_epochs(topo: &Topology, center: Coord) -> Vec<Vec<RouteRequest>> {
-        let traps = topo.traps_by_distance(center);
-        (0..3)
-            .map(|epoch| {
-                (0..8)
-                    .map(|i| {
-                        let from = traps[epoch * 2 + i];
-                        let to = traps[traps.len() - 1 - i * 3 - epoch];
-                        RouteRequest::new(from, to)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_engines_match_sequential_bytes() {
-        let fabric = quale();
-        let topo = fabric.topology();
-        let tech = TechParams::date2012().without_multiplexing();
-        let config = RouterConfig {
-            channel_capacity: 1,
-            junction_capacity: 1,
-            ..RouterConfig::qspr(&tech)
-        };
-        let epochs = congested_epochs(topo, fabric.center());
-        let state = ResourceState::new(topo);
-        for kind in [RouterKind::Greedy, RouterKind::Negotiated] {
-            let mut reference = kind.build(topo, config);
-            let baseline: Vec<_> = epochs
-                .iter()
-                .map(|reqs| reference.route_batch(&state, reqs))
-                .collect();
-            for jobs in [2, 4, 8] {
-                let mut engine = kind.build(topo, config);
-                engine.set_parallelism(jobs);
-                for (reqs, expected) in epochs.iter().zip(&baseline) {
-                    let got = engine.route_batch(&state, reqs);
-                    assert_eq!(
-                        &got, expected,
-                        "{kind} with jobs={jobs} diverged from sequential"
-                    );
-                }
-                assert_eq!(engine.stats(), reference.stats());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_refine_epoch_matches_sequential_bytes() {
-        let fabric = quale();
-        let topo = fabric.topology();
-        let tech = TechParams::date2012().without_multiplexing();
-        let config = RouterConfig {
-            channel_capacity: 1,
-            junction_capacity: 1,
-            ..RouterConfig::qspr(&tech)
-        };
-        let state = ResourceState::new(topo);
-        let requests = &congested_epochs(topo, fabric.center())[0];
-        let mut reference = NegotiatedRouter::new(topo, config);
-        let (plans, _) = reference.route_batch(&state, requests);
-        let incumbents: Vec<RoutePlan> = plans.into_iter().flatten().collect();
-        assert!(incumbents.len() >= 2, "need incumbents to refine");
-        let expected = reference.refine_epoch(&state, &incumbents);
-        for jobs in [2, 4, 8] {
-            let mut engine = NegotiatedRouter::new(topo, config);
-            engine.set_parallelism(jobs);
-            let (_, _) = engine.route_batch(&state, requests);
-            assert_eq!(
-                engine.refine_epoch(&state, &incumbents),
-                expected,
-                "refine_epoch with jobs={jobs} diverged"
-            );
-        }
-    }
-
-    /// A dumbbell fabric — two congested clusters joined by one long
-    /// corridor — partitions its conflicted movers into two far-apart
-    /// conflict regions whose renegotiation searches stay local, so the
-    /// region-parallel rip-up actually *adopts* speculative rounds
-    /// (verified by instrumentation when the path was built) instead of
-    /// always falling back sequentially as it does when every search
-    /// sprawls across a shared fabric. Parity with the sequential
-    /// engine must hold bit-for-bit either way.
-    #[test]
-    fn region_parallel_rip_matches_sequential_on_dumbbell() {
-        let corridor = 400;
-        let cluster = [
-            "+-+-+", "|T|T|", "+-+-+", "|T|T|", "+-+-+", "|T|T|", "+-+-+",
-        ];
-        let mut ascii = String::new();
-        for (r, row) in cluster.iter().enumerate() {
-            ascii.push_str(row);
-            let fill = if r == 6 { '-' } else { '.' };
-            ascii.extend(std::iter::repeat(fill).take(corridor));
-            ascii.push_str(row);
-            ascii.push('\n');
-        }
-        let fabric = Fabric::from_ascii(&ascii).unwrap();
-        let topo = fabric.topology();
-        let tech = TechParams::date2012().without_multiplexing();
-        let config = RouterConfig::qspr(&tech);
-        let t = |r: u16, c: u16| topo.trap_at(qspr_fabric::Coord::new(r, c)).unwrap();
-        let far = 5 + corridor as u16;
-        // Opposing same-row movers per cluster: guaranteed channel
-        // conflicts whose rip-up detours stay inside the cluster.
-        let requests = vec![
-            RouteRequest::new(t(1, 1), t(1, 3)),
-            RouteRequest::new(t(1, 3), t(1, 1)),
-            RouteRequest::new(t(1, far + 1), t(1, far + 3)),
-            RouteRequest::new(t(1, far + 3), t(1, far + 1)),
-        ];
-        let state = ResourceState::new(topo);
-        let mut reference = NegotiatedRouter::new(topo, config);
-        let expected = reference.route_batch(&state, &requests);
-        assert!(expected.1.iterations > 0, "workload must trigger rip-up");
-        for jobs in [2, 4] {
-            let mut engine = NegotiatedRouter::new(topo, config);
-            engine.set_parallelism(jobs);
-            let got = engine.route_batch(&state, &requests);
-            assert_eq!(got, expected, "jobs={jobs} diverged on dumbbell");
-            assert_eq!(engine.stats(), reference.stats());
-        }
     }
 }

@@ -80,7 +80,6 @@
 //! ```
 
 pub mod engine;
-mod par;
 mod plan;
 // Test-only: keeps `proptest` a dev-dependency and the module out of
 // release builds entirely (the file's inner `#![cfg(test)]` alone would

@@ -5,7 +5,7 @@
 //! [`SearchScratch`] arena, with goal-directed early termination — see
 //! the crate docs ("Performance") for the design.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -223,39 +223,6 @@ pub struct Router<'a> {
     /// topology and the (immutable) config, so entries never
     /// invalidate.
     goal_dist: RefCell<HashMap<SegmentId, Arc<[u64]>>>,
-    /// Whether queries currently record their resource reads. Kept as a
-    /// separate `Cell` so the inactive case costs one branch per weight
-    /// lookup instead of a `RefCell` borrow.
-    log_active: Cell<bool>,
-    /// Deduplicating recorder behind [`Router::begin_read_log`].
-    read_log: RefCell<ReadLogger>,
-}
-
-/// Every segment and junction whose weight or toll a routing query
-/// consulted, in first-read order, without duplicates.
-///
-/// A query's answer is a pure function of its read set: replaying the
-/// same query against any resource state and overlay that agree on
-/// these resources (and on the router's own history) reproduces the
-/// same plan byte for byte. The speculative parallel engines lean on
-/// this to decide whether a plan computed against a frozen snapshot is
-/// still valid after earlier movers committed theirs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReadSet {
-    /// Segments whose weight was consulted.
-    pub(crate) segments: Vec<SegmentId>,
-    /// Junctions whose toll was consulted.
-    pub(crate) junctions: Vec<JunctionId>,
-}
-
-/// Generation-stamped dedup state for read logging; sized lazily to the
-/// topology on first activation.
-#[derive(Debug, Clone, Default)]
-struct ReadLogger {
-    seg_gen: Vec<u32>,
-    junc_gen: Vec<u32>,
-    generation: u32,
-    set: ReadSet,
 }
 
 impl<'a> Router<'a> {
@@ -279,61 +246,6 @@ impl<'a> Router<'a> {
             history: vec![0; topology.segments().len()],
             scratch: RefCell::new(SearchScratch::new(topology.search_graph().num_nodes())),
             goal_dist: RefCell::new(HashMap::new()),
-            log_active: Cell::new(false),
-            read_log: RefCell::new(ReadLogger::default()),
-        }
-    }
-
-    /// Starts recording the resource reads of subsequent queries.
-    /// Recording stays on until [`Router::take_read_set`] collects the
-    /// result.
-    pub(crate) fn begin_read_log(&self) {
-        let mut log = self.read_log.borrow_mut();
-        if log.seg_gen.len() != self.topology.segments().len() {
-            log.seg_gen = vec![0; self.topology.segments().len()];
-            log.junc_gen = vec![0; self.topology.junctions().len()];
-        }
-        log.generation = log.generation.wrapping_add(1);
-        if log.generation == 0 {
-            log.seg_gen.fill(0);
-            log.junc_gen.fill(0);
-            log.generation = 1;
-        }
-        log.set.segments.clear();
-        log.set.junctions.clear();
-        self.log_active.set(true);
-    }
-
-    /// Stops recording and returns the reads accumulated since
-    /// [`Router::begin_read_log`].
-    pub(crate) fn take_read_set(&self) -> ReadSet {
-        self.log_active.set(false);
-        std::mem::take(&mut self.read_log.borrow_mut().set)
-    }
-
-    #[inline]
-    fn note_seg_read(&self, seg: SegmentId) {
-        if !self.log_active.get() {
-            return;
-        }
-        let mut log = self.read_log.borrow_mut();
-        let generation = log.generation;
-        if log.seg_gen[seg.index()] != generation {
-            log.seg_gen[seg.index()] = generation;
-            log.set.segments.push(seg);
-        }
-    }
-
-    #[inline]
-    fn note_junc_read(&self, j: JunctionId) {
-        if !self.log_active.get() {
-            return;
-        }
-        let mut log = self.read_log.borrow_mut();
-        let generation = log.generation;
-        if log.junc_gen[j.index()] != generation {
-            log.junc_gen[j.index()] = generation;
-            log.set.junctions.push(j);
         }
     }
 
@@ -782,7 +694,6 @@ impl<'a> Router<'a> {
         moves: u32,
         overlay: Option<&Overlay<'_>>,
     ) -> Option<u64> {
-        self.note_seg_read(seg);
         let mut n = state.usage(Resource::Segment(seg));
         if let Some(ov) = overlay {
             n = n.saturating_add(ov.extra_segments[seg.index()]);
@@ -826,7 +737,6 @@ impl<'a> Router<'a> {
         j: JunctionId,
         overlay: Option<&Overlay<'_>>,
     ) -> Option<u64> {
-        self.note_junc_read(j);
         let mut n = state.usage(Resource::Junction(j));
         if let Some(ov) = overlay {
             n = n.saturating_add(ov.extra_junctions[j.index()]);

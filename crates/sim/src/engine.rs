@@ -61,20 +61,23 @@ impl<'a> Mapper<'a> {
         self.router.name()
     }
 
-    /// Grants the routing engine up to `jobs` worker threads for
-    /// intra-epoch parallelism (default 1). Purely a performance hint
-    /// — mapping results are byte-identical at every value, see
-    /// [`RoutingEngine::set_parallelism`](qspr_route::RoutingEngine::set_parallelism).
+    /// Grants placers up to `jobs` worker threads (default 1) for
+    /// running independent mappings concurrently: MVFB seeds and Monte
+    /// Carlo draws. Purely a performance hint, since placers fold their
+    /// results in seed order and answer byte-identically at every value.
+    /// [`Mapper::map`] itself always runs on the calling thread.
     ///
     /// Clamped to at least 1 and at most the host's available
-    /// parallelism: granting more workers than cores cannot overlap
-    /// anything and only adds speculation overhead (rejected
-    /// speculative rounds are recomputed sequentially), so an
-    /// oversubscribed grant would make mapping strictly slower.
+    /// parallelism: more workers than cores cannot overlap anything.
     pub fn jobs(mut self, jobs: usize) -> Mapper<'a> {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         self.jobs = jobs.clamp(1, cores);
         self
+    }
+
+    /// The worker-thread grant set by [`Mapper::jobs`].
+    pub fn job_count(&self) -> usize {
+        self.jobs
     }
 
     /// Enables or disables micro-command trace recording (off by default;
@@ -321,8 +324,7 @@ impl<'m, 'a> Sim<'m, 'a> {
             .topo_order()
             .filter(|id| pending[id.index()] == 0)
             .collect();
-        let mut engine = mapper.router.build(topo, mapper.policy.router);
-        engine.set_parallelism(mapper.jobs);
+        let engine = mapper.router.build(topo, mapper.policy.router);
         Sim {
             defer_epoch: engine.refines(),
             epoch_plans: Vec::new(),

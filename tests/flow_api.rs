@@ -222,3 +222,50 @@ fn report_json_is_stable_across_the_api() {
     assert!(json.ends_with("}"));
     assert!(json.contains(r#""mean_improvement_pct":"#));
 }
+
+/// `--profile` under `--jobs 2`: the placer's seed workers relay their
+/// spans under the open `place` span, so the phase table is the same as
+/// at one thread and phases plus `"other"` still add up to the total.
+#[test]
+fn profiled_runs_add_up_at_two_jobs() {
+    use qspr::obs::{install_thread, Collector, ProfileReport};
+    use std::time::Instant;
+
+    let flow = Flow::on(Fabric::quale_45x85()).seeds(4);
+    let program = fig3_program();
+    let profile = |jobs: usize| {
+        let collector = Arc::new(Collector::new());
+        let guard = install_thread(Arc::clone(&collector) as _);
+        let t0 = Instant::now();
+        let result = flow.clone().jobs(jobs).run(&program).expect("fig3 maps");
+        drop(guard);
+        (
+            ProfileReport::from_collector(&collector, t0.elapsed()),
+            result.runs as u64,
+        )
+    };
+    let (sequential, _) = profile(1);
+    let (report, runs) = profile(2);
+    let names =
+        |r: &ProfileReport| -> Vec<String> { r.phases.iter().map(|p| p.name.clone()).collect() };
+    assert_eq!(
+        names(&report),
+        names(&sequential),
+        "workers must not add phases"
+    );
+    let sum: u64 = report.phases.iter().map(|p| p.wall_us).sum();
+    assert_eq!(sum, report.total_wall_us);
+    // Every placement run's `map` span nests under `place`.
+    let place = report
+        .spans
+        .iter()
+        .find(|s| s.name == "place")
+        .expect("place phase");
+    let maps: u64 = place
+        .children
+        .iter()
+        .filter(|c| c.name == "map")
+        .map(|c| c.count)
+        .sum();
+    assert_eq!(maps, runs);
+}

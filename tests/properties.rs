@@ -185,10 +185,11 @@ proptest! {
 
     /// `Flow::jobs` is a pure performance hint: for any random fabric
     /// and circuit, every engine (greedy, negotiated, and the racing
-    /// meta-engine) produces byte-identical summary JSON — modulo the
-    /// wall-clock `"timing"` object — and a byte-identical recorded
-    /// trace at every thread count. This is the determinism contract
-    /// behind `qspr map --jobs N` and the serve `"jobs"` field.
+    /// meta-engine, under MVFB, plus greedy under a Monte Carlo placer)
+    /// produces byte-identical summary JSON — modulo the wall-clock
+    /// `"timing"` object — and a byte-identical recorded trace at every
+    /// thread count. This is the determinism contract behind
+    /// `qspr map --jobs N` and the serve `"jobs"` field.
     #[test]
     fn jobs_never_change_flow_results(
         rows in 8u16..16,
@@ -199,6 +200,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         use std::sync::Arc;
+        use qspr::place::MonteCarloPlacer;
         use qspr::service::normalize_timing;
         use qspr::{Flow, RouterKind, ToJson};
 
@@ -211,11 +213,20 @@ proptest! {
             &RandomProgramConfig::new(qubits, gates).two_qubit_fraction(0.8),
             seed,
         );
-        for router in [RouterKind::Greedy, RouterKind::Negotiated, RouterKind::Race] {
-            let base = Flow::on(Arc::clone(&fabric))
+        let flow = |router: RouterKind| {
+            Flow::on(Arc::clone(&fabric))
                 .router(router)
                 .seeds(2)
-                .record_trace(true);
+                .record_trace(true)
+        };
+        let bases = [
+            flow(RouterKind::Greedy),
+            flow(RouterKind::Negotiated),
+            flow(RouterKind::Race),
+            flow(RouterKind::Greedy).placer(MonteCarloPlacer::new(4, seed)),
+        ];
+        for base in bases {
+            let engine = format!("{}/{}", base.placer_name(), base.router_name());
             let reference = base.clone().run(&program);
             for jobs in [2usize, 4, 8] {
                 let result = base.clone().jobs(jobs).run(&program);
@@ -224,11 +235,11 @@ proptest! {
                         prop_assert_eq!(
                             normalize_timing(&expected.summary().to_json()),
                             normalize_timing(&got.summary().to_json()),
-                            "summary diverged at jobs={} router={:?}", jobs, router
+                            "summary diverged at jobs={} engine={}", jobs, engine
                         );
                         prop_assert_eq!(
                             &expected.forward_trace, &got.forward_trace,
-                            "trace diverged at jobs={} router={:?}", jobs, router
+                            "trace diverged at jobs={} engine={}", jobs, engine
                         );
                     }
                     // A fabric this small can legitimately stall; the
@@ -236,12 +247,12 @@ proptest! {
                     (Err(expected), Err(got)) => {
                         prop_assert_eq!(
                             expected.to_string(), got.to_string(),
-                            "error diverged at jobs={} router={:?}", jobs, router
+                            "error diverged at jobs={} engine={}", jobs, engine
                         );
                     }
                     _ => prop_assert!(
                         false,
-                        "mappability diverged at jobs={jobs} router={router:?}"
+                        "mappability diverged at jobs={jobs} engine={engine}"
                     ),
                 }
             }
