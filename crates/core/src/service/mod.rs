@@ -61,6 +61,7 @@
 //! line/header/body size limits in [`http`], JSON nesting depth in the
 //! parser, `m` (the one field that scales *work*, not input size)
 //! capped at 10 000 seeds per request, `/batch` capped at 256 programs,
+//! a `"fabric"` document capped at 262 144 grid cells,
 //! pipelining capped per connection, and the admission queues bounded
 //! by `--max-queue`.
 //!
@@ -185,6 +186,12 @@ const DEFAULT_SEEDS: usize = 25;
 /// to pin a worker with `m = 4e9` the way the CLI's operator-supplied
 /// `--m` legitimately may. 10k is ~100x the paper's largest setting.
 const MAX_SEEDS: usize = 10_000;
+
+/// Largest grid a request's `"fabric"` document may describe, in cells
+/// (`rows × cols`). Building a fabric costs time linear in its cells,
+/// so without a cap a one-line spec could buy seconds of work; 2^18 is
+/// a 512×512 grid, ~68x the paper's 45×85 fabric.
+const MAX_FABRIC_CELLS: usize = 1 << 18;
 
 /// Most programs accepted in one `POST /batch` body. Each program is a
 /// full comparison flow (three mapped runs), so the cap bounds the
@@ -639,14 +646,10 @@ impl MapService {
         // body asked for; results are byte-identical at every value.
         request.jobs = request.jobs.min(self.jobs_budget);
         // A request-supplied fabric document replaces the resident
-        // fabric for this request only; a document that fails to parse
-        // is well-formed JSON carrying unprocessable content, i.e. 422.
-        let fabric = match &request.fabric {
-            None => None,
-            Some(text) => match Fabric::parse(text) {
-                Ok(fabric) => Some(Arc::new(fabric)),
-                Err(e) => return error_response(422, &e.to_string()),
-            },
+        // fabric for this request only.
+        let fabric = match request_fabric(request.fabric.as_deref()) {
+            Ok(fabric) => fabric,
+            Err(response) => return response,
         };
         let mut flow = self.flow_for(&request, fabric);
         // Timing analysis replays the recorded trace, so `/sta` forces
@@ -710,12 +713,9 @@ impl MapService {
             Err(e) => return error_response(400, &e.to_string()),
         };
         request.jobs = request.jobs.min(self.jobs_budget);
-        let fabric = match &request.fabric {
-            None => None,
-            Some(text) => match Fabric::parse(text) {
-                Ok(fabric) => Some(Arc::new(fabric)),
-                Err(e) => return error_response(422, &e.to_string()),
-            },
+        let fabric = match request_fabric(request.fabric.as_deref()) {
+            Ok(fabric) => fabric,
+            Err(response) => return response,
         };
         let flow = self.flow_for_config(
             FlowPolicy::Qspr,
@@ -890,6 +890,19 @@ fn fabric_cache_key(fabric: Option<&str>) -> String {
 /// per-circuit lookups of `/batch`.
 fn compare_cache_key(fabric_key: &str, name: &str, fingerprint: &str) -> String {
     format!("compare|{fabric_key}{}:{name}|{fingerprint}", name.len())
+}
+
+/// Builds a request's `"fabric"` document, if any, within
+/// [`MAX_FABRIC_CELLS`]. A document that fails to parse or exceeds the
+/// budget is well-formed JSON carrying unprocessable content, i.e. the
+/// `422` response returned as the error.
+fn request_fabric(text: Option<&str>) -> Result<Option<Arc<Fabric>>, Response> {
+    text.map(|text| {
+        Fabric::parse_within(text, MAX_FABRIC_CELLS)
+            .map(Arc::new)
+            .map_err(|e| error_response(422, &e.to_string()))
+    })
+    .transpose()
 }
 
 /// Renders an error status with the `{"error":...}` body shape (pinned

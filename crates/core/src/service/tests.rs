@@ -528,6 +528,55 @@ fn malformed_fabric_documents_are_422_goldens() {
     assert!(response.body.contains("must be a string"));
 }
 
+#[test]
+fn oversized_fabric_documents_are_422_before_any_work() {
+    // A one-line spec for a 4001×4001 grid (16M cells, ~1.6 s to build
+    // unchecked) and ASCII art past the budget are both refused with
+    // 422 on every endpoint that accepts a fabric, in well under the
+    // time building them would take.
+    let service = service();
+    let bomb = r#"{"name":"b","regions":[{"family":"regular","rows":4001,"cols":4001,"pitch":4}]}"#;
+    let art = format!("{}\n", "-".repeat(600)).repeat(600);
+    let started = std::time::Instant::now();
+    for fabric in [bomb.to_owned(), art] {
+        for (path, body) in [
+            (
+                "/map",
+                format!("{{\"program\":{BELL:?},\"m\":2,\"fabric\":{fabric:?}}}"),
+            ),
+            (
+                "/compare",
+                format!("{{\"program\":{BELL:?},\"m\":2,\"fabric\":{fabric:?}}}"),
+            ),
+            (
+                "/sta",
+                format!("{{\"program\":{BELL:?},\"m\":2,\"fabric\":{fabric:?}}}"),
+            ),
+            (
+                "/batch",
+                format!("{{\"programs\":[{BELL:?}],\"m\":2,\"fabric\":{fabric:?}}}"),
+            ),
+        ] {
+            let response = post(&service, path, &body);
+            assert_eq!(response.status, 422, "{path}: {}", response.body);
+            assert!(
+                response.body.starts_with(r#"{"error":"fabric grid of "#)
+                    && response
+                        .body
+                        .contains(&format!("exceeds the {MAX_FABRIC_CELLS}-cell budget")),
+                "{path}: {}",
+                response.body
+            );
+        }
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "oversized fabrics must be refused without building them"
+    );
+    // Nothing was mapped, so nothing was cached.
+    assert_eq!(service.stats().cache_misses, 0);
+}
+
 // ---------------------------------------------------------------------------
 // /batch
 // ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ pub enum FabricError {
     TrapWithoutPort(Coord),
     /// A regular-fabric spec was inconsistent (e.g. pitch < 2).
     BadSpec(String),
+    /// The grid holds more cells than the caller's budget allows
+    /// ([`crate::Fabric::parse_within`]); rejected before any cell is
+    /// built.
+    TooManyCells {
+        /// Cells the description would build (`rows × cols`).
+        cells: usize,
+        /// The budget.
+        max: usize,
+    },
     /// A booking counter hit its hard ceiling (`u8::MAX` concurrent
     /// bookings on one resource): the capacity configuration admits more
     /// simultaneous users than the occupancy accounting can count.
@@ -70,6 +79,12 @@ impl fmt::Display for FabricError {
                 write!(f, "trap at {c} has no adjacent channel cell")
             }
             FabricError::BadSpec(msg) => write!(f, "invalid fabric spec: {msg}"),
+            FabricError::TooManyCells { cells, max } => {
+                write!(
+                    f,
+                    "fabric grid of {cells} cells exceeds the {max}-cell budget"
+                )
+            }
             FabricError::CapacityOverflow { resource } => {
                 write!(f, "booking counter saturated on {resource}")
             }

@@ -127,6 +127,38 @@ enum RegionKind {
 }
 
 impl RegionKind {
+    /// The `(rows, cols)` patch this region paints, computed from the
+    /// declaration alone; `(0, 0)` for a dangling tile reference, which
+    /// [`FabricSpec::build`] rejects.
+    fn dims(&self, tiles: &[TileDecl]) -> (usize, usize) {
+        let art_dims = |art: &[String]| {
+            let cols = art.iter().map(|l| l.chars().count()).max().unwrap_or(0);
+            (art.len(), cols)
+        };
+        match self {
+            RegionKind::Regular { rows, cols, .. } => (usize::from(*rows), usize::from(*cols)),
+            RegionKind::NearestNeighbor {
+                sites_rows,
+                sites_cols,
+            } => (
+                2 * usize::from(*sites_rows) + 1,
+                2 * usize::from(*sites_cols) + 1,
+            ),
+            RegionKind::Ascii { art } => art_dims(art),
+            RegionKind::Tiled {
+                tile,
+                tile_rows,
+                tile_cols,
+            } => tiles.iter().find(|t| t.name == *tile).map_or((0, 0), |t| {
+                let (rows, cols) = art_dims(&t.art);
+                (
+                    rows * usize::from(*tile_rows),
+                    cols * usize::from(*tile_cols),
+                )
+            }),
+        }
+    }
+
     fn family(&self) -> &'static str {
         match self {
             RegionKind::Regular { .. } => "regular",
@@ -188,6 +220,24 @@ impl FabricSpec {
     /// The spec's name (echoed into [`FabricInfo`]).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The `rows × cols` canvas bounding every region and link,
+    /// computed from the declarations without painting anything, so an
+    /// oversized document can be refused cheaply.
+    fn canvas_dims(&self) -> (usize, usize) {
+        let mut canvas_rows = 0usize;
+        let mut canvas_cols = 0usize;
+        for region in &self.regions {
+            let (rows, cols) = region.kind.dims(&self.tiles);
+            canvas_rows = canvas_rows.max(region.origin.0 as usize + rows);
+            canvas_cols = canvas_cols.max(region.origin.1 as usize + cols);
+        }
+        for link in &self.links {
+            canvas_rows = canvas_rows.max(link.from.0.max(link.to.0) as usize + 1);
+            canvas_cols = canvas_cols.max(link.from.1.max(link.to.1) as usize + 1);
+        }
+        (canvas_rows, canvas_cols)
     }
 
     /// The composition family: the single region's family, or
@@ -438,16 +488,7 @@ impl FabricSpec {
         }
 
         // Canvas bounding box over regions and link endpoints.
-        let mut canvas_rows = 0usize;
-        let mut canvas_cols = 0usize;
-        for (region, rows, cols, _) in &patches {
-            canvas_rows = canvas_rows.max(region.origin.0 as usize + *rows as usize);
-            canvas_cols = canvas_cols.max(region.origin.1 as usize + *cols as usize);
-        }
-        for link in &self.links {
-            canvas_rows = canvas_rows.max(link.from.0.max(link.to.0) as usize + 1);
-            canvas_cols = canvas_cols.max(link.from.1.max(link.to.1) as usize + 1);
-        }
+        let (canvas_rows, canvas_cols) = self.canvas_dims();
         if canvas_rows == 0 || canvas_cols == 0 {
             return Err(FabricError::EmptyGrid);
         }
@@ -591,9 +632,37 @@ impl Fabric {
     /// Returns [`FabricError::BadSpec`] for malformed spec documents
     /// and the usual grid errors for malformed ASCII art.
     pub fn parse(text: &str) -> Result<Fabric, FabricError> {
+        Fabric::parse_within(text, usize::MAX)
+    }
+
+    /// [`Fabric::parse`] for untrusted documents: a description whose
+    /// grid would hold more than `max_cells` cells is rejected with
+    /// [`FabricError::TooManyCells`] before any cell is built, so a few
+    /// bytes of spec cannot buy an arbitrarily large fabric.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fabric::parse`], plus [`FabricError::TooManyCells`].
+    pub fn parse_within(text: &str, max_cells: usize) -> Result<Fabric, FabricError> {
+        let within = |cells: usize| {
+            if cells > max_cells {
+                Err(FabricError::TooManyCells {
+                    cells,
+                    max: max_cells,
+                })
+            } else {
+                Ok(())
+            }
+        };
         if text.trim_start().starts_with('{') {
-            FabricSpec::parse_json(text)?.build()
+            let spec = FabricSpec::parse_json(text)?;
+            let (rows, cols) = spec.canvas_dims();
+            within(rows.saturating_mul(cols))?;
+            spec.build()
         } else {
+            let rows = text.lines().count();
+            let cols = text.lines().map(|l| l.chars().count()).max().unwrap_or(0);
+            within(rows.saturating_mul(cols))?;
             Fabric::from_ascii(text)
         }
     }
@@ -984,6 +1053,47 @@ mod tests {
     use super::*;
     use crate::regular::RegularFabricSpec;
     use crate::topology::SegmentId;
+
+    #[test]
+    fn canvas_dims_match_the_built_grid() {
+        for doc in [
+            include_str!("../../../examples/fabrics/two_region_bridge.json"),
+            include_str!("../../../examples/fabrics/ulb_tiled.json"),
+            include_str!("../../../examples/fabrics/nearest_neighbor_6x6.json"),
+            include_str!("../../../examples/fabrics/regular_21x41_p4.json"),
+        ] {
+            let spec = FabricSpec::parse_json(doc).unwrap();
+            let fabric = spec.build().unwrap();
+            let (rows, cols) = (fabric.rows() as usize, fabric.cols() as usize);
+            assert_eq!(spec.canvas_dims(), (rows, cols), "{}", spec.name());
+            assert_eq!(Fabric::parse_within(doc, rows * cols), Ok(fabric));
+        }
+    }
+
+    #[test]
+    fn cell_budget_rejects_oversized_documents_before_building() {
+        // A one-line document that would otherwise build 16M cells.
+        let bomb =
+            r#"{"name":"b","regions":[{"family":"regular","rows":4001,"cols":4001,"pitch":4}]}"#;
+        let err = Fabric::parse_within(bomb, 1 << 18).unwrap_err();
+        assert_eq!(
+            err,
+            FabricError::TooManyCells {
+                cells: 4001 * 4001,
+                max: 1 << 18
+            }
+        );
+        assert!(err.to_string().contains("16008001 cells"), "{err}");
+        let art = "T-\n".repeat(600);
+        assert_eq!(
+            Fabric::parse_within(&art, 1000),
+            Err(FabricError::TooManyCells {
+                cells: 1200,
+                max: 1000
+            })
+        );
+        assert!(Fabric::parse_within(&art, 1200).is_ok());
+    }
 
     #[test]
     fn regular_spec_matches_direct_constructor() {

@@ -381,8 +381,57 @@ impl Topology {
 
     /// The trap nearest to `to` (Manhattan metric) among those for which
     /// `candidate` returns `true`. Ties break towards the smaller trap id,
-    /// keeping the mapper deterministic.
+    /// keeping the mapper deterministic. `to` may lie outside the grid.
+    ///
+    /// The search walks Manhattan rings outward from `to` through the
+    /// dense per-cell trap index and stops at the first ring holding an
+    /// accepted trap, so a hit at distance `d` costs O(d²) cells instead
+    /// of a scan over every trap. `candidate` must therefore be a pure
+    /// predicate: it is called on a subset of the traps, in no
+    /// particular order.
     pub fn nearest_trap<F>(&self, to: Coord, mut candidate: F) -> Option<TrapId>
+    where
+        F: FnMut(TrapId) -> bool,
+    {
+        let (rows, cols) = (i32::from(self.rows), i32::from(self.cols));
+        let (tr, tc) = (i32::from(to.row), i32::from(to.col));
+        // The farthest grid corner bounds the rings worth walking.
+        let max_d = tr.max(rows - 1 - tr) + tc.max(cols - 1 - tc);
+        for d in 0..=max_d {
+            let mut best: Option<TrapId> = None;
+            for r in (tr - d).max(0)..=(tr + d).min(rows - 1) {
+                let dc = d - (r - tr).abs();
+                let row = r as usize * self.cols as usize;
+                // One cell on the ring's top and bottom rows, two on
+                // every other row (-1 is off the grid, so skipped).
+                let pair = if dc == 0 {
+                    [tc, -1]
+                } else {
+                    [tc - dc, tc + dc]
+                };
+                for c in pair {
+                    if c < 0 || c >= cols {
+                        continue;
+                    }
+                    if let Some(id) = self.trap_at[row + c as usize] {
+                        if best.map_or(true, |b| id < b) && candidate(id) {
+                            best = Some(id);
+                        }
+                    }
+                }
+            }
+            if best.is_some() {
+                return best;
+            }
+        }
+        None
+    }
+
+    /// The seed implementation of [`Topology::nearest_trap`], kept as
+    /// the reference for the ring-search equivalence tests: a linear
+    /// scan over every trap.
+    #[cfg(test)]
+    pub(crate) fn nearest_trap_linear<F>(&self, to: Coord, mut candidate: F) -> Option<TrapId>
     where
         F: FnMut(TrapId) -> bool,
     {
@@ -733,5 +782,58 @@ T.|..
         let t = f.topology();
         let port = t.traps()[0].port();
         assert_eq!(port.coord, Coord::new(0, 1));
+    }
+
+    /// Fabrics for the ring-search equivalence property: regular grids
+    /// of every pitch the generator picks, plus the committed spec
+    /// fabrics (irregular regions, links and ASCII tiles).
+    fn ring_search_fabric(kind: u8, rows: u16, cols: u16, pitch: u16) -> Fabric {
+        let spec = match kind % 6 {
+            0 => return Fabric::quale_45x85(),
+            1 => include_str!("../../../examples/fabrics/two_region_bridge.json"),
+            2 => include_str!("../../../examples/fabrics/ulb_tiled.json"),
+            3 => include_str!("../../../examples/fabrics/nearest_neighbor_6x6.json"),
+            _ => {
+                return crate::RegularFabricSpec::new(rows, cols, pitch)
+                    .build()
+                    .expect("generated regular spec builds")
+            }
+        };
+        Fabric::parse(spec).expect("committed spec builds")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The ring search returns exactly the linear scan's `(distance,
+        /// id)` minimum for any predicate and query point, inside the
+        /// grid or beyond it.
+        #[test]
+        fn ring_search_equals_linear_scan(
+            kind in 0u8..6,
+            rows in 7u16..40,
+            cols in 7u16..40,
+            pitch in 2u16..6,
+            salt in proptest::prelude::any::<u64>(),
+            density in 0u64..101,
+            queries in proptest::collection::vec((0u16..120, 0u16..120), 1..8),
+        ) {
+            let fabric = ring_search_fabric(kind, rows, cols, pitch);
+            let t = fabric.topology();
+            // A pure pseudo-random predicate: accept roughly `density`
+            // percent of the traps, keyed by `salt`.
+            let accept = |id: TrapId| {
+                let h = (u64::from(id.0) ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (h >> 33) % 100 < density
+            };
+            for (r, c) in queries {
+                let to = Coord::new(r, c);
+                proptest::prop_assert_eq!(
+                    t.nearest_trap(to, accept),
+                    t.nearest_trap_linear(to, accept),
+                    "query {} on a {}x{} fabric", to, fabric.rows(), fabric.cols()
+                );
+            }
+        }
     }
 }

@@ -26,7 +26,8 @@ pub struct ProfilePhase {
 pub struct EpochCounts {
     /// Issue phases executed (one per simulator event round).
     pub issue: u64,
-    /// Routed legs (route spans).
+    /// Engine routing calls (`route` spans). A greedy handoff of the
+    /// winning meeting probe searches nothing and opens no span.
     pub route: u64,
     /// Epochs that entered joint rip-up refinement.
     pub refine: u64,
@@ -272,8 +273,13 @@ mod tests {
         // concurrent wall time and phases + other would exceed total.
         use crate::span::{install_thread, span, Relay};
         use std::sync::Arc;
+        use std::time::Instant;
         let collector = Arc::new(Collector::new());
         let guard = install_thread(collector.clone());
+        // The total is measured around the region, as `map --profile`
+        // does: a fixed figure would undercut a slow thread spawn and
+        // clamp "other" to zero.
+        let t0 = Instant::now();
         {
             let _map = span("map");
             let relay = Relay::capture();
@@ -286,8 +292,9 @@ mod tests {
                 }
             });
         }
+        let total = t0.elapsed();
         drop(guard);
-        let report = ProfileReport::from_collector(&collector, Duration::from_micros(10_000));
+        let report = ProfileReport::from_collector(&collector, total);
         let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["map", "other"], "worker spans must not add phases");
         let map = &report.spans[0];

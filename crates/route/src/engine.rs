@@ -133,6 +133,13 @@ pub trait RoutingEngine {
     /// A pure single-route probe under the current bookings (used for
     /// cost estimation, e.g. meeting-trap selection); does not count as
     /// an epoch and must not commit anything.
+    ///
+    /// Probes can become the committed plans: a caller that probed an
+    /// epoch's movers one after another may hand the answers to
+    /// [`route_batch_probed`](RoutingEngine::route_batch_probed), and
+    /// the greedy engine commits them verbatim. An engine must therefore
+    /// answer a probe exactly as its batch search would route the same
+    /// mover under the same bookings.
     fn route_one(&self, state: &ResourceState, from: TrapId, to: TrapId) -> Option<RoutePlan>;
 
     /// Routes one epoch's movers jointly. Slot `i` of the result answers
@@ -142,6 +149,24 @@ pub trait RoutingEngine {
         state: &ResourceState,
         requests: &[RouteRequest],
     ) -> (Vec<Option<RoutePlan>>, EpochStats);
+
+    /// [`route_batch`](RoutingEngine::route_batch) for movers the caller
+    /// already probed: `probed[i]` is what
+    /// [`route_one`](RoutingEngine::route_one) returned for `requests[i]`
+    /// under `state` plus the bookings of `probed[..i]`, and every mover
+    /// routed. The answer and [`EpochStats`] must equal `route_batch`'s,
+    /// so engines whose batch search starts from sequential routing can
+    /// reuse the probes instead of searching again. The default ignores
+    /// them and calls `route_batch`.
+    fn route_batch_probed(
+        &mut self,
+        state: &ResourceState,
+        requests: &[RouteRequest],
+        probed: Vec<RoutePlan>,
+    ) -> (Vec<Option<RoutePlan>>, EpochStats) {
+        let _ = probed;
+        self.route_batch(state, requests)
+    }
 
     /// Tells the engine a plan was committed (feeds history terms).
     fn note_booked(&mut self, plan: &RoutePlan);
@@ -390,6 +415,22 @@ impl<'a> GreedyRouter<'a> {
             stats: RoutingStats::default(),
         }
     }
+
+    /// Records the epoch of the sequential answer `plans` on `state`
+    /// and returns it.
+    fn finish_batch(
+        &mut self,
+        state: &ResourceState,
+        plans: Vec<Option<RoutePlan>>,
+    ) -> (Vec<Option<RoutePlan>>, EpochStats) {
+        let epoch = EpochStats {
+            iterations: 0,
+            ripped: 0,
+            max_pressure: sequential_pressure(state, &plans),
+        };
+        self.stats.absorb(&epoch);
+        (plans, epoch)
+    }
 }
 
 impl RoutingEngine for GreedyRouter<'_> {
@@ -410,14 +451,20 @@ impl RoutingEngine for GreedyRouter<'_> {
         state: &ResourceState,
         requests: &[RouteRequest],
     ) -> (Vec<Option<RoutePlan>>, EpochStats) {
-        let (plans, max_pressure) = greedy_solve(&self.router, &mut self.scratch, state, requests);
-        let epoch = EpochStats {
-            iterations: 0,
-            ripped: 0,
-            max_pressure,
-        };
-        self.stats.absorb(&epoch);
-        (plans, epoch)
+        let plans = greedy_solve(&self.router, &mut self.scratch, state, requests);
+        self.finish_batch(state, plans)
+    }
+
+    /// The probes are exactly the sequential answers, so they are the
+    /// batch answer.
+    fn route_batch_probed(
+        &mut self,
+        state: &ResourceState,
+        requests: &[RouteRequest],
+        probed: Vec<RoutePlan>,
+    ) -> (Vec<Option<RoutePlan>>, EpochStats) {
+        debug_assert_eq!(probed.len(), requests.len());
+        self.finish_batch(state, probed.into_iter().map(Some).collect())
     }
 
     fn note_booked(&mut self, plan: &RoutePlan) {
@@ -568,6 +615,48 @@ impl<'a> NegotiatedRouter<'a> {
             tot += d;
         }
         (mk, tot)
+    }
+
+    /// The batch answer given the greedy incumbent `greedy`, the
+    /// sequential routing of `requests` on `state`.
+    fn negotiate_batch(
+        &mut self,
+        state: &ResourceState,
+        requests: &[RouteRequest],
+        greedy: Vec<Option<RoutePlan>>,
+    ) -> (Vec<Option<RoutePlan>>, EpochStats) {
+        let mut epoch = EpochStats {
+            iterations: 0,
+            ripped: 0,
+            max_pressure: sequential_pressure(state, &greedy),
+        };
+        // A single mover has nothing to negotiate with.
+        if requests.len() < 2 {
+            self.stats.absorb(&epoch);
+            return (greedy, epoch);
+        }
+        // Lower-bound gate: when greedy routed everyone and already
+        // sits on the unconstrained-optimum score, negotiation cannot
+        // strictly improve and would be discarded below — skip it.
+        // Blocked movers always negotiate: unblocking beats any score.
+        if greedy.iter().all(Option::is_some)
+            && self.joint_lower_bound(requests) >= plan_score(greedy.iter().flatten())
+        {
+            self.stats.absorb(&epoch);
+            return (greedy, epoch);
+        }
+        let negotiated = self.negotiate(state, requests, &mut epoch);
+        // Negotiation may only improve on the greedy answer: fewer
+        // blocked movers, then a smaller epoch makespan, then less
+        // total travel. Ties return the greedy plans verbatim so the
+        // two engines stay byte-identical on uncontended batches.
+        let plans = if batch_score(&negotiated) < batch_score(&greedy) {
+            negotiated
+        } else {
+            greedy
+        };
+        self.stats.absorb(&epoch);
+        (plans, epoch)
     }
 
     /// Replaces the negotiation knobs.
@@ -812,40 +901,21 @@ impl RoutingEngine for NegotiatedRouter<'_> {
         state: &ResourceState,
         requests: &[RouteRequest],
     ) -> (Vec<Option<RoutePlan>>, EpochStats) {
-        let (greedy, greedy_pressure) =
-            greedy_solve(&self.router, &mut self.scratch, state, requests);
-        let mut epoch = EpochStats {
-            iterations: 0,
-            ripped: 0,
-            max_pressure: greedy_pressure,
-        };
-        // A single mover has nothing to negotiate with.
-        if requests.len() < 2 {
-            self.stats.absorb(&epoch);
-            return (greedy, epoch);
-        }
-        // Lower-bound gate: when greedy routed everyone and already
-        // sits on the unconstrained-optimum score, negotiation cannot
-        // strictly improve and would be discarded below — skip it.
-        // Blocked movers always negotiate: unblocking beats any score.
-        if greedy.iter().all(Option::is_some)
-            && self.joint_lower_bound(requests) >= plan_score(greedy.iter().flatten())
-        {
-            self.stats.absorb(&epoch);
-            return (greedy, epoch);
-        }
-        let negotiated = self.negotiate(state, requests, &mut epoch);
-        // Negotiation may only improve on the greedy answer: fewer
-        // blocked movers, then a smaller epoch makespan, then less
-        // total travel. Ties return the greedy plans verbatim so the
-        // two engines stay byte-identical on uncontended batches.
-        let plans = if batch_score(&negotiated) < batch_score(&greedy) {
-            negotiated
-        } else {
-            greedy
-        };
-        self.stats.absorb(&epoch);
-        (plans, epoch)
+        let greedy = greedy_solve(&self.router, &mut self.scratch, state, requests);
+        self.negotiate_batch(state, requests, greedy)
+    }
+
+    /// The probes are the greedy incumbent; negotiation proceeds from
+    /// them exactly as from a fresh sequential solve.
+    fn route_batch_probed(
+        &mut self,
+        state: &ResourceState,
+        requests: &[RouteRequest],
+        probed: Vec<RoutePlan>,
+    ) -> (Vec<Option<RoutePlan>>, EpochStats) {
+        debug_assert_eq!(probed.len(), requests.len());
+        let greedy = probed.into_iter().map(Some).collect();
+        self.negotiate_batch(state, requests, greedy)
     }
 
     fn note_booked(&mut self, plan: &RoutePlan) {
@@ -929,47 +999,52 @@ fn plan_score<'p>(plans: impl Iterator<Item = &'p RoutePlan>) -> (Time, Time) {
     (makespan, total)
 }
 
+/// The peak segment pressure of a sequential answer: the highest
+/// usage any segment reaches while `plans` are booked on top of `state`
+/// one after another (blocked slots book nothing). A plan books each
+/// resource once, so booking plan `i` raises a segment to its usage in
+/// `state`, plus one per earlier plan on it, plus one.
+fn sequential_pressure(state: &ResourceState, plans: &[Option<RoutePlan>]) -> u8 {
+    let mut pressure = 0u8;
+    for (i, plan) in plans.iter().enumerate() {
+        for u in plan.iter().flat_map(|p| p.resources()) {
+            if let Resource::Segment(_) = u.resource {
+                let earlier = plans[..i]
+                    .iter()
+                    .flatten()
+                    .filter(|p| p.resources().iter().any(|e| e.resource == u.resource))
+                    .count() as u8;
+                pressure = pressure.max(state.usage(u.resource) + earlier + 1);
+            }
+        }
+    }
+    pressure
+}
+
 /// Sequential first-answer routing shared by both engines: request `i`
 /// is routed under `state` plus the bookings of requests `0..i`.
-/// Returns the plans and the peak segment pressure after booking.
 fn greedy_solve(
     router: &Router<'_>,
     scratch: &mut ResourceState,
     state: &ResourceState,
     requests: &[RouteRequest],
-) -> (Vec<Option<RoutePlan>>, u8) {
-    let mut pressure = 0u8;
+) -> Vec<Option<RoutePlan>> {
     if let [req] = requests {
         // Hot path: single movers need no scratch bookings.
-        let plan = router.route(state, req.from, req.to);
-        if let Some(p) = &plan {
-            for u in p.resources() {
-                if let Resource::Segment(_) = u.resource {
-                    pressure = pressure.max(state.usage(u.resource) + 1);
-                }
-            }
-        }
-        return (vec![plan], pressure);
+        return vec![router.route(state, req.from, req.to)];
     }
     scratch.clone_from(state);
     let mut plans = Vec::with_capacity(requests.len());
     for req in requests {
-        match router.route(scratch, req.from, req.to) {
-            Some(plan) => {
-                for u in plan.resources() {
-                    scratch
-                        .book(u.resource)
-                        .expect("capacity-checked plans stay below u8::MAX bookings");
-                    if let Resource::Segment(_) = u.resource {
-                        pressure = pressure.max(scratch.usage(u.resource));
-                    }
-                }
-                plans.push(Some(plan));
-            }
-            None => plans.push(None),
+        let plan = router.route(scratch, req.from, req.to);
+        for u in plan.iter().flat_map(|p| p.resources()) {
+            scratch
+                .book(u.resource)
+                .expect("capacity-checked plans stay below u8::MAX bookings");
         }
+        plans.push(plan);
     }
-    (plans, pressure)
+    plans
 }
 
 #[cfg(test)]

@@ -79,6 +79,7 @@
 //! );
 //! ```
 
+mod bounds;
 pub mod engine;
 mod plan;
 // Test-only: keeps `proptest` a dev-dependency and the module out of
@@ -89,6 +90,7 @@ mod proptests;
 mod resource;
 mod router;
 
+pub use bounds::TravelBounds;
 pub use engine::{
     EpochStats, GreedyRouter, NegotiatedRouter, NegotiationConfig, ParseRouterKindError,
     RouteRequest, RouterFactory, RouterKind, RoutingEngine, RoutingStats, SeededNegotiated,

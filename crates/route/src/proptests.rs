@@ -394,3 +394,161 @@ proptest! {
         prop_assert_eq!(fwd.moves(), bwd.moves());
     }
 }
+
+/// The quale fabric (`kind` 0) or a regular grid of random geometry.
+fn bounds_fabric(kind: u8, rows: u16, cols: u16, pitch: u16) -> Fabric {
+    match kind % 2 {
+        0 => Fabric::quale_45x85(),
+        _ => qspr_fabric::RegularFabricSpec::new(rows, cols, pitch)
+            .build()
+            .expect("generated regular spec builds"),
+    }
+}
+
+/// Books the routes of `load` pairs one after another (skipping blocked
+/// ones) and feeds them to the engine's history, like committed legs.
+fn book_load(
+    engine: &mut dyn crate::RoutingEngine,
+    state: &mut ResourceState,
+    load: &[(usize, usize)],
+    n: usize,
+) {
+    for &(a, b) in load {
+        let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
+        if let Some(plan) = engine.route_one(state, from, to) {
+            for usage in plan.resources() {
+                state.book(usage.resource).unwrap();
+            }
+            engine.note_booked(&plan);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `TravelBounds` is a true lower bound: no booking state, history
+    /// or turn policy routes a mover faster than the empty-fabric
+    /// bound, and on the empty fabric the turn-aware router meets it.
+    #[test]
+    fn travel_bounds_never_exceed_routed_durations(
+        kind in 0u8..2,
+        rows in 9u16..30,
+        cols in 9u16..40,
+        pitch in 2u16..5,
+        extra_cap in 0u8..2,
+        load in proptest::collection::vec((0usize..2000, 0usize..2000), 0..14),
+        queries in proptest::collection::vec((0usize..2000, 0usize..2000), 1..8),
+    ) {
+        let fabric = bounds_fabric(kind, rows, cols, pitch);
+        let topo = fabric.topology();
+        let tech = TechParams::date2012();
+        let qspr = RouterConfig {
+            channel_capacity: 1 + extra_cap,
+            junction_capacity: 1 + extra_cap,
+            ..RouterConfig::qspr(&tech)
+        };
+        let n = topo.traps().len();
+        for config in [qspr, RouterConfig::quale(&tech)] {
+            let bounds = crate::TravelBounds::new(topo, &config);
+            let mut engine = RouterKind::Greedy.build(topo, config);
+            let empty = ResourceState::new(topo);
+            if config.turn_aware {
+                for &(a, b) in &queries {
+                    let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
+                    if let Some(plan) = engine.route_one(&empty, from, to) {
+                        prop_assert_eq!(bounds.min_duration(from, to), plan.duration());
+                    }
+                }
+            }
+            let mut state = ResourceState::new(topo);
+            book_load(engine.as_mut(), &mut state, &load, n);
+            for &(a, b) in &queries {
+                let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
+                if let Some(plan) = engine.route_one(&state, from, to) {
+                    prop_assert!(
+                        bounds.min_duration(from, to) <= plan.duration(),
+                        "{} to {}: bound {} above routed {}",
+                        from, to, bounds.min_duration(from, to), plan.duration()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Handing an engine the sequential probes of a batch answers
+    /// exactly like a fresh `route_batch`: same plans, same epoch
+    /// stats, same cumulative stats, and the same engine state for the
+    /// next batch.
+    #[test]
+    fn probed_batches_equal_fresh_batches(
+        quale in any::<bool>(),
+        extra_cap in 0u8..2,
+        load in proptest::collection::vec((0usize..900, 0usize..900), 0..12),
+        pairs in proptest::collection::vec((0usize..900, 0usize..900), 1..4),
+        next in proptest::collection::vec((0usize..900, 0usize..900), 2..4),
+    ) {
+        let fabric = Fabric::quale_45x85();
+        let topo = fabric.topology();
+        let tech = TechParams::date2012();
+        let config = if quale {
+            RouterConfig::quale(&tech)
+        } else {
+            RouterConfig {
+                channel_capacity: 1 + extra_cap,
+                junction_capacity: 1 + extra_cap,
+                ..RouterConfig::qspr(&tech)
+            }
+        };
+        let n = topo.traps().len();
+        let request = |&(a, b): &(usize, usize)| {
+            RouteRequest::new(TrapId((a % n) as u32), TrapId((b % n) as u32))
+        };
+        let requests: Vec<RouteRequest> = pairs.iter().map(request).collect();
+        let follow_up: Vec<RouteRequest> = next.iter().map(request).collect();
+        for kind in [RouterKind::Greedy, RouterKind::Negotiated] {
+            let mut fresh = kind.build(topo, config);
+            let mut handed = kind.build(topo, config);
+            let mut state = ResourceState::new(topo);
+            book_load(fresh.as_mut(), &mut state, &load, n);
+            let mut ignored = ResourceState::new(topo);
+            book_load(handed.as_mut(), &mut ignored, &load, n);
+
+            // Probe the movers one after another, booking as we go.
+            let mut scratch = state.clone();
+            let mut probes = Vec::new();
+            for req in &requests {
+                let Some(plan) = handed.route_one(&scratch, req.from, req.to) else {
+                    break;
+                };
+                for usage in plan.resources() {
+                    scratch.book(usage.resource).unwrap();
+                }
+                probes.push(plan);
+            }
+            prop_assume!(probes.len() == requests.len());
+
+            let want = fresh.route_batch(&state, &requests);
+            let got = handed.route_batch_probed(&state, &requests, probes.clone());
+            // The sequential answer's peak pressure, by booking it.
+            let mut booked = state.clone();
+            let mut peak = 0;
+            for u in probes.iter().flat_map(|p| p.resources()) {
+                booked.book(u.resource).unwrap();
+                if let crate::Resource::Segment(_) = u.resource {
+                    peak = peak.max(booked.usage(u.resource));
+                }
+            }
+            if kind == RouterKind::Greedy {
+                prop_assert_eq!(want.1.max_pressure, peak, "{}", kind);
+            }
+            prop_assert_eq!(&got, &want, "{}", kind);
+            prop_assert_eq!(handed.stats(), fresh.stats(), "{}", kind);
+            prop_assert_eq!(
+                handed.route_batch(&state, &follow_up),
+                fresh.route_batch(&state, &follow_up),
+                "{}: engine state diverged", kind
+            );
+        }
+    }
+}

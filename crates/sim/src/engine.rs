@@ -9,7 +9,7 @@ use qspr_fabric::{Coord, Fabric, TechParams, Time, Topology, TrapId};
 use qspr_qasm::{Operands, Program, QubitId};
 use qspr_route::{
     Resource, ResourceState, RoutePlan, RouteRequest, RouterFactory, RouterKind, RoutingEngine,
-    Step,
+    Step, TravelBounds,
 };
 use qspr_sched::{InstrId, Qidg};
 
@@ -32,6 +32,10 @@ pub struct Mapper<'a> {
     record_trace: bool,
     order_boost: Option<Arc<Vec<Time>>>,
     jobs: usize,
+    /// Empty-fabric travel bounds for pruning meeting-trap probes,
+    /// filled on first use and shared by every run and clone of this
+    /// mapper (all MVFB seeds of a flow, on any thread).
+    bounds: Arc<TravelBounds<'a>>,
 }
 
 impl<'a> Mapper<'a> {
@@ -45,6 +49,7 @@ impl<'a> Mapper<'a> {
             record_trace: false,
             order_boost: None,
             jobs: 1,
+            bounds: Arc::new(TravelBounds::new(fabric.topology(), &policy.router)),
         }
     }
 
@@ -623,6 +628,10 @@ impl<'m, 'a> Sim<'m, 'a> {
                     self.begin_gate(id);
                     return true;
                 }
+                // The winning meeting probe's plans, when it routed every
+                // mover: exactly what the engine's sequential search
+                // would find for this batch.
+                let mut probed = None;
                 let meeting = match self.mapper.policy.movement {
                     MovementPolicy::ReturnToHome => {
                         unreachable!("handled by try_issue_return_to_home")
@@ -635,7 +644,10 @@ impl<'m, 'a> Sim<'m, 'a> {
                         // own trap (one operand moves), and keep the
                         // cheapest routable choice.
                         match self.cheapest_meeting(tc, tt) {
-                            Some(t) => t,
+                            Some((t, plans)) => {
+                                probed = plans;
+                                t
+                            }
                             None => return false,
                         }
                     }
@@ -683,7 +695,7 @@ impl<'m, 'a> Sim<'m, 'a> {
                         n_movers += 1;
                     }
                 }
-                let plans = self.route_with_epoch(&requests[..n_movers]);
+                let plans = self.route_with_epoch(&requests[..n_movers], probed);
                 let routed = plans.iter().filter(|p| p.is_some()).count();
                 if routed == 0 {
                     // Nothing committed; the whole instruction waits.
@@ -736,7 +748,15 @@ impl<'m, 'a> Sim<'m, 'a> {
     /// current bookings; unroutable candidates are skipped. Falls back to
     /// the median trap (handled downstream via staged movement) when no
     /// candidate routes completely.
-    fn cheapest_meeting(&mut self, tc: TrapId, tt: TrapId) -> Option<TrapId> {
+    ///
+    /// Returns the trap with the winning candidate's probed plans, in
+    /// the order [`Sim::try_issue`] requests its movers, or `None` for
+    /// the median fallback.
+    fn cheapest_meeting(
+        &mut self,
+        tc: TrapId,
+        tt: TrapId,
+    ) -> Option<(TrapId, Option<Vec<RoutePlan>>)> {
         let a = self.topo.trap(tc).coord();
         let b = self.topo.trap(tt).coord();
         let median = Coord::new((a.row + b.row) / 2, (a.col + b.col) / 2);
@@ -760,8 +780,25 @@ impl<'m, 'a> Sim<'m, 'a> {
             n_cand += 1;
         }
 
-        let mut best: Option<(Time, TrapId)> = None;
+        let _span = self.obs.then(|| qspr_obs::span("probe"));
+        let bounds = &*self.mapper.bounds;
+        let mut best: Option<(Time, TrapId, [Option<RoutePlan>; 2])> = None;
         for &(meeting, movers) in &candidates[..n_cand] {
+            // Exact pruning: no booking state routes a mover faster than
+            // the empty fabric, so a candidate whose slowest mover's
+            // bound already reaches the best cost cannot win the strict
+            // `<` below.
+            if let Some((bw, ..)) = best {
+                let bound = movers
+                    .iter()
+                    .flatten()
+                    .map(|&from| bounds.min_duration(from, meeting))
+                    .max()
+                    .unwrap_or(0);
+                if bound >= bw {
+                    continue;
+                }
+            }
             // Route the movers sequentially with temporary bookings so
             // the second sees the first's load, then roll back.
             let mut booked: [Option<RoutePlan>; 2] = [None, None];
@@ -787,15 +824,20 @@ impl<'m, 'a> Sim<'m, 'a> {
                 }
             }
             if let Some(w) = worst {
-                if best.map_or(true, |(bw, _)| w < bw) {
-                    best = Some((w, meeting));
+                if best.as_ref().map_or(true, |(bw, ..)| w < *bw) {
+                    best = Some((w, meeting, booked));
                 }
             }
         }
-        // No candidate routes completely right now: hand the median trap
-        // to the staged-movement path, which can move one operand and
-        // queue the other.
-        best.map(|(_, t)| t).or(median_trap)
+        match best {
+            Some((_, meeting, plans)) => {
+                Some((meeting, Some(plans.into_iter().flatten().collect())))
+            }
+            // No candidate routes completely right now: hand the median
+            // trap to the staged-movement path, which can move one
+            // operand and queue the other.
+            None => median_trap.map(|m| (m, None)),
+        }
     }
 
     /// Issues a two-qubit gate under the storage (return-to-home) model:
@@ -831,21 +873,34 @@ impl<'m, 'a> Sim<'m, 'a> {
 
     /// Routes one mover through the engine as a single-request epoch.
     fn route_single(&mut self, from: TrapId, to: TrapId) -> Option<RoutePlan> {
-        let mut plans = self.route_with_epoch(&[RouteRequest::new(from, to)]);
+        let mut plans = self.route_with_epoch(&[RouteRequest::new(from, to)], None);
         plans.pop().flatten()
     }
 
-    /// Routes `requests` through the engine. When some movers come back
-    /// blocked and the engine refines epochs, the epoch's still
-    /// uncommitted legs are ripped up and negotiated *jointly* with the
-    /// new movers — rerouting an earlier leg can clear the channel a
-    /// blocked mover needs, letting it issue this epoch instead of
-    /// waiting out the congestion. The epoch legs always stay fully
-    /// routed; the joint answer is only adopted when it strictly
-    /// unblocks movers.
-    fn route_with_epoch(&mut self, requests: &[RouteRequest]) -> Vec<Option<RoutePlan>> {
-        let _span = self.obs.then(|| qspr_obs::span("route"));
-        let (plans, _epoch) = self.engine.route_batch(&self.resources, requests);
+    /// Routes `requests` through the engine, handing it the movers'
+    /// `probed` plans when meeting-trap selection already routed them
+    /// all. When some movers come back blocked and the engine refines
+    /// epochs, the epoch's still uncommitted legs are ripped up and
+    /// negotiated *jointly* with the new movers — rerouting an earlier
+    /// leg can clear the channel a blocked mover needs, letting it issue
+    /// this epoch instead of waiting out the congestion. The epoch legs
+    /// always stay fully routed; the joint answer is only adopted when
+    /// it strictly unblocks movers.
+    fn route_with_epoch(
+        &mut self,
+        requests: &[RouteRequest],
+        probed: Option<Vec<RoutePlan>>,
+    ) -> Vec<Option<RoutePlan>> {
+        // A greedy handoff searches nothing, so it opens no `route`
+        // span; a refining engine may still negotiate the probed set.
+        let _span =
+            (self.obs && (probed.is_none() || self.defer_epoch)).then(|| qspr_obs::span("route"));
+        let (plans, _epoch) = match probed {
+            Some(probed) => self
+                .engine
+                .route_batch_probed(&self.resources, requests, probed),
+            None => self.engine.route_batch(&self.resources, requests),
+        };
         if !self.defer_epoch || self.epoch_plans.is_empty() || plans.iter().all(Option::is_some) {
             return plans;
         }

@@ -269,3 +269,57 @@ fn profiled_runs_add_up_at_two_jobs() {
         .sum();
     assert_eq!(maps, runs);
 }
+
+/// `--profile` attributes meeting-trap selection to its own `probe`
+/// span under every `issue` that probes, for both engines, instead of
+/// folding the probes into `issue` self time. Greedy handoffs of the
+/// winning probe route nothing, so they open no `route` span.
+#[test]
+fn profile_shows_meeting_probes_under_issue() {
+    use qspr::obs::{install_thread, Collector, ProfileReport, SpanNode};
+    use std::time::Instant;
+
+    fn children_of<'n>(nodes: &'n [SpanNode], parent: &str, out: &mut Vec<&'n SpanNode>) {
+        for node in nodes {
+            if node.name == parent {
+                out.extend(&node.children);
+            }
+            children_of(&node.children, parent, out);
+        }
+    }
+    let program = benchmark_suite()
+        .into_iter()
+        .find(|b| b.name == "[[19,1,7]]")
+        .expect("suite has the [[19,1,7]] encoder")
+        .program;
+    for router in [RouterKind::Greedy, RouterKind::Negotiated] {
+        let flow = Flow::on(Fabric::quale_45x85()).seeds(2).router(router);
+        let collector = Arc::new(Collector::new());
+        let guard = install_thread(Arc::clone(&collector) as _);
+        let t0 = Instant::now();
+        flow.run(&program).expect("maps");
+        drop(guard);
+        let report = ProfileReport::from_collector(&collector, t0.elapsed());
+        let mut under_issue = Vec::new();
+        children_of(&report.spans, "issue", &mut under_issue);
+        let count = |name: &str| -> u64 {
+            under_issue
+                .iter()
+                .filter(|n| n.name == name)
+                .map(|n| n.count)
+                .sum()
+        };
+        assert!(count("probe") > 0, "{router}: no probe span under issue");
+        let mut nested = Vec::new();
+        children_of(&report.spans, "probe", &mut nested);
+        assert!(nested.is_empty(), "{router}: probe is a leaf span");
+        if router == RouterKind::Greedy {
+            assert!(
+                count("route") < count("probe"),
+                "{router}: handoffs must not open route spans ({} routes, {} probes)",
+                count("route"),
+                count("probe")
+            );
+        }
+    }
+}
