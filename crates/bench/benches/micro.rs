@@ -4,11 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use qspr_fabric::{Coord, Fabric, TechParams};
+use qspr_fabric::{Coord, Fabric, TechParams, Topology, TrapId};
 use qspr_qasm::Program;
 use qspr_qecc::codes;
 use qspr_qecc::encoder::encoding_circuit;
-use qspr_route::{ResourceState, RouteRequest, Router, RouterConfig, RouterKind};
+use qspr_route::{Resource, ResourceState, RouteRequest, Router, RouterConfig, RouterKind};
 use qspr_sched::Qidg;
 
 /// Books a fabric-wide spread of routes so the routing benches below
@@ -37,6 +37,33 @@ fn epoch_requests(topo: &qspr_fabric::Topology, n: usize) -> Vec<RouteRequest> {
     (0..n)
         .map(|i| RouteRequest::new(order[2 * i], order[2 * i + 51]))
         .collect()
+}
+
+/// Two movers into the two center-most traps that port onto one
+/// segment, from traps ~60 places further out, with the target
+/// segment's end junction nearer to the movers booked (capacity 1).
+fn soft_congested_batch(topo: &Topology) -> (ResourceState, Vec<RouteRequest>) {
+    let order = topo.traps_by_distance(Coord::new(22, 42));
+    let segment = |t: TrapId| topo.trap(t).port().segment;
+    let (i, k) = (0..order.len())
+        .flat_map(|i| (i + 1..order.len()).map(move |k| (i, k)))
+        .find(|&(i, k)| segment(order[i]) == segment(order[k]))
+        .expect("some segment serves two traps");
+    let requests = vec![
+        RouteRequest::new(order[i + 60], order[i]),
+        RouteRequest::new(order[k + 60], order[k]),
+    ];
+    let dst = topo.segment(segment(order[i]));
+    let src = topo.trap(order[i + 60]).coord();
+    let near = dst
+        .ends()
+        .iter()
+        .filter_map(|end| end.junction())
+        .min_by_key(|&j| topo.junction(j).coord().manhattan(src))
+        .expect("target segment ends at a junction");
+    let mut state = ResourceState::new(topo);
+    state.book(Resource::Junction(near)).unwrap();
+    (state, requests)
 }
 
 fn bench_micro(c: &mut Criterion) {
@@ -93,6 +120,22 @@ fn bench_micro(c: &mut Criterion) {
         b.iter(|| {
             let mut negotiated = RouterKind::Negotiated.build(topo, contended);
             negotiated.route_batch(&quiet, &requests)
+        })
+    });
+
+    // The negotiation's soft search against a penalized goal: two
+    // movers share one target segment under capacity 1, and the
+    // segment's end junction nearest to them is booked in the shared
+    // state, so every soft search (round 0 and each rip-up round) sees
+    // that goal end over capacity and tolled while the far end is free.
+    let (congested, soft_requests) = soft_congested_batch(topo);
+    let mut probe = RouterKind::Negotiated.build(topo, contended);
+    let (_, epoch) = probe.route_batch(&congested, &soft_requests);
+    assert!(epoch.ripped > 0, "the batch must negotiate");
+    c.bench_function("route_soft_congested", |b| {
+        b.iter(|| {
+            let mut negotiated = RouterKind::Negotiated.build(topo, contended);
+            negotiated.route_batch(&congested, &soft_requests)
         })
     });
 

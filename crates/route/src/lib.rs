@@ -43,13 +43,21 @@
 //!   invalidated in O(1) by a generation stamp (a slot whose stamp is
 //!   stale reads as unreached), so a `route` call performs no heap
 //!   allocation and no O(nodes) clearing;
-//! * the Dijkstra run is *goal-directed*: it terminates as soon as the
-//!   target segment's entry junctions have final distances, or the
-//!   frontier provably cannot beat the best same-segment (direct)
-//!   candidate, and full goal junctions / full source or target
-//!   segments short-circuit the search entirely. All exits are chosen
+//! * the Dijkstra run is *goal-directed* and stops on the best
+//!   complete candidate: each goal (an entry junction of the target
+//!   segment) carries the cost of its final leg, C* is the cheapest
+//!   goal distance plus final leg found so far, and the search ends
+//!   once every goal is settled or provably cannot beat C* (or the
+//!   same-segment direct candidate). Relaxations whose empty-fabric
+//!   lower bound plus the cheapest final leg exceeds C* are pruned.
+//!   So in negotiation, an over-capacity (tolled) goal end no longer
+//!   makes the search sweep a ball of the toll's radius once the cheap
+//!   end is reached. Full goal junctions and full source or target
+//!   segments short-circuit the search entirely. Every exit and prune
+//!   keeps the winning predecessor chain and the end-0-wins tie-break,
 //!   so the returned plan is byte-identical to a run-to-exhaustion
-//!   search (property-tested against the naive reference).
+//!   search (property-tested against the naive reference, including
+//!   penalized goals and a pinned tie case).
 //!
 //! [`NegotiatedRouter`] keeps the same discipline across rip-up
 //! iterations: epoch bookings, touched-resource sets and conflict

@@ -255,6 +255,90 @@ proptest! {
         }
     }
 
+    /// Search equivalence under *penalized goals*: random batch-internal
+    /// bookings, extra load on the target segment's end junctions
+    /// (driving them to or over capacity), random per-segment history
+    /// and every present-congestion weight the negotiation uses
+    /// (`16·4^k`, k < 5), in hard-overlay, soft-overlay and no-overlay
+    /// mode. Over-capacity goal ends cost a toll in soft mode and
+    /// vanish as goals in hard mode, so the two goal candidates differ
+    /// widely — the case where the search stops at the best complete
+    /// candidate long before the dearer goal settles.
+    #[test]
+    fn arena_search_equals_naive_dijkstra_with_penalized_goals(
+        rows in 5u16..18,
+        cols in 5u16..18,
+        pitch in 2u16..5,
+        caps in 1u8..3,
+        mode in 0u8..3,
+        k in 0u32..5,
+        load in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+        extra_segs in proptest::collection::vec((0usize..256, 1u8..3), 0..24),
+        extra_juncs in proptest::collection::vec((0usize..256, 1u8..3), 0..12),
+        history_pattern in proptest::collection::vec(0u32..50, 1..97),
+        pairs in proptest::collection::vec((0usize..64, 0usize..64, 0u8..4, 0u8..4), 1..8),
+    ) {
+        let Ok(fabric) = qspr_fabric::RegularFabricSpec::new(rows, cols, pitch).build() else {
+            // Degenerate spec (too small for a tile); nothing to test.
+            return Ok(());
+        };
+        let topo = fabric.topology();
+        let tech = TechParams::date2012();
+        let config = RouterConfig {
+            channel_capacity: caps,
+            junction_capacity: caps,
+            ..RouterConfig::qspr(&tech)
+        };
+        let router = Router::new(topo, config);
+        let n = topo.traps().len();
+        let (n_seg, n_junc) = (topo.segments().len(), topo.junctions().len());
+
+        let mut state = ResourceState::new(topo);
+        for (a, b) in load {
+            let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
+            if let Some(plan) = router.route(&state, from, to) {
+                for usage in plan.resources() {
+                    state.book(usage.resource).unwrap();
+                }
+            }
+        }
+        let mut extra_segments = vec![0u8; n_seg];
+        for (i, c) in extra_segs {
+            extra_segments[i % n_seg] += c;
+        }
+        let history: Vec<u32> = (0..n_seg)
+            .map(|i| history_pattern[i % history_pattern.len()])
+            .collect();
+
+        for (a, b, bump0, bump1) in pairs {
+            let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
+            let mut extra_junctions = vec![0u8; n_junc];
+            for &(i, c) in &extra_juncs {
+                extra_junctions[i % n_junc] += c;
+            }
+            let dst = topo.segment(topo.trap(to).port().segment);
+            for (end, bump) in [bump0, bump1].into_iter().enumerate() {
+                if let Some(j) = dst.ends()[end].junction() {
+                    extra_junctions[j.index()] += bump;
+                }
+            }
+            let overlay = crate::router::Overlay {
+                extra_segments: &extra_segments,
+                extra_junctions: &extra_junctions,
+                soft: mode == 2,
+                pres_weight: 16 * 4u64.pow(k),
+                history: &history,
+                hist_weight: 1,
+            };
+            let overlay = (mode > 0).then_some(&overlay);
+            prop_assert_eq!(
+                router.route_with(&state, from, to, overlay),
+                router.route_naive(&state, from, to, overlay),
+                "from {} to {} (mode={}, pres_weight=16*4^{})", from, to, mode, k
+            );
+        }
+    }
+
     /// Per-resource capacities from the spec layer. Two properties:
     /// on a fabric with *heterogeneous* junction/segment overrides the
     /// arena search stays identical to the naive reference (both read

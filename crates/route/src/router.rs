@@ -377,24 +377,31 @@ impl<'a> Router<'a> {
             return None;
         }
 
-        // Goal nodes: the junction-attached ends of the target segment.
-        // Every via route enters through one of them, so the search can
-        // stop once their distances are final. A dead end contributes
-        // no goal; neither does a *full* end junction — every way into
-        // a junction's node pair is toll-checked, so a full junction's
-        // distance provably stays infinite and waiting for it would
-        // degenerate into graph exhaustion exactly when the fabric is
-        // congested. With no goals at all, no via route exists.
+        // Goal nodes: the junction-attached ends of the target segment,
+        // each with `entry`, the cost of the final leg from that end into
+        // the target trap (what the candidate loop below adds to the
+        // goal's distance). Every via route enters through a goal. A
+        // dead end contributes no goal; neither does a *full* end
+        // junction — every way into a junction's node pair is
+        // toll-checked, so a full junction's distance provably stays
+        // infinite and waiting for it would degenerate into graph
+        // exhaustion. With no goals at all, no via route exists. The
+        // target segment passed the fullness check above, so its
+        // weight is always defined here.
         let dst_seg = topo.segment(pt.segment);
-        let goals: [Option<usize>; 2] = [0, 1].map(|end| {
-            dst_seg.ends()[end].junction().and_then(|j| {
-                self.junction_toll(state, j, overlay)
-                    .map(|_| SearchGraph::node(j, dst_seg.orientation()))
-            })
+        let goals: [Option<(usize, u64)>; 2] = [0, 1].map(|end| {
+            let j = dst_seg.ends()[end].junction()?;
+            self.junction_toll(state, j, overlay)?;
+            let moves = dst_seg.moves_to_end(pt.offset, end);
+            let w = self.segment_weight(state, pt.segment, moves, overlay)?;
+            Some((
+                SearchGraph::node(j, dst_seg.orientation()),
+                w.saturating_add(t_move),
+            ))
         });
-        if goals.iter().all(Option::is_none) {
+        let Some(min_entry) = goals.iter().flatten().map(|&(_, entry)| entry).min() else {
             return best_direct.map(|c| self.build_direct(from, to, c));
-        }
+        };
 
         // Goal-directed Dijkstra over the precomputed search graph,
         // running in the reusable scratch arena (no allocation).
@@ -432,40 +439,56 @@ impl<'a> Router<'a> {
             if cost > scratch.dist(node) {
                 continue;
             }
-            // Early exit 1: every reachable goal already has distance
-            // <= the frontier cost. Distances below the frontier can
-            // never improve again, so the goal distances are final and
-            // the via candidates below equal a run-to-exhaustion
-            // search's.
-            if goals.iter().flatten().all(|&g| scratch.dist(g) <= cost) {
-                break;
-            }
-            // Early exit 2: the frontier costs at least as much as the
-            // direct candidate. Unsettled goal distances are >= the
-            // frontier cost, so every remaining via candidate is >= the
-            // direct cost and loses the `cd <= cv` tie-break below.
-            if best_direct.is_some_and(|bd| cost >= bd) {
+            // `best` (C*) is the cheapest complete via candidate found
+            // so far. Goal distances only decrease, so C* is an upper
+            // bound on the final via cost, and a lower bound `c` on a
+            // complete candidate is `beaten` when it exceeds C* or
+            // reaches the direct candidate's cost. The tests are
+            // deliberately asymmetric: a via candidate that only *ties*
+            // C* can still win (end 0 beats end 1 on ties), whereas a
+            // tie with the direct candidate loses the `cd <= cv`
+            // tie-break below.
+            let best = goals
+                .iter()
+                .flatten()
+                .map(|&(g, entry)| scratch.dist(g).saturating_add(entry))
+                .min()
+                .unwrap_or(INF);
+            let beaten = |c: u64| c > best || best_direct.is_some_and(|bd| c >= bd);
+            // Early exit: every goal is settled (distance <= the
+            // frontier cost, so final) or hopeless (an unsettled goal's
+            // final distance is >= the frontier cost, so its candidate
+            // is at least `cost + entry`, which is beaten). The winning
+            // goal is never hopeless while unsettled: its final
+            // candidate is <= C* and < the direct cost, which would
+            // need `cost` above its final distance. So the winner is
+            // settled with its final distance and predecessor, and
+            // every other goal's candidate can only lose to it, as in a
+            // run-to-exhaustion search. This also covers the frontier
+            // reaching the direct candidate's cost.
+            if goals
+                .iter()
+                .flatten()
+                .all(|&(g, entry)| scratch.dist(g) <= cost || beaten(cost.saturating_add(entry)))
+            {
                 break;
             }
             // Exact lower-bound prune: `h[n]` underestimates the
             // remaining cost from `n` to the goal nodes under every
-            // overlay, and `bound` (the worst live goal's tentative
-            // distance) only decreases over the search, so a
-            // relaxation with `dist + h` above `bound` — or at least
-            // the direct candidate's cost, which wins the `cd <= cv`
-            // tie — can never lower a goal's final distance nor sit on
-            // the returned plan's predecessor chain. Skipping it
-            // leaves the output bytes identical to the unpruned
-            // search (the `route_naive` equivalence proptest pins
-            // this), while cutting the explored frontier roughly from
-            // one-way to round-trip reach.
-            let bound = goals
-                .iter()
-                .flatten()
-                .map(|&g| scratch.dist(g))
-                .max()
-                .unwrap_or(INF);
-            let prune = |f: u64| f > bound || best_direct.is_some_and(|bd| f >= bd);
+            // overlay and `min_entry` the final leg, so `f + min_entry`
+            // (with `f = dist + h[n]`) lower-bounds every complete
+            // candidate through `n`. Every node on the winning
+            // predecessor chain has `g + h + entry <= C_final <= C*`,
+            // where `C_final` is the returned via candidate's cost (and
+            // `C_final < cd` when the via route wins), so a relaxation
+            // whose bound is `beaten` can never sit on the returned
+            // plan's chain, and the strict `> C*` keeps chains of
+            // tying candidates alive. Skipping it leaves the output
+            // bytes identical to the unpruned search (the `route_naive`
+            // equivalence proptests pin this) while stopping the
+            // frontier at the cheapest complete candidate instead of
+            // sweeping out to an expensive (e.g. over-capacity) goal.
+            let prune = |f: u64| beaten(f.saturating_add(min_entry));
             if prune(cost.saturating_add(h[node])) {
                 continue;
             }
@@ -504,18 +527,14 @@ impl<'a> Router<'a> {
         // Final candidates: enter the target segment from either end.
         let mut best_via: Option<(u64, usize, usize)> = None; // (cost, node, entry end)
         for (end, goal) in goals.iter().enumerate() {
-            let Some(node) = *goal else {
+            let Some((node, entry)) = *goal else {
                 continue;
             };
             let d = scratch.dist(node);
             if d == INF {
                 continue;
             }
-            let moves = dst_seg.moves_to_end(pt.offset, end);
-            let Some(w) = self.segment_weight(state, pt.segment, moves, overlay) else {
-                continue;
-            };
-            let cost = d.saturating_add(w).saturating_add(t_move);
+            let cost = d.saturating_add(entry);
             if best_via.map_or(true, |(c, _, _)| cost < c) {
                 best_via = Some((cost, node, end));
             }
@@ -1213,6 +1232,53 @@ mod tests {
         assert_eq!(router.history(seg), 1);
         let p2 = router.route(&state, a, b).unwrap();
         assert!(p2.est_cost() >= p1.est_cost());
+    }
+
+    /// The early exit must not drop a goal whose candidate only *ties*
+    /// the best one found so far: end 0 wins ties. On this ring, with
+    /// turns free (turn-blind), the source reaches the target segment's
+    /// end 1 junction first (distance 6, entry 6) and its end 0
+    /// junction later (distance 8, entry 4) through a zero-cost turn
+    /// at that junction. Both candidates cost exactly 12, and end 0's
+    /// goal node only gets its distance when the node before the turn
+    /// is expanded, at a frontier cost where `cost + entry` equals the
+    /// best candidate.
+    #[test]
+    fn tying_goal_end_zero_still_wins_after_end_one_settles() {
+        let f = Fabric::from_ascii(
+            ".....T...\n\
+             +-------+\n\
+             |.......|\n\
+             +-------+\n\
+             ...T.....\n",
+        )
+        .unwrap();
+        let topo = f.topology();
+        let tech = TechParams::date2012();
+        let router = Router::new(
+            topo,
+            RouterConfig {
+                turn_aware: false,
+                ..RouterConfig::qspr(&tech)
+            },
+        );
+        let state = ResourceState::new(topo);
+        let a = topo.trap_at(Coord::new(0, 5)).unwrap();
+        let b = topo.trap_at(Coord::new(4, 3)).unwrap();
+        let dst = topo.segment(topo.trap(b).port().segment);
+        let end_coord = |end: usize| topo.junction(dst.ends()[end].junction().unwrap()).coord();
+        assert_eq!(
+            (end_coord(0), end_coord(1)),
+            (Coord::new(3, 0), Coord::new(3, 8))
+        );
+
+        let plan = router.route(&state, a, b).expect("ring routes");
+        assert_eq!(Some(&plan), router.route_naive(&state, a, b, None).as_ref());
+        assert_eq!(plan.est_cost(), 12);
+        let visits = |c: Coord| plan.steps().contains(&Step::Move { to: c });
+        assert!(visits(end_coord(0)), "enters through end 0");
+        assert!(!visits(end_coord(1)), "never touches end 1");
+        assert_contiguous(topo, &plan);
     }
 
     #[test]
