@@ -50,9 +50,11 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use qspr_fabric::{Time, Topology, TrapId};
 
+use crate::bounds::TravelBounds;
 use crate::plan::RoutePlan;
 use crate::resource::{Resource, ResourceState};
 use crate::router::{Overlay, Router, RouterConfig};
@@ -170,6 +172,18 @@ pub trait RoutingEngine {
 
     /// Tells the engine a plan was committed (feeds history terms).
     fn note_booked(&mut self, plan: &RoutePlan);
+
+    /// Offers the engine a [`TravelBounds`] table shared by its caller
+    /// (a mapper hands every engine it builds the same one, so each
+    /// empty-fabric bound is computed once per mapper instead of once
+    /// per engine). An engine may keep it, and should only when it was
+    /// built for the engine's topology and weights, or ignore it, which
+    /// the default does. Every value in the table is an exact
+    /// empty-fabric lower bound, so using it can only prune work, never
+    /// change an answer.
+    fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) {
+        let _ = bounds;
+    }
 
     /// A thread-count hint. Engines run on the mapping thread and
     /// ignore it; parallelism lives in the placers, which run whole
@@ -471,6 +485,10 @@ impl RoutingEngine for GreedyRouter<'_> {
         self.router.note_booked(plan);
     }
 
+    fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) {
+        self.router.share_bounds(bounds);
+    }
+
     fn stats(&self) -> RoutingStats {
         self.stats
     }
@@ -543,9 +561,6 @@ pub struct NegotiatedRouter<'a> {
     conflict_gen: u32,
     scratch: ResourceState,
     stats: RoutingStats,
-    uncon: Router<'a>,
-    empty: ResourceState,
-    uncon_cache: std::collections::HashMap<(TrapId, TrapId), Time>,
 }
 
 impl<'a> NegotiatedRouter<'a> {
@@ -569,35 +584,7 @@ impl<'a> NegotiatedRouter<'a> {
             conflict_gen: 0,
             scratch: ResourceState::new(topology),
             stats: RoutingStats::default(),
-            uncon: Router::new(
-                topology,
-                RouterConfig {
-                    turn_aware: true,
-                    history_cost: false,
-                    ..config
-                },
-            ),
-            empty: ResourceState::new(topology),
-            uncon_cache: std::collections::HashMap::new(),
         }
-    }
-
-    /// Minimum achievable travel duration from `from` to `to` on an
-    /// empty fabric, cached per trap pair. The unconstrained router is
-    /// turn-aware with history pricing off, so on an empty state its
-    /// min-cost plan is also the min-duration plan (every plan's cost
-    /// is its duration plus the fixed `2 * t_move` port overhead), and
-    /// no resource state or negotiation overlay can ever do better.
-    fn min_duration(&mut self, from: TrapId, to: TrapId) -> Time {
-        if let Some(&d) = self.uncon_cache.get(&(from, to)) {
-            return d;
-        }
-        let d = self
-            .uncon
-            .route(&self.empty, from, to)
-            .map_or(0, |p| p.duration());
-        self.uncon_cache.insert((from, to), d);
-        d
     }
 
     /// Component-wise `(makespan, total)` lower bound over every joint
@@ -606,11 +593,17 @@ impl<'a> NegotiatedRouter<'a> {
     /// the incumbent — each component of any joint answer is bounded
     /// below by the corresponding component here — so the negotiation
     /// can be skipped without changing which plans get adopted.
-    fn joint_lower_bound(&mut self, requests: &[RouteRequest]) -> (Time, Time) {
+    ///
+    /// Only called with routable movers: [`TravelBounds::min_duration`]
+    /// is the exact empty-fabric minimum, and every capacity is at
+    /// least 1, so each mover's bound is finite.
+    fn joint_lower_bound(&self, requests: &[RouteRequest]) -> (Time, Time) {
+        let topo = self.router.topology();
+        let bounds = self.router.bounds();
         let mut mk = 0;
         let mut tot = 0;
         for req in requests {
-            let d = self.min_duration(req.from, req.to);
+            let d = bounds.min_duration(topo, req.from, req.to);
             mk = mk.max(d);
             tot += d;
         }
@@ -920,6 +913,10 @@ impl RoutingEngine for NegotiatedRouter<'_> {
 
     fn note_booked(&mut self, plan: &RoutePlan) {
         self.router.note_booked(plan);
+    }
+
+    fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) {
+        self.router.share_bounds(bounds);
     }
 
     fn refines(&self) -> bool {

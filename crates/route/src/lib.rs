@@ -57,13 +57,22 @@
 //!   keeps the winning predecessor chain and the end-0-wins tie-break,
 //!   so the returned plan is byte-identical to a run-to-exhaustion
 //!   search (property-tested against the naive reference, including
-//!   penalized goals and a pinned tie case).
+//!   penalized goals and a pinned tie case);
+//! * the prune's *goal fields* (the empty-fabric cost from every search
+//!   node to a target segment's ends, at the router's turn weight) are
+//!   kept per mapper, not per router: they live in a [`TravelBounds`]
+//!   table, one lock-free `OnceLock` per target segment, filled on
+//!   first use. A [`Router::new`] router owns a table of its own, and a
+//!   mapper hands one table to every engine it builds
+//!   ([`RoutingEngine::share_bounds`]), so across the `m` MVFB runs of
+//!   a mapping, on every seed thread, each field is computed once.
 //!
 //! [`NegotiatedRouter`] keeps the same discipline across rip-up
 //! iterations: epoch bookings, touched-resource sets and conflict
 //! marks all live in generation-stamped arrays, and each iteration
 //! re-routes only the movers that actually cross a conflicted
-//! resource.
+//! resource. Its negotiation gate reads the trap-to-trap durations of
+//! the same [`TravelBounds`] table.
 //!
 //! # Examples
 //!

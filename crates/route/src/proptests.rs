@@ -489,6 +489,19 @@ fn bounds_fabric(kind: u8, rows: u16, cols: u16, pitch: u16) -> Fabric {
     }
 }
 
+/// The fabrics of the `min_duration` reference property: the QUALE
+/// fabric and every committed spec under `examples/fabrics/`.
+fn example_fabric(kind: u8) -> Fabric {
+    let spec = match kind % 5 {
+        0 => return Fabric::quale_45x85(),
+        1 => include_str!("../../../examples/fabrics/two_region_bridge.json"),
+        2 => include_str!("../../../examples/fabrics/ulb_tiled.json"),
+        3 => include_str!("../../../examples/fabrics/nearest_neighbor_6x6.json"),
+        _ => include_str!("../../../examples/fabrics/regular_21x41_p4.json"),
+    };
+    Fabric::parse(spec).expect("committed spec builds")
+}
+
 /// Books the routes of `load` pairs one after another (skipping blocked
 /// ones) and feeds them to the engine's history, like committed legs.
 fn book_load(
@@ -541,7 +554,7 @@ proptest! {
                 for &(a, b) in &queries {
                     let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
                     if let Some(plan) = engine.route_one(&empty, from, to) {
-                        prop_assert_eq!(bounds.min_duration(from, to), plan.duration());
+                        prop_assert_eq!(bounds.min_duration(topo, from, to), plan.duration());
                     }
                 }
             }
@@ -551,12 +564,40 @@ proptest! {
                 let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
                 if let Some(plan) = engine.route_one(&state, from, to) {
                     prop_assert!(
-                        bounds.min_duration(from, to) <= plan.duration(),
+                        bounds.min_duration(topo, from, to) <= plan.duration(),
                         "{} to {}: bound {} above routed {}",
-                        from, to, bounds.min_duration(from, to), plan.duration()
+                        from, to, bounds.min_duration(topo, from, to), plan.duration()
                     );
                 }
             }
+        }
+    }
+
+    /// `TravelBounds::min_duration` is exactly what a turn-aware,
+    /// history-free router finds on an empty state, on every committed
+    /// fabric and whichever turn policy the table was built for (the
+    /// negotiated engine's lower-bound gate relies on the equality).
+    #[test]
+    fn min_duration_equals_the_empty_fabric_route(
+        kind in 0u8..5,
+        quale in any::<bool>(),
+        pairs in proptest::collection::vec((0usize..4000, 0usize..4000), 1..12),
+    ) {
+        let fabric = example_fabric(kind);
+        let topo = fabric.topology();
+        let tech = TechParams::date2012();
+        let config = if quale { RouterConfig::quale(&tech) } else { RouterConfig::qspr(&tech) };
+        let bounds = crate::TravelBounds::new(topo, &config);
+        let reference = Router::new(
+            topo,
+            RouterConfig { turn_aware: true, history_cost: false, ..config },
+        );
+        let empty = ResourceState::new(topo);
+        let n = topo.traps().len();
+        for (a, b) in pairs {
+            let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
+            let routed = reference.route(&empty, from, to).map_or(u64::MAX, |p| p.duration());
+            prop_assert_eq!(bounds.min_duration(topo, from, to), routed, "{} to {}", from, to);
         }
     }
 

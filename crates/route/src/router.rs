@@ -7,13 +7,14 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use qspr_fabric::{
     JunctionId, SearchGraph, Segment, SegmentEnd, SegmentId, TechParams, Time, Topology, TrapId,
 };
 
+use crate::bounds::{turn_weight, TravelBounds};
 use crate::plan::{RoutePlan, Step};
 use crate::resource::{Resource, ResourceState};
 
@@ -218,11 +219,10 @@ pub struct Router<'a> {
     /// allocating. Borrowed only for the duration of one search, never
     /// across calls, so the runtime check can't fail.
     scratch: RefCell<SearchScratch>,
-    /// Per-target-segment empty-fabric distance-to-goal fields backing
-    /// the exact pruning in [`Router::route_with`]. Depends only on the
-    /// topology and the (immutable) config, so entries never
-    /// invalidate.
-    goal_dist: RefCell<HashMap<SegmentId, Arc<[u64]>>>,
+    /// Empty-fabric bounds whose goal fields back the exact pruning in
+    /// [`Router::route_with`]; a mapper shares one table among all the
+    /// routers it builds ([`Router::share_bounds`]).
+    bounds: Arc<TravelBounds>,
 }
 
 impl<'a> Router<'a> {
@@ -245,69 +245,27 @@ impl<'a> Router<'a> {
             junc_caps,
             history: vec![0; topology.segments().len()],
             scratch: RefCell::new(SearchScratch::new(topology.search_graph().num_nodes())),
-            goal_dist: RefCell::new(HashMap::new()),
+            bounds: Arc::new(TravelBounds::new(topology, &config)),
         }
     }
 
-    /// Empty-fabric lower-bound cost from every search node to the
-    /// junction-attached ends of target segment `dst`, cached per
-    /// target segment.
-    ///
-    /// Computed with base segment weights (`moves * t_move`), zero
-    /// junction tolls and the configured turn weight, which
-    /// lower-bounds the true edge costs under every resource state and
-    /// overlay: occupancy multipliers and presence/history surcharges
-    /// only ever add cost. The search graph is symmetric (every
-    /// segment edge exists in both directions with equal `moves`, and
-    /// the turn edge is an involution with a fixed weight), so a
-    /// forward Dijkstra seeded at the goal nodes yields exact
-    /// to-goal distances.
-    fn goal_heuristic(&self, dst: SegmentId) -> Arc<[u64]> {
-        if let Some(h) = self.goal_dist.borrow().get(&dst) {
-            return Arc::clone(h);
+    /// Makes this router read its goal fields from `bounds` (filled on
+    /// first use and shared, for example, by every run of one mapper)
+    /// instead of its own table, when `bounds` was built for this
+    /// router's topology and weights. Returns whether it did. The
+    /// fields are exact empty-fabric values either way, so routes do
+    /// not change; only work is saved.
+    pub(crate) fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) -> bool {
+        let fits = bounds.serves(self.topology, &self.config);
+        if fits {
+            self.bounds = Arc::clone(bounds);
         }
-        let topo = self.topology;
-        let graph = topo.search_graph();
-        let turn_weight = if self.config.turn_aware {
-            self.config.t_turn
-        } else {
-            0
-        };
-        let mut dist = vec![INF; graph.num_nodes()];
-        let mut heap = BinaryHeap::new();
-        let seg = topo.segment(dst);
-        for end in 0..2 {
-            if let SegmentEnd::Junction(j) = seg.ends()[end] {
-                let node = SearchGraph::node(j, seg.orientation());
-                if dist[node] > 0 {
-                    dist[node] = 0;
-                    heap.push(Reverse((0u64, node)));
-                }
-            }
-        }
-        while let Some(Reverse((cost, node))) = heap.pop() {
-            if cost > dist[node] {
-                continue;
-            }
-            let turn_node = SearchGraph::turn_of(node);
-            let turn_cost = cost.saturating_add(turn_weight);
-            if turn_cost < dist[turn_node] {
-                dist[turn_node] = turn_cost;
-                heap.push(Reverse((turn_cost, turn_node)));
-            }
-            for edge in graph.edges(node) {
-                let w = u64::from(edge.moves) * self.config.t_move;
-                let next = edge.to_node as usize;
-                let c = cost.saturating_add(w);
-                if c < dist[next] {
-                    dist[next] = c;
-                    heap.push(Reverse((c, next)));
-                }
-            }
-        }
-        let h: Arc<[u64]> = dist.into();
-        self.goal_dist.borrow_mut().insert(dst, Arc::clone(&h));
-        h
+        fits
+    }
+
+    /// The empty-fabric bound table this router prunes with.
+    pub(crate) fn bounds(&self) -> &TravelBounds {
+        &self.bounds
     }
 
     /// The effective capacity of `resource`: the fabric's per-resource
@@ -405,7 +363,7 @@ impl<'a> Router<'a> {
 
         // Goal-directed Dijkstra over the precomputed search graph,
         // running in the reusable scratch arena (no allocation).
-        let h = self.goal_heuristic(pt.segment);
+        let h = self.bounds.goal_field(topo, pt.segment);
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
         scratch.begin();
@@ -430,11 +388,7 @@ impl<'a> Router<'a> {
             }
         }
 
-        let turn_weight = if self.config.turn_aware {
-            self.config.t_turn
-        } else {
-            0
-        };
+        let turn_weight = turn_weight(&self.config);
         while let Some(Reverse((cost, node))) = scratch.heap.pop() {
             if cost > scratch.dist(node) {
                 continue;
@@ -606,11 +560,7 @@ impl<'a> Router<'a> {
             }
         }
 
-        let turn_weight = if self.config.turn_aware {
-            self.config.t_turn
-        } else {
-            0
-        };
+        let turn_weight = turn_weight(&self.config);
         while let Some(Reverse((cost, node))) = heap.pop() {
             if cost > dist[node] {
                 continue;
@@ -1295,5 +1245,36 @@ mod tests {
         let a = topo.trap_at(Coord::new(0, 1)).unwrap();
         let b = topo.trap_at(Coord::new(0, 6)).unwrap();
         assert!(router.route(&state, a, b).is_none());
+    }
+
+    /// A router adopts a shared bound table only when it was built for
+    /// the same fabric size and weights, and then fills it instead of
+    /// its own.
+    #[test]
+    fn shared_bounds_must_match_the_router_weights() {
+        let f = quale_fabric();
+        let topo = f.topology();
+        let tech = TechParams::date2012();
+        let qspr = RouterConfig::qspr(&tech);
+        let shared = Arc::new(TravelBounds::new(topo, &qspr));
+        let mut blind = Router::new(topo, RouterConfig::quale(&tech));
+        assert!(!blind.share_bounds(&shared), "turn weight 0 vs T_turn");
+        let small = Fabric::from_ascii(crate::FIG5_DEMO_FABRIC).unwrap();
+        let mut other = Router::new(small.topology(), qspr);
+        assert!(!other.share_bounds(&shared), "another fabric");
+        let mut router = Router::new(
+            topo,
+            RouterConfig {
+                channel_capacity: 1,
+                ..qspr
+            },
+        );
+        assert!(router.share_bounds(&shared), "capacities do not matter");
+        let traps = topo.traps_by_distance(f.center());
+        router
+            .route(&ResourceState::new(topo), traps[0], traps[40])
+            .unwrap();
+        assert_eq!(shared.goal_fields(), 1);
+        assert_eq!(router.bounds().goal_fields(), 1);
     }
 }

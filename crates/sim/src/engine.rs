@@ -32,10 +32,11 @@ pub struct Mapper<'a> {
     record_trace: bool,
     order_boost: Option<Arc<Vec<Time>>>,
     jobs: usize,
-    /// Empty-fabric travel bounds for pruning meeting-trap probes,
-    /// filled on first use and shared by every run and clone of this
-    /// mapper (all MVFB seeds of a flow, on any thread).
-    bounds: Arc<TravelBounds<'a>>,
+    /// Empty-fabric travel bounds for pruning meeting-trap probes and
+    /// route searches, filled on first use and shared by every run and
+    /// clone of this mapper (all MVFB seeds of a flow, on any thread)
+    /// and by every engine it builds.
+    bounds: Arc<TravelBounds>,
 }
 
 impl<'a> Mapper<'a> {
@@ -116,6 +117,12 @@ impl<'a> Mapper<'a> {
     /// The active policy.
     pub fn policy(&self) -> &MapperPolicy {
         &self.policy
+    }
+
+    /// The empty-fabric bound table this mapper and every engine it
+    /// builds share (read-only; it fills itself on use).
+    pub fn travel_bounds(&self) -> &TravelBounds {
+        &self.bounds
     }
 
     /// Schedules, places (per the given initial placement) and routes
@@ -329,7 +336,8 @@ impl<'m, 'a> Sim<'m, 'a> {
             .topo_order()
             .filter(|id| pending[id.index()] == 0)
             .collect();
-        let engine = mapper.router.build(topo, mapper.policy.router);
+        let mut engine = mapper.router.build(topo, mapper.policy.router);
+        engine.share_bounds(&mapper.bounds);
         Sim {
             defer_epoch: engine.refines(),
             epoch_plans: Vec::new(),
@@ -792,7 +800,7 @@ impl<'m, 'a> Sim<'m, 'a> {
                 let bound = movers
                     .iter()
                     .flatten()
-                    .map(|&from| bounds.min_duration(from, meeting))
+                    .map(|&from| bounds.min_duration(self.topo, from, meeting))
                     .max()
                     .unwrap_or(0);
                 if bound >= bw {

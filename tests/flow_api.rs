@@ -100,6 +100,40 @@ fn built_in_engines_agree_through_the_dyn_seam() {
     );
 }
 
+/// Every engine a mapper builds reads the mapper's one bound table, so
+/// a goal field is computed once per mapper, not once per MVFB run:
+/// a paper-effort placement fills at most one field per segment, and
+/// mapping again fills none. Were the table not handed over, each
+/// engine would fill a private table and the mapper's would stay empty.
+#[test]
+fn engines_share_the_mappers_goal_fields() {
+    let fabric = Fabric::quale_45x85();
+    let segments = fabric.topology().segments().len();
+    let tech = *Flow::on(fabric.clone()).tech_params();
+    let program = benchmark_suite().swap_remove(1).program;
+    for router in [RouterKind::Greedy, RouterKind::Negotiated] {
+        let mapper = Mapper::new(&fabric, tech, qspr_sim::MapperPolicy::qspr(&tech))
+            .router(router)
+            .jobs(2);
+        let sol = MvfbPlacer::new(MvfbConfig::new(25, 0xD57E_2012))
+            .place(&mapper, &program)
+            .expect("places");
+        let filled = mapper.travel_bounds().goal_fields();
+        assert!(
+            0 < filled && filled <= segments,
+            "{router}: {filled} goal fields over {} runs on {segments} segments",
+            sol.runs
+        );
+        let again = match sol.direction {
+            PassDirection::Forward => program.clone(),
+            PassDirection::Backward => program.reversed(),
+        };
+        let outcome = mapper.map(&again, &sol.initial_placement).expect("maps");
+        assert_eq!(outcome.latency(), sol.latency);
+        assert_eq!(mapper.travel_bounds().goal_fields(), filled, "{router}");
+    }
+}
+
 /// The two built-in routing engines are selectable through the same
 /// flow. The latency ordering asserted below is the suite-level
 /// empirical property the `routers` bench pins across all six QECC
