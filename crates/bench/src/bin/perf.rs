@@ -12,9 +12,7 @@
 //! A second report, `BENCH_sta.json`, tracks the `qspr-sta` timing
 //! analysis on the same workloads: per-circuit analysis wall time
 //! (the cost of reconstructing slack and the critical path from a
-//! recorded trace) and the latency delta of the slack-aware feedback
-//! mode against the plain negotiated flow, which by construction must
-//! never be negative.
+//! recorded trace).
 //!
 //! Usage: `cargo run -p qspr-bench --bin perf --release [--quick]
 //! [--out <path>] [--sta-out <path>]`
@@ -33,10 +31,7 @@
 //! * `fabric`, `quick` — workload provenance;
 //! * `analysis[]` — per circuit (center placement, recorded trace):
 //!   `latency_us`, `analysis_wall_us`, `critical_steps`,
-//!   `trace_commands`;
-//! * `feedback[]` — per circuit (MVFB m=4, negotiated router):
-//!   `negotiated_us`, `feedback_us`, `saved_us` (≥ 0), `wall_us` of
-//!   the whole feedback run (pilot + analysis + re-run).
+//!   `trace_commands`.
 
 use std::time::Instant;
 
@@ -249,51 +244,10 @@ fn main() {
         );
     }
 
-    let mut feedback = JsonArray::new();
-    let fb_flow = flow.clone().router(RouterKind::Negotiated).seeds(4);
-    println!(
-        "\nSTA feedback — negotiated pilot, MVFB m=4\n{:<12} {:>13} {:>11} {:>9} {:>9}",
-        "circuit", "negotiated µs", "feedback µs", "saved µs", "wall µs"
-    );
-    for bench in &wb.benchmarks {
-        let plain = fb_flow.run(&bench.program).expect("benchmarks map cleanly");
-        let t0 = Instant::now();
-        let fed = fb_flow
-            .clone()
-            .sta_feedback(true)
-            .run(&bench.program)
-            .expect("benchmarks map cleanly");
-        let wall_us = t0.elapsed().as_micros() as u64;
-        // The driver is best-of-two with the plain run as its pilot,
-        // so a regression here is a bug, not a bad day.
-        assert!(
-            fed.latency <= plain.latency,
-            "{}: feedback {} exceeds plain negotiated {}",
-            bench.name,
-            fed.latency,
-            plain.latency
-        );
-        let saved_us = plain.latency - fed.latency;
-        println!(
-            "{:<12} {:>13} {:>11} {:>9} {:>9}",
-            bench.name, plain.latency, fed.latency, saved_us, wall_us,
-        );
-        feedback.push_raw(
-            &JsonObject::new()
-                .string("circuit", &bench.name)
-                .number("negotiated_us", plain.latency)
-                .number("feedback_us", fed.latency)
-                .number("saved_us", saved_us)
-                .number("wall_us", wall_us)
-                .build(),
-        );
-    }
-
     let sta_report = JsonObject::new()
         .string("fabric", "quale_45x85")
         .boolean("quick", quick)
         .raw("analysis", &analysis.build())
-        .raw("feedback", &feedback.build())
         .build();
     let sta_path = path_flag("--sta-out", "BENCH_sta.json");
     std::fs::write(&sta_path, format!("{sta_report}\n")).expect("writable output path");

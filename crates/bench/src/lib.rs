@@ -4,8 +4,6 @@
 //!
 //! * `table1` — MVFB vs Monte Carlo placers (paper Table 1);
 //! * `table2` — ideal baseline vs QUALE vs QSPR (paper Table 2);
-//! * `sensitivity` — latency as a function of the MVFB seed count `m`
-//!   (the sensitivity analysis discussed in §IV.A/§V);
 //! * `ablations` — one QSPR design claim toggled at a time (§I bullets,
 //!   Fig. 5's turn-awareness among them).
 //!

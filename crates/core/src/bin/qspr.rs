@@ -1,8 +1,8 @@
 //! `qspr` — command-line front end for the QSPR mapper.
 //!
 //! ```text
-//! qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--sta-feedback] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
-//! qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--sta-feedback] [--fabric F] [--format FMT]
+//! qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
+//! qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--threads T] [--fabric F] [--format FMT]
@@ -13,10 +13,8 @@
 //! ```
 //!
 //! `--fabric` takes `quale45x85` (default) or a path to a fabric file —
-//! a JSON `FabricSpec` document or plain ASCII art (auto-detected); `--router` is `greedy` (default), `negotiated`
-//! (PathFinder-style rip-up-and-reroute) or `race` (run both engines —
-//! and the slack-feedback pilot under `--sta-feedback` — one after
-//! another and keep the lowest latency); `--jobs N` runs the placer's
+//! a JSON `FabricSpec` document or plain ASCII art (auto-detected); `--router` is `greedy` (default) or `negotiated`
+//! (PathFinder-style rip-up-and-reroute); `--jobs N` runs the placer's
 //! MVFB seeds on N worker threads with byte-identical output at every
 //! N; `--format` is `text`
 //! (default) or `json` (stable machine-readable schema); `CODE` is one
@@ -25,9 +23,7 @@
 //! `qspr sta` maps a circuit with trace recording on and prints the
 //! static timing analysis of `qspr-sta`: per-instruction slack, the
 //! critical path and segment/junction bottlenecks. `qspr map --sta`
-//! appends the same report to a normal mapping run, and
-//! `--sta-feedback` (with `--router negotiated`) folds the analysis
-//! back into a second mapping pass, keeping the faster run.
+//! appends the same report to a normal mapping run.
 //!
 //! `qspr map --profile` instruments the run with the `qspr-obs` span
 //! tracer and reports per-phase wall time, the span tree and per-epoch
@@ -71,8 +67,8 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--sta-feedback] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
-  qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--sta-feedback] [--fabric F] [--format FMT]
+  qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
+  qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--threads T] [--fabric F] [--format FMT]
@@ -84,7 +80,7 @@ usage:
 options:
   --fabric F    quale45x85 (default) or a fabric file (spec JSON or ASCII art)
   --policy P    mapper policy for `map` (default qspr)
-  --router R    routing engine: greedy (default), negotiated or race
+  --router R    routing engine: greedy (default) or negotiated
   --m N         MVFB seed count (default 25)
   --jobs N      placement seeds run on N threads (default 1; identical output at any N)
   --threads T   worker threads for `batch`/`serve` (default: all CPUs)
@@ -92,7 +88,6 @@ options:
   --suite       add the paper's six benchmark circuits to the batch
   --trace       print the micro-command trace after mapping
   --sta         map: append the static timing analysis to the report
-  --sta-feedback  remap with slack-aware feedback (needs --router negotiated)
   --dump-trace FILE  map: write the recorded trace to FILE as JSON
   --profile     map: trace the run and report per-phase times and the span tree
   --addr A      serve: bind address (default 127.0.0.1:7878; port 0 = ephemeral)
@@ -135,14 +130,7 @@ impl Cli {
             "--keep-alive",
             "--dump-trace",
         ];
-        const SWITCHES: [&str; 6] = [
-            "--trace",
-            "--suite",
-            "--sta",
-            "--sta-feedback",
-            "--profile",
-            "--log",
-        ];
+        const SWITCHES: [&str; 5] = ["--trace", "--suite", "--sta", "--profile", "--log"];
         let mut positional = Vec::new();
         let mut options: Vec<(String, Option<String>)> = Vec::new();
         let mut it = args.iter();
@@ -288,21 +276,6 @@ impl Cli {
         }
     }
 
-    /// Validates the `--sta-feedback` pairing (the seeded re-run only
-    /// makes sense against a negotiated pilot) and reports whether the
-    /// mode is on.
-    fn sta_feedback(&self) -> Result<bool, QsprError> {
-        if !self.switch("--sta-feedback") {
-            return Ok(false);
-        }
-        if !matches!(self.router()?, RouterKind::Negotiated | RouterKind::Race) {
-            return Err(QsprError::usage(
-                "--sta-feedback requires --router negotiated or race",
-            ));
-        }
-        Ok(true)
-    }
-
     /// A flow on the selected fabric with the selected seed count and
     /// routing engine.
     fn flow(&self) -> Result<Flow, QsprError> {
@@ -366,8 +339,6 @@ fn cmd_map(cli: &Cli) -> Result<(), QsprError> {
     let format = cli.format()?;
     let sta = cli.switch("--sta");
     let dump_trace = cli.value("--dump-trace");
-    // Validate the flag pairing before touching the filesystem.
-    let feedback = cli.sta_feedback()?;
     // `--profile`: collect the pipeline's spans into a thread-local
     // tree. Thread-local (not global) so a profiled run in one thread
     // never leaks spans into another; installed before the parse so
@@ -382,8 +353,7 @@ fn cmd_map(cli: &Cli) -> Result<(), QsprError> {
     let flow = cli
         .flow()?
         .policy(policy)
-        .record_trace(cli.switch("--trace") || sta || dump_trace.is_some())
-        .sta_feedback(feedback);
+        .record_trace(cli.switch("--trace") || sta || dump_trace.is_some());
 
     let result = flow.run(&program)?;
     if let Some(out) = dump_trace {
@@ -465,13 +435,8 @@ fn cmd_sta(cli: &Cli) -> Result<(), QsprError> {
         .ok_or_else(|| QsprError::usage("sta needs a QASM file argument"))?;
     let policy: FlowPolicy = cli.value("--policy").unwrap_or("qspr").parse()?;
     let format = cli.format()?;
-    let feedback = cli.sta_feedback()?;
     let program = load_program(path)?;
-    let flow = cli
-        .flow()?
-        .policy(policy)
-        .record_trace(true)
-        .sta_feedback(feedback);
+    let flow = cli.flow()?.policy(policy).record_trace(true);
     let result = flow.run(&program)?;
     let report = flow.timing_report(&program, &result)?;
     match format {
@@ -784,6 +749,14 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, QsprError::Usage(_)));
         assert!(err.to_string().contains("unknown router \"fancy\""));
+        let err = Cli::parse(&strings(&["--router", "race"]))
+            .unwrap()
+            .router()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"unknown router "race" (expected greedy or negotiated)"#
+        );
         // A missing value is caught by the parser.
         let err = Cli::parse(&strings(&["--router"])).unwrap_err();
         assert_eq!(err.to_string(), "flag --router needs a value");
@@ -817,24 +790,6 @@ mod tests {
             .is_err());
         assert!(Cli::parse(&strings(&["--jobs"])).is_err());
         assert!(Cli::parse(&strings(&["--jobs", "1", "--jobs", "2"])).is_err());
-    }
-
-    #[test]
-    fn race_router_parses_and_allows_sta_feedback() {
-        let cli = Cli::parse(&strings(&["--router", "race"])).unwrap();
-        assert_eq!(cli.router().unwrap(), RouterKind::Race);
-        assert_eq!(cli.flow().unwrap().router_name(), "race");
-        // Racing includes the sta leg, so the pairing is legal; the
-        // error (if any) is the missing file.
-        let err = run(&strings(&[
-            "map",
-            "missing.qasm",
-            "--router",
-            "race",
-            "--sta-feedback",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, QsprError::Io { .. }));
     }
 
     #[test]
@@ -958,39 +913,22 @@ mod tests {
         let cli = Cli::parse(&strings(&[
             "file.qasm",
             "--sta",
-            "--sta-feedback",
             "--dump-trace",
             "out.json",
         ]))
         .unwrap();
         assert!(cli.switch("--sta"));
-        assert!(cli.switch("--sta-feedback"));
         assert_eq!(cli.value("--dump-trace"), Some("out.json"));
         // `--dump-trace` is a value flag: it needs a path and rejects
         // duplicates like the others.
         assert!(Cli::parse(&strings(&["--dump-trace"])).is_err());
         assert!(Cli::parse(&strings(&["--dump-trace", "a", "--dump-trace", "b"])).is_err());
-    }
-
-    #[test]
-    fn sta_feedback_requires_the_negotiated_router() {
-        // The pairing is validated before any file I/O, for both
-        // commands that accept the switch.
-        let err = run(&strings(&["map", "missing.qasm", "--sta-feedback"])).unwrap_err();
-        assert!(err.to_string().contains("--router negotiated"));
-        let err = run(&strings(&["sta", "missing.qasm", "--sta-feedback"])).unwrap_err();
-        assert!(err.to_string().contains("--router negotiated"));
-        // With the right router the validation passes and the error (if
-        // any) is the missing file.
-        let err = run(&strings(&[
-            "sta",
-            "missing.qasm",
-            "--router",
-            "negotiated",
-            "--sta-feedback",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, QsprError::Io { .. }));
+        // `--sta` is the only STA switch; others fail before any file
+        // I/O, for both commands that take STA flags.
+        for command in ["map", "sta"] {
+            let err = run(&strings(&[command, "missing.qasm", "--sta-feedback"])).unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag --sta-feedback");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use qspr_fabric::{Fabric, TechParams, Time};
 use qspr_place::{MonteCarloPlacer, MvfbConfig, MvfbPlacer, PassDirection, Placer, PlacerSolution};
 use qspr_qasm::Program;
-use qspr_route::{RouterFactory, RouterKind, RoutingStats, SeededNegotiated};
+use qspr_route::{RouterFactory, RouterKind, RoutingStats};
 use qspr_sched::Qidg;
 use qspr_sim::{Mapper, MapperPolicy, MappingOutcome, Placement, Trace};
 use qspr_sta::{TimingAnalysis, TimingReport};
@@ -120,10 +120,6 @@ pub struct Flow {
     placer: Option<Arc<dyn Placer + Send + Sync>>,
     router: Arc<dyn RouterFactory + Send + Sync>,
     record_trace: bool,
-    sta_feedback: bool,
-    // Internal: installed by the feedback re-run, never set directly by
-    // callers (so it has no fingerprint axis of its own).
-    order_boost: Option<Arc<Vec<Time>>>,
     jobs: usize,
 }
 
@@ -143,8 +139,6 @@ impl Flow {
             placer: None,
             router: Arc::new(RouterKind::Greedy),
             record_trace: false,
-            sta_feedback: false,
-            order_boost: None,
             jobs: 1,
         }
     }
@@ -200,27 +194,6 @@ impl Flow {
         self
     }
 
-    /// Enables slack-aware feedback (off by default): [`Flow::run`]
-    /// first maps normally (the *pilot*, with trace recording forced
-    /// on), performs static timing analysis on the winning pass, then
-    /// remaps with the analysis folded back in — critical-path segments
-    /// pre-priced into a seeded negotiated router and low-slack
-    /// instructions boosted in the scheduler's priority order. The
-    /// faster of the two runs is returned, so enabling feedback never
-    /// increases latency. The re-run always negotiates (its router
-    /// reports as `"negotiated+sta"`), so the mode is meant to pair
-    /// with [`RouterKind::Negotiated`] pilots — the CLI enforces that
-    /// pairing.
-    pub fn sta_feedback(mut self, enabled: bool) -> Flow {
-        self.sta_feedback = enabled;
-        self
-    }
-
-    /// Whether slack-aware feedback is enabled.
-    pub fn sta_feedback_enabled(&self) -> bool {
-        self.sta_feedback
-    }
-
     /// Grants the flow up to `jobs` worker threads (clamped to at
     /// least 1; default 1) for its placer: MVFB runs its seeds, and
     /// Monte Carlo its draws, concurrently (the mapper additionally
@@ -274,21 +247,17 @@ impl Flow {
     }
 
     fn mapper(&self, policy: MapperPolicy) -> Mapper<'_> {
-        let mut mapper = Mapper::new(&self.fabric, self.tech, policy)
+        Mapper::new(&self.fabric, self.tech, policy)
             .router(Arc::clone(&self.router))
-            .jobs(self.jobs);
-        if let Some(boost) = &self.order_boost {
-            mapper = mapper.order_boost(boost.as_ref().clone());
-        }
-        mapper
+            .jobs(self.jobs)
     }
 
     /// A canonical fingerprint of *this configuration applied to
     /// `program_text`*: every input that determines a [`Flow::run`]
     /// result — fabric (dimensions plus a content hash of its ASCII
     /// rendering), technology parameters, policy, placer and router
-    /// names, MVFB seed count and RNG seed, trace recording and the
-    /// slack-feedback mode — followed by the program text verbatim.
+    /// names, MVFB seed count and RNG seed, and trace recording —
+    /// followed by the program text verbatim.
     ///
     /// Because the whole flow is seed-determined, equal fingerprints
     /// imply byte-identical [`FlowSummary`] JSON; the `qspr serve`
@@ -333,11 +302,8 @@ impl Flow {
         } else {
             String::new()
         };
-        // Feedback mode changes the result, so it gets its own axis;
-        // plain flows keep the pre-sta fingerprint bytes.
-        let feedback = if self.sta_feedback { "|fb=1" } else { "" };
         format!(
-            "qspr-fp-v1|fabric={}x{}:{:016x}{}|tech={},{},{},{},{},{}|policy={}|placer={}|router={}|m={},{},{}|rng={:#x}|trace={}{}|prog={}|{}",
+            "qspr-fp-v1|fabric={}x{}:{:016x}{}|tech={},{},{},{},{},{}|policy={}|placer={}|router={}|m={},{},{}|rng={:#x}|trace={}|prog={}|{}",
             self.fabric.rows(),
             self.fabric.cols(),
             fabric_hash,
@@ -356,7 +322,6 @@ impl Flow {
             self.mvfb.max_passes_per_seed,
             self.mvfb.rng_seed,
             self.record_trace,
-            feedback,
             program_text.len(),
             program_text,
         )
@@ -373,12 +338,6 @@ impl Flow {
     /// Returns [`QsprError::Map`] when the program cannot be mapped
     /// (stalls on degenerate fabrics, placement mismatches).
     pub fn run(&self, program: &Program) -> Result<FlowResult, QsprError> {
-        if self.router_name() == "race" {
-            return self.run_race(program);
-        }
-        if self.sta_feedback {
-            return self.run_with_feedback(program);
-        }
         let run_started = Instant::now();
         let mapper = self.mapper(self.policy.mapper_policy(&self.tech));
         // Baselines map exactly once; keep that outcome rather than
@@ -453,83 +412,6 @@ impl Flow {
             outcome,
             forward_trace,
         })
-    }
-
-    /// The race meta-engine behind `--router race`
-    /// ([`qspr_route::RouterKind::Race`]): run the greedy and
-    /// negotiated engines on the whole flow — plus the slack-feedback
-    /// pilot when [`Flow::sta_feedback`] is enabled — and keep the leg
-    /// with the lowest latency, breaking ties toward the earlier leg in
-    /// the fixed `[greedy, negotiated, negotiated+sta]` order. Legs run
-    /// one after another, each placing on this flow's [`Flow::jobs`]
-    /// threads; every leg is seed-deterministic, so the race result is
-    /// too.
-    fn run_race(&self, program: &Program) -> Result<FlowResult, QsprError> {
-        let run_started = Instant::now();
-        let _race = qspr_obs::span("race");
-        let mut legs: Vec<Flow> = Vec::new();
-        let mut base = self.clone();
-        base.sta_feedback = false;
-        legs.push(base.clone().router(RouterKind::Greedy));
-        legs.push(base.clone().router(RouterKind::Negotiated));
-        if self.sta_feedback {
-            legs.push(base.router(RouterKind::Negotiated).sta_feedback(true));
-        }
-        let mut best: Option<FlowResult> = None;
-        for leg in &legs {
-            let result = {
-                let _leg = qspr_obs::span("race_leg");
-                leg.run(program)?
-            };
-            if best.as_ref().map_or(true, |b| result.latency < b.latency) {
-                best = Some(result);
-            }
-        }
-        let mut best = best.expect("race always has at least two legs");
-        // The whole driver is the wall-clock cost of the answer.
-        best.wall = run_started.elapsed();
-        Ok(best)
-    }
-
-    /// The best-of-two feedback driver behind [`Flow::sta_feedback`]:
-    /// pilot run (trace forced on) → timing analysis → re-run with a
-    /// seeded negotiated router and a criticality-boosted issue order →
-    /// keep whichever run finished the circuit sooner. Both halves are
-    /// seed-deterministic, so the whole composition is too.
-    fn run_with_feedback(&self, program: &Program) -> Result<FlowResult, QsprError> {
-        let run_started = Instant::now();
-        let mut pilot_flow = self.clone();
-        pilot_flow.sta_feedback = false;
-        pilot_flow.record_trace = true;
-        let mut pilot = pilot_flow.run(program)?;
-        let report = pilot_flow.timing_report(program, &pilot)?;
-        // Cap the per-segment seed so a long pilot cannot price a
-        // segment beyond what a few epochs of real negotiation would.
-        let seed: Vec<u32> = report.segment_seed().iter().map(|&c| c.min(8)).collect();
-        // Criticality indexes the analyzed (pass-direction) program;
-        // flip it for backward pilots so it lines up with `program`.
-        let mut boost = report.criticality().to_vec();
-        if pilot.direction == PassDirection::Backward {
-            boost.reverse();
-        }
-        let mut feedback_flow = self.clone();
-        feedback_flow.sta_feedback = false;
-        feedback_flow.router = Arc::new(SeededNegotiated::new("negotiated+sta", seed));
-        feedback_flow.order_boost = Some(Arc::new(boost));
-        let mut feedback = feedback_flow.run(program)?;
-        if feedback.latency < pilot.latency {
-            // The whole driver (pilot + analysis + re-run) is the
-            // wall-clock cost of the answer.
-            feedback.wall = run_started.elapsed();
-            return Ok(feedback);
-        }
-        // The pilot's forced trace is an implementation detail; hand it
-        // back only when the caller asked for one.
-        if !self.record_trace {
-            pilot.forward_trace = None;
-        }
-        pilot.wall = run_started.elapsed();
-        Ok(pilot)
     }
 
     /// Static timing analysis (`qspr-sta`) of a finished [`Flow::run`].
@@ -682,7 +564,6 @@ impl fmt::Debug for Flow {
             .field("router", &self.router_name())
             .field("mvfb", &self.mvfb)
             .field("record_trace", &self.record_trace)
-            .field("sta_feedback", &self.sta_feedback)
             .finish()
     }
 }
@@ -710,8 +591,7 @@ pub struct FlowResult {
     /// Placement wall-clock time.
     pub cpu: Duration,
     /// Total wall-clock time of the whole run (placement search plus
-    /// the final map/replay; for feedback flows, the full best-of-two
-    /// driver).
+    /// the final map/replay).
     pub wall: Duration,
     /// Full outcome (stats, final placement) of the winning pass.
     pub outcome: MappingOutcome,
@@ -1051,62 +931,28 @@ C-Z q4,q0
     }
 
     #[test]
-    fn race_router_keeps_the_best_leg_at_any_thread_count() {
-        let program = program();
-        let greedy = fast_flow().run(&program).unwrap();
-        let negotiated = fast_flow()
-            .router(RouterKind::Negotiated)
-            .run(&program)
-            .unwrap();
-        let race = fast_flow().router(RouterKind::Race).run(&program).unwrap();
-        assert_eq!(race.latency, greedy.latency.min(negotiated.latency));
-        // Config-order tie-break: greedy wins ties.
-        let expected = if greedy.latency <= negotiated.latency {
-            "greedy"
-        } else {
-            "negotiated"
-        };
-        assert_eq!(race.router, expected);
-        for jobs in [2, 4] {
-            let par = fast_flow()
-                .router(RouterKind::Race)
-                .jobs(jobs)
-                .run(&program)
-                .unwrap();
-            let mut a = race.summary();
-            let mut b = par.summary();
-            // Wall timing is the only nondeterministic block.
-            a.timing = FlowTiming::default();
-            b.timing = FlowTiming::default();
-            assert_eq!(a, b, "race with jobs={jobs} diverged");
-            assert_eq!(par.initial_placement, race.initial_placement);
-        }
-    }
-
-    #[test]
-    fn race_router_includes_the_sta_leg_when_feedback_is_on() {
-        let program = program();
-        let race = fast_flow()
-            .router(RouterKind::Race)
-            .sta_feedback(true)
-            .run(&program)
-            .unwrap();
-        let sta = fast_flow()
-            .router(RouterKind::Negotiated)
-            .sta_feedback(true)
-            .run(&program)
-            .unwrap();
-        let greedy = fast_flow().run(&program).unwrap();
-        assert_eq!(race.latency, greedy.latency.min(sta.latency));
-        assert!(["greedy", "negotiated", "negotiated+sta"].contains(&race.router.as_str()));
-    }
-
-    #[test]
     fn jobs_does_not_change_the_fingerprint() {
         let base = fast_flow();
         let fp = base.fingerprint(FIG3);
         assert_eq!(fp, base.clone().jobs(8).fingerprint(FIG3));
         assert_eq!(base.clone().jobs(0).job_count(), 1, "jobs clamps to 1");
+    }
+
+    #[test]
+    fn fingerprint_bytes_are_pinned() {
+        // The serve cache keys on these exact bytes: any change to the
+        // format invalidates every cached answer, so it must be
+        // deliberate.
+        let flow = Flow::on(Fabric::quale_45x85())
+            .router(RouterKind::Negotiated)
+            .seeds(7)
+            .record_trace(true);
+        assert_eq!(
+            flow.fingerprint("QUBIT a\nH a\n"),
+            "qspr-fp-v1|fabric=45x85:c43a995bc1f84451|tech=1,10,10,100,2,2|policy=qspr\
+             |placer=mvfb|router=negotiated|m=7,3,64|rng=0xd57e2012|trace=true\
+             |prog=12|QUBIT a\nH a\n"
+        );
     }
 
     #[test]
@@ -1127,7 +973,6 @@ C-Z q4,q0
                 .fingerprint(text)
         );
         assert_ne!(fp, base.clone().record_trace(true).fingerprint(text));
-        assert_ne!(fp, base.clone().sta_feedback(true).fingerprint(text));
         assert_ne!(
             fp,
             base.clone()
@@ -1139,36 +984,6 @@ C-Z q4,q0
         // of the key prefix (content hash, not just rows x cols).
         let other = Flow::on(Fabric::from_ascii(qspr_route::FIG5_DEMO_FABRIC).unwrap()).seeds(4);
         assert_ne!(fp, other.fingerprint(text));
-    }
-
-    #[test]
-    fn sta_feedback_never_loses_to_plain_negotiated() {
-        let flow = fast_flow().router(RouterKind::Negotiated);
-        let program = program();
-        let plain = flow.clone().run(&program).unwrap();
-        let fed = flow.clone().sta_feedback(true).run(&program).unwrap();
-        // Best-of-two by construction: the pilot IS the plain run.
-        assert!(fed.latency <= plain.latency);
-        // The winning router names which half won.
-        assert!(fed.router == "negotiated" || fed.router == "negotiated+sta");
-        // Deterministic: a re-run reproduces the choice exactly.
-        let again = flow.sta_feedback(true).run(&program).unwrap();
-        assert_eq!(fed.latency, again.latency);
-        assert_eq!(fed.router, again.router);
-        assert_eq!(fed.initial_placement, again.initial_placement);
-        // The pilot's forced trace is not leaked to the caller.
-        assert!(fed.forward_trace.is_none());
-    }
-
-    #[test]
-    fn sta_feedback_keeps_requested_traces() {
-        let flow = fast_flow()
-            .router(RouterKind::Negotiated)
-            .record_trace(true)
-            .sta_feedback(true);
-        let result = flow.run(&program()).unwrap();
-        let trace = result.forward_trace.as_ref().unwrap();
-        assert_eq!(trace.move_count() as u64, result.outcome.totals().moves);
     }
 
     #[test]

@@ -40,10 +40,7 @@
 //!   [`obs::ProfileReport`] behind `qspr map --profile`;
 //! * [`sta`] — static timing analysis over a recorded trace:
 //!   [`Flow::timing_report`] reconstructs per-instruction slack, the
-//!   critical path and resource bottlenecks, and
-//!   [`Flow::sta_feedback`] folds the report back into a second
-//!   mapping pass (critical-segment congestion pricing plus low-slack
-//!   scheduling priority), keeping whichever run is faster.
+//!   critical path and resource bottlenecks.
 //!
 //! For the end-to-end dataflow and the paper-to-code map, see
 //! `docs/ARCHITECTURE.md` at the repository root.

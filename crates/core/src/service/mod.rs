@@ -33,7 +33,7 @@
 //! |---|---|---|
 //! | `POST /map` | `{"program", "policy"?, "router"?, "m"?, "jobs"?, "trace"?, "fabric"?}` | the [`FlowSummary`](crate::FlowSummary) JSON of `qspr map --format json` |
 //! | `POST /compare` | `{"program", "name"?, "router"?, "m"?, "jobs"?, "fabric"?}` | the [`ComparisonRow`](crate::ComparisonRow) JSON of `qspr compare --format json` |
-//! | `POST /sta` | `{"program", "policy"?, "router"?, "m"?, "jobs"?, "feedback"?, "fabric"?}` | the [`qspr_sta::TimingReport`] JSON of `qspr sta --format json` |
+//! | `POST /sta` | `{"program", "policy"?, "router"?, "m"?, "jobs"?, "fabric"?}` | the [`qspr_sta::TimingReport`] JSON of `qspr sta --format json` |
 //! | `POST /batch` | `{"programs":[...], "names"?, "router"?, "m"?, "jobs"?, "fabric"?}` | a JSON **array** of [`ComparisonRow`](crate::ComparisonRow)s, in input order |
 //! | `GET /healthz` | — | `{"status":"ok","version":...}` (the crate version the CLI reports) |
 //! | `GET /stats` | — | [`StatsSnapshot`] JSON: requests, cache hits/misses (total and per shard), rejections, worker busy time, uptime, bound address |
@@ -370,9 +370,6 @@ struct MapRequest {
     jobs: usize,
     /// `/compare` only: the circuit name echoed in the row.
     name: String,
-    /// `/sta` only: remap with slack-aware feedback, keeping the
-    /// faster run.
-    feedback: bool,
     /// Optional fabric description document (spec JSON or ASCII art)
     /// overriding the server's resident fabric for this request.
     fabric: Option<String>,
@@ -653,9 +650,9 @@ impl MapService {
         };
         let mut flow = self.flow_for(&request, fabric);
         // Timing analysis replays the recorded trace, so `/sta` forces
-        // trace recording; the feedback mode rides on the same flow.
+        // trace recording.
         if endpoint == Endpoint::Sta {
-            flow = flow.record_trace(true).sta_feedback(request.feedback);
+            flow = flow.record_trace(true);
         }
         let fabric_key = fabric_cache_key(request.fabric.as_deref());
         let key = match endpoint {
@@ -668,8 +665,7 @@ impl MapService {
                 &request.name,
                 &flow.fingerprint(&request.program_text),
             ),
-            // The fingerprint already carries the trace and feedback
-            // axes set above.
+            // The fingerprint already carries the trace axis set above.
             Endpoint::Sta => format!(
                 "sta|{fabric_key}{}",
                 flow.fingerprint(&request.program_text)
@@ -962,9 +958,7 @@ fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, Q
             "program", "policy", "router", "m", "jobs", "trace", "fabric",
         ],
         Endpoint::Compare => &["program", "name", "router", "m", "jobs", "fabric"],
-        Endpoint::Sta => &[
-            "program", "policy", "router", "m", "jobs", "feedback", "fabric",
-        ],
+        Endpoint::Sta => &["program", "policy", "router", "m", "jobs", "fabric"],
     };
     for (key, _) in fields {
         if !allowed.contains(&key.as_str()) {
@@ -996,19 +990,6 @@ fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, Q
             .as_bool()
             .ok_or_else(|| QsprError::usage("field \"trace\" must be a boolean"))?,
     };
-    let feedback = match value.get("feedback") {
-        None => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| QsprError::usage("field \"feedback\" must be a boolean"))?,
-    };
-    // Mirror the CLI's pairing rule: the feedback re-run only makes
-    // sense against a negotiated pilot.
-    if feedback && !matches!(router, RouterKind::Negotiated | RouterKind::Race) {
-        return Err(QsprError::usage(
-            "field \"feedback\" requires \"router\":\"negotiated\" or \"race\"",
-        ));
-    }
     let name = match value.get("name") {
         None => "program".to_owned(),
         Some(v) => v
@@ -1026,7 +1007,6 @@ fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, Q
         trace,
         jobs,
         name,
-        feedback,
         fabric,
     })
 }

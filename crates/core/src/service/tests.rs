@@ -190,6 +190,10 @@ fn map_requests_validate_like_the_cli() {
     assert!(
         bad(&format!("{{\"program\":{BELL:?},\"router\":\"fancy\"}}")).contains("unknown router")
     );
+    assert!(
+        bad(&format!("{{\"program\":{BELL:?},\"router\":\"race\"}}"))
+            .contains(r#"unknown router \"race\" (expected greedy or negotiated)"#)
+    );
     assert!(bad(&format!("{{\"program\":{BELL:?},\"m\":-1}}")).contains("non-negative integer"));
     assert!(bad(&format!("{{\"program\":{BELL:?},\"trace\":1}}")).contains("boolean"));
     assert!(bad(r#"[1,2]"#).contains("must be a JSON object"));
@@ -364,20 +368,26 @@ fn sta_requests_validate_their_fields() {
     assert_eq!(response.status, 400);
     assert!(response
         .body
-        .contains("allowed: program, policy, router, m, jobs, feedback, fabric"));
-    // Feedback needs the negotiated router, like the CLI.
+        .contains("allowed: program, policy, router, m, jobs, fabric"));
+    // Fields outside that list are named in the rejection.
     let response = post(
         &service,
         "/sta",
         &format!("{{\"program\":{BELL:?},\"feedback\":true}}"),
     );
     assert_eq!(response.status, 400);
-    assert!(response.body.contains("negotiated"), "{}", response.body);
-    // The valid pairing succeeds end to end.
+    assert!(
+        response.body.contains(
+            r#"unknown field \"feedback\" (allowed: program, policy, router, m, jobs, fabric)"#
+        ),
+        "{}",
+        response.body
+    );
+    // The negotiated router is served end to end.
     let response = post(
         &service,
         "/sta",
-        &format!("{{\"program\":{BELL:?},\"m\":2,\"router\":\"negotiated\",\"feedback\":true}}"),
+        &format!("{{\"program\":{BELL:?},\"m\":2,\"router\":\"negotiated\"}}"),
     );
     assert_eq!(response.status, 200, "{}", response.body);
     assert!(response.body.contains(r#""critical_path":["#));
@@ -440,31 +450,6 @@ fn jobs_field_parses_clamps_and_never_changes_bytes() {
         normalize_timing(&response.body),
         normalize_timing(&baseline.body)
     );
-}
-
-#[test]
-fn race_router_is_served_and_allows_feedback() {
-    let service = service();
-    let response = post(
-        &service,
-        "/map",
-        &format!("{{\"program\":{BELL:?},\"m\":2,\"router\":\"race\"}}"),
-    );
-    assert_eq!(response.status, 200, "{}", response.body);
-    // The summary names the engine that won the race, never "race".
-    assert!(
-        response.body.contains(r#""router":"greedy""#)
-            || response.body.contains(r#""router":"negotiated""#),
-        "{}",
-        response.body
-    );
-    let response = post(
-        &service,
-        "/sta",
-        &format!("{{\"program\":{BELL:?},\"m\":2,\"router\":\"race\",\"feedback\":true}}"),
-    );
-    assert_eq!(response.status, 200, "{}", response.body);
-    assert!(response.body.contains(r#""critical_path":["#));
 }
 
 #[test]

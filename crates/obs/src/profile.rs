@@ -287,7 +287,7 @@ mod tests {
                 for _ in 0..2 {
                     scope.spawn(|| {
                         let _sink = relay.install();
-                        let _leg = span("race_leg");
+                        let _leg = span("worker");
                     });
                 }
             });
@@ -301,7 +301,7 @@ mod tests {
         let legs: u64 = map
             .children
             .iter()
-            .filter(|c| c.name == "race_leg")
+            .filter(|c| c.name == "worker")
             .map(|c| c.count)
             .sum();
         assert_eq!(legs, 2, "both workers' spans merge under the open root");

@@ -1,6 +1,5 @@
 //! CSS codes from dual-containing binary codes, and the quantum Hamming
-//! family — workloads beyond the paper's six, used by the scaling
-//! experiments.
+//! family — workloads beyond the paper's six.
 
 use crate::pauli::Pauli;
 use crate::stabilizer::{CodeError, StabilizerCode};

@@ -284,21 +284,14 @@ pub enum RouterKind {
     Greedy,
     /// PathFinder-style rip-up-and-reroute ([`NegotiatedRouter`]).
     Negotiated,
-    /// Engine racing: run every engine configuration and
-    /// keep the best latency with a config-order tie-break. The racing
-    /// composition lives above the engine seam (in `qspr`'s flow,
-    /// which runs one full mapping per leg); as a plain factory this
-    /// kind builds the negotiated engine, race's strongest leg.
-    Race,
 }
 
 impl RouterKind {
-    /// Stable lowercase name (`"greedy"` / `"negotiated"` / `"race"`).
+    /// Stable lowercase name (`"greedy"` / `"negotiated"`).
     pub fn as_str(self) -> &'static str {
         match self {
             RouterKind::Greedy => "greedy",
             RouterKind::Negotiated => "negotiated",
-            RouterKind::Race => "race",
         }
     }
 
@@ -310,9 +303,7 @@ impl RouterKind {
     ) -> Box<dyn RoutingEngine + 't> {
         match self {
             RouterKind::Greedy => Box::new(GreedyRouter::new(topology, config)),
-            RouterKind::Negotiated | RouterKind::Race => {
-                Box::new(NegotiatedRouter::new(topology, config))
-            }
+            RouterKind::Negotiated => Box::new(NegotiatedRouter::new(topology, config)),
         }
     }
 }
@@ -331,7 +322,7 @@ impl fmt::Display for ParseRouterKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown router {:?} (expected greedy, negotiated or race)",
+            "unknown router {:?} (expected greedy or negotiated)",
             self.0
         )
     }
@@ -346,7 +337,6 @@ impl FromStr for RouterKind {
         match s {
             "greedy" => Ok(RouterKind::Greedy),
             "negotiated" => Ok(RouterKind::Negotiated),
-            "race" => Ok(RouterKind::Race),
             other => Err(ParseRouterKindError(other.to_owned())),
         }
     }
@@ -363,50 +353,6 @@ impl RouterFactory for RouterKind {
         config: RouterConfig,
     ) -> Box<dyn RoutingEngine + 't> {
         (*self).build(topology, config)
-    }
-}
-
-/// A [`RouterFactory`] producing [`NegotiatedRouter`]s whose congestion
-/// history starts pre-seeded on chosen segments
-/// ([`NegotiatedRouter::with_history_seed`]).
-///
-/// This is the routing half of the sta feedback loop: `qspr-sta`
-/// extracts the critical path of a pilot mapping, and a seeded factory
-/// built from its per-segment critical move counts prices those
-/// segments up front on the re-run.
-#[derive(Debug, Clone)]
-pub struct SeededNegotiated {
-    name: String,
-    seed: std::sync::Arc<Vec<u32>>,
-}
-
-impl SeededNegotiated {
-    /// A factory named `name` (shown in reports) seeding `seed` units of
-    /// history per segment, indexed by [`qspr_fabric::SegmentId::index`].
-    pub fn new(name: impl Into<String>, seed: Vec<u32>) -> SeededNegotiated {
-        SeededNegotiated {
-            name: name.into(),
-            seed: std::sync::Arc::new(seed),
-        }
-    }
-
-    /// The per-segment history seed.
-    pub fn seed(&self) -> &[u32] {
-        &self.seed
-    }
-}
-
-impl RouterFactory for SeededNegotiated {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn build<'t>(
-        &self,
-        topology: &'t Topology,
-        config: RouterConfig,
-    ) -> Box<dyn RoutingEngine + 't> {
-        Box::new(NegotiatedRouter::new(topology, config).with_history_seed(&self.seed))
     }
 }
 
@@ -655,21 +601,6 @@ impl<'a> NegotiatedRouter<'a> {
     /// Replaces the negotiation knobs.
     pub fn with_negotiation(mut self, negotiation: NegotiationConfig) -> NegotiatedRouter<'a> {
         self.negotiation = negotiation;
-        self
-    }
-
-    /// Pre-seeds the per-segment PathFinder history counters, as if the
-    /// seeded segments had already been fought over. Timing-driven
-    /// feedback (`qspr-sta`) uses this to price critical-path segments
-    /// up front, steering non-critical traffic around them from the
-    /// first epoch instead of only after conflicts accumulate.
-    ///
-    /// `seed` is indexed by [`qspr_fabric::SegmentId::index`]; a seed
-    /// shorter or longer than the fabric is zip-truncated.
-    pub fn with_history_seed(mut self, seed: &[u32]) -> NegotiatedRouter<'a> {
-        for (h, s) in self.history.iter_mut().zip(seed) {
-            *h += s;
-        }
         self
     }
 
@@ -1078,62 +1009,6 @@ mod tests {
             assert_eq!(engine.config(), &config);
             assert_eq!(engine.stats(), RoutingStats::default());
         }
-    }
-
-    #[test]
-    fn seeded_factory_reports_its_name_and_zero_seed_is_a_noop() {
-        let fabric = quale();
-        let topo = fabric.topology();
-        let tech = TechParams::date2012();
-        let config = RouterConfig::qspr(&tech);
-        let seeded = SeededNegotiated::new("negotiated+sta", vec![0; topo.segments().len()]);
-        assert_eq!(RouterFactory::name(&seeded), "negotiated+sta");
-        assert_eq!(seeded.seed().len(), topo.segments().len());
-
-        // Zero history seed must behave exactly like a fresh negotiated
-        // engine on a contended batch.
-        let state = ResourceState::new(topo);
-        let traps = topo.traps_by_distance(fabric.center());
-        let requests = [
-            RouteRequest::new(traps[0], traps[60]),
-            RouteRequest::new(traps[1], traps[61]),
-            RouteRequest::new(traps[2], traps[62]),
-        ];
-        let mut plain = NegotiatedRouter::new(topo, config);
-        let mut from_seed = seeded.build(topo, config);
-        let (pp, pe) = plain.route_batch(&state, &requests);
-        let (sp, se) = from_seed.route_batch(&state, &requests);
-        assert_eq!(pp, sp);
-        assert_eq!(pe, se);
-    }
-
-    #[test]
-    fn history_seed_prices_segments_from_the_first_epoch() {
-        // Seed every segment the unseeded engine used for one mover;
-        // under soft capacities the seeded engine must find a route that
-        // avoids at least one of them (the detour exists on the fabric),
-        // or pay the history price knowingly. Either way routing still
-        // succeeds — seeding can never make a mover unroutable.
-        let fabric = quale();
-        let topo = fabric.topology();
-        let tech = TechParams::date2012();
-        let config = RouterConfig::qspr(&tech);
-        let state = ResourceState::new(topo);
-        let traps = topo.traps_by_distance(fabric.center());
-        let requests = [RouteRequest::new(traps[0], traps[80])];
-        let mut plain = NegotiatedRouter::new(topo, config);
-        let (pp, _) = plain.route_batch(&state, &requests);
-        let baseline = pp[0].as_ref().expect("quiet fabric routes");
-
-        let mut seed = vec![0u32; topo.segments().len()];
-        for u in baseline.resources() {
-            if let Resource::Segment(s) = u.resource {
-                seed[s.index()] = 8;
-            }
-        }
-        let mut seeded_engine = NegotiatedRouter::new(topo, config).with_history_seed(&seed);
-        let (sp, _) = seeded_engine.route_batch(&state, &requests);
-        assert!(sp[0].is_some(), "seeding must not block routing");
     }
 
     #[test]

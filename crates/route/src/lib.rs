@@ -110,7 +110,7 @@ mod router;
 pub use bounds::TravelBounds;
 pub use engine::{
     EpochStats, GreedyRouter, NegotiatedRouter, NegotiationConfig, ParseRouterKindError,
-    RouteRequest, RouterFactory, RouterKind, RoutingEngine, RoutingStats, SeededNegotiated,
+    RouteRequest, RouterFactory, RouterKind, RoutingEngine, RoutingStats,
 };
 pub use plan::{ResourceUse, RoutePlan, Step};
 pub use resource::{Resource, ResourceState};

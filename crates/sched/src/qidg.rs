@@ -251,29 +251,11 @@ impl Qidg {
     /// `w_dependents · dependent_count + w_path · longest_path_to_sink`.
     /// Higher priority instructions issue first.
     pub fn priorities(&self, weights: &PriorityWeights) -> Vec<f64> {
-        self.priorities_with_boost(weights, &[])
-    }
-
-    /// [`Qidg::priorities`] plus a per-instruction timing boost in
-    /// microseconds, scaled like the path term (`w_path`).
-    ///
-    /// The boost is how static timing analysis feeds measured
-    /// criticality back into list scheduling (`--sta-feedback`): an
-    /// instruction whose *executed* slack was low gets a large boost —
-    /// its measured critical distance extends the static longest-path
-    /// estimate — so ready-queue ties break toward the instructions
-    /// that actually paced the previous run. An empty boost slice is the
-    /// plain priority function; missing tail entries count as zero.
-    pub fn priorities_with_boost(&self, weights: &PriorityWeights, boost: &[Time]) -> Vec<f64> {
         let deps = self.dependent_count();
         let paths = self.longest_path_to_sink();
         deps.iter()
             .zip(&paths)
-            .enumerate()
-            .map(|(i, (d, p))| {
-                let extra = boost.get(i).copied().unwrap_or(0);
-                weights.dependents * f64::from(*d) + weights.path * (*p + extra) as f64
-            })
+            .map(|(d, p)| weights.dependents * f64::from(*d) + weights.path * *p as f64)
             .collect()
     }
 }
@@ -420,22 +402,6 @@ C-Z q4,q0
         assert!(pr[0] > pr[1]);
         let only_deps = g.priorities(&PriorityWeights::new(1.0, 0.0));
         assert_eq!(only_deps, vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn boost_adds_to_the_path_term_only() {
-        let p = Program::parse("QUBIT a\nH a\nX a\n").unwrap();
-        let g = Qidg::new(&p, &TechParams::date2012());
-        let w = PriorityWeights::default();
-        let base = g.priorities(&w);
-        // Boosting the second instruction by 100µs lifts exactly its
-        // priority, by w.path · 100.
-        let boosted = g.priorities_with_boost(&w, &[0, 100]);
-        assert_eq!(boosted[0], base[0]);
-        assert_eq!(boosted[1], base[1] + w.path * 100.0);
-        // An empty or short boost slice means no boost.
-        assert_eq!(g.priorities_with_boost(&w, &[]), base);
-        assert_eq!(g.priorities_with_boost(&w, &[0]), base);
     }
 
     #[test]

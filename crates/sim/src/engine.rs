@@ -30,7 +30,6 @@ pub struct Mapper<'a> {
     policy: MapperPolicy,
     router: Arc<dyn RouterFactory + Send + Sync>,
     record_trace: bool,
-    order_boost: Option<Arc<Vec<Time>>>,
     jobs: usize,
     /// Empty-fabric travel bounds for pruning meeting-trap probes and
     /// route searches, filled on first use and shared by every run and
@@ -48,7 +47,6 @@ impl<'a> Mapper<'a> {
             policy,
             router: Arc::new(RouterKind::Greedy),
             record_trace: false,
-            order_boost: None,
             jobs: 1,
             bounds: Arc::new(TravelBounds::new(fabric.topology(), &policy.router)),
         }
@@ -93,17 +91,6 @@ impl<'a> Mapper<'a> {
         self
     }
 
-    /// Adds a per-instruction priority boost (µs of measured critical
-    /// distance, indexed by instruction) to the list-scheduling order —
-    /// the scheduler half of the sta feedback loop. Only priority-list
-    /// issue orders are affected
-    /// ([`qspr_sched::Qidg::priorities_with_boost`]); ALAP/ASAP baseline
-    /// orders replay their fixed schedules and ignore it.
-    pub fn order_boost(mut self, boost: Vec<Time>) -> Mapper<'a> {
-        self.order_boost = Some(Arc::new(boost));
-        self
-    }
-
     /// The fabric this mapper targets.
     pub fn fabric(&self) -> &Fabric {
         self.fabric
@@ -141,13 +128,8 @@ impl<'a> Mapper<'a> {
         let _span = qspr_obs::span("map");
         placement.check(self.fabric, program.num_qubits())?;
         let qidg = Qidg::new(program, &self.tech);
-        let boost: &[Time] = self.order_boost.as_deref().map_or(&[], Vec::as_slice);
         let order_key: Vec<f64> = match self.policy.order {
-            IssueOrder::PriorityList(w) => qidg
-                .priorities_with_boost(&w, boost)
-                .iter()
-                .map(|p| -p)
-                .collect(),
+            IssueOrder::PriorityList(w) => qidg.priorities(&w).iter().map(|p| -p).collect(),
             IssueOrder::Alap => {
                 let alap = qidg.alap();
                 qidg.topo_order().map(|id| alap.start(id) as f64).collect()
@@ -172,7 +154,6 @@ impl fmt::Debug for Mapper<'_> {
             .field("policy", &self.policy)
             .field("router", &self.router.name())
             .field("record_trace", &self.record_trace)
-            .field("order_boost", &self.order_boost.is_some())
             .finish()
     }
 }
@@ -1186,30 +1167,6 @@ C-Z q4,q0
         let b = m.map(&p, &placement).unwrap();
         assert_eq!(a.latency(), b.latency());
         assert_eq!(a.final_placement(), b.final_placement());
-    }
-
-    #[test]
-    fn order_boost_reorders_ready_ties_deterministically() {
-        let f = Fabric::quale_45x85();
-        let tech = TechParams::date2012();
-        let p = fig3();
-        let placement = Placement::center(&f, 5);
-        let m = Mapper::new(&f, tech, MapperPolicy::qspr(&tech));
-        let base = m.map(&p, &placement).unwrap();
-        // A zero boost is exactly the unboosted mapping.
-        let zero = m
-            .clone()
-            .order_boost(vec![0; 12])
-            .map(&p, &placement)
-            .unwrap();
-        assert_eq!(base.latency(), zero.latency());
-        assert_eq!(base.instr_stats(), zero.instr_stats());
-        // A real boost still maps validly and deterministically.
-        let boosted = m.order_boost((0..12).map(|i| i * 50).collect());
-        let a = boosted.map(&p, &placement).unwrap();
-        let b = boosted.map(&p, &placement).unwrap();
-        assert_eq!(a.latency(), b.latency());
-        assert_eq!(a.instr_stats(), b.instr_stats());
     }
 
     #[test]

@@ -190,8 +190,6 @@ impl<'a> TimingAnalysis<'a> {
                 chain,
             })
             .collect();
-        let segment_crit_moves = seg.crit_count.iter().map(|&c| c as u32).collect();
-        let criticality = slack.iter().map(|&s| anchor - s).collect();
         Ok(TimingReport {
             makespan: outcome.latency(),
             ideal: qidg.critical_path_delay(),
@@ -213,8 +211,6 @@ impl<'a> TimingAnalysis<'a> {
                 critical_turns: t.crit_count,
                 turns: t.count,
             }),
-            segment_crit_moves,
-            criticality,
         })
     }
 }
@@ -484,26 +480,6 @@ mod tests {
             .count();
         assert!(with_segment > 0);
         assert!(!report.segments().is_empty());
-    }
-
-    #[test]
-    fn feedback_vectors_have_fabric_and_program_lengths() {
-        let (fabric, tech, program, outcome) = mapped(SMALL);
-        let report = TimingAnalysis::new(&fabric, tech)
-            .analyze(&program, &outcome)
-            .unwrap();
-        assert_eq!(
-            report.segment_seed().len(),
-            fabric.topology().segments().len()
-        );
-        assert_eq!(report.criticality().len(), program.instructions().len());
-        // Criticality is anchored: critical instructions get the maximum.
-        let max = report.criticality().iter().max().copied().unwrap();
-        for t in report.instructions() {
-            if t.critical {
-                assert_eq!(report.criticality()[t.id.index()], max);
-            }
-        }
     }
 
     #[test]

@@ -27,11 +27,8 @@
 //!
 //! The report serializes to stable JSON ([`qspr_json::ToJson`], golden
 //! tested) and renders as a human-readable text block
-//! ([`std::fmt::Display`]). `qspr-core` feeds the same report back into
-//! mapping (`--sta-feedback`): [`TimingReport::segment_seed`] pre-seeds
-//! the negotiated router's congestion history and
-//! [`TimingReport::criticality`] boosts scheduling priority of
-//! low-slack instructions.
+//! ([`std::fmt::Display`]). It explains a mapping; it does not change
+//! one.
 //!
 //! # Examples
 //!

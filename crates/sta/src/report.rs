@@ -242,8 +242,6 @@ pub struct TimingReport {
     pub(crate) critical_path: Vec<CriticalStep>,
     pub(crate) segments: Vec<SegmentRank>,
     pub(crate) junctions: Vec<JunctionRank>,
-    pub(crate) segment_crit_moves: Vec<u32>,
-    pub(crate) criticality: Vec<Time>,
 }
 
 impl TimingReport {
@@ -287,20 +285,6 @@ impl TimingReport {
     /// the critical path has none).
     pub fn min_slack(&self) -> Option<Time> {
         self.instructions.iter().map(|t| t.slack).min()
-    }
-
-    /// Critical-path move counts per segment (indexed by
-    /// [`SegmentId::index`], full fabric length) — the congestion-history
-    /// seed for the `--sta-feedback` negotiated router.
-    pub fn segment_seed(&self) -> &[u32] {
-        &self.segment_crit_moves
-    }
-
-    /// Per-instruction timing criticality `makespan − slack` — the
-    /// scheduling-priority boost for `--sta-feedback` (low-slack
-    /// instructions get the largest boost).
-    pub fn criticality(&self) -> &[Time] {
-        &self.criticality
     }
 }
 
@@ -456,8 +440,6 @@ mod tests {
                 moves: 1,
             }],
             junctions: vec![],
-            segment_crit_moves: vec![0, 0, 0, 0, 1],
-            criticality: vec![13],
         }
     }
 
@@ -511,7 +493,5 @@ mod tests {
         let r = tiny_report();
         assert_eq!(r.critical_end(), Some(13));
         assert_eq!(r.min_slack(), Some(0));
-        assert_eq!(r.segment_seed(), &[0, 0, 0, 0, 1]);
-        assert_eq!(r.criticality(), &[13]);
     }
 }

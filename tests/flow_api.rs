@@ -135,11 +135,10 @@ fn engines_share_the_mappers_goal_fields() {
 }
 
 /// The two built-in routing engines are selectable through the same
-/// flow. The latency ordering asserted below is the suite-level
-/// empirical property the `routers` bench pins across all six QECC
-/// benchmarks (the engine's structural never-worse guarantee is per
-/// epoch, not per program): this fixed circuit + seed combination is
-/// fully deterministic, so the assertion is stable.
+/// flow. The latency ordering asserted below is empirical (the
+/// engine's structural never-worse guarantee is per epoch, not per
+/// program): this fixed circuit + seed combination is fully
+/// deterministic, so the assertion is stable.
 #[test]
 fn routing_engines_plug_into_the_flow() {
     let bench = benchmark_suite().swap_remove(0);

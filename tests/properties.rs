@@ -55,9 +55,7 @@ proptest! {
     /// Note: the engine's never-worse guarantee is *per epoch* — it
     /// does not compose to whole-program latency on arbitrary inputs
     /// (a locally shorter joint route can shift later issue decisions
-    /// either way), so no latency ordering is asserted here. The
-    /// suite-level `negotiated <= greedy` property on the six QECC
-    /// benchmarks is pinned empirically by the `routers` bench binary.
+    /// either way), so no latency ordering is asserted here.
     #[test]
     fn negotiated_routing_maps_valid_traces(
         qubits in 2usize..8,
@@ -184,9 +182,8 @@ proptest! {
     }
 
     /// `Flow::jobs` is a pure performance hint: for any random fabric
-    /// and circuit, every engine (greedy, negotiated, and the racing
-    /// meta-engine, under MVFB, plus greedy under a Monte Carlo placer)
-    /// produces byte-identical summary JSON — modulo the wall-clock
+    /// and circuit, every engine (greedy and negotiated under MVFB, plus
+    /// greedy under a Monte Carlo placer) produces byte-identical summary JSON — modulo the wall-clock
     /// `"timing"` object — and a byte-identical recorded trace at every
     /// thread count. This is the determinism contract behind
     /// `qspr map --jobs N` and the serve `"jobs"` field.
@@ -222,7 +219,6 @@ proptest! {
         let bases = [
             flow(RouterKind::Greedy),
             flow(RouterKind::Negotiated),
-            flow(RouterKind::Race),
             flow(RouterKind::Greedy).placer(MonteCarloPlacer::new(4, seed)),
         ];
         for base in bases {
