@@ -3,9 +3,7 @@
 //! Binaries (run with `--release`):
 //!
 //! * `table1` — MVFB vs Monte Carlo placers (paper Table 1);
-//! * `table2` — ideal baseline vs QUALE vs QSPR (paper Table 2);
-//! * `ablations` — one QSPR design claim toggled at a time (§I bullets,
-//!   Fig. 5's turn-awareness among them).
+//! * `table2` — ideal baseline vs QUALE vs QSPR (paper Table 2).
 //!
 //! Criterion benches (`cargo bench`): `mappers`, `placers`, `micro`.
 

@@ -545,7 +545,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
             .with_cache(CacheConfig {
                 entries: cache_capacity,
                 shards: cli.cache_shards()?,
-                ..CacheConfig::default()
             })
             .with_jobs_budget(jobs_budget),
     );

@@ -461,7 +461,7 @@ impl Flow {
     }
 
     /// Maps `program` with an explicit policy and placement (the escape
-    /// hatch for ablations and custom flows).
+    /// hatch for custom flows).
     ///
     /// # Errors
     ///

@@ -28,8 +28,6 @@
 //! * [`ComparisonRow`] / [`PlacerComparisonRow`] — the rows of the
 //!   paper's Table 2 and Table 1, JSON-serializable via [`json::ToJson`]
 //!   like every other report type;
-//! * [`ablation_policies`] — one policy per QSPR design claim, for the
-//!   ablation benches called out in DESIGN.md;
 //! * [`service`] — the `qspr serve` subsystem: a resident HTTP/1.1 JSON
 //!   mapping service with a fixed worker pool, a seed-deterministic
 //!   LRU result cache keyed by [`Flow::fingerprint`], and a
@@ -69,21 +67,17 @@
 //! migration table lives in the README's "Migrating from `QsprTool`"
 //! section.
 
-mod ablation;
 mod batch;
 mod error;
 mod flow;
 pub mod json;
-mod noise;
 mod report;
 pub mod service;
 
-pub use ablation::ablation_policies;
 pub use batch::{BatchError, BatchItem, BatchJob, BatchMapper, BatchReport};
 pub use error::QsprError;
 pub use flow::{FabricSummary, Flow, FlowPolicy, FlowResult, FlowSummary, FlowTiming};
 pub use json::ToJson;
-pub use noise::NoiseModel;
 pub use report::{ComparisonRow, PlacerComparisonRow};
 // The routing-engine seam, re-exported for `Flow::router` callers.
 pub use qspr_route::{RouterFactory, RouterKind, RoutingEngine, RoutingStats};

@@ -13,13 +13,11 @@
 //! - [`ShardedCache`] — N independent [`LruCache`]-shaped shards, each
 //!   behind its own lock, selected by an FNV-1a hash of the key.
 //!   Concurrent requests for different keys almost never contend, and
-//!   each shard additionally accounts bytes, enforces an optional TTL,
-//!   and keeps hit/miss/eviction counters that `/stats` surfaces
-//!   per shard.
+//!   each shard additionally accounts bytes and keeps hit/miss/eviction
+//!   counters that `/stats` surfaces per shard.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Sentinel for "no neighbor" in the intrusive recency list.
 const NONE: usize = usize::MAX;
@@ -189,22 +187,14 @@ pub struct CacheConfig {
     pub entries: usize,
     /// Number of independent shards (clamped to at least 1).
     pub shards: usize,
-    /// Entries older than this are expired lazily on lookup
-    /// (`None` = never expire).
-    pub ttl: Option<Duration>,
-    /// Total byte budget across all shards (`None` = entries-only
-    /// limit). Bytes are accounted as `key.len() + value.len()`.
-    pub max_bytes: Option<usize>,
 }
 
 impl Default for CacheConfig {
-    /// 1024 entries across 8 shards, no TTL, no byte cap.
+    /// 1024 entries across 8 shards.
     fn default() -> CacheConfig {
         CacheConfig {
             entries: 1024,
             shards: 8,
-            ttl: None,
-            max_bytes: None,
         }
     }
 }
@@ -219,20 +209,18 @@ pub struct ShardStats {
     pub bytes: u64,
     /// Lookups answered from this shard.
     pub hits: u64,
-    /// Lookups that found nothing (or an expired entry).
+    /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries removed by capacity pressure or TTL expiry.
+    /// Entries removed by capacity pressure.
     pub evictions: u64,
 }
 
-/// One shard: an [`LruCache`]-shaped slab LRU with byte accounting,
-/// optional expiry timestamps, and counters.
+/// One shard: an [`LruCache`]-shaped slab LRU with byte accounting and
+/// counters.
 #[derive(Debug)]
 struct Shard {
     /// Entry capacity of this shard.
     capacity: usize,
-    /// Byte capacity of this shard (`usize::MAX` = unbounded).
-    max_bytes: usize,
     map: HashMap<String, usize>,
     slab: Vec<ShardEntry>,
     head: usize,
@@ -250,19 +238,14 @@ struct Shard {
 struct ShardEntry {
     key: String,
     value: String,
-    /// `key.len() + value.len()` at insert time.
-    bytes: usize,
-    /// Absolute expiry instant (`None` = never).
-    expires: Option<Instant>,
     prev: usize,
     next: usize,
 }
 
 impl Shard {
-    fn new(capacity: usize, max_bytes: usize) -> Shard {
+    fn new(capacity: usize) -> Shard {
         Shard {
             capacity,
-            max_bytes,
             map: HashMap::new(),
             slab: Vec::new(),
             head: NONE,
@@ -275,55 +258,36 @@ impl Shard {
         }
     }
 
-    /// Looks `key` up at time `now`: a live entry is promoted and
-    /// cloned out; an expired one is evicted and counted as a miss.
-    fn get(&mut self, key: &str, now: Instant) -> Option<String> {
+    /// Looks `key` up: a hit is promoted and cloned out.
+    fn get(&mut self, key: &str) -> Option<String> {
         let Some(&slot) = self.map.get(key) else {
             self.misses += 1;
             return None;
         };
-        if self.slab[slot].expires.is_some_and(|at| now >= at) {
-            self.remove(slot);
-            self.evictions += 1;
-            self.misses += 1;
-            return None;
-        }
         self.promote(slot);
         self.hits += 1;
         Some(self.slab[slot].value.clone())
     }
 
-    /// Inserts `key` unless a live entry already holds it, and returns
-    /// the value now cached under `key` (`value` itself when the shard
-    /// keeps nothing). An existing live entry is promoted and kept: the
-    /// first writer wins.
-    fn insert(
-        &mut self,
-        key: String,
-        value: String,
-        now: Instant,
-        expires: Option<Instant>,
-    ) -> String {
+    /// Inserts `key` unless an entry already holds it, and returns the
+    /// value now cached under `key` (`value` itself when the shard keeps
+    /// nothing). An existing entry is promoted and kept: the first
+    /// writer wins.
+    fn insert(&mut self, key: String, value: String) -> String {
         if self.capacity == 0 {
             return value;
         }
         if let Some(&slot) = self.map.get(&key) {
-            if self.slab[slot].expires.map_or(true, |at| now < at) {
-                self.promote(slot);
-                return self.slab[slot].value.clone();
-            }
-            self.remove(slot);
-            self.evictions += 1;
+            self.promote(slot);
+            return self.slab[slot].value.clone();
         }
-        let entry_bytes = key.len() + value.len();
         if self.map.len() == self.capacity {
             self.evict_tail();
         }
+        self.bytes += key.len() + value.len();
         let entry = ShardEntry {
             key: key.clone(),
             value: value.clone(),
-            bytes: entry_bytes,
-            expires,
             prev: NONE,
             next: self.head,
         };
@@ -345,18 +309,7 @@ impl Shard {
             self.tail = slot;
         }
         self.map.insert(key, slot);
-        self.bytes += entry_bytes;
-        self.shrink_to_bytes();
         value
-    }
-
-    /// Evicts from the tail until the byte budget holds (the freshly
-    /// inserted head survives even when it alone exceeds the budget —
-    /// an oversized result is still worth caching once).
-    fn shrink_to_bytes(&mut self) {
-        while self.bytes > self.max_bytes && self.map.len() > 1 {
-            self.evict_tail();
-        }
     }
 
     fn promote(&mut self, slot: usize) {
@@ -384,26 +337,18 @@ impl Shard {
     fn evict_tail(&mut self) {
         let victim = self.tail;
         debug_assert_ne!(victim, NONE, "evict called on an empty shard");
-        self.remove(victim);
-        self.evictions += 1;
-    }
-
-    /// Unlinks and frees `slot` (shared by eviction and TTL expiry).
-    fn remove(&mut self, slot: usize) {
-        let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
+        let prev = self.slab[victim].prev;
         if prev != NONE {
-            self.slab[prev].next = next;
+            self.slab[prev].next = NONE;
         } else {
-            self.head = next;
+            self.head = NONE;
         }
-        if next != NONE {
-            self.slab[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.bytes -= self.slab[slot].bytes;
-        self.map.remove(&self.slab[slot].key);
-        self.free.push(slot);
+        self.tail = prev;
+        let ShardEntry { key, value, .. } = &self.slab[victim];
+        self.bytes -= key.len() + value.len();
+        self.map.remove(key);
+        self.free.push(victim);
+        self.evictions += 1;
     }
 
     fn stats(&self) -> ShardStats {
@@ -422,10 +367,10 @@ impl Shard {
 /// the key. Cheap shared access from many worker threads — two
 /// requests contend only when their keys land in the same shard.
 ///
-/// With one shard, no TTL and no byte cap, the observable hit/miss/
-/// eviction behavior is identical to a mutex-wrapped [`LruCache`] (an
-/// equivalence the tests replay op-for-op). Unlike [`LruCache`], an
-/// insert never replaces a live entry (see [`ShardedCache::insert`]).
+/// With one shard, the observable hit/miss/eviction behavior is
+/// identical to a mutex-wrapped [`LruCache`] (an equivalence the tests
+/// replay op-for-op). Unlike [`LruCache`], an insert never replaces an
+/// existing entry (see [`ShardedCache::insert`]).
 ///
 /// # Examples
 ///
@@ -435,7 +380,6 @@ impl Shard {
 /// let cache = ShardedCache::new(CacheConfig {
 ///     entries: 64,
 ///     shards: 4,
-///     ..CacheConfig::default()
 /// });
 /// cache.insert("key".into(), "body".into());
 /// assert_eq!(cache.get("key"), Some("body".into())); // hit
@@ -449,7 +393,6 @@ pub struct ShardedCache {
     /// Total entry capacity as configured (shards each get a
     /// `ceil(entries / shards)` slice).
     entries: usize,
-    ttl: Option<Duration>,
 }
 
 impl ShardedCache {
@@ -459,16 +402,12 @@ impl ShardedCache {
     pub fn new(config: CacheConfig) -> ShardedCache {
         let shard_count = config.shards.max(1);
         let per_shard = config.entries.div_ceil(shard_count);
-        let bytes_per_shard = config
-            .max_bytes
-            .map_or(usize::MAX, |b| b.div_ceil(shard_count));
         let shards = (0..shard_count)
-            .map(|_| Mutex::new(Shard::new(per_shard, bytes_per_shard)))
+            .map(|_| Mutex::new(Shard::new(per_shard)))
             .collect();
         ShardedCache {
             shards,
             entries: config.entries,
-            ttl: config.ttl,
         }
     }
 
@@ -477,13 +416,12 @@ impl ShardedCache {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Looks up `key`, promoting it on a hit; expired entries are
-    /// evicted lazily and count as a miss plus an eviction.
+    /// Looks up `key`, promoting it on a hit.
     pub fn get(&self, key: &str) -> Option<String> {
         self.shard_for(key)
             .lock()
             .expect("cache shard lock")
-            .get(key, Instant::now())
+            .get(key)
     }
 
     /// Like [`ShardedCache::get`] but reports which shard answered
@@ -493,7 +431,7 @@ impl ShardedCache {
         let value = self.shards[index]
             .lock()
             .expect("cache shard lock")
-            .get(key, Instant::now());
+            .get(key);
         (index, value)
     }
 
@@ -508,21 +446,18 @@ impl ShardedCache {
         (hash % self.shards.len() as u64) as usize
     }
 
-    /// Inserts `key` unless a live entry already holds it, stamping the
-    /// configured TTL and evicting LRU entries past the shard's entry or
-    /// byte budget. Returns the value now cached under `key`, or `value`
-    /// itself when the cache keeps nothing.
+    /// Inserts `key` unless an entry already holds it, evicting the
+    /// shard's LRU entry when it is full. Returns the value now cached
+    /// under `key`, or `value` itself when the cache keeps nothing.
     ///
     /// The first writer wins: two identical cold requests that race each
     /// other both answer with the body of whichever finished first, so
     /// every later hit replays exactly what they sent.
     pub fn insert(&self, key: String, value: String) -> String {
-        let now = Instant::now();
-        let expires = self.ttl.map(|ttl| now + ttl);
         self.shard_for(&key)
             .lock()
             .expect("cache shard lock")
-            .insert(key, value, now, expires)
+            .insert(key, value)
     }
 
     /// Number of shards.
@@ -586,7 +521,11 @@ impl ShardedCache {
         let mut total = 0u64;
         for shard in self.shards.iter() {
             let shard = shard.lock().expect("cache shard lock");
-            let recomputed: usize = shard.map.values().map(|&slot| shard.slab[slot].bytes).sum();
+            let recomputed: usize = shard
+                .map
+                .values()
+                .map(|&slot| shard.slab[slot].key.len() + shard.slab[slot].value.len())
+                .sum();
             assert_eq!(
                 recomputed, shard.bytes,
                 "shard byte accounting drifted from its slab"

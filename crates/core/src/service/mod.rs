@@ -16,8 +16,8 @@
 //! - **A sharded result cache.** Response bodies live in a
 //!   [`ShardedCache`] — N independent LRU shards, each behind its own
 //!   lock, keyed by the canonical
-//!   [`Flow::fingerprint`](crate::Flow::fingerprint) — with optional
-//!   TTL expiry and byte-budget accounting. Repeated requests return
+//!   [`Flow::fingerprint`](crate::Flow::fingerprint) — with byte
+//!   accounting. Repeated requests return
 //!   byte-identical cached responses without touching the mapper or
 //!   contending on a global mutex.
 //! - **Admission control.** Each heavy endpoint has a bounded queue;
@@ -390,8 +390,8 @@ struct BatchRequest {
 impl MapService {
     /// Creates a service mapping onto `fabric` with a
     /// `cache_capacity`-entry result cache (default shard geometry:
-    /// [`CacheConfig::default`]'s 8 shards, no TTL, no byte cap —
-    /// reshape with [`MapService::with_cache`]).
+    /// [`CacheConfig::default`]'s 8 shards — reshape with
+    /// [`MapService::with_cache`]).
     pub fn new(fabric: impl Into<Arc<Fabric>>, cache_capacity: usize) -> MapService {
         let config = CacheConfig {
             entries: cache_capacity,
@@ -416,8 +416,8 @@ impl MapService {
         }
     }
 
-    /// Replaces the result cache with one built from `config` (shard
-    /// count, TTL, byte budget). Existing entries are discarded; use at
+    /// Replaces the result cache with one built from `config` (entry
+    /// capacity and shard count). Existing entries are discarded; use at
     /// construction time.
     #[must_use]
     pub fn with_cache(mut self, config: CacheConfig) -> MapService {

@@ -17,8 +17,8 @@
 //!
 //! The 45×85 fabric released with QUALE is not recoverable, so
 //! [`Fabric::quale_45x85`] generates a regular macro-tile layout with the
-//! same dimensions (junction pitch 4, four traps per tile); see DESIGN.md
-//! for the substitution rationale. Arbitrary layouts can be supplied in
+//! same dimensions (junction pitch 4, four traps per tile) in its place.
+//! Arbitrary layouts can be supplied in
 //! ASCII via [`Fabric::from_ascii`].
 //!
 //! # Examples

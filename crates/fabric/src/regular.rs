@@ -1,7 +1,6 @@
 //! Generator for regular macro-tile fabrics, including the 45×85 layout
 //! standing in for the fabric released with QUALE.
 
-use crate::cell::Cell;
 use crate::error::FabricError;
 use crate::grid::Fabric;
 use crate::spec::FabricSpec;
@@ -56,8 +55,7 @@ impl RegularFabricSpec {
 
     /// The equivalent declarative document: a single-region
     /// [`FabricSpec`] with the `regular` family. Serializing it with
-    /// [`FabricSpec::to_json`] yields a file the CLI and `archcompare`
-    /// can load.
+    /// [`FabricSpec::to_json`] yields a file the CLI can load.
     pub fn to_spec(&self) -> FabricSpec {
         FabricSpec::regular(
             &format!("regular-{}x{}-p{}", self.rows, self.cols, self.pitch),
@@ -96,38 +94,6 @@ impl Fabric {
         RegularFabricSpec::new(45, 85, 4)
             .build()
             .expect("the QUALE spec is statically valid")
-    }
-
-    /// A *linear* QCCD fabric (Kielpinski–Monroe–Wineland style, the
-    /// paper's reference \[7\]): one shared horizontal channel with
-    /// `traps_per_side` traps above and below. There are no junctions —
-    /// qubits never turn — but every relocation contends for the single
-    /// channel, which is exactly why 2D fabrics with multiplexed channels
-    /// win on larger circuits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traps_per_side == 0` or the width would exceed `u16`.
-    ///
-    /// ```
-    /// use qspr_fabric::Fabric;
-    /// let f = Fabric::linear(6);
-    /// assert_eq!(f.topology().traps().len(), 12);
-    /// assert!(f.topology().junctions().is_empty());
-    /// assert_eq!(f.topology().segments().len(), 1);
-    /// ```
-    pub fn linear(traps_per_side: u16) -> Fabric {
-        assert!(traps_per_side >= 1, "a linear fabric needs traps");
-        let cols = traps_per_side as usize * 2 + 1;
-        let mut cells = vec![Cell::Empty; 3 * cols];
-        for c in 0..cols {
-            cells[cols + c] = Cell::HChannel; // middle row
-            if c % 2 == 1 {
-                cells[c] = Cell::Trap; // above
-                cells[2 * cols + c] = Cell::Trap; // below
-            }
-        }
-        Fabric::new(3, cols, cells).expect("linear layouts are statically valid")
     }
 }
 
@@ -219,37 +185,5 @@ mod tests {
         // Round-trips like any other fabric.
         let g = Fabric::from_ascii(&f.to_ascii()).unwrap();
         assert_eq!(f, g);
-    }
-}
-
-#[cfg(test)]
-mod linear_tests {
-    use super::*;
-
-    #[test]
-    fn linear_fabric_shape() {
-        let f = Fabric::linear(4);
-        assert_eq!((f.rows(), f.cols()), (3, 9));
-        let t = f.topology();
-        assert_eq!(t.traps().len(), 8);
-        assert!(t.junctions().is_empty());
-        assert_eq!(t.segments().len(), 1);
-        // Every trap ports onto the single shared channel.
-        for trap in t.traps() {
-            assert_eq!(trap.port().segment, crate::topology::SegmentId(0));
-        }
-    }
-
-    #[test]
-    fn linear_fabric_round_trips_ascii() {
-        let f = Fabric::linear(3);
-        let g = Fabric::from_ascii(&f.to_ascii()).unwrap();
-        assert_eq!(f, g);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs traps")]
-    fn zero_traps_panics() {
-        let _ = Fabric::linear(0);
     }
 }

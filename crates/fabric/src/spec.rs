@@ -330,7 +330,7 @@ impl FabricSpec {
     /// Renders the spec back to its JSON document form. Parsing the
     /// output reproduces the spec (`parse_json(spec.to_json()) == spec`,
     /// property-tested), which is what lets generated specs be written
-    /// to disk and swept by `archcompare`.
+    /// to disk and loaded back with `--fabric`.
     pub fn to_json(&self) -> String {
         let mut doc = JsonObject::new().string("name", &self.name);
         if !self.types.is_empty() {

@@ -1,9 +1,9 @@
 //! The paper's six benchmark codes and their encoding circuits.
 //!
 //! The original circuits came from M. Grassl's "Cyclic QECC" page, which
-//! is no longer reachable. Each code here is rebuilt from first
-//! principles with the same `[[n, k, d]]` parameters (see DESIGN.md for
-//! the substitution audit):
+//! is no longer reachable, so their gate lists are not recoverable.
+//! Each code here is rebuilt from first principles with the same
+//! `[[n, k, d]]` parameters:
 //!
 //! | code | construction here |
 //! |------|-------------------|

@@ -5,9 +5,7 @@
 /// instruction to the end of the QIDG.
 ///
 /// * QSPR uses both terms (`default()`);
-/// * QPOS uses only the dependent count (`dependents_only()`);
-/// * the Whitney et al. variant uses only the path delay
-///   (`path_delay_only()`).
+/// * QPOS uses only the dependent count (`dependents_only()`).
 ///
 /// # Examples
 ///
@@ -35,11 +33,6 @@ impl PriorityWeights {
     pub fn dependents_only() -> PriorityWeights {
         PriorityWeights::new(1.0, 0.0)
     }
-
-    /// The Whitney et al. tweak: total delay of dependent instructions.
-    pub fn path_delay_only() -> PriorityWeights {
-        PriorityWeights::new(0.0, 1.0)
-    }
 }
 
 impl Default for PriorityWeights {
@@ -56,7 +49,6 @@ mod tests {
     #[test]
     fn presets() {
         assert_eq!(PriorityWeights::dependents_only().path, 0.0);
-        assert_eq!(PriorityWeights::path_delay_only().dependents, 0.0);
         let d = PriorityWeights::default();
         assert_eq!((d.dependents, d.path), (1.0, 1.0));
     }

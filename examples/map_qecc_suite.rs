@@ -5,7 +5,7 @@
 //! where the optional `m` is the MVFB seed count (default 5; the paper
 //! uses 100).
 
-use qspr::{Flow, FlowPolicy, NoiseModel};
+use qspr::Flow;
 use qspr_fabric::Fabric;
 use qspr_qecc::codes::benchmark_suite;
 
@@ -16,24 +16,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(5);
 
     let flow = Flow::on(Fabric::quale_45x85()).seeds(m);
-    let quale_flow = flow.clone().policy(FlowPolicy::Quale);
 
-    let noise = NoiseModel::ion_trap_2012();
     println!("benchmark suite on the 45x85 fabric (MVFB m={m}):\n");
     for bench in benchmark_suite() {
         let row = flow.compare(&bench.name, &bench.program)?;
-        // Fidelity view of the same gap (the paper's motivation).
-        let qspr_result = flow.run(&bench.program)?;
-        let quale_outcome = quale_flow.run(&bench.program)?.outcome;
-        let p_qspr = noise.success_probability(&bench.program, &qspr_result.outcome);
-        let p_quale = noise.success_probability(&bench.program, &quale_outcome);
         println!(
-            "{row}   [{} qubits, {} gates, d>={}; success {:.3} vs QUALE {:.3}]",
+            "{row}   [{} qubits, {} gates, d>={}]",
             bench.program.num_qubits(),
             bench.program.instructions().len(),
             bench.code.claimed_distance().unwrap_or(1),
-            p_qspr,
-            p_quale,
         );
     }
     println!("\nExpected shape: baseline <= QSPR <= QUALE on every row, with");
