@@ -60,7 +60,8 @@ impl Placer for MonteCarloPlacer {
 
     /// Runs the search: the permutations are drawn in sequence from
     /// the RNG stream, mapped on the mapper's
-    /// [`job_count`](Mapper::job_count) threads, and folded in draw
+    /// [`job_count`](Mapper::job_count) threads with one program
+    /// prepared once ([`Mapper::prepare`]), and folded in draw
     /// order, keeping the first of equal latencies. The solution is
     /// therefore the same at any thread count.
     ///
@@ -76,8 +77,11 @@ impl Placer for MonteCarloPlacer {
         let mut placements: Vec<Placement> = (0..self.runs)
             .map(|_| Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng))
             .collect();
+        let prepared = mapper.prepare(program);
         let latencies = run_indexed(mapper.job_count(), placements.len(), |i| {
-            mapper.map(program, &placements[i]).map(|o| o.latency())
+            mapper
+                .map_prepared(&prepared, &placements[i])
+                .map(|o| o.latency())
         })?;
         let mut best: Option<(Time, usize)> = None;
         for (i, latency) in latencies.into_iter().enumerate() {

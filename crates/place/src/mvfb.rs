@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use qspr_fabric::Time;
 use qspr_qasm::Program;
-use qspr_sim::{MapError, Mapper, Placement};
+use qspr_sim::{MapError, Mapper, Placement, PreparedProgram};
 
 use crate::placer::{PassDirection, Placer, PlacerSolution};
 use crate::seeds::run_indexed;
@@ -19,7 +19,9 @@ pub struct MvfbConfig {
     /// Number of random center-placement seeds (the paper's `m`).
     pub seeds: usize,
     /// Stop a seed's local search after this many consecutive
-    /// non-improving placement runs (the paper uses 3).
+    /// non-improving placement runs. The paper gives no value; 3 is
+    /// this implementation's stopping rule, under which `m'` comes out
+    /// 1.7–2.7× the paper's Table 1 counts (ROADMAP item 2).
     pub patience: usize,
     /// Hard safety cap on passes per seed.
     pub max_passes_per_seed: usize,
@@ -28,7 +30,8 @@ pub struct MvfbConfig {
 }
 
 impl MvfbConfig {
-    /// A config with `seeds` starts and the paper's patience of 3.
+    /// A config with `seeds` starts and a patience of 3 (this
+    /// implementation's stopping rule, see [`MvfbConfig::patience`]).
     pub fn new(seeds: usize, rng_seed: u64) -> MvfbConfig {
         MvfbConfig {
             seeds,
@@ -76,25 +79,26 @@ impl MvfbPlacer {
     }
 
     /// One seed's forward/backward local search from a random center
-    /// placement drawn with `seed`. Returns the seed's best pass (the
-    /// first of equal latencies) and the number of passes it ran.
+    /// placement of `num_qubits` qubits drawn with `seed`, alternating
+    /// the prepared program and its reversal. Returns the
+    /// seed's best pass (the first of equal latencies) and the number of
+    /// passes it ran.
     fn search_seed(
         &self,
         mapper: &Mapper<'_>,
-        program: &Program,
-        reversed: &Program,
+        num_qubits: usize,
+        [program, reversed]: &[PreparedProgram; 2],
         seed: u64,
     ) -> Result<(Option<Pass>, usize), MapError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut placement =
-            Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng);
+        let mut placement = Placement::center_permutation(mapper.fabric(), num_qubits, &mut rng);
         let mut best: Option<Pass> = None;
         let mut runs = 0usize;
         let mut stale = 0usize;
         let mut forward = true;
         for _ in 0..self.config.max_passes_per_seed {
             let prog = if forward { program } else { reversed };
-            let outcome = mapper.map(prog, &placement)?;
+            let outcome = mapper.map_prepared(prog, &placement)?;
             runs += 1;
             let latency = outcome.latency();
             if best.as_ref().map_or(true, |(l, _, _)| latency < *l) {
@@ -126,8 +130,10 @@ impl Placer for MvfbPlacer {
     /// Runs the search, one seed per task on the mapper's
     /// [`job_count`](Mapper::job_count) threads.
     ///
-    /// The per-seed RNG seeds are drawn up front from the master stream
-    /// (one draw per seed, so a seed's stream is independent of how many
+    /// The program and its reversal are prepared once
+    /// ([`Mapper::prepare`]) and shared by every seed and thread. The
+    /// per-seed RNG seeds are drawn up front from the master stream (one
+    /// draw per seed, so a seed's stream is independent of how many
     /// passes earlier seeds ran), and the seeds' bests are folded in
     /// seed order, keeping the first of equal latencies. The solution is
     /// therefore the same at any thread count.
@@ -139,11 +145,11 @@ impl Placer for MvfbPlacer {
     fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
         let _span = qspr_obs::span("place");
         let started = Instant::now();
-        let reversed = program.reversed();
+        let passes = [mapper.prepare(program), mapper.prepare(&program.reversed())];
         let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
         let seeds: Vec<u64> = (0..self.config.seeds).map(|_| rng.gen()).collect();
         let searches = run_indexed(mapper.job_count(), seeds.len(), |i| {
-            self.search_seed(mapper, program, &reversed, seeds[i])
+            self.search_seed(mapper, program.num_qubits(), &passes, seeds[i])
         })?;
 
         let mut best: Option<Pass> = None;

@@ -136,6 +136,16 @@ pub trait RoutingEngine {
     /// cost estimation, e.g. meeting-trap selection); does not count as
     /// an epoch and must not commit anything.
     ///
+    /// The answer must be a pure function of `(state, from, to)`. The
+    /// mapper probes meeting-trap candidates in whatever order it finds
+    /// cheapest and skips candidates that provably cannot win, so a
+    /// probe that changed anything a later call can observe would make
+    /// the mapping depend on that order and break byte identity.
+    /// Between probes the caller books a probed plan's resources and
+    /// releases them afterwards; that booking cannot overflow, because
+    /// a router never returns a plan through a resource already at its
+    /// (`u8`) capacity.
+    ///
     /// Probes can become the committed plans: a caller that probed an
     /// epoch's movers one after another may hand the answers to
     /// [`route_batch_probed`](RoutingEngine::route_batch_probed), and

@@ -115,6 +115,10 @@ impl<'a> Mapper<'a> {
     /// Schedules, places (per the given initial placement) and routes
     /// `program`, returning the full mapping outcome.
     ///
+    /// Equivalent to [`Mapper::map_prepared`] on
+    /// [`Mapper::prepare`]`(program)`; callers that map one program many
+    /// times should prepare it once themselves.
+    ///
     /// # Errors
     ///
     /// Returns a [`MapError`] when the placement is inconsistent with the
@@ -126,9 +130,18 @@ impl<'a> Mapper<'a> {
         placement: &Placement,
     ) -> Result<MappingOutcome, MapError> {
         let _span = qspr_obs::span("map");
-        placement.check(self.fabric, program.num_qubits())?;
+        self.simulate(&self.prepare(program), placement)
+    }
+
+    /// Builds `program`'s QIDG and issue-order key under this mapper's
+    /// technology and [`IssueOrder`]: everything of a mapping that does
+    /// not depend on the placement. The result serves every
+    /// [`Mapper::map_prepared`] call of any mapper with the same
+    /// technology and issue order, on any thread.
+    pub fn prepare(&self, program: &Program) -> PreparedProgram {
         let qidg = Qidg::new(program, &self.tech);
-        let order_key: Vec<f64> = match self.policy.order {
+        let order = self.policy.order;
+        let order_key: Vec<f64> = match order {
             IssueOrder::PriorityList(w) => qidg.priorities(&w).iter().map(|p| -p).collect(),
             IssueOrder::Alap => {
                 let alap = qidg.alap();
@@ -139,9 +152,62 @@ impl<'a> Mapper<'a> {
                 qidg.topo_order().map(|id| asap.start(id) as f64).collect()
             }
         };
-        let sim = Sim::new(self, &qidg, placement, order_key);
-        sim.run()
+        PreparedProgram {
+            qidg,
+            order_key,
+            tech: self.tech,
+            order,
+        }
     }
+
+    /// [`Mapper::map`] of a program prepared by [`Mapper::prepare`]:
+    /// the same outcome, without rebuilding the QIDG.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mapper::map`].
+    ///
+    /// # Panics
+    ///
+    /// When `prepared` was built for another technology or issue order
+    /// than this mapper's.
+    pub fn map_prepared(
+        &self,
+        prepared: &PreparedProgram,
+        placement: &Placement,
+    ) -> Result<MappingOutcome, MapError> {
+        let _span = qspr_obs::span("map");
+        self.simulate(prepared, placement)
+    }
+
+    fn simulate(
+        &self,
+        prepared: &PreparedProgram,
+        placement: &Placement,
+    ) -> Result<MappingOutcome, MapError> {
+        assert!(
+            prepared.tech == self.tech && prepared.order == self.policy.order,
+            "program prepared for another technology or issue order"
+        );
+        placement.check(self.fabric, prepared.qidg.num_qubits())?;
+        Sim::new(self, prepared, placement).run()
+    }
+}
+
+/// A program ready for [`Mapper::map_prepared`]: its QIDG and the issue
+/// order's per-instruction sort key, built by [`Mapper::prepare`] for
+/// one technology and issue order.
+///
+/// MVFB maps the same two programs (forward and reversed) hundreds of
+/// times per placement; preparing each once keeps the QIDG and its
+/// priorities out of every pass.
+#[derive(Debug, Clone)]
+pub struct PreparedProgram {
+    qidg: Qidg,
+    order_key: Vec<f64>,
+    /// What the QIDG delays and the key were computed from.
+    tech: TechParams,
+    order: IssueOrder,
 }
 
 impl fmt::Debug for Mapper<'_> {
@@ -203,6 +269,13 @@ impl BusyItem {
     }
 }
 
+/// A meeting-trap candidate: the meeting trap and the traps of the
+/// operands that must move there.
+type Candidate = (TrapId, [Option<TrapId>; 2]);
+
+/// A candidate's probed plans, one per mover.
+type Probed = [Option<RoutePlan>; 2];
+
 /// What a routed leg serves: an instruction operand (fires `Arrived`)
 /// or a storage-model shuttle home (fires `ReturnedHome`).
 #[derive(Debug, Clone, Copy)]
@@ -215,7 +288,7 @@ struct Sim<'m, 'a> {
     mapper: &'m Mapper<'a>,
     topo: &'a Topology,
     qidg: &'m Qidg,
-    order_key: Vec<f64>,
+    order_key: &'m [f64],
     engine: Box<dyn RoutingEngine + 'a>,
     /// Engine implements epoch refinement: buffer legs per issue phase
     /// and let it rip up and re-route the joint set before events are
@@ -294,10 +367,10 @@ fn book_or_flag(
 impl<'m, 'a> Sim<'m, 'a> {
     fn new(
         mapper: &'m Mapper<'a>,
-        qidg: &'m Qidg,
+        prepared: &'m PreparedProgram,
         placement: &Placement,
-        order_key: Vec<f64>,
     ) -> Sim<'m, 'a> {
+        let qidg = &prepared.qidg;
         let topo = mapper.fabric.topology();
         let n = qidg.len();
         let mut trap_occupancy = vec![0u8; topo.traps().len()];
@@ -329,7 +402,7 @@ impl<'m, 'a> Sim<'m, 'a> {
             mapper,
             topo,
             qidg,
-            order_key,
+            order_key: &prepared.order_key,
             trap_occupancy,
             qubit_trap: placement.as_slice().to_vec(),
             phys_trap: placement.as_slice().to_vec(),
@@ -734,8 +807,9 @@ impl<'m, 'a> Sim<'m, 'a> {
     /// the free trap nearest the operands' median (both move), or either
     /// operand's trap when it has a spare seat (one moves). Cost is the
     /// later arrival time of the movers, estimated by routing under the
-    /// current bookings; unroutable candidates are skipped. Falls back to
-    /// the median trap (handled downstream via staged movement) when no
+    /// current bookings; unroutable candidates are skipped, and of equal
+    /// costs the first candidate in that order wins. Falls back to the
+    /// median trap (handled downstream via staged movement) when no
     /// candidate routes completely.
     ///
     /// Returns the trap with the winning candidate's probed plans, in
@@ -746,6 +820,33 @@ impl<'m, 'a> Sim<'m, 'a> {
         tc: TrapId,
         tt: TrapId,
     ) -> Option<(TrapId, Option<Vec<RoutePlan>>)> {
+        let (median_trap, candidates, n_cand) = self.meeting_candidates(tc, tt);
+        let candidates = &candidates[..n_cand];
+        let _span = self.obs.then(|| qspr_obs::span("probe"));
+        let best = self.probe_by_bound(candidates);
+        // Probing is a pure function of the bookings, so the historical
+        // index-order search must agree on the winner and its plans.
+        #[cfg(test)]
+        assert_eq!(best, self.probe_in_index_order(candidates));
+        match best {
+            Some((i, plans)) => {
+                Some((candidates[i].0, Some(plans.into_iter().flatten().collect())))
+            }
+            // No candidate routes completely right now: hand the median
+            // trap to the staged-movement path, which can move one
+            // operand and queue the other.
+            None => median_trap.map(|m| (m, None)),
+        }
+    }
+
+    /// The free trap nearest the median of traps `tc` and `tt`, and the
+    /// meeting-trap candidates of a gate on those operands in tie-break
+    /// order (the first `n` of the array).
+    fn meeting_candidates(
+        &self,
+        tc: TrapId,
+        tt: TrapId,
+    ) -> (Option<TrapId>, [Candidate; 3], usize) {
         let a = self.topo.trap(tc).coord();
         let b = self.topo.trap(tt).coord();
         let median = Coord::new((a.row + b.row) / 2, (a.col + b.col) / 2);
@@ -755,78 +856,117 @@ impl<'m, 'a> Sim<'m, 'a> {
         // At most three candidates with at most two movers each:
         // fixed-size stack scratch, no allocation in this hot path.
         let mut candidates = [(tc, [None, None]); 3];
-        let mut n_cand = 0;
+        let mut n = 0;
         if let Some(m) = median_trap {
-            candidates[n_cand] = (m, [Some(tc), Some(tt)]);
-            n_cand += 1;
+            candidates[n] = (m, [Some(tc), Some(tt)]);
+            n += 1;
         }
-        if self.trap_occupancy[tt.index()] <= 1 {
-            candidates[n_cand] = (tt, [Some(tc), None]);
-            n_cand += 1;
+        if occ[tt.index()] <= 1 {
+            candidates[n] = (tt, [Some(tc), None]);
+            n += 1;
         }
-        if self.trap_occupancy[tc.index()] <= 1 {
-            candidates[n_cand] = (tc, [Some(tt), None]);
-            n_cand += 1;
+        if occ[tc.index()] <= 1 {
+            candidates[n] = (tc, [Some(tt), None]);
+            n += 1;
         }
+        (median_trap, candidates, n)
+    }
 
-        let _span = self.obs.then(|| qspr_obs::span("probe"));
-        let bounds = &*self.mapper.bounds;
-        let mut best: Option<(Time, TrapId, [Option<RoutePlan>; 2])> = None;
-        for &(meeting, movers) in &candidates[..n_cand] {
-            // Exact pruning: no booking state routes a mover faster than
-            // the empty fabric, so a candidate whose slowest mover's
-            // bound already reaches the best cost cannot win the strict
-            // `<` below.
-            if let Some((bw, ..)) = best {
-                let bound = movers
-                    .iter()
-                    .flatten()
-                    .map(|&from| bounds.min_duration(self.topo, from, meeting))
-                    .max()
-                    .unwrap_or(0);
-                if bound >= bw {
-                    continue;
+    /// Probes `candidates` cheapest empty-fabric bound first and returns
+    /// the index and plans of the one with the least `(cost, index)`.
+    ///
+    /// No booking state routes a mover faster than the empty fabric, so
+    /// a candidate's cost is at least its slowest mover's bound. Once a
+    /// candidate's `(bound, index)` exceeds the best `(cost, index)`
+    /// found, neither it nor any later candidate in this order can win,
+    /// and the search stops. A cheap bound probed first usually settles
+    /// the winner: the bound is often the routed cost itself.
+    fn probe_by_bound(&mut self, candidates: &[Candidate]) -> Option<(usize, Probed)> {
+        let mut order = [(0, 0); 3];
+        for (slot, (i, &candidate)) in order.iter_mut().zip(candidates.iter().enumerate()) {
+            *slot = (self.bound(candidate), i);
+        }
+        let order = &mut order[..candidates.len()];
+        order.sort_unstable();
+        let mut best: Option<(Time, usize, Probed)> = None;
+        for &(bound, i) in order.iter() {
+            if best.as_ref().is_some_and(|(w, b, _)| (bound, i) > (*w, *b)) {
+                break;
+            }
+            let (meeting, movers) = candidates[i];
+            if let Some((w, plans)) = self.probe(meeting, movers) {
+                if best.as_ref().map_or(true, |(bw, b, _)| (w, i) < (*bw, *b)) {
+                    best = Some((w, i, plans));
                 }
             }
-            // Route the movers sequentially with temporary bookings so
-            // the second sees the first's load, then roll back.
-            let mut booked: [Option<RoutePlan>; 2] = [None, None];
-            let mut worst: Option<Time> = Some(0);
-            for (slot, from) in booked.iter_mut().zip(movers.iter().flatten()) {
-                match self.engine.route_one(&self.resources, *from, meeting) {
-                    Some(plan) => {
-                        for usage in plan.resources() {
-                            book_or_flag(&mut self.resources, &mut self.saturated, usage.resource);
-                        }
-                        worst = worst.map(|w| w.max(plan.duration()));
-                        *slot = Some(plan);
-                    }
-                    None => {
-                        worst = None;
-                        break;
-                    }
-                }
+        }
+        best.map(|(_, i, plans)| (i, plans))
+    }
+
+    /// The historical search [`Sim::probe_by_bound`] must reproduce:
+    /// candidates in index order, each skipped once its bound reaches
+    /// the best cost so far.
+    #[cfg(test)]
+    fn probe_in_index_order(&mut self, candidates: &[Candidate]) -> Option<(usize, Probed)> {
+        let mut best: Option<(Time, usize, Probed)> = None;
+        for (i, &(meeting, movers)) in candidates.iter().enumerate() {
+            if best
+                .as_ref()
+                .is_some_and(|(bw, ..)| self.bound((meeting, movers)) >= *bw)
+            {
+                continue;
             }
-            for plan in booked.iter().flatten() {
-                for usage in plan.resources() {
-                    self.resources.release(usage.resource);
-                }
-            }
-            if let Some(w) = worst {
+            if let Some((w, plans)) = self.probe(meeting, movers) {
                 if best.as_ref().map_or(true, |(bw, ..)| w < *bw) {
-                    best = Some((w, meeting, booked));
+                    best = Some((w, i, plans));
                 }
             }
         }
-        match best {
-            Some((_, meeting, plans)) => {
-                Some((meeting, Some(plans.into_iter().flatten().collect())))
+        best.map(|(_, i, plans)| (i, plans))
+    }
+
+    /// A lower bound on `candidate`'s cost: its slowest mover's
+    /// empty-fabric travel duration.
+    fn bound(&self, (meeting, movers): Candidate) -> Time {
+        movers
+            .iter()
+            .flatten()
+            .map(|&from| self.mapper.bounds.min_duration(self.topo, from, meeting))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Routes `movers` to `meeting` one after another with temporary
+    /// bookings, so the second sees the first's load, then rolls the
+    /// bookings back. Returns the slowest mover's duration and the
+    /// plans, or `None` when some mover does not route.
+    ///
+    /// The bookings cannot overflow: a router never returns a plan
+    /// through a full resource.
+    fn probe(&mut self, meeting: TrapId, movers: [Option<TrapId>; 2]) -> Option<(Time, Probed)> {
+        let mut booked: Probed = [None, None];
+        let mut worst: Option<Time> = Some(0);
+        for (slot, from) in booked.iter_mut().zip(movers.iter().flatten()) {
+            match self.engine.route_one(&self.resources, *from, meeting) {
+                Some(plan) => {
+                    for usage in plan.resources() {
+                        book_or_flag(&mut self.resources, &mut self.saturated, usage.resource);
+                    }
+                    worst = worst.map(|w| w.max(plan.duration()));
+                    *slot = Some(plan);
+                }
+                None => {
+                    worst = None;
+                    break;
+                }
             }
-            // No candidate routes completely right now: hand the median
-            // trap to the staged-movement path, which can move one
-            // operand and queue the other.
-            None => median_trap.map(|m| (m, None)),
         }
+        for plan in booked.iter().flatten() {
+            for usage in plan.resources() {
+                self.resources.release(usage.resource);
+            }
+        }
+        worst.map(|w| (w, booked))
     }
 
     /// Issues a two-qubit gate under the storage (return-to-home) model:
@@ -1432,5 +1572,95 @@ mod policy_behavior_tests {
             h_stats.congestion_wait() > 0,
             "H must wait for the return shuttle"
         );
+    }
+}
+
+#[cfg(test)]
+mod prepared_and_probe_order_tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The three policies and both built-in engines.
+    fn mappers<'a>(fabric: &'a Fabric, tech: TechParams) -> Vec<Mapper<'a>> {
+        let policies = [
+            MapperPolicy::qspr(&tech),
+            MapperPolicy::quale(&tech),
+            MapperPolicy::qpos(&tech),
+        ];
+        policies
+            .into_iter()
+            .flat_map(|policy| {
+                [RouterKind::Greedy, RouterKind::Negotiated]
+                    .map(|router| Mapper::new(fabric, tech, policy).router(router))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prepared_programs_map_exactly_like_map() {
+        let f = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let program = qspr_qecc::codes::fig3_program();
+        let reversed = program.reversed();
+        let placement = Placement::center(&f, program.num_qubits());
+        for mapper in mappers(&f, tech) {
+            let mapper = mapper.record_trace(true);
+            for p in [&program, &reversed] {
+                let prepared = mapper.prepare(p);
+                let expected = mapper.map(p, &placement).unwrap();
+                assert!(expected.trace().is_some());
+                assert_eq!(
+                    mapper.map_prepared(&prepared, &placement).unwrap(),
+                    expected,
+                    "{mapper:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared for another technology or issue order")]
+    fn a_program_prepared_for_another_issue_order_is_refused() {
+        let f = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let program = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n").unwrap();
+        let prepared = Mapper::new(&f, tech, MapperPolicy::quale(&tech)).prepare(&program);
+        let _ = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+            .map_prepared(&prepared, &Placement::center(&f, 2));
+    }
+
+    /// Bound-order meeting probes pick what the index-order search
+    /// picked: every `cheapest_meeting` call in this crate's tests
+    /// asserts it, so drive many of them through MVFB-style passes (a
+    /// few seeds of alternating forward and backward runs, each
+    /// starting where the last ended). Only the QSPR policy moves both
+    /// operands to a median trap, which is what reaches the probes.
+    #[test]
+    fn bound_order_probes_agree_with_index_order_on_mvfb_passes() {
+        let f = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let suite = qspr_qecc::codes::benchmark_suite();
+        // Fig. 3 ([[5,1,3]]) and the two congested encoders, where
+        // probes most often cost more than their bounds.
+        for bench in [&suite[0], &suite[3], &suite[5]] {
+            for router in [RouterKind::Greedy, RouterKind::Negotiated] {
+                let mapper = Mapper::new(&f, tech, MapperPolicy::qspr(&tech)).router(router);
+                let passes = [
+                    mapper.prepare(&bench.program),
+                    mapper.prepare(&bench.program.reversed()),
+                ];
+                let mut rng = StdRng::seed_from_u64(3);
+                for _seed in 0..8 {
+                    let n = bench.program.num_qubits();
+                    let mut placement = Placement::center_permutation(&f, n, &mut rng);
+                    for prepared in passes.iter().cycle().take(8) {
+                        let outcome = mapper.map_prepared(prepared, &placement).unwrap();
+                        assert!(outcome.totals().moves > 0, "{}", bench.name);
+                        placement = outcome.final_placement().clone();
+                    }
+                }
+            }
+        }
     }
 }

@@ -135,7 +135,7 @@ mod stress;
 mod trace;
 mod validate;
 
-pub use engine::Mapper;
+pub use engine::{Mapper, PreparedProgram};
 pub use error::{MapError, TraceError};
 // The routing-engine seam, re-exported so mapper callers can select
 // engines without a direct `qspr_route` dependency.

@@ -356,3 +356,34 @@ fn profile_shows_meeting_probes_under_issue() {
         }
     }
 }
+
+/// Table 1 at `m = 5` (greedy router, the flow's default MVFB seed):
+/// per suite circuit, MVFB's latency and run count `m'`, and the Monte
+/// Carlo latency given the same `m'` runs. The literals were produced
+/// before the placers shared one prepared program across their seeds;
+/// both thread counts must reproduce them.
+#[test]
+fn table1_placer_rows_are_pinned_at_m5() {
+    // (circuit, mvfb_latency, runs, mc_latency)
+    let expected = [
+        ("[[5,1,3]]", 628, 36, 680),
+        ("[[7,1,3]]", 530, 31, 554),
+        ("[[9,1,3]]", 790, 30, 780),
+        ("[[14,8,3]]", 4276, 33, 4334),
+        ("[[19,1,7]]", 4480, 32, 4538),
+        ("[[23,1,7]]", 2494, 44, 2582),
+    ]
+    .map(|(circuit, mvfb, runs, mc)| (circuit.to_owned(), mvfb, runs, mc));
+    let suite = benchmark_suite();
+    for jobs in [1, 2] {
+        let flow = Flow::on(Fabric::quale_45x85()).seeds(5).jobs(jobs);
+        let rows: Vec<_> = suite
+            .iter()
+            .map(|bench| {
+                let row = flow.compare_placers(&bench.name, &bench.program).unwrap();
+                (row.circuit, row.mvfb_latency, row.runs, row.mc_latency)
+            })
+            .collect();
+        assert_eq!(rows, expected, "jobs={jobs}");
+    }
+}
