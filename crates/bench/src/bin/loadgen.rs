@@ -1,5 +1,4 @@
-//! Load generator, latency harness and correctness oracle for
-//! `qspr serve`.
+//! Load generator and correctness oracle for `qspr serve`.
 //!
 //! Drives N persistent keep-alive connections against a running
 //! service and asserts that every response matches what the library
@@ -25,20 +24,9 @@
 //! * `/metrics` must serve non-empty Prometheus text in which every
 //!   `# TYPE` family has at least one sample line.
 //!
-//! Every request's wall-clock latency lands in a per-thread
-//! [`Histogram`]; the merged distribution is reported as
-//! p50/p90/p99/p999 and written to `--bench-out` (default
-//! `BENCH_serve.json`, strict `qspr::json` — re-parsed before exit so
-//! a malformed artifact fails the run, not a consumer).
-//!
-//! Two load models: `--mode closed` (default) keeps every connection
-//! saturated — the classic closed loop; `--mode open` fires requests
-//! on a fixed schedule (`--rate` requests/second across all
-//! connections) and measures latency from the *scheduled* arrival, so
-//! a slow server cannot hide queueing delay by slowing the arrival
-//! process (coordinated omission). `--no-keep-alive` reverts to one
-//! connection per request for A/B comparisons against the keep-alive
-//! path.
+//! Every connection runs a closed loop: it sends its next request as
+//! soon as the previous response has been checked. Service speed is
+//! measured by the standalone `perfbench` package, not here.
 //!
 //! `--storm N` switches to the backpressure drill: N threads fire one
 //! heavy `/map` each through a barrier and every response must be
@@ -53,8 +41,7 @@
 //!
 //! Usage: `cargo run -p qspr-bench --release --bin loadgen --
 //! --addr 127.0.0.1:7878 [--connections N] [--iters N] [--quick]
-//! [--mode closed|open] [--rate RPS] [--no-keep-alive] [--storm N]
-//! [--bench-out FILE] [--shutdown]`
+//! [--storm N] [--shutdown]`
 //!
 //! [`FlowSummary`]: qspr::FlowSummary
 //! [`ComparisonRow`]: qspr::ComparisonRow
@@ -62,10 +49,9 @@
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qspr::json::{JsonArray, JsonObject, JsonValue, ToJson};
-use qspr::obs::Histogram;
 use qspr::service::{http, normalize_timing};
 use qspr::{Flow, FlowPolicy, RouterKind};
 use qspr_bench::{parse_flag, quick_mode};
@@ -253,20 +239,14 @@ fn await_health(addr: &str) -> Result<(), String> {
 
 /// Sends one request over the connection in `client`, transparently
 /// (re)connecting — on first use, after a `Connection: close`, or when
-/// the server reaped the idle connection between iterations. With
-/// `keep_alive` off every request gets a fresh connection, exactly
-/// like the pre-keep-alive harness.
+/// the server reaped the idle connection between iterations.
 fn send(
     client: &mut Option<http::Client>,
     addr: &str,
-    keep_alive: bool,
     method: &str,
     path: &str,
     body: &str,
 ) -> Result<http::Response, String> {
-    if !keep_alive {
-        return http::call(addr, method, path, body).map_err(|e| format!("{method} {path}: {e}"));
-    }
     for retry in [true, false] {
         let usable = client.as_ref().is_some_and(|c| !c.is_closed());
         if !usable {
@@ -358,46 +338,6 @@ fn validate_metrics(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Serializes the merged latency distribution plus run parameters as
-/// the committed `BENCH_serve.json` schema.
-#[allow(clippy::too_many_arguments)]
-fn bench_report(
-    mode: &str,
-    keep_alive: bool,
-    connections: usize,
-    iters: usize,
-    cases: usize,
-    requests: usize,
-    wall: Duration,
-    latency: &Histogram,
-) -> String {
-    let mut quantiles = JsonObject::new();
-    for (q, key) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99"), (0.999, "p999")] {
-        quantiles = quantiles.number(key, latency.percentile(q).unwrap_or(0));
-    }
-    JsonObject::new()
-        .string("benchmark", "qspr serve latency under concurrent load")
-        .string("mode", mode)
-        .boolean("keep_alive", keep_alive)
-        .number("connections", connections as u64)
-        .number("iters", iters as u64)
-        .number("cases", cases as u64)
-        .number("requests", requests as u64)
-        .number("wall_us", wall.as_micros() as u64)
-        .number(
-            "throughput_rps",
-            (requests as f64 / wall.as_secs_f64()) as u64,
-        )
-        .raw(
-            "latency_us",
-            &quantiles
-                .number("max", latency.max_value())
-                .number("count", latency.count())
-                .build(),
-        )
-        .build()
-}
-
 /// The backpressure drill: `threads` concurrent heavy `/map` requests
 /// released through a barrier against a deliberately tiny admission
 /// queue. Every response must be a correct 200 or a 429 with
@@ -429,7 +369,7 @@ fn storm(addr: &str, threads: usize) -> Result<(), String> {
                     let mut client =
                         Some(http::Client::connect(addr).map_err(|e| format!("connect: {e}"))?);
                     barrier.wait();
-                    send(&mut client, addr, true, "POST", "/map", &body)
+                    send(&mut client, addr, "POST", "/map", &body)
                 }));
             }
             for (i, handle) in handles.into_iter().enumerate() {
@@ -471,14 +411,14 @@ fn storm(addr: &str, threads: usize) -> Result<(), String> {
         // and replay byte-identically from the cache on a second pass.
         let mut client = None;
         for i in rejected {
-            let retry = send(&mut client, addr, true, "POST", "/map", &body(base + i))?;
+            let retry = send(&mut client, addr, "POST", "/map", &body(base + i))?;
             if retry.status != 200 {
                 return Err(format!(
                     "post-storm retry {i} -> {} {}",
                     retry.status, retry.body
                 ));
             }
-            let replay = send(&mut client, addr, true, "POST", "/map", &body(base + i))?;
+            let replay = send(&mut client, addr, "POST", "/map", &body(base + i))?;
             if replay != retry {
                 return Err(format!("post-storm replay {i} is not byte-identical"));
             }
@@ -510,13 +450,6 @@ fn run() -> Result<(), String> {
     }
     let connections = parse_flag("--connections", 8);
     let iters = parse_flag("--iters", if quick { 4 } else { 32 });
-    let keep_alive = !std::env::args().any(|a| a == "--no-keep-alive");
-    let mode = string_flag("--mode").unwrap_or_else(|| "closed".to_owned());
-    if mode != "closed" && mode != "open" {
-        return Err(format!("--mode expects closed or open, got {mode:?}"));
-    }
-    let rate = parse_flag("--rate", 400);
-    let bench_out = string_flag("--bench-out").unwrap_or_else(|| "BENCH_serve.json".to_owned());
 
     await_health(&addr)?;
     eprintln!("building expected responses locally (the oracle run)...");
@@ -532,55 +465,22 @@ fn run() -> Result<(), String> {
         }
         cold.body
     };
-    let per_thread = iters * (workload.cases.len() * 2 + 2);
 
     eprintln!(
-        "driving {connections} connections x {iters} iters x {} cases ({mode} loop, keep-alive {})...",
+        "driving {connections} connections x {iters} iters x {} cases...",
         workload.cases.len(),
-        if keep_alive { "on" } else { "off" },
     );
-    let started = Instant::now();
     let mut failures: Vec<String> = Vec::new();
-    // One latency histogram per connection (no cross-thread contention
-    // on the hot path); merged below. Merged percentiles are exactly
-    // the percentiles of the concatenated stream — a golden-tested
-    // property of the bucket representation.
-    let latency = Histogram::new();
-    // Open loop: requests depart on a fixed schedule (one every
-    // `interval` per connection) and latency runs from the scheduled
-    // departure, so server-side queueing cannot slow the arrival
-    // process down and hide itself (coordinated omission).
-    let interval = Duration::from_secs_f64(connections as f64 / (rate as f64).max(1.0));
     thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..connections {
             let workload = Arc::clone(&workload);
             let addr = addr.clone();
             let expect_sta = expect_sta.as_str();
-            let mode = mode.as_str();
-            handles.push(scope.spawn(move || -> Result<Histogram, String> {
-                let local = Histogram::new();
+            handles.push(scope.spawn(move || -> Result<(), String> {
                 let mut client: Option<http::Client> = None;
-                let epoch = Instant::now();
-                let mut sent = 0u32;
-                let mut fire = |client: &mut Option<http::Client>,
-                                path: &str,
-                                body: &str,
-                                expect: Expect<'_>,
-                                label: &str|
-                 -> Result<(), String> {
-                    let scheduled = if mode == "open" {
-                        let due = epoch + interval * sent;
-                        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                            thread::sleep(wait);
-                        }
-                        due
-                    } else {
-                        Instant::now()
-                    };
-                    sent += 1;
-                    let response = send(client, &addr, keep_alive, "POST", path, body)?;
-                    local.record(scheduled.elapsed().as_micros() as u64);
+                let mut fire = |path: &str, body: &str, expect: Expect<'_>, label: &str| {
+                    let response = send(&mut client, &addr, "POST", path, body)?;
                     check(&response, expect, label, path)
                 };
                 for i in 0..iters {
@@ -589,7 +489,6 @@ fn run() -> Result<(), String> {
                     for c in 0..workload.cases.len() {
                         let case = &workload.cases[(c + t + i) % workload.cases.len()];
                         fire(
-                            &mut client,
                             "/map",
                             &case.map_body,
                             Expect {
@@ -599,7 +498,6 @@ fn run() -> Result<(), String> {
                             &case.label,
                         )?;
                         fire(
-                            &mut client,
                             "/compare",
                             &case.compare_body,
                             Expect {
@@ -610,7 +508,6 @@ fn run() -> Result<(), String> {
                         )?;
                     }
                     fire(
-                        &mut client,
                         "/batch",
                         &workload.batch_body,
                         Expect {
@@ -620,7 +517,6 @@ fn run() -> Result<(), String> {
                         "batch",
                     )?;
                     fire(
-                        &mut client,
                         "/sta",
                         &workload.sta_body,
                         Expect {
@@ -630,54 +526,29 @@ fn run() -> Result<(), String> {
                         "sta",
                     )?;
                 }
-                Ok(local)
+                Ok(())
             }));
         }
         for handle in handles {
-            match handle.join().expect("loadgen worker panicked") {
-                Ok(local) => latency.merge_from(&local),
-                Err(e) => failures.push(e),
+            if let Err(e) = handle.join().expect("loadgen worker panicked") {
+                failures.push(e);
             }
         }
     });
-    let wall = started.elapsed();
     if !failures.is_empty() {
         return Err(failures.join("\n"));
     }
-    let requests = connections * per_thread;
     eprintln!(
-        "{requests} concurrent requests ok in {wall:.2?} ({:.0} req/s)",
-        requests as f64 / wall.as_secs_f64()
-    );
-    eprintln!(
-        "latency: p50 {}µs | p90 {}µs | p99 {}µs | p999 {}µs | max {}µs",
-        latency.percentile(0.5).unwrap_or(0),
-        latency.percentile(0.9).unwrap_or(0),
-        latency.percentile(0.99).unwrap_or(0),
-        latency.percentile(0.999).unwrap_or(0),
-        latency.max_value(),
+        "{} concurrent requests matched the oracle",
+        connections * iters * (workload.cases.len() * 2 + 2)
     );
 
     // Sequential epilogue: with no concurrent cold-path races, the
     // cached response must be byte-identical — cpu_ms included.
     let mut client: Option<http::Client> = None;
     for case in workload.cases.iter() {
-        let first = send(
-            &mut client,
-            &addr,
-            keep_alive,
-            "POST",
-            "/map",
-            &case.map_body,
-        )?;
-        let second = send(
-            &mut client,
-            &addr,
-            keep_alive,
-            "POST",
-            "/map",
-            &case.map_body,
-        )?;
+        let first = send(&mut client, &addr, "POST", "/map", &case.map_body)?;
+        let second = send(&mut client, &addr, "POST", "/map", &case.map_body)?;
         if first != second {
             return Err(format!(
                 "{}: cached /map response is not byte-identical\n  first:  {}\n  second: {}",
@@ -685,14 +556,7 @@ fn run() -> Result<(), String> {
             ));
         }
     }
-    let batch = send(
-        &mut client,
-        &addr,
-        keep_alive,
-        "POST",
-        "/batch",
-        &workload.batch_body,
-    )?;
+    let batch = send(&mut client, &addr, "POST", "/batch", &workload.batch_body)?;
     if batch.body != workload.expect_batch {
         return Err(format!(
             "cached /batch response drifted\n  expected: {}\n  actual:   {}",
@@ -703,7 +567,7 @@ fn run() -> Result<(), String> {
 
     // The counters must add up: every cache lookup belongs to exactly
     // one map/compare/sta request or batch program, and vice versa.
-    let stats_body = send(&mut client, &addr, keep_alive, "GET", "/stats", "")?.body;
+    let stats_body = send(&mut client, &addr, "GET", "/stats", "")?.body;
     let stats =
         JsonValue::parse(&stats_body).map_err(|e| format!("/stats body unparseable: {e}"))?;
     let field = |name: &str| -> Result<u64, String> {
@@ -739,7 +603,7 @@ fn run() -> Result<(), String> {
     // recorded before /metrics renders, so the sum over all
     // endpoint/status labels equals the snapshot taken by the /stats
     // request just above (which counts itself).
-    let metrics = send(&mut client, &addr, keep_alive, "GET", "/metrics", "")?;
+    let metrics = send(&mut client, &addr, "GET", "/metrics", "")?;
     if metrics.status != 200 {
         return Err(format!("GET /metrics -> {}", metrics.status));
     }
@@ -764,26 +628,6 @@ fn run() -> Result<(), String> {
             .filter(|l| l.starts_with("# TYPE"))
             .count()
     );
-
-    // Write the latency artifact, then re-parse it strictly: a
-    // malformed BENCH_serve.json must fail loadgen, not a consumer.
-    let report = bench_report(
-        &mode,
-        keep_alive,
-        connections,
-        iters,
-        workload.cases.len(),
-        requests,
-        wall,
-        &latency,
-    );
-    std::fs::write(&bench_out, format!("{report}\n"))
-        .map_err(|e| format!("writing {bench_out}: {e}"))?;
-    let written =
-        std::fs::read_to_string(&bench_out).map_err(|e| format!("re-reading {bench_out}: {e}"))?;
-    JsonValue::parse(written.trim_end())
-        .map_err(|e| format!("{bench_out} is not strict JSON: {e}"))?;
-    eprintln!("wrote {bench_out}");
 
     if shutdown {
         let bye = http::call(&addr, "POST", "/shutdown", "")

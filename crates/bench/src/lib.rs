@@ -1,11 +1,14 @@
-//! Shared harness code for regenerating the paper's tables and figures.
+//! Shared harness code for regenerating the paper's tables.
 //!
 //! Binaries (run with `--release`):
 //!
 //! * `table1` — MVFB vs Monte Carlo placers (paper Table 1);
-//! * `table2` — ideal baseline vs QUALE vs QSPR (paper Table 2).
+//! * `table2` — ideal baseline vs QUALE vs QSPR (paper Table 2);
+//! * `loadgen` — correctness oracle for a running `qspr serve`.
 //!
-//! Criterion benches (`cargo bench`): `mappers`, `placers`, `micro`.
+//! The criterion bench `micro` (`cargo bench`) times the substrate
+//! kernels. End-to-end and per-layer speed is measured by the
+//! standalone `perfbench` package.
 
 use qspr_fabric::Fabric;
 use qspr_qecc::codes::{benchmark_suite, Benchmark};
@@ -50,26 +53,33 @@ impl Workbench {
             benchmarks: benchmark_suite(),
         }
     }
-
-    /// A reduced suite (first `n` circuits) for quick runs.
-    pub fn quick(n: usize) -> Workbench {
-        let mut wb = Workbench::load();
-        wb.benchmarks.truncate(n);
-        wb
-    }
 }
 
-/// Parses `--m <value>` style flags shared by the binaries.
+/// Parses `--m <value>` style flags shared by the binaries from the
+/// process arguments. A missing or unparsable value is a usage error:
+/// the message names the flag and the process exits with status 2,
+/// rather than running the default experiment under a typo.
 pub fn parse_flag(name: &str, default: usize) -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    default
+    let args: Vec<String> = std::env::args().collect();
+    flag_value(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The value of the first `name <value>` pair in `args`, or `default`
+/// when `name` is absent; an error naming the flag when its value is
+/// missing or not a non-negative integer.
+fn flag_value(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    let Some(at) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(at + 1)
+        .ok_or_else(|| format!("{name} expects a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{name} expects a non-negative integer, got {value:?}"))
 }
 
 /// `true` when `--quick` was passed (reduced circuits / seeds).
@@ -86,6 +96,20 @@ mod tests {
         let wb = Workbench::load();
         assert_eq!(wb.benchmarks.len(), 6);
         assert_eq!(wb.fabric.rows(), 45);
+    }
+
+    #[test]
+    fn flag_value_rejects_a_missing_or_unparsable_value() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(flag_value(&args(&["table2"]), "--m", 100), Ok(100));
+        assert_eq!(
+            flag_value(&args(&["table2", "--m", "25"]), "--m", 100),
+            Ok(25)
+        );
+        let typo = flag_value(&args(&["table2", "--m", "1OO"]), "--m", 100).unwrap_err();
+        assert!(typo.contains("--m") && typo.contains("1OO"), "{typo}");
+        let missing = flag_value(&args(&["loadgen", "--iters"]), "--iters", 4).unwrap_err();
+        assert!(missing.contains("--iters"), "{missing}");
     }
 
     #[test]

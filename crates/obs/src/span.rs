@@ -16,7 +16,8 @@
 //! leave call sites in release builds unconditionally. Hot inner loops
 //! that fire tens of thousands of spans per mapping should still cache
 //! [`enabled`] once in a local and skip the call entirely (see
-//! `qspr-sim`), which keeps the disabled overhead under the bench gate.
+//! `qspr-sim`), which keeps the disabled overhead under the 2% gate of
+//! `tests/obs_overhead.rs`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
