@@ -1,119 +1,133 @@
-//! Hand-rolled, dependency-free result caches for mapped responses.
+//! The service's result cache: one LRU of response bodies under one
+//! lock.
 //!
 //! Keys are the canonical flow fingerprints of
 //! [`Flow::fingerprint`](crate::Flow::fingerprint); values are the
 //! exact response bodies the service sent on the cold path, so a cache
-//! hit is byte-identical by construction. Two structures live here:
+//! hit is byte-identical by construction. The LRU is a `HashMap` plus
+//! an intrusive recency list in a slab of indices (no `unsafe`, O(1)
+//! get/insert/evict). It keeps an incremental byte count and
+//! hit/miss/eviction counters, which `/stats` reports.
 //!
-//! - [`LruCache`] — the original single-threaded LRU (HashMap plus an
-//!   intrusive recency list in a slab of indices — no `unsafe`, O(1)
-//!   get/insert/evict). The service used to guard one of these with a
-//!   single mutex; it remains the behavioral reference the sharded
-//!   cache's equivalence tests replay against.
-//! - [`ShardedCache`] — N independent [`LruCache`]-shaped shards, each
-//!   behind its own lock, selected by an FNV-1a hash of the key.
-//!   Concurrent requests for different keys almost never contend, and
-//!   each shard additionally accounts bytes and keeps hit/miss/eviction
-//!   counters that `/stats` surfaces per shard.
+//! One mutex guards the whole cache. Every request already takes the
+//! metrics registry's single mutex several times, so a finer cache lock
+//! removes no contention: an 8-way sharded cache was no faster than
+//! this one on perfbench's `serve_hit_miss` workload (2-vCPU host).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+/// Result-cache capacity in entries when none is configured (the
+/// default of `qspr serve --cache`).
+pub const DEFAULT_CACHE_ENTRIES: usize = 128;
+
+/// How a [`ResultCache`] is sized.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheConfig {
+    /// Entry capacity (0 disables caching).
+    pub entries: usize,
+}
+
+impl Default for CacheConfig {
+    /// [`DEFAULT_CACHE_ENTRIES`] entries.
+    fn default() -> CacheConfig {
+        CacheConfig {
+            entries: DEFAULT_CACHE_ENTRIES,
+        }
+    }
+}
+
+/// A point-in-time copy of the cache's occupancy and counters,
+/// surfaced by `GET /stats`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Entries currently held.
+    pub entries: u64,
+    /// Bytes currently held (keys + values).
+    pub bytes: u64,
+    /// Lookups that found their key.
+    pub hits: u64,
+    /// Lookups that found nothing.
+    pub misses: u64,
+    /// Entries removed by capacity pressure.
+    pub evictions: u64,
+}
 
 /// Sentinel for "no neighbor" in the intrusive recency list.
 const NONE: usize = usize::MAX;
 
 /// One slab slot: a key/value pair threaded into the recency list.
 #[derive(Debug)]
-struct Entry<V> {
+struct Entry {
     key: String,
-    value: V,
+    value: String,
     prev: usize,
     next: usize,
 }
 
-/// A least-recently-used cache with string keys.
-///
-/// Capacity 0 disables the cache entirely: every lookup misses and
-/// nothing is stored.
-///
-/// # Examples
-///
-/// ```
-/// use qspr::service::LruCache;
-///
-/// let mut cache: LruCache<&'static str> = LruCache::new(2);
-/// cache.insert("a".into(), "alpha");
-/// cache.insert("b".into(), "beta");
-/// assert_eq!(cache.get("a"), Some(&"alpha")); // promotes "a"
-/// cache.insert("c".into(), "gamma");          // evicts "b", the LRU
-/// assert_eq!(cache.get("b"), None);
-/// assert_eq!(cache.len(), 2);
-/// ```
+/// The slab LRU behind [`ResultCache`]'s lock.
 #[derive(Debug)]
-pub struct LruCache<V> {
+struct Lru {
     capacity: usize,
     map: HashMap<String, usize>,
-    slab: Vec<Entry<V>>,
+    slab: Vec<Entry>,
     /// Most recently used entry (list head).
     head: usize,
     /// Least recently used entry (list tail, next eviction victim).
     tail: usize,
     /// Recycled slab slots.
     free: Vec<usize>,
+    /// Bytes currently held (maintained incrementally; the test-only
+    /// audit recomputes it from the slab).
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-impl<V> LruCache<V> {
-    /// Creates a cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> LruCache<V> {
-        LruCache {
+impl Lru {
+    fn new(capacity: usize) -> Lru {
+        Lru {
             capacity,
             map: HashMap::new(),
             slab: Vec::new(),
             head: NONE,
             tail: NONE,
             free: Vec::new(),
+            bytes: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of entries currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Looks up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &str) -> Option<&V> {
-        let &slot = self.map.get(key)?;
+    /// Looks `key` up: a hit is promoted and cloned out.
+    fn get(&mut self, key: &str) -> Option<String> {
+        let Some(&slot) = self.map.get(key) else {
+            self.misses += 1;
+            return None;
+        };
         self.promote(slot);
-        Some(&self.slab[slot].value)
+        self.hits += 1;
+        Some(self.slab[slot].value.clone())
     }
 
-    /// Inserts (or replaces) `key`, evicting the least recently used
-    /// entry when full. The inserted entry becomes most recently used.
-    pub fn insert(&mut self, key: String, value: V) {
+    /// See [`ResultCache::insert`].
+    fn insert(&mut self, key: String, value: String) -> String {
         if self.capacity == 0 {
-            return;
+            return value;
         }
         if let Some(&slot) = self.map.get(&key) {
-            self.slab[slot].value = value;
             self.promote(slot);
-            return;
+            return self.slab[slot].value.clone();
         }
         if self.map.len() == self.capacity {
             self.evict_tail();
         }
+        self.bytes += key.len() + value.len();
         let entry = Entry {
             key: key.clone(),
-            value,
+            value: value.clone(),
             prev: NONE,
             next: self.head,
         };
@@ -135,6 +149,7 @@ impl<V> LruCache<V> {
             self.tail = slot;
         }
         self.map.insert(key, slot);
+        value
     }
 
     /// Unlinks `slot` from the recency list and relinks it at the head.
@@ -171,311 +186,87 @@ impl<V> LruCache<V> {
             self.head = NONE;
         }
         self.tail = prev;
-        self.map.remove(&self.slab[victim].key);
-        self.free.push(victim);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded cache
-// ---------------------------------------------------------------------------
-
-/// How a [`ShardedCache`] is sized.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Total entry capacity across all shards (0 disables caching).
-    pub entries: usize,
-    /// Number of independent shards (clamped to at least 1).
-    pub shards: usize,
-}
-
-impl Default for CacheConfig {
-    /// 1024 entries across 8 shards.
-    fn default() -> CacheConfig {
-        CacheConfig {
-            entries: 1024,
-            shards: 8,
-        }
-    }
-}
-
-/// A point-in-time copy of one shard's counters and occupancy,
-/// surfaced by `GET /stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Entries currently held.
-    pub entries: u64,
-    /// Bytes currently held (keys + values).
-    pub bytes: u64,
-    /// Lookups answered from this shard.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries removed by capacity pressure.
-    pub evictions: u64,
-}
-
-/// One shard: an [`LruCache`]-shaped slab LRU with byte accounting and
-/// counters.
-#[derive(Debug)]
-struct Shard {
-    /// Entry capacity of this shard.
-    capacity: usize,
-    map: HashMap<String, usize>,
-    slab: Vec<ShardEntry>,
-    head: usize,
-    tail: usize,
-    free: Vec<usize>,
-    /// Bytes currently held (maintained incrementally; the test-only
-    /// audit recomputes it from the slab).
-    bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct ShardEntry {
-    key: String,
-    value: String,
-    prev: usize,
-    next: usize,
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
-            capacity,
-            map: HashMap::new(),
-            slab: Vec::new(),
-            head: NONE,
-            tail: NONE,
-            free: Vec::new(),
-            bytes: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks `key` up: a hit is promoted and cloned out.
-    fn get(&mut self, key: &str) -> Option<String> {
-        let Some(&slot) = self.map.get(key) else {
-            self.misses += 1;
-            return None;
-        };
-        self.promote(slot);
-        self.hits += 1;
-        Some(self.slab[slot].value.clone())
-    }
-
-    /// Inserts `key` unless an entry already holds it, and returns the
-    /// value now cached under `key` (`value` itself when the shard keeps
-    /// nothing). An existing entry is promoted and kept: the first
-    /// writer wins.
-    fn insert(&mut self, key: String, value: String) -> String {
-        if self.capacity == 0 {
-            return value;
-        }
-        if let Some(&slot) = self.map.get(&key) {
-            self.promote(slot);
-            return self.slab[slot].value.clone();
-        }
-        if self.map.len() == self.capacity {
-            self.evict_tail();
-        }
-        self.bytes += key.len() + value.len();
-        let entry = ShardEntry {
-            key: key.clone(),
-            value: value.clone(),
-            prev: NONE,
-            next: self.head,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = entry;
-                slot
-            }
-            None => {
-                self.slab.push(entry);
-                self.slab.len() - 1
-            }
-        };
-        if self.head != NONE {
-            self.slab[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NONE {
-            self.tail = slot;
-        }
-        self.map.insert(key, slot);
-        value
-    }
-
-    fn promote(&mut self, slot: usize) {
-        if self.head == slot {
-            return;
-        }
-        let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
-        if prev != NONE {
-            self.slab[prev].next = next;
-        }
-        if next != NONE {
-            self.slab[next].prev = prev;
-        }
-        if self.tail == slot {
-            self.tail = prev;
-        }
-        self.slab[slot].prev = NONE;
-        self.slab[slot].next = self.head;
-        if self.head != NONE {
-            self.slab[self.head].prev = slot;
-        }
-        self.head = slot;
-    }
-
-    fn evict_tail(&mut self) {
-        let victim = self.tail;
-        debug_assert_ne!(victim, NONE, "evict called on an empty shard");
-        let prev = self.slab[victim].prev;
-        if prev != NONE {
-            self.slab[prev].next = NONE;
-        } else {
-            self.head = NONE;
-        }
-        self.tail = prev;
-        let ShardEntry { key, value, .. } = &self.slab[victim];
+        let Entry { key, value, .. } = &self.slab[victim];
         self.bytes -= key.len() + value.len();
         self.map.remove(key);
         self.free.push(victim);
         self.evictions += 1;
     }
-
-    fn stats(&self) -> ShardStats {
-        ShardStats {
-            entries: self.map.len() as u64,
-            bytes: self.bytes as u64,
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-        }
-    }
 }
 
-/// A sharded, internally synchronized LRU result cache: N independent
-/// shards, each behind its own lock, selected by an FNV-1a hash of
-/// the key. Cheap shared access from many worker threads — two
-/// requests contend only when their keys land in the same shard.
+/// An internally synchronized LRU cache of response bodies with string
+/// keys: one mutex around one slab LRU, shared by every worker thread.
 ///
-/// With one shard, the observable hit/miss/eviction behavior is
-/// identical to a mutex-wrapped [`LruCache`] (an equivalence the tests
-/// replay op-for-op). Unlike [`LruCache`], an insert never replaces an
-/// existing entry (see [`ShardedCache::insert`]).
+/// Capacity 0 disables the cache: every lookup misses and nothing is
+/// stored. An insert never replaces an existing entry (see
+/// [`ResultCache::insert`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use qspr::service::{CacheConfig, ShardedCache};
+/// use qspr::service::ResultCache;
 ///
-/// let cache = ShardedCache::new(CacheConfig {
-///     entries: 64,
-///     shards: 4,
-/// });
+/// let cache = ResultCache::new(64);
 /// cache.insert("key".into(), "body".into());
 /// assert_eq!(cache.get("key"), Some("body".into())); // hit
-/// assert_eq!(cache.get("absent"), None);             // miss
-/// let totals = cache.totals();
-/// assert_eq!((totals.hits, totals.misses), (1, 1));
+/// assert_eq!(cache.get("absent"), None); // miss
+/// let stats = cache.stats();
+/// assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
 /// ```
 #[derive(Debug)]
-pub struct ShardedCache {
-    shards: Box<[Mutex<Shard>]>,
-    /// Total entry capacity as configured (shards each get a
-    /// `ceil(entries / shards)` slice).
-    entries: usize,
+pub struct ResultCache {
+    lru: Mutex<Lru>,
 }
 
-impl ShardedCache {
-    /// Builds the shard array from `config` (shard count clamped to at
-    /// least 1; per-shard capacity is `ceil(entries / shards)` so the
-    /// total never rounds down to less than asked).
-    pub fn new(config: CacheConfig) -> ShardedCache {
-        let shard_count = config.shards.max(1);
-        let per_shard = config.entries.div_ceil(shard_count);
-        let shards = (0..shard_count)
-            .map(|_| Mutex::new(Shard::new(per_shard)))
-            .collect();
-        ShardedCache {
-            shards,
-            entries: config.entries,
+impl ResultCache {
+    /// Creates a cache holding at most `capacity` entries.
+    pub fn new(capacity: usize) -> ResultCache {
+        ResultCache {
+            lru: Mutex::new(Lru::new(capacity)),
         }
     }
 
-    /// The shard `key` belongs to.
-    fn shard_for(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(key)]
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().expect("result cache lock")
     }
 
-    /// Looks up `key`, promoting it on a hit.
+    /// Looks up `key`, marking it most recently used on a hit. Every
+    /// call counts as one hit or one miss.
     pub fn get(&self, key: &str) -> Option<String> {
-        self.shard_for(key)
-            .lock()
-            .expect("cache shard lock")
-            .get(key)
-    }
-
-    /// Like [`ShardedCache::get`] but reports which shard answered
-    /// (for per-shard metrics without re-hashing).
-    pub fn get_indexed(&self, key: &str) -> (usize, Option<String>) {
-        let index = self.shard_index(key);
-        let value = self.shards[index]
-            .lock()
-            .expect("cache shard lock")
-            .get(key);
-        (index, value)
-    }
-
-    /// The index of the shard `key` hashes to (FNV-1a over the key
-    /// bytes, reduced modulo the shard count).
-    pub fn shard_index(&self, key: &str) -> usize {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (hash % self.shards.len() as u64) as usize
+        self.lock().get(key)
     }
 
     /// Inserts `key` unless an entry already holds it, evicting the
-    /// shard's LRU entry when it is full. Returns the value now cached
-    /// under `key`, or `value` itself when the cache keeps nothing.
+    /// least recently used entry when full. Returns the value now
+    /// cached under `key`, or `value` itself when the cache keeps
+    /// nothing. Either way `key` becomes the most recently used entry.
     ///
     /// The first writer wins: two identical cold requests that race each
     /// other both answer with the body of whichever finished first, so
     /// every later hit replays exactly what they sent.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qspr::service::ResultCache;
+    ///
+    /// let cache = ResultCache::new(2);
+    /// cache.insert("a".into(), "alpha".into());
+    /// cache.insert("b".into(), "beta".into());
+    /// assert_eq!(cache.get("a"), Some("alpha".into())); // promotes "a"
+    /// cache.insert("c".into(), "gamma".into()); // evicts "b", the LRU
+    /// assert_eq!(cache.get("b"), None);
+    /// // The first writer wins: a repeated insert keeps "alpha".
+    /// assert_eq!(cache.insert("a".into(), "other".into()), "alpha");
+    /// assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
+    /// ```
     pub fn insert(&self, key: String, value: String) -> String {
-        self.shard_for(&key)
-            .lock()
-            .expect("cache shard lock")
-            .insert(key, value)
+        self.lock().insert(key, value)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total configured entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.entries
-    }
-
-    /// Entries currently cached, summed across shards.
+    /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").map.len())
-            .sum()
+        self.lock().map.len()
     }
 
     /// `true` when nothing is cached.
@@ -483,140 +274,255 @@ impl ShardedCache {
         self.len() == 0
     }
 
-    /// Bytes currently cached (keys + values), summed across shards.
+    /// The configured capacity in entries.
+    pub fn capacity(&self) -> usize {
+        self.lock().capacity
+    }
+
+    /// Bytes currently cached (keys + values).
     pub fn bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").bytes as u64)
-            .sum()
+        self.lock().bytes as u64
     }
 
-    /// A snapshot of every shard's counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").stats())
-            .collect()
+    /// A consistent snapshot of occupancy and counters.
+    pub fn stats(&self) -> CacheStats {
+        let lru = self.lock();
+        CacheStats {
+            entries: lru.map.len() as u64,
+            bytes: lru.bytes as u64,
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
+        }
     }
 
-    /// Counters summed across shards.
-    pub fn totals(&self) -> ShardStats {
-        self.shard_stats()
-            .iter()
-            .fold(ShardStats::default(), |mut acc, s| {
-                acc.entries += s.entries;
-                acc.bytes += s.bytes;
-                acc.hits += s.hits;
-                acc.misses += s.misses;
-                acc.evictions += s.evictions;
-                acc
-            })
-    }
-
-    /// Test-only invariant check: recomputes each shard's byte total
-    /// from its slab and asserts it matches the incremental counter.
-    /// Returns the audited grand total.
+    /// Test-only invariant check: recomputes the byte total from the
+    /// slab, asserts it matches the incremental counter and returns it.
     #[cfg(test)]
     pub(crate) fn audit_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for shard in self.shards.iter() {
-            let shard = shard.lock().expect("cache shard lock");
-            let recomputed: usize = shard
-                .map
-                .values()
-                .map(|&slot| shard.slab[slot].key.len() + shard.slab[slot].value.len())
-                .sum();
-            assert_eq!(
-                recomputed, shard.bytes,
-                "shard byte accounting drifted from its slab"
-            );
-            total += shard.bytes as u64;
-        }
-        total
+        let lru = self.lock();
+        let recomputed: usize = lru
+            .map
+            .values()
+            .map(|&slot| lru.slab[slot].key.len() + lru.slab[slot].value.len())
+            .sum();
+        assert_eq!(
+            recomputed, lru.bytes,
+            "byte accounting drifted from the slab"
+        );
+        lru.bytes as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Keys in recency order, most recent first (test-only walk).
-    fn recency<V>(cache: &LruCache<V>) -> Vec<&str> {
-        let mut keys = Vec::new();
-        let mut at = cache.head;
+    /// Entries in recency order, most recent first (test-only walk).
+    fn contents(cache: &ResultCache) -> Vec<(String, String)> {
+        let lru = cache.lock();
+        let mut entries = Vec::new();
+        let mut at = lru.head;
         while at != NONE {
-            keys.push(cache.slab[at].key.as_str());
-            at = cache.slab[at].next;
+            entries.push((lru.slab[at].key.clone(), lru.slab[at].value.clone()));
+            at = lru.slab[at].next;
         }
-        keys
+        entries
+    }
+
+    fn keys(cache: &ResultCache) -> Vec<String> {
+        contents(cache).into_iter().map(|(key, _)| key).collect()
+    }
+
+    fn some(value: &str) -> Option<String> {
+        Some(value.to_owned())
     }
 
     #[test]
     fn evicts_in_lru_order() {
-        let mut cache = LruCache::new(3);
-        for (k, v) in [("a", 1), ("b", 2), ("c", 3)] {
-            cache.insert(k.into(), v);
+        let cache = ResultCache::new(3);
+        for (k, v) in [("a", "1"), ("b", "2"), ("c", "3")] {
+            cache.insert(k.into(), v.into());
         }
-        assert_eq!(recency(&cache), ["c", "b", "a"]);
-        cache.insert("d".into(), 4); // evicts "a"
+        assert_eq!(keys(&cache), ["c", "b", "a"]);
+        cache.insert("d".into(), "4".into()); // evicts "a"
         assert_eq!(cache.get("a"), None);
-        cache.insert("e".into(), 5); // evicts "b"
+        cache.insert("e".into(), "5".into()); // evicts "b"
         assert_eq!(cache.get("b"), None);
-        assert_eq!(cache.get("c"), Some(&3));
+        assert_eq!(cache.get("c"), some("3"));
         assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
     fn get_promotes_against_eviction() {
-        let mut cache = LruCache::new(2);
-        cache.insert("a".into(), 1);
-        cache.insert("b".into(), 2);
-        assert_eq!(cache.get("a"), Some(&1)); // "b" becomes LRU
-        cache.insert("c".into(), 3);
+        let cache = ResultCache::new(2);
+        cache.insert("a".into(), "1".into());
+        cache.insert("b".into(), "2".into());
+        assert_eq!(cache.get("a"), some("1")); // "b" becomes LRU
+        cache.insert("c".into(), "3".into());
         assert_eq!(cache.get("b"), None);
-        assert_eq!(cache.get("a"), Some(&1));
-        assert_eq!(cache.get("c"), Some(&3));
+        assert_eq!(cache.get("a"), some("1"));
+        assert_eq!(cache.get("c"), some("3"));
     }
 
     #[test]
-    fn insert_replaces_and_promotes_existing_keys() {
-        let mut cache = LruCache::new(2);
-        cache.insert("a".into(), 1);
-        cache.insert("b".into(), 2);
-        cache.insert("a".into(), 10); // replace, promote; len stays 2
+    fn insert_keeps_the_first_value_and_promotes_existing_keys() {
+        let cache = ResultCache::new(2);
+        cache.insert("a".into(), "1".into());
+        cache.insert("b".into(), "2".into());
+        // A repeated insert keeps the first value, promotes the key and
+        // leaves len at 2.
+        assert_eq!(cache.insert("a".into(), "10".into()), "1");
         assert_eq!(cache.len(), 2);
-        assert_eq!(recency(&cache), ["a", "b"]);
-        assert_eq!(cache.get("a"), Some(&10));
-        cache.insert("c".into(), 3); // evicts "b", not "a"
+        assert_eq!(keys(&cache), ["a", "b"]);
+        assert_eq!(cache.get("a"), some("1"));
+        cache.insert("c".into(), "3".into()); // evicts "b", not "a"
         assert_eq!(cache.get("b"), None);
-        assert_eq!(cache.get("a"), Some(&10));
+        assert_eq!(cache.get("a"), some("1"));
     }
 
     #[test]
     fn capacity_one_and_zero_degenerate_cleanly() {
-        let mut one = LruCache::new(1);
-        one.insert("a".into(), 1);
-        one.insert("b".into(), 2);
+        let one = ResultCache::new(1);
+        one.insert("a".into(), "1".into());
+        one.insert("b".into(), "2".into());
         assert_eq!(one.get("a"), None);
-        assert_eq!(one.get("b"), Some(&2));
+        assert_eq!(one.get("b"), some("2"));
         assert_eq!(one.len(), 1);
 
-        let mut off: LruCache<i32> = LruCache::new(0);
-        off.insert("a".into(), 1);
+        let off = ResultCache::new(0);
+        assert_eq!(off.insert("a".into(), "1".into()), "1");
         assert_eq!(off.get("a"), None);
         assert!(off.is_empty());
         assert_eq!(off.capacity(), 0);
+        assert_eq!(off.stats().misses, 1);
     }
 
     #[test]
     fn slots_are_recycled_without_growth() {
-        let mut cache = LruCache::new(2);
+        let cache = ResultCache::new(2);
         for i in 0..100 {
-            cache.insert(format!("k{i}"), i);
+            cache.insert(format!("k{i}"), i.to_string());
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.slab.len() <= 3, "slab grew: {}", cache.slab.len());
-        assert_eq!(cache.get("k99"), Some(&99));
-        assert_eq!(cache.get("k98"), Some(&98));
+        let slab = cache.lock().slab.len();
+        assert!(slab <= 3, "slab grew: {slab}");
+        assert_eq!(cache.get("k99"), some("99"));
+        assert_eq!(cache.get("k98"), some("98"));
+    }
+
+    #[test]
+    fn capacity_is_a_hard_bound_and_evictions_wait_for_it() {
+        // 64 distinct keys past capacity: the cache never holds more than
+        // its capacity, and it evicts nothing before it is full.
+        for capacity in [1, 128] {
+            let cache = ResultCache::new(capacity);
+            for i in 0..capacity + 64 {
+                cache.insert(format!("key-{i}"), "body".into());
+                let stats = cache.stats();
+                assert!(
+                    cache.len() <= cache.capacity(),
+                    "capacity {capacity}: {} entries held after {} inserts",
+                    cache.len(),
+                    i + 1
+                );
+                if cache.len() < cache.capacity() {
+                    assert_eq!(
+                        stats.evictions,
+                        0,
+                        "capacity {capacity}: evicted with only {} entries held",
+                        cache.len()
+                    );
+                }
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.entries, capacity as u64);
+            assert_eq!(stats.evictions, 64);
+        }
+    }
+
+    /// A naive LRU: `(key, value)` pairs in recency order, most recent
+    /// first, O(n) per operation.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(String, String)>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl Model {
+        fn get(&mut self, key: &str) -> Option<String> {
+            let Some(at) = self.entries.iter().position(|(k, _)| k == key) else {
+                self.misses += 1;
+                return None;
+            };
+            self.hits += 1;
+            let entry = self.entries.remove(at);
+            self.entries.insert(0, entry);
+            Some(self.entries[0].1.clone())
+        }
+
+        fn insert(&mut self, capacity: usize, key: String, value: String) -> String {
+            if capacity == 0 {
+                return value;
+            }
+            if let Some(at) = self.entries.iter().position(|(k, _)| *k == key) {
+                let entry = self.entries.remove(at);
+                self.entries.insert(0, entry);
+                return self.entries[0].1.clone();
+            }
+            if self.entries.len() == capacity {
+                self.entries.pop();
+                self.evictions += 1;
+            }
+            self.entries.insert(0, (key, value.clone()));
+            value
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On any operation trace the cache agrees with the naive model:
+        /// same returned values, hits, misses and evictions, same final
+        /// contents in the same recency order, same byte count.
+        #[test]
+        fn cache_matches_a_naive_recency_model(
+            ops in collection::vec((any::<bool>(), 0u8..12), 1..250),
+            capacity in 0usize..6,
+        ) {
+            let cache = ResultCache::new(capacity);
+            let mut model = Model::default();
+            for (i, (is_insert, key)) in ops.into_iter().enumerate() {
+                let key = format!("k{key}");
+                if is_insert {
+                    // Values differ per insert, so a replacing insert
+                    // would show.
+                    let value = format!("value-{i}-of-{key}");
+                    prop_assert_eq!(
+                        cache.insert(key.clone(), value.clone()),
+                        model.insert(capacity, key, value)
+                    );
+                } else {
+                    prop_assert_eq!(cache.get(&key), model.get(&key));
+                }
+            }
+            prop_assert_eq!(contents(&cache), model.entries.clone());
+            let bytes: usize = model.entries.iter().map(|(k, v)| k.len() + v.len()).sum();
+            prop_assert_eq!(cache.audit_bytes(), bytes as u64);
+            prop_assert_eq!(
+                cache.stats(),
+                CacheStats {
+                    entries: model.entries.len() as u64,
+                    bytes: bytes as u64,
+                    hits: model.hits,
+                    misses: model.misses,
+                    evictions: model.evictions,
+                }
+            );
+        }
     }
 }

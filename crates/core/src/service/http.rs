@@ -150,14 +150,6 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     bytes
 }
 
-/// Writes `response` as a complete `Connection: close` HTTP/1.1
-/// message (the one-shot shape; the reactor uses [`encode_response`]
-/// into its write buffers instead).
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    stream.write_all(&encode_response(response, false))?;
-    stream.flush()
-}
-
 // ---------------------------------------------------------------------------
 // Incremental request parser (server side)
 // ---------------------------------------------------------------------------

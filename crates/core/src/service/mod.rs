@@ -13,13 +13,11 @@
 //!   Connections are keep-alive by default and clients may pipeline
 //!   requests back-to-back; responses always come back in request
 //!   order, whichever worker finishes first.
-//! - **A sharded result cache.** Response bodies live in a
-//!   [`ShardedCache`] — N independent LRU shards, each behind its own
-//!   lock, keyed by the canonical
-//!   [`Flow::fingerprint`](crate::Flow::fingerprint) — with byte
-//!   accounting. Repeated requests return
-//!   byte-identical cached responses without touching the mapper or
-//!   contending on a global mutex.
+//! - **A result cache.** Response bodies live in one
+//!   [`ResultCache`] — an LRU behind one lock, keyed by the canonical
+//!   [`Flow::fingerprint`](crate::Flow::fingerprint), with byte
+//!   accounting. Repeated requests return byte-identical cached
+//!   responses without touching the mapper.
 //! - **Admission control.** Each heavy endpoint has a bounded queue;
 //!   when it is full the reactor answers `429 Too Many Requests` with
 //!   a `Retry-After` header instead of queueing without bound, so an
@@ -36,8 +34,8 @@
 //! | `POST /sta` | `{"program", "policy"?, "router"?, "m"?, "jobs"?, "fabric"?}` | the [`qspr_sta::TimingReport`] JSON of `qspr sta --format json` |
 //! | `POST /batch` | `{"programs":[...], "names"?, "router"?, "m"?, "jobs"?, "fabric"?}` | a JSON **array** of [`ComparisonRow`](crate::ComparisonRow)s, in input order |
 //! | `GET /healthz` | — | `{"status":"ok","version":...}` (the crate version the CLI reports) |
-//! | `GET /stats` | — | [`StatsSnapshot`] JSON: requests, cache hits/misses (total and per shard), rejections, worker busy time, uptime, bound address |
-//! | `GET /metrics` | — | Prometheus text exposition: request counts by endpoint/status, cache hits/misses (total and per shard), queue depth and wait, rejections, handler latency, per-phase span timings |
+//! | `GET /stats` | — | [`StatsSnapshot`] JSON: requests, cache hits/misses/evictions, rejections, worker busy time, uptime, bound address |
+//! | `GET /metrics` | — | Prometheus text exposition: request counts by endpoint/status, cache hits/misses, queue depth and wait, rejections, handler latency, per-phase span timings |
 //! | `POST /shutdown` | — | `{"status":"shutting-down"}`, then a graceful drain |
 //!
 //! Defaults mirror the CLI: `policy` `"qspr"`, `router` `"greedy"`,
@@ -116,7 +114,7 @@ mod cache;
 mod poll;
 mod reactor;
 
-pub use cache::{CacheConfig, LruCache, ShardStats, ShardedCache};
+pub use cache::{CacheConfig, CacheStats, ResultCache, DEFAULT_CACHE_ENTRIES};
 pub use http::{Request, Response};
 
 use std::collections::HashMap;
@@ -208,8 +206,6 @@ struct Counters {
     sta_requests: AtomicU64,
     batch_requests: AtomicU64,
     batch_programs: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     rejected: AtomicU64,
     errors: AtomicU64,
     busy_us: AtomicU64,
@@ -233,10 +229,9 @@ pub struct StatsSnapshot {
     /// Programs carried by `/batch` requests that reached the cache
     /// (each one is a hit or a miss, like a `/compare` request).
     pub batch_programs: u64,
-    /// Mapping-cache hits, summed over shards.
+    /// Mapping-cache hits.
     pub cache_hits: u64,
-    /// Mapping-cache misses (cold mappings executed), summed over
-    /// shards.
+    /// Mapping-cache misses (cold mappings executed).
     pub cache_misses: u64,
     /// Entries currently cached.
     pub cache_entries: u64,
@@ -244,8 +239,8 @@ pub struct StatsSnapshot {
     pub cache_capacity: u64,
     /// Bytes currently cached (keys + values).
     pub cache_bytes: u64,
-    /// Per-shard occupancy and counters, in shard order.
-    pub cache_shards: Vec<ShardStats>,
+    /// Entries evicted by capacity pressure.
+    pub cache_evictions: u64,
     /// Requests answered `429` by admission control.
     pub rejected: u64,
     /// Responses with a 4xx/5xx status.
@@ -266,22 +261,9 @@ impl ToJson for StatsSnapshot {
     /// Stable JSON schema, pinned by a golden test:
     /// `{"requests","map_requests","compare_requests","sta_requests",
     /// "batch_requests","batch_programs","cache_hits","cache_misses",
-    /// "cache_entries","cache_capacity","cache_bytes",
-    /// "cache_shards":[{"entries","bytes","hits","misses","evictions"}],
+    /// "cache_entries","cache_capacity","cache_bytes","cache_evictions",
     /// "rejected","errors","busy_us","uptime_ms","uptime_s","addr"}`.
     fn to_json(&self) -> String {
-        let mut shards = JsonArray::new();
-        for shard in &self.cache_shards {
-            shards.push_raw(
-                &JsonObject::new()
-                    .number("entries", shard.entries)
-                    .number("bytes", shard.bytes)
-                    .number("hits", shard.hits)
-                    .number("misses", shard.misses)
-                    .number("evictions", shard.evictions)
-                    .build(),
-            );
-        }
         JsonObject::new()
             .number("requests", self.requests)
             .number("map_requests", self.map_requests)
@@ -294,7 +276,7 @@ impl ToJson for StatsSnapshot {
             .number("cache_entries", self.cache_entries)
             .number("cache_capacity", self.cache_capacity)
             .number("cache_bytes", self.cache_bytes)
-            .raw("cache_shards", &shards.build())
+            .number("cache_evictions", self.cache_evictions)
             .number("rejected", self.rejected)
             .number("errors", self.errors)
             .number("busy_us", self.busy_us)
@@ -306,7 +288,7 @@ impl ToJson for StatsSnapshot {
 }
 
 /// The resident mapping service: one shared fabric, one [`Flow`] per
-/// requested configuration, one sharded LRU cache of response bodies.
+/// requested configuration, one LRU cache of response bodies.
 ///
 /// `MapService` is transport-free — [`MapService::handle`] maps a
 /// parsed [`Request`] to a [`Response`] and is what the golden tests
@@ -320,11 +302,11 @@ pub struct MapService {
     /// One configured `Flow` per `(policy, router, m, trace, jobs)`,
     /// all sharing `fabric` behind the same `Arc`.
     flows: Mutex<HashMap<String, Flow>>,
-    cache: ShardedCache,
-    /// Pre-created per-shard hit/miss counters (`shard="<i>"` labels),
-    /// so the hot path never formats a label.
-    shard_hits: Vec<Arc<Counter>>,
-    shard_misses: Vec<Arc<Counter>>,
+    cache: ResultCache,
+    /// The `/metrics` mirrors of the cache's hit and miss counters,
+    /// created once so a lookup never searches the registry.
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
     counters: Counters,
     /// The Prometheus-rendered metrics behind `GET /metrics`.
     metrics: Arc<Registry>,
@@ -389,25 +371,20 @@ struct BatchRequest {
 
 impl MapService {
     /// Creates a service mapping onto `fabric` with a
-    /// `cache_capacity`-entry result cache (default shard geometry:
-    /// [`CacheConfig::default`]'s 8 shards — reshape with
-    /// [`MapService::with_cache`]).
+    /// `cache_capacity`-entry result cache.
     pub fn new(fabric: impl Into<Arc<Fabric>>, cache_capacity: usize) -> MapService {
-        let config = CacheConfig {
-            entries: cache_capacity,
-            ..CacheConfig::default()
-        };
-        let fabric = fabric.into();
-        let cache = ShardedCache::new(config);
         let metrics = Arc::new(Registry::new());
-        let (shard_hits, shard_misses) = shard_counters(&metrics, cache.shard_count());
         MapService {
-            fabric,
+            fabric: fabric.into(),
             jobs_budget: thread::available_parallelism().map_or(1, |n| n.get()),
             flows: Mutex::new(HashMap::new()),
-            cache,
-            shard_hits,
-            shard_misses,
+            cache: ResultCache::new(cache_capacity),
+            cache_hits: metrics.counter("qspr_cache_hits_total", "Mapping-cache hits.", &[]),
+            cache_misses: metrics.counter(
+                "qspr_cache_misses_total",
+                "Mapping-cache misses (cold mappings executed).",
+                &[],
+            ),
             counters: Counters::default(),
             metrics,
             bound_addr: Mutex::new(None),
@@ -416,15 +393,11 @@ impl MapService {
         }
     }
 
-    /// Replaces the result cache with one built from `config` (entry
-    /// capacity and shard count). Existing entries are discarded; use at
-    /// construction time.
+    /// Replaces the result cache with one built from `config`.
+    /// Existing entries are discarded; use at construction time.
     #[must_use]
     pub fn with_cache(mut self, config: CacheConfig) -> MapService {
-        self.cache = ShardedCache::new(config);
-        let (hits, misses) = shard_counters(&self.metrics, self.cache.shard_count());
-        self.shard_hits = hits;
-        self.shard_misses = misses;
+        self.cache = ResultCache::new(config.entries);
         self
     }
 
@@ -434,7 +407,7 @@ impl MapService {
     }
 
     /// The result cache (exposed for tests and stats).
-    pub fn cache(&self) -> &ShardedCache {
+    pub fn cache(&self) -> &ResultCache {
         &self.cache
     }
 
@@ -487,7 +460,7 @@ impl MapService {
     /// A copy of the current counters.
     pub fn stats(&self) -> StatsSnapshot {
         let c = &self.counters;
-        let cache_shards = self.cache.shard_stats();
+        let cache = self.cache.stats();
         let uptime = self.started.elapsed();
         StatsSnapshot {
             requests: c.requests.load(Ordering::Relaxed),
@@ -496,12 +469,12 @@ impl MapService {
             sta_requests: c.sta_requests.load(Ordering::Relaxed),
             batch_requests: c.batch_requests.load(Ordering::Relaxed),
             batch_programs: c.batch_programs.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            cache_entries: self.cache.len() as u64,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_entries: cache.entries,
             cache_capacity: self.cache.capacity() as u64,
-            cache_bytes: cache_shards.iter().map(|s| s.bytes).sum(),
-            cache_shards,
+            cache_bytes: cache.bytes,
+            cache_evictions: cache.evictions,
             rejected: c.rejected.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
             busy_us: c.busy_us.load(Ordering::Relaxed),
@@ -757,21 +730,14 @@ impl MapService {
         Response::new(200, array.build())
     }
 
-    /// Looks `key` up in the sharded cache, mirroring the outcome into
-    /// the service counters and the aggregate + per-shard metrics.
+    /// Looks `key` up in the result cache, mirroring the outcome into
+    /// `/metrics`.
     fn cache_lookup(&self, key: &str) -> Option<String> {
-        let (shard, value) = self.cache.get_indexed(key);
+        let value = self.cache.get(key);
         if value.is_some() {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.cache_metric("qspr_cache_hits_total", "Mapping-cache hits.");
-            self.shard_hits[shard].inc();
+            self.cache_hits.inc();
         } else {
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            self.cache_metric(
-                "qspr_cache_misses_total",
-                "Mapping-cache misses (cold mappings executed).",
-            );
-            self.shard_misses[shard].inc();
+            self.cache_misses.inc();
         }
         value
     }
@@ -820,12 +786,6 @@ impl MapService {
             .or_insert_with(|| configure(Flow::on(Arc::clone(&self.fabric))))
             .clone()
     }
-
-    /// Bumps one of the two aggregate cache counters in the metrics
-    /// registry (mirrors the `Counters` atomics into `/metrics`).
-    fn cache_metric(&self, name: &str, help: &str) {
-        self.metrics.counter(name, help, &[]).inc();
-    }
 }
 
 /// Every routable path (anything else is `404`; a known path with the
@@ -850,26 +810,6 @@ fn endpoint_label(path: &str) -> &'static str {
         .find(|&&known| known == path)
         .copied()
         .unwrap_or("other")
-}
-
-/// Pre-creates the per-shard cache hit/miss counters so lookups index
-/// an array instead of formatting labels.
-fn shard_counters(metrics: &Registry, shards: usize) -> (Vec<Arc<Counter>>, Vec<Arc<Counter>>) {
-    let make = |name: &str, help: &str| {
-        (0..shards)
-            .map(|i| metrics.counter(name, help, &[("shard", &i.to_string())]))
-            .collect()
-    };
-    (
-        make(
-            "qspr_cache_shard_hits_total",
-            "Mapping-cache hits, by shard.",
-        ),
-        make(
-            "qspr_cache_shard_misses_total",
-            "Mapping-cache misses, by shard.",
-        ),
-    )
 }
 
 /// The cache-key fragment for a request-supplied fabric document. The

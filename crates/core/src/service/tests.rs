@@ -1,8 +1,7 @@
 //! Service tests: wire-schema goldens (the `/map`, `/batch`, `/stats`
 //! and error body contracts, alongside the JSON goldens in
-//! `crate::json`), cache semantics (including sharded-vs-single-lock
-//! equivalence), HTTP parser property tests, and real-TCP keep-alive
-//! round trips.
+//! `crate::json`), cache semantics, HTTP parser property tests, and
+//! real-TCP keep-alive round trips.
 
 use super::http::{encode_response, Parser};
 use super::*;
@@ -93,22 +92,7 @@ fn stats_wire_schema_golden() {
         cache_entries: 4,
         cache_capacity: 128,
         cache_bytes: 2048,
-        cache_shards: vec![
-            ShardStats {
-                entries: 3,
-                bytes: 1536,
-                hits: 2,
-                misses: 3,
-                evictions: 0,
-            },
-            ShardStats {
-                entries: 1,
-                bytes: 512,
-                hits: 1,
-                misses: 1,
-                evictions: 1,
-            },
-        ],
+        cache_evictions: 1,
         rejected: 2,
         errors: 1,
         busy_us: 123456,
@@ -121,9 +105,7 @@ fn stats_wire_schema_golden() {
         concat!(
             r#"{"requests":9,"map_requests":5,"compare_requests":2,"sta_requests":1,"#,
             r#""batch_requests":1,"batch_programs":3,"cache_hits":3,"cache_misses":4,"#,
-            r#""cache_entries":4,"cache_capacity":128,"cache_bytes":2048,"#,
-            r#""cache_shards":[{"entries":3,"bytes":1536,"hits":2,"misses":3,"evictions":0},"#,
-            r#"{"entries":1,"bytes":512,"hits":1,"misses":1,"evictions":1}],"#,
+            r#""cache_entries":4,"cache_capacity":128,"cache_bytes":2048,"cache_evictions":1,"#,
             r#""rejected":2,"errors":1,"busy_us":123456,"uptime_ms":60000,"uptime_s":60,"#,
             r#""addr":"127.0.0.1:7878"}"#,
         )
@@ -244,21 +226,10 @@ fn cache_hits_are_byte_identical_and_counted() {
     let stats = service.stats();
     assert_eq!((stats.cache_hits, stats.cache_misses), (3, 2));
     assert_eq!(stats.cache_entries, 2);
-    // Per-shard counters and byte accounting stay consistent with the
-    // aggregates.
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.hits).sum::<u64>(),
-        stats.cache_hits
-    );
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.misses).sum::<u64>(),
-        stats.cache_misses
-    );
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.bytes).sum::<u64>(),
-        stats.cache_bytes
-    );
+    // The snapshot is the cache's own accounting.
+    assert_eq!(stats.cache_bytes, service.cache().audit_bytes());
     assert!(stats.cache_bytes > 0);
+    assert_eq!(stats.cache_evictions, 0);
 }
 
 #[test]
@@ -295,13 +266,10 @@ fn compare_rejects_map_only_fields() {
 
 #[test]
 fn eviction_causes_a_rerun_not_a_wrong_answer() {
-    // A single one-entry shard: the second distinct request evicts the
-    // first; asking for the first again re-maps (miss) and yields the
-    // same latency.
-    let service = MapService::new(Fabric::quale_45x85(), 1).with_cache(CacheConfig {
-        entries: 1,
-        shards: 1,
-    });
+    // A one-entry cache: the second distinct request evicts the first;
+    // asking for the first again re-maps (miss) and yields the same
+    // latency.
+    let service = MapService::new(Fabric::quale_45x85(), 1).with_cache(CacheConfig { entries: 1 });
     let a = format!("{{\"program\":{BELL:?},\"m\":2}}");
     let b = format!("{{\"program\":{BELL:?},\"m\":3}}");
     let first = post(&service, "/map", &a);
@@ -311,10 +279,7 @@ fn eviction_causes_a_rerun_not_a_wrong_answer() {
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.cache_misses, 3);
     assert_eq!(stats.cache_entries, 1);
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.evictions).sum::<u64>(),
-        2
-    );
+    assert_eq!(stats.cache_evictions, 2);
     assert_eq!(
         normalize_timing(&first.body),
         normalize_timing(&again.body),
@@ -746,15 +711,12 @@ fn encode_response_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded cache
+// Result cache under the service
 // ---------------------------------------------------------------------------
 
 #[test]
 fn sharded_cache_accounts_bytes_exactly() {
-    let cache = ShardedCache::new(CacheConfig {
-        entries: 64,
-        shards: 4,
-    });
+    let cache = ResultCache::new(64);
     let mut expected = 0u64;
     for i in 0..40 {
         let key = format!("key-{i}");
@@ -762,31 +724,25 @@ fn sharded_cache_accounts_bytes_exactly() {
         expected += (key.len() + value.len()) as u64;
         cache.insert(key, value);
     }
-    // No evictions yet (40 entries over 4 shards of 16): the audit
-    // (recomputed from the slabs) and the incremental totals agree.
+    // No evictions yet (40 entries of 64): the audit (recomputed from
+    // the slab) and the incremental totals agree.
     assert_eq!(cache.audit_bytes(), expected);
     assert_eq!(cache.bytes(), expected);
-    assert_eq!(
-        cache.shard_stats().iter().map(|s| s.bytes).sum::<u64>(),
-        expected
-    );
+    assert_eq!(cache.stats().bytes, expected);
     // A repeated insert keeps the first value and never leaks.
     cache.insert("key-0".into(), "longer-value".repeat(4));
-    assert_eq!(cache.audit_bytes(), cache.bytes());
+    assert_eq!(cache.audit_bytes(), expected);
     // Evictions release their bytes.
     for i in 0..500 {
         cache.insert(format!("evict-{i}"), "x".repeat(100));
     }
-    assert!(cache.len() <= 64);
+    assert_eq!(cache.len(), 64);
     assert_eq!(cache.audit_bytes(), cache.bytes());
 }
 
 #[test]
 fn sharded_cache_keeps_the_first_writer() {
-    let cache = ShardedCache::new(CacheConfig {
-        entries: 16,
-        shards: 2,
-    });
+    let cache = ResultCache::new(16);
     // Two identical cold requests racing: the later insert answers with
     // the body the earlier one cached, and so does every later hit.
     assert_eq!(cache.insert("k".into(), "first".into()), "first");
@@ -795,10 +751,7 @@ fn sharded_cache_keeps_the_first_writer() {
     assert_eq!(cache.len(), 1);
     assert_eq!(cache.audit_bytes(), cache.bytes());
     // A disabled cache keeps nothing and hands each writer its own body.
-    let off = ShardedCache::new(CacheConfig {
-        entries: 0,
-        ..CacheConfig::default()
-    });
+    let off = ResultCache::new(0);
     assert_eq!(off.insert("k".into(), "mine".into()), "mine");
     assert_eq!(off.get("k"), None);
 }
@@ -807,10 +760,7 @@ fn sharded_cache_keeps_the_first_writer() {
 fn sharded_cache_is_deterministic_under_concurrency() {
     // N threads hammer disjoint key ranges concurrently; every thread
     // sees exactly its own values, and the final counters add up.
-    let cache = Arc::new(ShardedCache::new(CacheConfig {
-        entries: 4096,
-        shards: 8,
-    }));
+    let cache = Arc::new(ResultCache::new(4096));
     let threads = 8;
     let per_thread = 100u32;
     let handles: Vec<_> = (0..threads)
@@ -830,13 +780,10 @@ fn sharded_cache_is_deterministic_under_concurrency() {
     for handle in handles {
         handle.join().unwrap();
     }
-    let totals = cache.totals();
+    let stats = cache.stats();
     let ops = u64::from(per_thread) * threads as u64;
     assert_eq!(cache.len() as u64, ops);
-    assert_eq!(
-        (totals.hits, totals.misses, totals.evictions),
-        (ops, ops, 0)
-    );
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (ops, ops, 0));
     assert_eq!(cache.audit_bytes(), cache.bytes());
     // Everything is still retrievable afterwards, deterministically.
     for t in 0..threads {
@@ -847,103 +794,6 @@ fn sharded_cache_is_deterministic_under_concurrency() {
             );
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// With one shard, the sharded cache is observably identical to
-    /// the old mutex-wrapped [`LruCache`] on any operation trace: same
-    /// hits, same misses, same evictions, same final contents.
-    #[test]
-    fn single_shard_matches_the_single_lock_reference(
-        ops in collection::vec((any::<bool>(), 0u8..12), 1..250),
-        capacity in 1usize..6,
-    ) {
-        let mut reference: LruCache<String> = LruCache::new(capacity);
-        let sharded = ShardedCache::new(CacheConfig {
-            entries: capacity,
-            shards: 1,
-        });
-        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
-        let mut lookup = |reference: &mut LruCache<String>, key: &str| {
-            let expected = reference.get(key).cloned();
-            if expected.is_some() {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-            expected
-        };
-        for (is_insert, key) in ops {
-            let key = format!("k{key}");
-            if is_insert {
-                // A reference `get` just before an insert of the same
-                // key leaves its recency unchanged: the insert promotes
-                // the key to the head either way.
-                let absent = reference.get(&key).is_none();
-                if absent && reference.len() == capacity {
-                    evictions += 1;
-                }
-                let value = format!("value-of-{key}");
-                reference.insert(key.clone(), value.clone());
-                sharded.insert(key, value);
-            } else {
-                let expected = lookup(&mut reference, &key);
-                prop_assert_eq!(sharded.get(&key), expected);
-            }
-        }
-        prop_assert_eq!(sharded.len(), reference.len());
-        for key in 0u8..12 {
-            let key = format!("k{key}");
-            let expected = lookup(&mut reference, &key);
-            prop_assert_eq!(sharded.get(&key), expected);
-        }
-        let totals = sharded.totals();
-        prop_assert_eq!(
-            (totals.hits, totals.misses, totals.evictions),
-            (hits, misses, evictions)
-        );
-    }
-}
-
-#[test]
-fn shard_count_never_changes_response_bytes() {
-    // Replay one recorded request trace against a 1-shard and an
-    // 8-shard service: every response must be byte-identical modulo
-    // the /map timing block (and cached repeats identical, full stop).
-    let single = MapService::new(Fabric::quale_45x85(), 8).with_cache(CacheConfig {
-        entries: 8,
-        shards: 1,
-    });
-    let sharded = MapService::new(Fabric::quale_45x85(), 8);
-    let map_body = format!("{{\"program\":{BELL:?},\"m\":2}}");
-    let cmp_body = format!("{{\"program\":{BELL:?},\"name\":\"bell\",\"m\":2}}");
-    let batch_body = format!("{{\"programs\":[{BELL:?},{GHZ3:?}],\"m\":2}}");
-    let trace = [
-        ("/map", map_body.as_str()),
-        ("/compare", cmp_body.as_str()),
-        ("/map", map_body.as_str()), // repeat: hit on both
-        ("/batch", batch_body.as_str()),
-        ("/compare", cmp_body.as_str()),
-        ("/batch", batch_body.as_str()),
-    ];
-    for (path, body) in trace {
-        let a = post(&single, path, body);
-        let b = post(&sharded, path, body);
-        assert_eq!(a.status, b.status, "{path}");
-        assert_eq!(
-            normalize_timing(&a.body),
-            normalize_timing(&b.body),
-            "{path} diverged between shard layouts"
-        );
-    }
-    let a = single.stats();
-    let b = sharded.stats();
-    assert_eq!(
-        (a.cache_hits, a.cache_misses),
-        (b.cache_hits, b.cache_misses)
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,18 +978,6 @@ fn metrics_endpoint_exposes_prometheus_text() {
     assert!(text.contains("qspr_http_requests_total{endpoint=\"other\",status=\"404\"} 1\n"));
     assert!(text.contains("qspr_cache_hits_total 1\n"), "{text}");
     assert!(text.contains("qspr_cache_misses_total 1\n"), "{text}");
-    // The per-shard counters mirror the aggregates (exactly one shard
-    // took both the miss and the hit for the single key involved).
-    assert!(
-        text.contains("# TYPE qspr_cache_shard_hits_total counter"),
-        "{text}"
-    );
-    let shard_hits: u64 = text
-        .lines()
-        .filter(|l| l.starts_with("qspr_cache_shard_hits_total{"))
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-        .sum();
-    assert_eq!(shard_hits, 1, "{text}");
     assert!(
         text.contains("# TYPE qspr_handler_latency_us summary\n"),
         "{text}"
