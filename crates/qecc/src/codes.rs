@@ -5,14 +5,18 @@
 //! Each code here is rebuilt from first principles with the same
 //! `[[n, k, d]]` parameters:
 //!
-//! | code | construction here |
-//! |------|-------------------|
-//! | \[\[5,1,3\]\] | GF(4)-linear cyclic (the perfect code); the paper's Fig. 2/3 circuit ships verbatim as [`fig3_program`] |
-//! | \[\[7,1,3\]\] | GF(4)-linear cyclic (Steane, cyclic form) |
-//! | \[\[9,1,3\]\] | GF(4)-*additive* cyclic (found by [`AdditiveCyclicSearch`](crate::gf4::AdditiveCyclicSearch)) |
-//! | \[\[14,8,3\]\] | GF(4)-additive cyclic, shifts of one seed |
-//! | \[\[19,1,7\]\] | GF(4)-additive cyclic, shifts of one seed; distance 7 verified exhaustively |
-//! | \[\[23,1,7\]\] | GF(4)-linear cyclic (quantum Golay) |
+//! | code | form | provenance |
+//! |------|------|------------|
+//! | \[\[5,1,3\]\] | cyclic shifts of `XZZXI` (the perfect code) | textbook; the paper's Fig. 2/3 circuit ships verbatim as [`fig3_program`] |
+//! | \[\[7,1,3\]\] | CSS, Hamming column order (not shift-invariant) | textbook Steane code |
+//! | \[\[9,1,3\]\] | additive cyclic: ZZ-pair shifts plus two X-type rows | generators found by a GF(4) additive cyclic search, no longer shipped |
+//! | \[\[14,8,3\]\] | additive cyclic: six shifts of one seed | generators found by a GF(4) additive cyclic search, no longer shipped |
+//! | \[\[19,1,7\]\] | additive cyclic: eighteen shifts of one seed | seed literal; distance 7 verified by the ignored exhaustive scan |
+//! | \[\[23,1,7\]\] | linear cyclic (quantum Golay): eleven X/Z shift pairs | generators found by a GF(4) linear cyclic search over x²³−1, no longer shipped; pinned by a unit test |
+//!
+//! Every code except the Steane code is closed under a one-position
+//! cyclic shift; a unit test checks this, and another pins the Golay
+//! generator strings.
 //!
 //! Every code's distance-3 bound is machine-checked in the normal test
 //! suite; the full distance-7 verifications run as `--ignored` tests
@@ -21,7 +25,6 @@
 use qspr_qasm::Program;
 
 use crate::encoder::encoding_circuit;
-use crate::gf4::cyclic::CyclicCodeSearch;
 use crate::pauli::Pauli;
 use crate::stabilizer::StabilizerCode;
 
@@ -45,7 +48,7 @@ pub fn steane() -> StabilizerCode {
 }
 
 /// A \[\[9,1,3\]\] additive cyclic code: ZZ-pair shifts plus two X-type
-/// rows, found by the additive cyclic search over x⁹−1 (the paper's
+/// rows, found by a GF(4) additive cyclic search over x⁹−1 (the paper's
 /// benchmark is cyclic; Shor's code is not).
 pub fn nine_one_three() -> StabilizerCode {
     StabilizerCode::new(
@@ -66,8 +69,8 @@ pub fn nine_one_three() -> StabilizerCode {
 }
 
 /// A \[\[14,8,3\]\] additive cyclic code: six cyclic shifts of the seed
-/// `ZXYXYXXIZXXIII` (output of the deterministic additive search,
-/// distance 3 verified exhaustively).
+/// `ZXYXYXXIZXXIII` (found by a GF(4) additive cyclic search, distance 3
+/// verified exhaustively).
 pub fn fourteen_eight_three() -> StabilizerCode {
     StabilizerCode::from_paulis("[[14,8,3]]", shifts("ZXYXYXXIZXXIII", 6))
         .expect("statically valid")
@@ -83,13 +86,17 @@ pub fn nineteen_one_seven() -> StabilizerCode {
         .with_claimed_distance(7)
 }
 
-/// The \[\[23,1,7\]\] quantum Golay code, from the GF(4)-linear cyclic
-/// search over x²³−1.
+/// The \[\[23,1,7\]\] quantum Golay code: eleven cyclic shifts of the
+/// X-type seed `XIXIIXIIXXXXX` (ten `I`s follow), each followed at once by
+/// its Z-type twin. Encoder synthesis depends on generator order, so the
+/// X/Z interleaving is part of the workload (distance 7 verified
+/// exhaustively in the ignored test suite).
 pub fn twenty_three_one_seven() -> StabilizerCode {
-    let search = CyclicCodeSearch::new(23).expect("23 is tabulated");
-    search
-        .find_code("[[23,1,7]]", 1)
-        .expect("the Golay construction is self-orthogonal")
+    let x = shifts("XIXIIXIIXXXXXIIIIIIIIII", 11);
+    let z = shifts("ZIZIIZIIZZZZZIIIIIIIIII", 11);
+    let generators = x.into_iter().zip(z).flat_map(|(x, z)| [x, z]).collect();
+    StabilizerCode::from_paulis("[[23,1,7]]", generators)
+        .expect("statically valid")
         .with_claimed_distance(7)
 }
 
@@ -280,25 +287,62 @@ mod tests {
     }
 
     #[test]
-    fn additive_search_still_finds_equivalent_codes() {
-        // The hardcoded generators came from the additive search; the
-        // search must keep producing a [[9,1,3]] with the same
-        // parameters and verified distance (the exact first hit may
-        // shift if the scan order evolves — parameters may not).
-        let found = crate::gf4::AdditiveCyclicSearch::new(9)
-            .unwrap()
-            .find_code("[[9,1,3]]", 1, 3)
-            .unwrap();
-        assert_eq!(found.num_qubits(), 9);
-        assert_eq!(found.num_logical(), 1);
-        assert_eq!(found.min_distance_up_to(3), Some(3));
-        // And the hardcoded code is itself cyclic: shifting every
-        // generator by one position stays inside the group.
-        let ours = nine_one_three();
-        for g in ours.stabilizers() {
+    fn golay_generators_are_pinned() {
+        // The reference the deleted GF(4) cyclic search produced, in its
+        // order; encoder synthesis (and every [[23,1,7]] latency)
+        // depends on both the strings and the order.
+        let expect = [
+            "XIXIIXIIXXXXXIIIIIIIIII",
+            "ZIZIIZIIZZZZZIIIIIIIIII",
+            "IXIXIIXIIXXXXXIIIIIIIII",
+            "IZIZIIZIIZZZZZIIIIIIIII",
+            "IIXIXIIXIIXXXXXIIIIIIII",
+            "IIZIZIIZIIZZZZZIIIIIIII",
+            "IIIXIXIIXIIXXXXXIIIIIII",
+            "IIIZIZIIZIIZZZZZIIIIIII",
+            "IIIIXIXIIXIIXXXXXIIIIII",
+            "IIIIZIZIIZIIZZZZZIIIIII",
+            "IIIIIXIXIIXIIXXXXXIIIII",
+            "IIIIIZIZIIZIIZZZZZIIIII",
+            "IIIIIIXIXIIXIIXXXXXIIII",
+            "IIIIIIZIZIIZIIZZZZZIIII",
+            "IIIIIIIXIXIIXIIXXXXXIII",
+            "IIIIIIIZIZIIZIIZZZZZIII",
+            "IIIIIIIIXIXIIXIIXXXXXII",
+            "IIIIIIIIZIZIIZIIZZZZZII",
+            "IIIIIIIIIXIXIIXIIXXXXXI",
+            "IIIIIIIIIZIZIIZIIZZZZZI",
+            "IIIIIIIIIIXIXIIXIIXXXXX",
+            "IIIIIIIIIIZIZIIZIIZZZZZ",
+        ];
+        let code = twenty_three_one_seven();
+        let got: Vec<String> = code.stabilizers().iter().map(|g| g.to_string()).collect();
+        assert_eq!(got, expect);
+    }
+
+    /// Whether the code's stabilizer group is closed under a one-position
+    /// cyclic shift (checked on the generators).
+    fn is_cyclic(code: &StabilizerCode) -> bool {
+        code.stabilizers().iter().all(|g| {
             let n = g.num_qubits();
             let perm: Vec<usize> = (0..n).map(|i| (i + n - 1) % n).collect();
-            assert!(ours.in_stabilizer_group(&g.permuted(&perm)), "{g}");
+            code.in_stabilizer_group(&g.permuted(&perm))
+        })
+    }
+
+    #[test]
+    fn cyclic_codes_are_closed_under_a_shift() {
+        for code in [
+            five_one_three(),
+            nine_one_three(),
+            fourteen_eight_three(),
+            nineteen_one_seven(),
+            twenty_three_one_seven(),
+        ] {
+            assert!(is_cyclic(&code), "{}", code.name());
         }
+        // The Steane generators are in Hamming column order, not cyclic
+        // form.
+        assert!(!is_cyclic(&steane()));
     }
 }

@@ -8,10 +8,6 @@
 //! * [`Pauli`] / [`PhasedPauli`] — n-qubit Pauli algebra (n ≤ 64) with
 //!   symplectic commutation and phase-tracked multiplication;
 //! * [`BitBasis`] — GF(2) linear algebra over symplectic bit-vectors;
-//! * [`gf4`] — GF(4) and GF(2^m) field arithmetic, polynomial algebra
-//!   and factorization of xⁿ−1 via cyclotomic cosets;
-//! * [`CyclicCodeSearch`] — enumeration of GF(4) cyclic codes, Hermitian
-//!   self-orthogonality testing, and the CRSS GF(4)→Pauli construction;
 //! * [`StabilizerCode`] — commuting/independence validation, logical
 //!   operator extraction (symplectic Gram–Schmidt), and exhaustive
 //!   distance verification;
@@ -35,9 +31,7 @@
 //! ```
 
 pub mod codes;
-pub mod css;
 pub mod encoder;
-pub mod gf4;
 
 mod gf2;
 mod pauli;
@@ -53,5 +47,3 @@ pub use gf2::BitBasis;
 pub use pauli::{Pauli, PauliKind, PhasedPauli};
 pub use stabilizer::{CodeError, StabilizerCode};
 pub use tableau::{StabilizerSim, UnsupportedGate};
-
-pub use gf4::cyclic::CyclicCodeSearch;

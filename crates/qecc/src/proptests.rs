@@ -1,19 +1,10 @@
-//! Property-based tests of the algebraic substrates.
+//! Property-based tests of the Pauli algebra.
 
 #![cfg(test)]
 
 use proptest::prelude::*;
 
-use crate::gf4::{Gf4, Poly};
 use crate::pauli::{Pauli, PhasedPauli};
-
-fn arb_gf4() -> impl Strategy<Value = Gf4> {
-    (0u8..4).prop_map(Gf4::from_bits)
-}
-
-fn arb_poly(max_deg: usize) -> impl Strategy<Value = Poly> {
-    proptest::collection::vec(arb_gf4(), 0..=max_deg + 1).prop_map(Poly::from_coeffs)
-}
 
 fn arb_pauli(n: usize) -> impl Strategy<Value = Pauli> {
     let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
@@ -22,41 +13,6 @@ fn arb_pauli(n: usize) -> impl Strategy<Value = Pauli> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn poly_multiplication_is_commutative_and_associative(
-        a in arb_poly(6),
-        b in arb_poly(6),
-        c in arb_poly(6),
-    ) {
-        prop_assert_eq!(a.mul(&b), b.mul(&a));
-        prop_assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
-    }
-
-    #[test]
-    fn poly_distributes_over_addition(
-        a in arb_poly(6),
-        b in arb_poly(6),
-        c in arb_poly(6),
-    ) {
-        prop_assert_eq!(a.mul(&b.add(&c)), a.mul(&b).add(&a.mul(&c)));
-    }
-
-    #[test]
-    fn poly_division_round_trips(a in arb_poly(8), b in arb_poly(4)) {
-        prop_assume!(!b.is_zero());
-        let (q, r) = a.div_rem(&b);
-        prop_assert_eq!(q.mul(&b).add(&r), a.clone());
-        if !r.is_zero() {
-            prop_assert!(r.degree() < b.degree());
-        }
-    }
-
-    #[test]
-    fn poly_conjugation_is_a_ring_homomorphism(a in arb_poly(6), b in arb_poly(6)) {
-        prop_assert_eq!(a.conj().mul(&b.conj()), a.mul(&b).conj());
-        prop_assert_eq!(a.conj().conj(), a.clone());
-    }
 
     #[test]
     fn pauli_symplectic_round_trips(p in arb_pauli(17)) {

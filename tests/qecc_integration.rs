@@ -4,7 +4,7 @@
 use qspr_fabric::{Fabric, TechParams};
 use qspr_qecc::codes;
 use qspr_qecc::encoder::encoding_circuit;
-use qspr_qecc::{CyclicCodeSearch, StabilizerSim};
+use qspr_qecc::StabilizerSim;
 use qspr_sim::{validate_trace, Mapper, MapperPolicy, Placement};
 
 #[test]
@@ -59,18 +59,6 @@ fn encoder_gate_mix_matches_fig2_style() {
 }
 
 #[test]
-fn cyclic_and_hardcoded_five_qubit_codes_agree() {
-    let cyclic = CyclicCodeSearch::new(5)
-        .expect("length 5 tabulated")
-        .find_code("[[5,1,3]]", 1)
-        .expect("the perfect code is cyclic");
-    let hardcoded = codes::five_one_three();
-    assert_eq!(cyclic.num_qubits(), hardcoded.num_qubits());
-    assert_eq!(cyclic.num_logical(), hardcoded.num_logical());
-    assert_eq!(cyclic.min_distance_up_to(3), Some(3));
-}
-
-#[test]
 fn distance_7_codes_reject_all_weight_4_errors() {
     // A deeper prefix of the distance check than the unit tests run
     // (weight ≤ 4; the full weight-6 scan lives in the ignored tests).
@@ -82,24 +70,41 @@ fn distance_7_codes_reject_all_weight_4_errors() {
 
 #[test]
 fn benchmark_gate_counts_are_stable() {
-    // Pin the workload sizes the experiments depend on, so accidental
-    // changes to encoder synthesis show up as test failures, not silent
-    // shifts in every measured latency.
-    let suite = codes::benchmark_suite();
-    let sizes: Vec<(String, usize, usize)> = suite
-        .iter()
-        .map(|b| {
-            (
-                b.name.clone(),
-                b.program.one_qubit_gate_count(),
-                b.program.two_qubit_gate_count(),
-            )
-        })
-        .collect();
-    // The [[5,1,3]] entry is the paper's Fig. 3 verbatim.
-    assert_eq!(sizes[0], ("[[5,1,3]]".to_owned(), 4, 8));
-    for (name, one_q, two_q) in &sizes[1..] {
-        assert!(*two_q >= 8, "{name} has {two_q} two-qubit gates");
-        assert!(*one_q >= 2, "{name} has {one_q} one-qubit gates");
+    // Pin the workload bytes the experiments depend on, so accidental
+    // changes to encoder synthesis or to a code's generators show up as
+    // test failures, not silent shifts in every measured latency. The
+    // goldens are `qspr encode <n,k,d>` output.
+    let pinned = [
+        (
+            codes::five_one_three(),
+            include_str!("golden/encode_5_1_3.qasm"),
+        ),
+        (codes::steane(), include_str!("golden/encode_7_1_3.qasm")),
+        (
+            codes::nine_one_three(),
+            include_str!("golden/encode_9_1_3.qasm"),
+        ),
+        (
+            codes::fourteen_eight_three(),
+            include_str!("golden/encode_14_8_3.qasm"),
+        ),
+        (
+            codes::nineteen_one_seven(),
+            include_str!("golden/encode_19_1_7.qasm"),
+        ),
+        (
+            codes::twenty_three_one_seven(),
+            include_str!("golden/encode_23_1_7.qasm"),
+        ),
+    ];
+    for (code, golden) in pinned {
+        let qasm = encoding_circuit(&code).expect("encodes").to_qasm();
+        assert_eq!(qasm, golden, "{}", code.name());
     }
+    // The suite's [[5,1,3]] entry is the paper's Fig. 3 verbatim.
+    let fig3 = &codes::benchmark_suite()[0].program;
+    assert_eq!(
+        (fig3.one_qubit_gate_count(), fig3.two_qubit_gate_count()),
+        (4, 8)
+    );
 }
