@@ -4,8 +4,7 @@
 //! qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
 //! qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-//! qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-//! qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--threads T] [--fabric F] [--format FMT]
+//! qspr suite [files...] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr serve [--addr A] [--threads T] [--cache N] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
 //! qspr fabric [--fabric F]
 //! qspr encode <CODE>
@@ -19,6 +18,13 @@
 //! N; `--format` is `text`
 //! (default) or `json` (stable machine-readable schema); `CODE` is one
 //! of `5,1,3`, `7,1,3`, `9,1,3`, `14,8,3`, `19,1,7`, `23,1,7`.
+//! A command rejects any flag its usage line does not list, and any
+//! positional argument beyond the ones it names.
+//!
+//! `qspr suite` prints one Table 2 row per circuit: the given QASM
+//! files in order, or the paper's six benchmark circuits when no file
+//! is given. It stops at the first circuit that fails to map and names
+//! it in the error.
 //!
 //! `qspr sta` maps a circuit with trace recording on and prints the
 //! static timing analysis of `qspr-sta`: per-instruction slack, the
@@ -47,7 +53,7 @@ use std::sync::Arc;
 
 use qspr::json::JsonArray;
 use qspr::service::{MapService, ServeConfig, Server, DEFAULT_CACHE_ENTRIES};
-use qspr::{BatchJob, BatchMapper, Flow, FlowPolicy, QsprError, RouterKind, ToJson};
+use qspr::{Flow, FlowPolicy, QsprError, RouterKind, ToJson};
 use qspr_fabric::Fabric;
 use qspr_qasm::Program;
 use qspr_qecc::codes;
@@ -70,8 +76,7 @@ usage:
   qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
   qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-  qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-  qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--threads T] [--fabric F] [--format FMT]
+  qspr suite [files...] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr serve [--addr A] [--threads T] [--cache N] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
   qspr fabric [--fabric F]
   qspr encode <CODE>          (5,1,3 | 7,1,3 | 9,1,3 | 14,8,3 | 19,1,7 | 23,1,7)
@@ -83,9 +88,8 @@ options:
   --router R    routing engine: greedy (default) or negotiated
   --m N         MVFB seed count (default 25)
   --jobs N      placement seeds run on N threads (default 1; identical output at any N)
-  --threads T   worker threads for `batch`/`serve` (default: all CPUs)
+  --threads T   serve: worker threads (default: all CPUs)
   --format FMT  output format: text (default) or json
-  --suite       add the paper's six benchmark circuits to the batch
   --trace       print the micro-command trace after mapping
   --sta         map: append the static timing analysis to the report
   --dump-trace FILE  map: write the recorded trace to FILE as JSON
@@ -128,7 +132,7 @@ impl Cli {
             "--keep-alive",
             "--dump-trace",
         ];
-        const SWITCHES: [&str; 5] = ["--trace", "--suite", "--sta", "--profile", "--log"];
+        const SWITCHES: [&str; 4] = ["--trace", "--sta", "--profile", "--log"];
         let mut positional = Vec::new();
         let mut options: Vec<(String, Option<String>)> = Vec::new();
         let mut it = args.iter();
@@ -262,6 +266,33 @@ impl Cli {
         }
     }
 
+    /// Rejects what `command` does not take: a flag missing from its
+    /// usage line, or a positional argument beyond the `<...>` ones
+    /// the line names (`[files...]` takes any number).
+    fn check(&self, command: &str) -> Result<(), QsprError> {
+        let line = USAGE
+            .lines()
+            .find(|l| {
+                l.strip_prefix("  qspr ")
+                    .and_then(|rest| rest.split_whitespace().next())
+                    == Some(command)
+            })
+            .expect("every command has a usage line");
+        for (flag, _) in &self.options {
+            if !line.contains(&format!("[{flag} ")) && !line.contains(&format!("[{flag}]")) {
+                return Err(QsprError::usage(format!("{command} does not take {flag}")));
+            }
+        }
+        if !line.contains("...]") {
+            if let Some(extra) = self.positional.get(line.matches('<').count()) {
+                return Err(QsprError::usage(format!(
+                    "unexpected argument {extra:?} for {command}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// A flow on the selected fabric with the selected seed count and
     /// routing engine.
     fn flow(&self) -> Result<Flow, QsprError> {
@@ -302,18 +333,19 @@ fn run(args: &[String]) -> Result<(), QsprError> {
     let Some(command) = args.first() else {
         return Err(QsprError::usage("missing command"));
     };
+    let handler: fn(&Cli) -> Result<(), QsprError> = match command.as_str() {
+        "map" => cmd_map,
+        "sta" => cmd_sta,
+        "compare" => cmd_compare,
+        "suite" => cmd_suite,
+        "serve" => cmd_serve,
+        "fabric" => cmd_fabric,
+        "encode" => cmd_encode,
+        other => return Err(QsprError::usage(format!("unknown command {other:?}"))),
+    };
     let cli = Cli::parse(&args[1..])?;
-    match command.as_str() {
-        "map" => cmd_map(&cli),
-        "sta" => cmd_sta(&cli),
-        "compare" => cmd_compare(&cli),
-        "suite" => cmd_suite(&cli),
-        "batch" => cmd_batch(&cli),
-        "serve" => cmd_serve(&cli),
-        "fabric" => cmd_fabric(&cli),
-        "encode" => cmd_encode(&cli),
-        other => Err(QsprError::usage(format!("unknown command {other:?}"))),
-    }
+    cli.check(command)?;
+    handler(&cli)
 }
 
 fn cmd_map(cli: &Cli) -> Result<(), QsprError> {
@@ -456,9 +488,22 @@ fn cmd_compare(cli: &Cli) -> Result<(), QsprError> {
 fn cmd_suite(cli: &Cli) -> Result<(), QsprError> {
     let format = cli.format()?;
     let flow = cli.flow()?;
+    let circuits: Vec<(String, Program)> = if cli.positional.is_empty() {
+        codes::benchmark_suite()
+            .into_iter()
+            .map(|bench| (bench.name, bench.program))
+            .collect()
+    } else {
+        cli.positional
+            .iter()
+            .map(|path| Ok((path.clone(), load_program(path)?)))
+            .collect::<Result<_, QsprError>>()?
+    };
     let mut rows = JsonArray::new();
-    for bench in codes::benchmark_suite() {
-        let row = flow.compare(&bench.name, &bench.program)?;
+    for (name, program) in &circuits {
+        let row = flow
+            .compare(name, program)
+            .map_err(|e| QsprError::circuit(name, e))?;
         match format {
             OutputFormat::Text => println!("{row}"),
             OutputFormat::Json => rows.push_raw(&row.to_json()),
@@ -466,43 +511,6 @@ fn cmd_suite(cli: &Cli) -> Result<(), QsprError> {
     }
     if format == OutputFormat::Json {
         println!("{}", rows.build());
-    }
-    Ok(())
-}
-
-fn cmd_batch(cli: &Cli) -> Result<(), QsprError> {
-    let mut jobs: Vec<BatchJob> = Vec::new();
-    for path in &cli.positional {
-        jobs.push(BatchJob::new(path.as_str(), load_program(path)?));
-    }
-    if cli.switch("--suite") {
-        jobs.extend(codes::benchmark_suite().into_iter().map(BatchJob::from));
-    }
-    if jobs.is_empty() {
-        return Err(QsprError::usage("batch needs QASM files and/or --suite"));
-    }
-    let format = cli.format()?;
-    let mut mapper = BatchMapper::new(cli.flow()?);
-    if let Some(threads) = cli.threads()? {
-        mapper = mapper.threads(threads);
-    }
-    let report = mapper.run(&jobs)?;
-    match format {
-        OutputFormat::Json => println!("{}", report.to_json()),
-        OutputFormat::Text => {
-            for item in &report.items {
-                println!("{}  [{:>7.1?}]", item.row, item.cpu);
-            }
-            println!(
-                "{} circuits | {} threads | wall {:.2?} | worker time {:.2?} | speedup {:.2}x | mean improvement {:.2}%",
-                report.items.len(),
-                report.threads,
-                report.wall,
-                report.total_cpu(),
-                report.speedup(),
-                report.mean_improvement_pct(),
-            );
-        }
     }
     Ok(())
 }
@@ -771,9 +779,8 @@ mod tests {
 
     #[test]
     fn threads_flag_parses_and_validates() {
-        let cli = Cli::parse(&strings(&["--threads", "8", "--suite"])).unwrap();
+        let cli = Cli::parse(&strings(&["--threads", "8"])).unwrap();
         assert_eq!(cli.threads().unwrap(), Some(8));
-        assert!(cli.switch("--suite"));
         assert_eq!(Cli::parse(&[]).unwrap().threads().unwrap(), None);
         assert!(Cli::parse(&strings(&["--threads", "0"]))
             .unwrap()
@@ -843,9 +850,62 @@ mod tests {
     }
 
     #[test]
-    fn batch_requires_some_input() {
-        let cli = Cli::parse(&[]).unwrap();
-        assert!(cmd_batch(&cli).is_err());
+    fn commands_reject_what_they_do_not_take() {
+        // Each case fails before any file is read.
+        for (line, error) in [
+            ("map a.qasm --addr x", "map does not take --addr"),
+            ("map a.qasm --log", "map does not take --log"),
+            ("sta a.qasm --trace", "sta does not take --trace"),
+            (
+                "compare a.qasm --policy quale",
+                "compare does not take --policy",
+            ),
+            ("suite --threads 2", "suite does not take --threads"),
+            ("serve --m 4", "serve does not take --m"),
+            ("fabric --format json", "fabric does not take --format"),
+            (
+                "map a.qasm b.qasm",
+                r#"unexpected argument "b.qasm" for map"#,
+            ),
+            (
+                "sta a.qasm b.qasm",
+                r#"unexpected argument "b.qasm" for sta"#,
+            ),
+            (
+                "compare a.qasm /nonexistent.qasm",
+                r#"unexpected argument "/nonexistent.qasm" for compare"#,
+            ),
+            (
+                "encode 5,1,3 7,1,3",
+                r#"unexpected argument "7,1,3" for encode"#,
+            ),
+            ("fabric extra", r#"unexpected argument "extra" for fabric"#),
+        ] {
+            let err = run(&strings(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+            assert!(matches!(err, QsprError::Usage(_)), "{line}");
+            assert_eq!(err.to_string(), error, "{line}");
+        }
+        // What a usage line lists passes, and `suite` takes any number
+        // of files.
+        for line in [
+            "map a.qasm --trace --sta --profile --jobs 2",
+            "suite a.qasm b.qasm c.qasm --router negotiated",
+            "serve --threads 2 --log --keep-alive 0",
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let cli = Cli::parse(&strings(&args[1..])).unwrap();
+            assert!(cli.check(args[0]).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn suite_stops_at_the_first_failing_circuit() {
+        let err = run(&strings(&["suite", "/nonexistent.qasm"])).unwrap_err();
+        assert!(matches!(err, QsprError::Io { .. }));
+        // Zero seeds stalls every circuit; the error names the first.
+        let err = run(&strings(&["suite", "--m", "0"])).unwrap_err();
+        assert!(matches!(err, QsprError::Circuit { .. }), "{err}");
+        assert!(err.to_string().starts_with("[[5,1,3]]: "), "{err}");
     }
 
     #[test]
@@ -861,7 +921,7 @@ mod tests {
         assert!(run(&strings(&["--help"])).is_ok());
         assert!(run(&strings(&["-h"])).is_ok());
         assert!(run(&strings(&["map", "--help"])).is_ok());
-        assert!(run(&strings(&["batch", "--suite", "-h"])).is_ok());
+        assert!(run(&strings(&["suite", "--threads", "2", "-h"])).is_ok());
     }
 
     #[test]

@@ -10,8 +10,6 @@ use qspr_qasm::ParseError;
 use qspr_sim::MapError;
 use qspr_sta::StaError;
 
-use crate::batch::BatchError;
-
 /// Any failure of the QSPR flow.
 ///
 /// Every layer's error converts into this enum (via `From` or the
@@ -42,8 +40,13 @@ pub enum QsprError {
     Fabric(FabricError),
     /// The mapper could not map a program.
     Map(MapError),
-    /// A batch run failed on a named circuit.
-    Batch(Box<BatchError>),
+    /// A suite or `/batch` run failed on a named circuit.
+    Circuit {
+        /// The failing circuit's name (its source path for QASM files).
+        circuit: String,
+        /// The circuit's own error.
+        source: Box<QsprError>,
+    },
     /// Static timing analysis rejected its inputs.
     Sta(StaError),
     /// A file could not be read.
@@ -66,6 +69,15 @@ impl QsprError {
         }
     }
 
+    /// `source` attributed to the circuit named `circuit`; displays as
+    /// `"<circuit>: <source>"`.
+    pub fn circuit(circuit: impl Into<String>, source: QsprError) -> QsprError {
+        QsprError::Circuit {
+            circuit: circuit.into(),
+            source: Box::new(source),
+        }
+    }
+
     /// A usage/configuration error with a human-readable message.
     pub fn usage(message: impl Into<String>) -> QsprError {
         QsprError::Usage(message.into())
@@ -78,7 +90,7 @@ impl fmt::Display for QsprError {
             QsprError::Parse(e) => write!(f, "{e}"),
             QsprError::Fabric(e) => write!(f, "invalid fabric: {e}"),
             QsprError::Map(e) => write!(f, "{e}"),
-            QsprError::Batch(e) => write!(f, "{e}"),
+            QsprError::Circuit { circuit, source } => write!(f, "{circuit}: {source}"),
             QsprError::Sta(e) => write!(f, "{e}"),
             QsprError::Io { path, source } => write!(f, "cannot read {path}: {source}"),
             QsprError::Usage(msg) => write!(f, "{msg}"),
@@ -92,7 +104,7 @@ impl Error for QsprError {
             QsprError::Parse(e) => Some(e),
             QsprError::Fabric(e) => Some(e),
             QsprError::Map(e) => Some(e),
-            QsprError::Batch(e) => Some(e),
+            QsprError::Circuit { source, .. } => Some(source),
             QsprError::Sta(e) => Some(e),
             QsprError::Io { source, .. } => Some(source),
             QsprError::Usage(_) => None,
@@ -115,12 +127,6 @@ impl From<FabricError> for QsprError {
 impl From<MapError> for QsprError {
     fn from(e: MapError) -> QsprError {
         QsprError::Map(e)
-    }
-}
-
-impl From<BatchError> for QsprError {
-    fn from(e: BatchError) -> QsprError {
-        QsprError::Batch(Box::new(e))
     }
 }
 

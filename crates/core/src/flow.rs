@@ -38,7 +38,7 @@ use qspr_place::{MonteCarloPlacer, MvfbConfig, MvfbPlacer, PassDirection, Placer
 use qspr_qasm::Program;
 use qspr_route::{RouterFactory, RouterKind, RoutingStats};
 use qspr_sched::Qidg;
-use qspr_sim::{Mapper, MapperPolicy, MappingOutcome, Placement, Trace};
+use qspr_sim::{MapError, Mapper, MapperPolicy, MappingOutcome, Placement, Trace};
 use qspr_sta::{TimingAnalysis, TimingReport};
 
 use crate::error::QsprError;
@@ -252,6 +252,17 @@ impl Flow {
             .jobs(self.jobs)
     }
 
+    /// Rejects a program with more qubits than the fabric has traps:
+    /// every initial placement seats one qubit per trap.
+    fn check_fits(&self, program: &Program) -> Result<(), MapError> {
+        let traps = self.fabric.topology().traps().len();
+        let qubits = program.num_qubits();
+        if traps < qubits {
+            return Err(MapError::NotEnoughTraps { traps, qubits });
+        }
+        Ok(())
+    }
+
     /// A canonical fingerprint of *this configuration applied to
     /// `program_text`*: every input that determines a [`Flow::run`]
     /// result — fabric (dimensions plus a content hash of its ASCII
@@ -336,9 +347,11 @@ impl Flow {
     /// # Errors
     ///
     /// Returns [`QsprError::Map`] when the program cannot be mapped
-    /// (stalls on degenerate fabrics, placement mismatches).
+    /// (more qubits than traps, stalls on degenerate fabrics, placement
+    /// mismatches).
     pub fn run(&self, program: &Program) -> Result<FlowResult, QsprError> {
         let run_started = Instant::now();
+        self.check_fits(program)?;
         let mapper = self.mapper(self.policy.mapper_policy(&self.tech));
         // Baselines map exactly once; keep that outcome rather than
         // recomputing it below.
@@ -502,6 +515,7 @@ impl Flow {
     ///
     /// Returns [`QsprError::Map`] when either mapping fails.
     pub fn compare(&self, name: &str, program: &Program) -> Result<ComparisonRow, QsprError> {
+        self.check_fits(program)?;
         let baseline = self.ideal_latency(program);
         let placement = Placement::center(&self.fabric, program.num_qubits());
         let quale = self
@@ -524,6 +538,7 @@ impl Flow {
         name: &str,
         program: &Program,
     ) -> Result<PlacerComparisonRow, QsprError> {
+        self.check_fits(program)?;
         let mapper = self.mapper(MapperPolicy::qspr(&self.tech));
         let mvfb_engine = MvfbPlacer::new(self.mvfb);
         let mvfb = (&mvfb_engine as &dyn Placer).place(&mapper, program)?;
@@ -820,6 +835,23 @@ C-Z q4,q0
         assert!(qspr.latency <= quale.latency);
         assert_eq!(quale.runs, 1);
         assert_eq!(quale.direction, PassDirection::Forward);
+    }
+
+    #[test]
+    fn programs_larger_than_the_fabric_are_errors() {
+        let flow =
+            Flow::on(Fabric::from_ascii("-+-+-\n.|T|.\n-+-+-\n.|T|.\n-+-+-\n").unwrap()).seeds(2);
+        let program = program();
+        let too_big = |e: QsprError| matches!(e, QsprError::Map(MapError::NotEnoughTraps { .. }));
+        assert!(too_big(flow.run(&program).unwrap_err()));
+        assert!(too_big(
+            flow.clone()
+                .policy(FlowPolicy::Quale)
+                .run(&program)
+                .unwrap_err()
+        ));
+        assert!(too_big(flow.compare("big", &program).unwrap_err()));
+        assert!(too_big(flow.compare_placers("big", &program).unwrap_err()));
     }
 
     #[test]

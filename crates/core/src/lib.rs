@@ -21,10 +21,8 @@
 //!   [`Flow::router`]; per-run congestion stats land in
 //!   [`FlowSummary`];
 //! * [`QsprError`] — the workspace-wide error enum wrapping parse,
-//!   fabric, mapping, batch and I/O failures;
-//! * [`BatchMapper`] — the same flow over a whole suite of circuits on
-//!   a thread pool, with per-circuit timing and deterministic,
-//!   input-ordered results at any thread count;
+//!   fabric, mapping, timing-analysis and I/O failures, plus the
+//!   circuit a suite run failed on;
 //! * [`ComparisonRow`] / [`PlacerComparisonRow`] — the rows of the
 //!   paper's Table 2 and Table 1, JSON-serializable via [`json::ToJson`]
 //!   like every other report type;
@@ -67,14 +65,12 @@
 //! migration table lives in the README's "Migrating from `QsprTool`"
 //! section.
 
-mod batch;
 mod error;
 mod flow;
 pub mod json;
 mod report;
 pub mod service;
 
-pub use batch::{BatchError, BatchItem, BatchJob, BatchMapper, BatchReport};
 pub use error::QsprError;
 pub use flow::{FabricSummary, Flow, FlowPolicy, FlowResult, FlowSummary, FlowTiming};
 pub use json::ToJson;

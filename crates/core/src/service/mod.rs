@@ -1,8 +1,8 @@
 //! `qspr serve` — a long-running mapping service with a result cache.
 //!
 //! Every other entry point in the workspace is a one-shot process: the
-//! CLI and [`crate::BatchMapper`] re-parse, re-place and
-//! re-route from scratch on each invocation, even though the flow is
+//! CLI re-parses, re-places and re-routes from scratch on each
+//! invocation, even though the flow is
 //! fully seed-determined and identical requests are common (the same
 //! QECC encode blocks recur across suites). This module keeps the
 //! mapper resident behind a fleet-grade, dependency-free front end:
@@ -44,15 +44,16 @@
 //! of `qspr map`; it never changes response bytes, and the service
 //! clamps it to [`MapService::jobs_budget`] so concurrent request
 //! workers times seed threads cannot oversubscribe the host.
-//! `POST /batch` runs its programs through
-//! [`crate::BatchMapper`] under the same clamp, consults
-//! the cache per circuit (its items share cache entries with
-//! `/compare`), and replies with one input-ordered array however the
-//! pool scheduled the work. The optional `"fabric"` field carries a
-//! fabric description *document* (a JSON [`qspr_fabric::FabricSpec`]
-//! embedded as a string, or ASCII art) and maps that request onto the
-//! described fabric instead of the server's resident one; a malformed
-//! document is `422`. Unknown body fields are rejected (`400`), an
+//! `POST /batch` maps its programs one after another in input order,
+//! each on the request's clamped seed threads, consults the cache per
+//! circuit (its items share cache entries with `/compare`), and
+//! replies with one input-ordered array, or a `422` naming the
+//! earliest circuit that fails to map. The optional `"fabric"` field
+//! carries a fabric description *document* (a JSON
+//! [`qspr_fabric::FabricSpec`] embedded as a string, or ASCII art) and
+//! maps that request onto the described fabric instead of the server's
+//! resident one; a malformed document, or a program with more qubits
+//! than the fabric has traps, is `422`. Unknown body fields are rejected (`400`), an
 //! unmappable program is `422`, and every response is
 //! `application/json` (except `GET /metrics`, which is Prometheus
 //! plain text). Untrusted input is bounded on every axis: request
@@ -131,7 +132,6 @@ use qspr_obs::{Counter, Registry};
 use qspr_qasm::Program;
 use qspr_route::RouterKind;
 
-use crate::batch::{BatchJob, BatchMapper};
 use crate::error::QsprError;
 use crate::flow::{Flow, FlowPolicy};
 use crate::json::{JsonArray, JsonObject, JsonValue, ToJson};
@@ -611,7 +611,7 @@ impl MapService {
             Ok(request) => request,
             Err(e) => return error_response(400, &e.to_string()),
         };
-        // The budget clamp keeps batch-level concurrency (the worker
+        // The budget clamp keeps request-level concurrency (the worker
         // pool) times seed parallelism bounded no matter what the
         // body asked for; results are byte-identical at every value.
         request.jobs = request.jobs.min(self.jobs_budget);
@@ -668,13 +668,15 @@ impl MapService {
         }
     }
 
-    /// `POST /batch`: N circuits through [`BatchMapper`] on one
-    /// request, cache-aware per circuit, replied as one input-ordered
-    /// JSON array of comparison rows.
+    /// `POST /batch`: N circuits on one request, cache-aware per
+    /// circuit, replied as one input-ordered JSON array of comparison
+    /// rows.
     ///
     /// Each circuit's cache key is exactly the `/compare` key for the
     /// same `(name, program, router, m, fabric)` — the two endpoints
-    /// share entries, and a batch re-run is pure cache hits.
+    /// share entries, and a batch re-run is pure cache hits. Misses
+    /// are mapped in input order, each cached as soon as it is mapped;
+    /// the first failure answers `422` naming its circuit.
     fn batch(&self, body: &str) -> Response {
         self.counters.batch_requests.fetch_add(1, Ordering::Relaxed);
         let mut request = match parse_batch_request(body) {
@@ -705,27 +707,17 @@ impl MapService {
             .iter()
             .map(|(name, text, _)| compare_cache_key(&fabric_key, name, &flow.fingerprint(text)))
             .collect();
-        let mut rows: Vec<Option<String>> = keys.iter().map(|key| self.cache_lookup(key)).collect();
-        let missing: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_none()).collect();
-        if !missing.is_empty() {
-            let jobs: Vec<BatchJob> = missing
-                .iter()
-                .map(|&i| {
-                    let (name, _, program) = &request.circuits[i];
-                    BatchJob::new(name.clone(), program.clone())
-                })
-                .collect();
-            let report = match BatchMapper::new(flow).threads(request.jobs).run(&jobs) {
-                Ok(report) => report,
-                Err(e) => return error_response(422, &e.to_string()),
-            };
-            for (&i, item) in missing.iter().zip(report.items.iter()) {
-                rows[i] = Some(self.cache.insert(keys[i].clone(), item.row.to_json()));
-            }
-        }
+        let cached: Vec<Option<String>> = keys.iter().map(|key| self.cache_lookup(key)).collect();
         let mut array = JsonArray::new();
-        for row in rows {
-            array.push_raw(&row.expect("every circuit is cached or mapped by now"));
+        for (((name, _, program), key), row) in request.circuits.iter().zip(keys).zip(cached) {
+            let row = match row {
+                Some(row) => row,
+                None => match flow.compare(name, program) {
+                    Ok(row) => self.cache.insert(key, row.to_json()),
+                    Err(e) => return error_response(422, &QsprError::circuit(name, e).to_string()),
+                },
+            };
+            array.push_raw(&row);
         }
         Response::new(200, array.build())
     }

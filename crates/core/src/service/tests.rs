@@ -646,6 +646,20 @@ fn batch_requests_validate_their_fields() {
     );
     assert_eq!(response.status, 422, "{}", response.body);
     assert!(response.body.contains("program0"), "{}", response.body);
+    // The earliest failure wins: on a two-trap fabric BELL maps, and
+    // both three-qubit circuits after it fail; the 422 names program1.
+    let art = "-+-+-\n.|T|.\n-+-+-\n.|T|.\n-+-+-\n";
+    let response = post(
+        &service,
+        "/batch",
+        &format!("{{\"programs\":[{BELL:?},{GHZ3:?},{GHZ3:?}],\"m\":2,\"fabric\":{art:?}}}"),
+    );
+    assert_eq!(response.status, 422, "{}", response.body);
+    assert!(
+        response.body.starts_with(r#"{"error":"program1: "#),
+        "{}",
+        response.body
+    );
 }
 
 // ---------------------------------------------------------------------------

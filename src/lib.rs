@@ -8,5 +8,5 @@
 //! root first: it walks the end-to-end dataflow (QASM → QIDG → MVFB
 //! placement → routing → simulation → reports/service), maps the
 //! paper's constructs to the code that implements them, and explains
-//! how the front ends (`qspr` CLI, `qspr batch`, `qspr serve`) reuse
+//! how the front ends (the `qspr` CLI and `qspr serve`) reuse
 //! the same seed-determined core.

@@ -7,21 +7,20 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use qspr::{BatchJob, BatchMapper, Flow, QsprError, RouterKind, ToJson};
+use qspr::{Flow, QsprError, RouterKind, ToJson};
 use qspr_fabric::Fabric;
 use qspr_place::{MvfbConfig, MvfbPlacer, PassDirection, Placer, PlacerSolution};
 use qspr_qasm::Program;
 use qspr_qecc::codes::{benchmark_suite, fig3_program};
 use qspr_sim::{MapError, Mapper, Placement};
 
-/// Compile-time contract: the flow (and the batch front end built on
-/// it) must be `Send + Sync + 'static` so they can serve from thread
-/// pools and async tasks.
+/// Compile-time contract: the flow and its error must be
+/// `Send + Sync + 'static` so they can serve from thread pools and
+/// async tasks.
 #[test]
 fn flow_api_is_send_sync_static() {
     fn assert_service_grade<T: Send + Sync + 'static>() {}
     assert_service_grade::<Flow>();
-    assert_service_grade::<BatchMapper>();
     assert_service_grade::<QsprError>();
 }
 
@@ -210,6 +209,8 @@ fn custom_router_factories_plug_in() {
 
 #[test]
 fn flow_errors_carry_their_layer() {
+    use std::error::Error;
+
     // Mapping failure (zero placement runs stalls).
     let flow = Flow::on(Fabric::quale_45x85()).seeds(0);
     let err = flow.run(&fig3_program()).unwrap_err();
@@ -219,15 +220,16 @@ fn flow_errors_carry_their_layer() {
     let parse_err: QsprError = Program::parse("FROB q\n").unwrap_err().into();
     assert!(matches!(parse_err, QsprError::Parse(_)));
 
-    // Batch failure names the circuit and nests the flow error.
-    let err = BatchMapper::new(flow)
-        .threads(2)
-        .run(&[BatchJob::new("doomed", fig3_program())])
-        .unwrap_err();
-    assert_eq!(err.circuit, "doomed");
-    assert!(matches!(err.source, QsprError::Map(_)));
-    let unified: QsprError = err.into();
-    assert!(unified.to_string().starts_with("doomed: "));
+    // A suite failure names the circuit and nests the flow error.
+    let source = flow.compare("doomed", &fig3_program()).unwrap_err();
+    let err = QsprError::circuit("doomed", source);
+    assert!(err.to_string().starts_with("doomed: "), "{err}");
+    let QsprError::Circuit { circuit, source } = &err else {
+        panic!("not a circuit error: {err:?}");
+    };
+    assert_eq!(circuit, "doomed");
+    assert!(matches!(**source, QsprError::Map(_)));
+    assert!(err.source().is_some());
 }
 
 #[test]
@@ -245,15 +247,6 @@ fn report_json_is_stable_across_the_api() {
         .compare_placers(&bench.name, &bench.program)
         .expect("places");
     assert!(placer_row.to_json().contains(r#""mvfb_wins":"#));
-
-    let report = BatchMapper::new(flow)
-        .threads(2)
-        .run(&[BatchJob::new(bench.name.clone(), bench.program.clone())])
-        .expect("maps");
-    let json = report.to_json();
-    assert!(json.starts_with(r#"{"items":[{"circuit":"#));
-    assert!(json.ends_with("}"));
-    assert!(json.contains(r#""mean_improvement_pct":"#));
 }
 
 /// `--profile` under `--jobs 2`: the placer's seed workers relay their

@@ -149,48 +149,28 @@ fn quale_overhead_grows_with_circuit_size() {
 
 #[test]
 fn batch_mapping_is_deterministic_across_thread_counts() {
-    // The BatchMapper contract: per-circuit results are identical at
-    // --threads 1 and --threads N, and come back in input order.
-    use qspr::{BatchJob, BatchMapper};
-    use qspr_qasm::{random_program, RandomProgramConfig};
+    // The suite contract: every circuit's comparison row is identical
+    // at --jobs 1 and --jobs 4.
+    use qspr_qasm::{random_program, Program, RandomProgramConfig};
 
-    let mut jobs: Vec<BatchJob> = (0..4)
+    let mut circuits: Vec<(String, Program)> = (0..4)
         .map(|i| {
-            BatchJob::new(
+            (
                 format!("rand{i}"),
                 random_program(&RandomProgramConfig::new(5, 15), 100 + i),
             )
         })
         .collect();
-    jobs.push(BatchJob::from(benchmark_suite().swap_remove(0)));
+    let bench = benchmark_suite().swap_remove(0);
+    circuits.push((bench.name, bench.program));
 
-    let mapper = BatchMapper::new(fast_flow());
-    let serial = mapper.clone().threads(1).run(&jobs).expect("maps");
-    let parallel = mapper.threads(8).run(&jobs).expect("maps");
-
-    assert_eq!(serial.items.len(), jobs.len());
-    for (job, (s, p)) in jobs
-        .iter()
-        .zip(serial.items.iter().zip(parallel.items.iter()))
-    {
-        assert_eq!(s.name, job.name, "input order preserved");
+    let serial = fast_flow().jobs(1);
+    let parallel = fast_flow().jobs(4);
+    for (name, program) in &circuits {
         assert_eq!(
-            s.row, p.row,
-            "{}: thread count changed the result",
-            job.name
+            serial.compare(name, program).expect("maps"),
+            parallel.compare(name, program).expect("maps"),
+            "{name}: thread count changed the result"
         );
     }
-}
-
-#[test]
-fn batch_mapping_of_an_empty_suite_is_empty() {
-    use qspr::BatchMapper;
-
-    let report = BatchMapper::new(fast_flow())
-        .threads(4)
-        .run(&[])
-        .expect("empty batch is fine");
-    assert!(report.items.is_empty());
-    assert_eq!(report.total_cpu(), std::time::Duration::ZERO);
-    assert_eq!(report.mean_improvement_pct(), 0.0);
 }
