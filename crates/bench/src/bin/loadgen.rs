@@ -5,18 +5,15 @@
 //! (and therefore `qspr map --format json` / `qspr compare --format
 //! json`) produces locally for the same inputs:
 //!
-//! * `/map` responses must equal the local [`FlowSummary`] JSON
-//!   *modulo the `"timing"` object* (placement wall-clock — the one
-//!   non-deterministic part of the schema), and repeated requests must
-//!   be **byte-identical** timing included, because the cache replays
-//!   the stored cold response;
-//! * `/compare` responses carry no clock and must be byte-identical to
-//!   the local [`ComparisonRow`] JSON, always;
+//! * `/map` responses must be byte-identical to the local
+//!   [`FlowSummary`] JSON, always: no body carries a clock (per-request
+//!   time travels in the `Server-Timing` header, which is not compared);
+//! * `/compare` responses must be byte-identical to the local
+//!   [`ComparisonRow`] JSON, always;
 //! * `/batch` responses must be byte-identical to the JSON array of
 //!   the local comparison rows, in input order — and must share cache
 //!   entries with `/compare`;
-//! * `/sta` responses carry no clock either: every response must be
-//!   byte-identical to the first;
+//! * `/sta` responses must be byte-identical to the first;
 //! * `/stats` counters must add up (hits + misses = map + compare +
 //!   sta requests + batch programs, hits > 0 once the workload repeats
 //!   itself) and the summed `qspr_http_requests_total` samples on
@@ -52,7 +49,7 @@ use std::thread;
 use std::time::Duration;
 
 use qspr::json::{JsonArray, JsonObject, JsonValue, ToJson};
-use qspr::service::{http, normalize_timing};
+use qspr::service::http;
 use qspr::{Flow, FlowPolicy, RouterKind};
 use qspr_bench::{parse_flag, quick_mode};
 use qspr_fabric::Fabric;
@@ -68,15 +65,15 @@ struct Case {
     label: String,
     map_body: String,
     compare_body: String,
-    /// Expected `/map` body with the timing object normalized.
+    /// Expected `/map` body.
     expect_map: String,
-    /// Expected `/compare` body, exact.
+    /// Expected `/compare` body.
     expect_compare: String,
 }
 
 /// The full workload: per-case oracles plus one `/batch` request whose
 /// expected body is the input-ordered array of the first two cases'
-/// comparison rows, and one clock-free `/sta` probe.
+/// comparison rows, and one `/sta` probe.
 struct Workload {
     cases: Vec<Case>,
     batch_body: String,
@@ -159,13 +156,11 @@ fn build_workload(quick: bool) -> Workload {
                 .policy(policy)
                 .router(router)
                 .seeds(m);
-            let expect_map = normalize_timing(
-                &flow
-                    .run(&program)
-                    .expect("workload programs map")
-                    .summary()
-                    .to_json(),
-            );
+            let expect_map = flow
+                .run(&program)
+                .expect("workload programs map")
+                .summary()
+                .to_json();
             // `/compare` always runs the comparison flow (no policy
             // field), exactly like `qspr compare`.
             let compare_flow = Flow::on(Arc::clone(&fabric)).router(router).seeds(m);
@@ -272,35 +267,19 @@ fn send(
     unreachable!("the retry loop returns")
 }
 
-/// Expected response body for one oracle request: `exact` compares
-/// bytes verbatim, otherwise the response's `"timing"` object is
-/// normalized first (it is the one non-deterministic part of `/map`).
-struct Expect<'a> {
-    body: &'a str,
-    exact: bool,
-}
-
-fn check(
-    response: &http::Response,
-    expect: Expect<'_>,
-    label: &str,
-    path: &str,
-) -> Result<(), String> {
+/// Checks one oracle response: a 200 whose body is byte-identical to
+/// `expect`.
+fn check(response: &http::Response, expect: &str, label: &str, path: &str) -> Result<(), String> {
     if response.status != 200 {
         return Err(format!(
             "{label}: POST {path} -> {} {}",
             response.status, response.body
         ));
     }
-    let actual = if expect.exact {
-        response.body.clone()
-    } else {
-        normalize_timing(&response.body)
-    };
-    if actual != expect.body {
+    if response.body != expect {
         return Err(format!(
-            "{label}: {path} response differs from the local oracle\n  expected: {}\n  actual:   {actual}",
-            expect.body,
+            "{label}: {path} response differs from the local oracle\n  expected: {expect}\n  actual:   {}",
+            response.body,
         ));
     }
     Ok(())
@@ -419,7 +398,7 @@ fn storm(addr: &str, threads: usize) -> Result<(), String> {
                 ));
             }
             let replay = send(&mut client, addr, "POST", "/map", &body(base + i))?;
-            if replay != retry {
+            if (replay.status, &replay.body) != (retry.status, &retry.body) {
                 return Err(format!("post-storm replay {i} is not byte-identical"));
             }
         }
@@ -454,9 +433,9 @@ fn run() -> Result<(), String> {
     await_health(&addr)?;
     eprintln!("building expected responses locally (the oracle run)...");
     let workload = Arc::new(build_workload(quick));
-    // The /sta oracle is the service's own first answer: the report
-    // carries no clock, so every later response must repeat it byte
-    // for byte (across cache hits and misses alike).
+    // The /sta oracle is the service's own first answer: every later
+    // response must repeat it byte for byte (across cache hits and
+    // misses alike).
     let expect_sta = {
         let cold = http::call(&addr, "POST", "/sta", &workload.sta_body)
             .map_err(|e| format!("POST /sta failed: {e}"))?;
@@ -479,7 +458,7 @@ fn run() -> Result<(), String> {
             let expect_sta = expect_sta.as_str();
             handles.push(scope.spawn(move || -> Result<(), String> {
                 let mut client: Option<http::Client> = None;
-                let mut fire = |path: &str, body: &str, expect: Expect<'_>, label: &str| {
+                let mut fire = |path: &str, body: &str, expect: &str, label: &str| {
                     let response = send(&mut client, &addr, "POST", path, body)?;
                     check(&response, expect, label, path)
                 };
@@ -488,43 +467,21 @@ fn run() -> Result<(), String> {
                     // different cases (more cold/warm interleavings).
                     for c in 0..workload.cases.len() {
                         let case = &workload.cases[(c + t + i) % workload.cases.len()];
-                        fire(
-                            "/map",
-                            &case.map_body,
-                            Expect {
-                                body: &case.expect_map,
-                                exact: false,
-                            },
-                            &case.label,
-                        )?;
+                        fire("/map", &case.map_body, &case.expect_map, &case.label)?;
                         fire(
                             "/compare",
                             &case.compare_body,
-                            Expect {
-                                body: &case.expect_compare,
-                                exact: true,
-                            },
+                            &case.expect_compare,
                             &case.label,
                         )?;
                     }
                     fire(
                         "/batch",
                         &workload.batch_body,
-                        Expect {
-                            body: &workload.expect_batch,
-                            exact: true,
-                        },
+                        &workload.expect_batch,
                         "batch",
                     )?;
-                    fire(
-                        "/sta",
-                        &workload.sta_body,
-                        Expect {
-                            body: expect_sta,
-                            exact: true,
-                        },
-                        "sta",
-                    )?;
+                    fire("/sta", &workload.sta_body, expect_sta, "sta")?;
                 }
                 Ok(())
             }));
@@ -543,19 +500,7 @@ fn run() -> Result<(), String> {
         connections * iters * (workload.cases.len() * 2 + 2)
     );
 
-    // Sequential epilogue: with no concurrent cold-path races, the
-    // cached response must be byte-identical — cpu_ms included.
     let mut client: Option<http::Client> = None;
-    for case in workload.cases.iter() {
-        let first = send(&mut client, &addr, "POST", "/map", &case.map_body)?;
-        let second = send(&mut client, &addr, "POST", "/map", &case.map_body)?;
-        if first != second {
-            return Err(format!(
-                "{}: cached /map response is not byte-identical\n  first:  {}\n  second: {}",
-                case.label, first.body, second.body
-            ));
-        }
-    }
     let batch = send(&mut client, &addr, "POST", "/batch", &workload.batch_body)?;
     if batch.body != workload.expect_batch {
         return Err(format!(
@@ -563,7 +508,7 @@ fn run() -> Result<(), String> {
             workload.expect_batch, batch.body
         ));
     }
-    eprintln!("cached responses byte-identical across repeats");
+    eprintln!("cached /batch response still matches the oracle");
 
     // The counters must add up: every cache lookup belongs to exactly
     // one map/compare/sta request or batch program, and vice versa.

@@ -31,7 +31,7 @@
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qspr_fabric::{Fabric, TechParams, Time};
 use qspr_place::{MonteCarloPlacer, MvfbConfig, MvfbPlacer, PassDirection, Placer, PlacerSolution};
@@ -350,7 +350,6 @@ impl Flow {
     /// (more qubits than traps, stalls on degenerate fabrics, placement
     /// mismatches).
     pub fn run(&self, program: &Program) -> Result<FlowResult, QsprError> {
-        let run_started = Instant::now();
         self.check_fits(program)?;
         let mapper = self.mapper(self.policy.mapper_policy(&self.tech));
         // Baselines map exactly once; keep that outcome rather than
@@ -368,7 +367,6 @@ impl Flow {
                 (placer.place(&mapper, program)?, None)
             }
             FlowPolicy::Quale | FlowPolicy::Qpos => {
-                let started = Instant::now();
                 let placement = Placement::center(&self.fabric, program.num_qubits());
                 // Baselines map exactly once, tracing inline if asked.
                 let outcome = mapper
@@ -380,7 +378,8 @@ impl Flow {
                     direction: PassDirection::Forward,
                     initial_placement: placement,
                     runs: 1,
-                    cpu: started.elapsed(),
+                    // No placer ran; nothing reads this.
+                    cpu: Duration::ZERO,
                 };
                 (solution, Some(outcome))
             }
@@ -420,8 +419,6 @@ impl Flow {
             direction: solution.direction,
             initial_placement: solution.initial_placement,
             runs: solution.runs,
-            cpu: solution.cpu,
-            wall: run_started.elapsed(),
             outcome,
             forward_trace,
         })
@@ -603,11 +600,6 @@ pub struct FlowResult {
     pub initial_placement: Placement,
     /// Total placement runs executed (`m'` for MVFB, 1 for baselines).
     pub runs: usize,
-    /// Placement wall-clock time.
-    pub cpu: Duration,
-    /// Total wall-clock time of the whole run (placement search plus
-    /// the final map/replay).
-    pub wall: Duration,
     /// Full outcome (stats, final placement) of the winning pass.
     pub outcome: MappingOutcome,
     /// Forward-executing micro-command trace, when
@@ -628,10 +620,6 @@ impl FlowResult {
             latency: self.latency,
             direction: self.direction,
             runs: self.runs,
-            timing: FlowTiming {
-                cpu_ms: self.cpu.as_millis() as u64,
-                wall_us: self.wall.as_micros() as u64,
-            },
             moves: totals.moves,
             turns: totals.turns,
             congestion_wait: totals.congestion_wait,
@@ -656,9 +644,6 @@ pub struct FlowSummary {
     pub direction: PassDirection,
     /// Total placement runs executed.
     pub runs: usize,
-    /// Wall-clock timing (the summary's only nondeterministic fields,
-    /// grouped so oracles can strip one key).
-    pub timing: FlowTiming,
     /// Total qubit moves in the winning mapping.
     pub moves: u64,
     /// Total junction turns in the winning mapping.
@@ -674,34 +659,12 @@ pub struct FlowSummary {
     pub trace_commands: Option<usize>,
 }
 
-/// Wall-clock timing of one flow run. The only nondeterministic fields
-/// of a [`FlowSummary`], grouped under the single `"timing"` JSON key
-/// so byte-exact oracle comparisons (loadgen, cache identity tests)
-/// strip one block instead of patching fields one by one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowTiming {
-    /// Placement wall-clock time, whole milliseconds.
-    pub cpu_ms: u64,
-    /// Total run wall time in microseconds (placement search plus the
-    /// final map/replay).
-    pub wall_us: u64,
-}
-
-impl ToJson for FlowTiming {
-    /// `{"cpu_ms":n,"wall_us":n}`.
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .number("cpu_ms", self.cpu_ms)
-            .number("wall_us", self.wall_us)
-            .build()
-    }
-}
-
 /// Provenance summary of a spec-built fabric, surfaced in
 /// [`FlowSummary`] JSON as the optional `fabric` block. Fabrics built
-/// by programmatic constructors (`Fabric::regular`, `from_ascii`, ...)
-/// have no provenance and omit the block entirely, keeping their report
-/// bytes identical to the pre-spec format.
+/// by programmatic constructors (`Fabric::new`, `Fabric::from_ascii`,
+/// `Fabric::quale_45x85`) have no provenance and omit the block
+/// entirely, keeping their report bytes identical to the pre-spec
+/// format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricSummary {
     /// The spec document's `name`.
@@ -741,9 +704,10 @@ impl ToJson for FabricSummary {
 impl ToJson for FlowSummary {
     /// Stable JSON schema, pinned by the golden test in [`crate::json`]:
     /// `{"policy","placer","router","latency_us","direction","runs",
-    /// "timing":{"cpu_ms","wall_us"},"moves","turns",
-    /// "congestion_wait_us","epochs","rip_iterations","ripped_routes",
-    /// "max_segment_pressure"[,"fabric"][,"trace_commands"]}`.
+    /// "moves","turns","congestion_wait_us","epochs","rip_iterations",
+    /// "ripped_routes","max_segment_pressure"[,"fabric"][,"trace_commands"]}`.
+    /// It carries no clock: the bytes are a pure function of the
+    /// program, the fabric and the flow's configuration.
     fn to_json(&self) -> String {
         let mut obj = JsonObject::new()
             .string("policy", self.policy.as_str())
@@ -752,7 +716,6 @@ impl ToJson for FlowSummary {
             .number("latency_us", self.latency)
             .string("direction", self.direction.as_str())
             .number("runs", self.runs as u64)
-            .raw("timing", &self.timing.to_json())
             .number("moves", self.moves)
             .number("turns", self.turns)
             .number("congestion_wait_us", self.congestion_wait)
@@ -935,7 +898,7 @@ C-Z q4,q0
             json.starts_with(r#"{"policy":"qspr","placer":"mvfb","router":"greedy","latency_us":"#)
         );
         assert!(json.contains(&format!(r#""direction":"{}""#, summary.direction.as_str())));
-        assert!(json.contains(r#""timing":{"cpu_ms":"#));
+        assert!(!json.contains(r#""timing""#));
         assert!(json.contains(r#""epochs":"#));
         assert!(json.contains(r#""max_segment_pressure":"#));
         assert!(json.contains(r#""trace_commands":"#));

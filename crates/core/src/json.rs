@@ -20,7 +20,7 @@ mod tests {
         use qspr_place::PassDirection;
         use qspr_route::RoutingStats;
 
-        use crate::{FlowPolicy, FlowSummary, FlowTiming};
+        use crate::{FlowPolicy, FlowSummary};
 
         let summary = FlowSummary {
             policy: FlowPolicy::Qspr,
@@ -29,10 +29,6 @@ mod tests {
             latency: 634,
             direction: PassDirection::Backward,
             runs: 88,
-            timing: FlowTiming {
-                cpu_ms: 546,
-                wall_us: 546_912,
-            },
             moves: 410,
             turns: 24,
             congestion_wait: 12,
@@ -47,7 +43,7 @@ mod tests {
         };
         assert_eq!(
             summary.to_json(),
-            r#"{"policy":"qspr","placer":"mvfb","router":"negotiated","latency_us":634,"direction":"backward","runs":88,"timing":{"cpu_ms":546,"wall_us":546912},"moves":410,"turns":24,"congestion_wait_us":12,"epochs":57,"rip_iterations":9,"ripped_routes":14,"max_segment_pressure":3}"#
+            r#"{"policy":"qspr","placer":"mvfb","router":"negotiated","latency_us":634,"direction":"backward","runs":88,"moves":410,"turns":24,"congestion_wait_us":12,"epochs":57,"rip_iterations":9,"ripped_routes":14,"max_segment_pressure":3}"#
         );
 
         // The optional trace count appends as the final key.

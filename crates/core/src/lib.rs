@@ -24,8 +24,9 @@
 //!   fabric, mapping, timing-analysis and I/O failures, plus the
 //!   circuit a suite run failed on;
 //! * [`ComparisonRow`] / [`PlacerComparisonRow`] — the rows of the
-//!   paper's Table 2 and Table 1, JSON-serializable via [`json::ToJson`]
-//!   like every other report type;
+//!   paper's Table 2 and Table 1; the Table 2 row is JSON-serializable
+//!   via [`json::ToJson`] like every other report type, and the Table 1
+//!   row (which carries placement wall time) is formatted by `table1`;
 //! * [`service`] — the `qspr serve` subsystem: a resident HTTP/1.1 JSON
 //!   mapping service with a fixed worker pool, a seed-deterministic
 //!   LRU result cache keyed by [`Flow::fingerprint`], and a
@@ -72,7 +73,7 @@ mod report;
 pub mod service;
 
 pub use error::QsprError;
-pub use flow::{FabricSummary, Flow, FlowPolicy, FlowResult, FlowSummary, FlowTiming};
+pub use flow::{FabricSummary, Flow, FlowPolicy, FlowResult, FlowSummary};
 pub use json::ToJson;
 pub use report::{ComparisonRow, PlacerComparisonRow};
 // The routing-engine seam, re-exported for `Flow::router` callers.

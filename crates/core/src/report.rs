@@ -96,7 +96,8 @@ impl fmt::Display for ComparisonRow {
 }
 
 /// One row of the paper's Table 1: MVFB vs Monte Carlo at equal placement
-/// runs.
+/// runs. It carries wall-clock fields, so it has no JSON form; the
+/// `table1` binary formats its own columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacerComparisonRow {
     /// Benchmark circuit name.
@@ -120,40 +121,6 @@ impl PlacerComparisonRow {
     /// observation for every circuit and both values of `m`).
     pub fn mvfb_wins(&self) -> bool {
         self.mvfb_latency <= self.mc_latency
-    }
-}
-
-impl ToJson for PlacerComparisonRow {
-    /// Stable JSON schema, pinned by a golden test:
-    /// `{"circuit","m","runs","mvfb_latency_us","mvfb_cpu_ms",
-    /// "mc_latency_us","mc_cpu_ms","mvfb_wins"}`.
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .string("circuit", &self.circuit)
-            .number("m", self.m as u64)
-            .number("runs", self.runs as u64)
-            .number("mvfb_latency_us", self.mvfb_latency)
-            .number("mvfb_cpu_ms", self.mvfb_cpu.as_millis() as u64)
-            .number("mc_latency_us", self.mc_latency)
-            .number("mc_cpu_ms", self.mc_cpu.as_millis() as u64)
-            .boolean("mvfb_wins", self.mvfb_wins())
-            .build()
-    }
-}
-
-impl fmt::Display for PlacerComparisonRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<12} m={:<4} runs={:<5} MVFB {:>8}µs ({:>6}ms)  MC {:>8}µs ({:>6}ms)",
-            self.circuit,
-            self.m,
-            self.runs,
-            self.mvfb_latency,
-            self.mvfb_cpu.as_millis(),
-            self.mc_latency,
-            self.mc_cpu.as_millis(),
-        )
     }
 }
 
@@ -194,7 +161,6 @@ mod tests {
             mc_cpu: Duration::from_millis(562),
         };
         assert!(prow.mvfb_wins());
-        assert!(prow.to_string().contains("runs=88"));
     }
 
     #[test]
@@ -205,23 +171,6 @@ mod tests {
         assert_eq!(
             row.to_json(),
             r#"{"circuit":"[[5,1,3]]","baseline_us":510,"quale_us":832,"qspr_us":634,"quale_overhead_us":322,"qspr_overhead_us":124,"improvement_pct":23.80}"#
-        );
-    }
-
-    #[test]
-    fn placer_comparison_row_json_golden() {
-        let row = PlacerComparisonRow {
-            circuit: "[[9,1,3]]".into(),
-            m: 25,
-            runs: 86,
-            mvfb_latency: 1159,
-            mvfb_cpu: Duration::from_millis(546),
-            mc_latency: 1212,
-            mc_cpu: Duration::from_millis(562),
-        };
-        assert_eq!(
-            row.to_json(),
-            r#"{"circuit":"[[9,1,3]]","m":25,"runs":86,"mvfb_latency_us":1159,"mvfb_cpu_ms":546,"mc_latency_us":1212,"mc_cpu_ms":562,"mvfb_wins":true}"#
         );
     }
 

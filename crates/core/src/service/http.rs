@@ -79,6 +79,10 @@ pub struct Response {
     /// `Retry-After` header value in seconds (sent on `429` when the
     /// admission queue is full; parsed back by [`Client`]).
     pub retry_after: Option<u64>,
+    /// `Server-Timing` header value: the worker pool sets it on every
+    /// response it produces (see `Response::with_server_timing`).
+    /// [`Client`] does not parse it back.
+    pub(crate) server_timing: Option<String>,
 }
 
 impl Response {
@@ -89,6 +93,7 @@ impl Response {
             body: body.into(),
             content_type: "application/json",
             retry_after: None,
+            server_timing: None,
         }
     }
 
@@ -106,6 +111,23 @@ impl Response {
     #[must_use]
     pub fn with_retry_after(mut self, seconds: u64) -> Response {
         self.retry_after = Some(seconds);
+        self
+    }
+
+    /// Attaches `Server-Timing: queue;dur=<ms>, handler;dur=<ms>`: how
+    /// long this request waited for a worker and how long the handler
+    /// ran, in milliseconds with microsecond resolution. Per-request
+    /// time lives here, on the wire, and never in a body, so a cached
+    /// body replays byte for byte while its header reports the hit's
+    /// own time.
+    #[must_use]
+    pub(crate) fn with_server_timing(mut self, queue: Duration, handler: Duration) -> Response {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        self.server_timing = Some(format!(
+            "queue;dur={:.3}, handler;dur={:.3}",
+            ms(queue),
+            ms(handler)
+        ));
         self
     }
 
@@ -139,6 +161,9 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     );
     if let Some(seconds) = response.retry_after {
         head.push_str(&format!("Retry-After: {seconds}\r\n"));
+    }
+    if let Some(timing) = &response.server_timing {
+        head.push_str(&format!("Server-Timing: {timing}\r\n"));
     }
     head.push_str(if keep_alive {
         "Connection: keep-alive\r\n\r\n"

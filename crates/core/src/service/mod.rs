@@ -38,6 +38,13 @@
 //! | `GET /metrics` | — | Prometheus text exposition: request counts by endpoint/status, cache hits/misses, queue depth and wait, rejections, handler latency, per-phase span timings |
 //! | `POST /shutdown` | — | `{"status":"shutting-down"}`, then a graceful drain |
 //!
+//! Every response the worker pool produces (the four `POST` mapping
+//! endpoints, unless rejected with `429`) carries a
+//! `Server-Timing: queue;dur=<ms>, handler;dur=<ms>` header: the
+//! request's own wait for a worker and its own handler time, so a
+//! cache hit reports the hit, not the miss that filled the cache.
+//! Bodies carry no clock.
+//!
 //! Defaults mirror the CLI: `policy` `"qspr"`, `router` `"greedy"`,
 //! `m` 25, `jobs` 1, `trace` false. The `"jobs"` field runs the
 //! request's MVFB seeds on that many threads, like the `--jobs` flag
@@ -66,17 +73,18 @@
 //!
 //! # Determinism and the cache
 //!
-//! The flow is seed-determined, so a request's response bytes are a
-//! pure function of the fingerprint **except** for the `"timing"`
-//! object of `/map` (placement/run wall-clock, reported exactly like
-//! the CLI does — see [`normalize_timing`]). The cache stores the cold
-//! response verbatim and the first writer of a key wins: a miss that
-//! finishes after an identical one answers with the body already
-//! cached, so repeated requests are byte-identical;
-//! `/compare` and `/batch` responses carry no clock at all and are
-//! byte-identical to the CLI's for the same inputs. The `loadgen`
-//! binary in `qspr-bench` asserts both properties under concurrent
-//! keep-alive load.
+//! The flow is seed-determined and no body carries a clock, so the
+//! body of every mapping response (`/map`, `/compare`, `/sta`,
+//! `/batch`) is a pure function of its request: `/map` bodies are
+//! byte-identical to `qspr map --format json`, `/compare` and `/batch`
+//! bodies to the CLI's comparison rows, for the same inputs. The cache
+//! stores the cold body verbatim and the first writer of a key wins:
+//! a miss that finishes after an identical one answers with the body
+//! already cached, so repeated requests are byte-identical. Where
+//! time went is reported beside the body, in the `Server-Timing`
+//! header, the access log and `/metrics`. The `loadgen` binary in
+//! `qspr-bench` asserts both properties under concurrent keep-alive
+//! load.
 //!
 //! # Examples
 //!
@@ -843,13 +851,11 @@ fn error_response(status: u16, message: &str) -> Response {
 /// by `"cpu_ms":0,"wall_us":0` (bodies without the object pass through
 /// unchanged).
 ///
-/// The `"timing"` block — placement/run wall-clock — is the single
-/// non-deterministic part of the `/map` response schema, so this is the
-/// normalization a client applies to compare bodies across independent
-/// runs (cached repeats need no normalization: they are
-/// byte-identical). The `loadgen` oracle and the service's own tests
-/// share this definition. The timing object is flat (no nested
-/// braces), so scanning to the next `}` is exact.
+/// No body this crate emits has a `"timing"` object any more, so on
+/// every response of this service and every `--format json` report
+/// this is the identity. It stays public only because the `perfbench`
+/// harness still calls it. The object, where present, is flat (no
+/// nested braces), so scanning to the next `}` is exact.
 ///
 /// # Examples
 ///
@@ -1215,21 +1221,14 @@ fn wake_addr(addr: SocketAddr) -> SocketAddr {
 /// Writes one structured (logfmt) access-log line to stderr. Stderr,
 /// not stdout: stdout carries exactly the startup banner the CI smoke
 /// greps for, and stays machine-parseable.
-pub(crate) fn access_log(
-    method: &str,
-    path: &str,
-    response: &Response,
-    wait_us: u64,
-    started: Instant,
-) {
+pub(crate) fn access_log(method: &str, path: &str, response: &Response, wait_us: u64, dur_us: u64) {
     let time = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     eprintln!(
-        "time={time} method={method} path={path} status={} bytes={} wait_us={wait_us} dur_us={}",
+        "time={time} method={method} path={path} status={} bytes={} wait_us={wait_us} dur_us={dur_us}",
         response.status,
         response.body.len(),
-        started.elapsed().as_micros()
     );
 }
 

@@ -256,19 +256,21 @@ pub(crate) fn run(
                 };
                 let depth = depths[job.slot].fetch_sub(1, Ordering::Relaxed) - 1;
                 gauges[job.slot].set(depth as i64);
-                let wait_us = job.queued.elapsed().as_micros() as u64;
-                wait_hist.record(wait_us);
+                let wait = job.queued.elapsed();
+                wait_hist.record(wait.as_micros() as u64);
                 let t0 = Instant::now();
                 let response = service.handle(&job.request);
+                let handler = t0.elapsed();
                 if log {
                     access_log(
                         &job.request.method,
                         &job.request.path,
                         &response,
-                        wait_us,
-                        t0,
+                        wait.as_micros() as u64,
+                        handler.as_micros() as u64,
                     );
                 }
+                let response = response.with_server_timing(wait, handler);
                 let _ = done_tx.send(Done {
                     conn: job.conn,
                     gen: job.gen,
@@ -506,13 +508,7 @@ impl Reactor<'_> {
                             if self.depths[slot].load(Ordering::Relaxed) >= self.config.max_queue {
                                 let response = self.service.reject(HEAVY[slot]);
                                 if self.config.log {
-                                    access_log(
-                                        &request.method,
-                                        &request.path,
-                                        &response,
-                                        0,
-                                        Instant::now(),
-                                    );
+                                    access_log(&request.method, &request.path, &response, 0, 0);
                                 }
                                 conn.pending.insert(seq, (response, close));
                             } else {
@@ -537,7 +533,8 @@ impl Reactor<'_> {
                             let t0 = Instant::now();
                             let response = self.service.handle(&request);
                             if self.config.log {
-                                access_log(&request.method, &request.path, &response, 0, t0);
+                                let dur_us = t0.elapsed().as_micros() as u64;
+                                access_log(&request.method, &request.path, &response, 0, dur_us);
                             }
                             conn.pending.insert(seq, (response, close));
                         }
@@ -550,7 +547,7 @@ impl Reactor<'_> {
                     // the terminal error response closes it.
                     let response = self.service.protocol_response(&e);
                     if self.config.log {
-                        access_log("-", "-", &response, 0, Instant::now());
+                        access_log("-", "-", &response, 0, 0);
                     }
                     let seq = conn.next_seq;
                     conn.next_seq += 1;

@@ -47,8 +47,6 @@ fn map_wire_schema_golden() {
         "\"latency_us\":",
         "\"direction\":",
         "\"runs\":",
-        "\"timing\":{\"cpu_ms\":",
-        "\"wall_us\":",
         "\"moves\":",
         "\"turns\":",
         "\"congestion_wait_us\":",
@@ -64,17 +62,15 @@ fn map_wire_schema_golden() {
             .unwrap_or_else(|| panic!("{key} missing or out of order in {}", response.body));
         at += pos + key.len();
     }
-    // And it matches a direct library run, modulo the wall clock.
+    // No clock in the body: it IS a direct library run's summary.
+    assert!(!response.body.contains("\"timing\""), "{}", response.body);
     let flow = Flow::on(Fabric::quale_45x85()).seeds(2);
     let expected = flow
         .run(&Program::parse(BELL).unwrap())
         .unwrap()
         .summary()
         .to_json();
-    assert_eq!(
-        normalize_timing(&response.body),
-        normalize_timing(&expected)
-    );
+    assert_eq!(response.body, expected);
 }
 
 #[test]
@@ -204,9 +200,8 @@ fn cache_hits_are_byte_identical_and_counted() {
     assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
     assert_eq!(stats.cache_entries, 1);
 
-    // The cached path returns the stored bytes — including the cold
-    // run's timing block — so the bodies are byte-identical by
-    // construction.
+    // The cached path returns the stored bytes, so the bodies are
+    // byte-identical by construction.
     for _ in 0..3 {
         let warm = post(&service, "/map", &body);
         assert_eq!(warm, cold);
@@ -281,8 +276,7 @@ fn eviction_causes_a_rerun_not_a_wrong_answer() {
     assert_eq!(stats.cache_entries, 1);
     assert_eq!(stats.cache_evictions, 2);
     assert_eq!(
-        normalize_timing(&first.body),
-        normalize_timing(&again.body),
+        first.body, again.body,
         "the flow is seed-determined, so a re-run reproduces the result"
     );
 }
@@ -402,18 +396,14 @@ fn jobs_field_parses_clamps_and_never_changes_bytes() {
         assert_eq!(flow.job_count(), 2);
     }
     // `jobs` is a performance hint, not a result axis: a fresh service
-    // mapping the same program sequentially produces the same bytes
-    // modulo the wall clock.
+    // mapping the same program sequentially produces the same bytes.
     let sequential = MapService::new(Fabric::quale_45x85(), 8);
     let baseline = post(
         &sequential,
         "/map",
         &format!("{{\"program\":{BELL:?},\"m\":2,\"jobs\":1}}"),
     );
-    assert_eq!(
-        normalize_timing(&response.body),
-        normalize_timing(&baseline.body)
-    );
+    assert_eq!(response.body, baseline.body);
 }
 
 #[test]
@@ -721,6 +711,12 @@ fn encode_response_golden() {
     assert_eq!(
         String::from_utf8(encode_response(&busy, false)).unwrap(),
         "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 1\r\nRetry-After: 7\r\nConnection: close\r\n\r\nx"
+    );
+    let timed = Response::new(200, "{}")
+        .with_server_timing(Duration::from_micros(12), Duration::from_micros(3_456_789));
+    assert_eq!(
+        String::from_utf8(encode_response(&timed, true)).unwrap(),
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nServer-Timing: queue;dur=0.012, handler;dur=3456.789\r\nConnection: keep-alive\r\n\r\n{}"
     );
 }
 
@@ -1078,7 +1074,11 @@ fn server_round_trips_over_real_tcp() {
     let cold = http::call(addr, "POST", "/map", &body).unwrap();
     let warm = http::call(addr, "POST", "/map", &body).unwrap();
     assert_eq!(cold.status, 200);
-    assert_eq!(cold, warm, "cached response is byte-identical on the wire");
+    assert_eq!(
+        (warm.status, &warm.body),
+        (cold.status, &cold.body),
+        "cached body is byte-identical on the wire"
+    );
 
     // Malformed HTTP gets a 400 without killing the server.
     let garbage = http::call(addr, "BAD REQUEST LINE", "/", "").unwrap();
@@ -1088,6 +1088,79 @@ fn server_round_trips_over_real_tcp() {
 
     handle.shutdown().expect("graceful shutdown");
     assert!(service.shutdown_requested());
+}
+
+/// Sends one `Connection: close` request over a plain socket and
+/// returns the raw response split into its header lines and body.
+fn raw_exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (Vec<String>, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut wire = String::new();
+    stream.read_to_string(&mut wire).unwrap();
+    let (head, body) = wire.split_once("\r\n\r\n").expect("header terminator");
+    (head.lines().map(str::to_owned).collect(), body.to_owned())
+}
+
+/// The `(queue, handler)` durations of a well-formed `Server-Timing:
+/// queue;dur=<ms>, handler;dur=<ms>` header among `headers`.
+fn server_timing(headers: &[String]) -> (f64, f64) {
+    let value = headers
+        .iter()
+        .find_map(|h| h.strip_prefix("Server-Timing: "))
+        .unwrap_or_else(|| panic!("no Server-Timing header in {headers:?}"));
+    let dur = |metric: &str, name: &str| -> f64 {
+        let ms = metric
+            .strip_prefix(name)
+            .and_then(|m| m.strip_prefix(";dur="))
+            .unwrap_or_else(|| panic!("malformed {name} metric in {value:?}"));
+        ms.parse()
+            .unwrap_or_else(|_| panic!("non-numeric {name} in {value:?}"))
+    };
+    let (queue, handler) = value.split_once(", ").expect("two metrics");
+    (dur(queue, "queue"), dur(handler, "handler"))
+}
+
+#[test]
+fn worker_responses_carry_their_own_server_timing() {
+    let service = Arc::new(service());
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind(Arc::clone(&service), &config)
+        .expect("bind ephemeral")
+        .spawn();
+    let addr = handle.addr();
+    let body = format!("{{\"program\":{BELL:?},\"m\":2}}");
+
+    let (miss_headers, miss) = raw_exchange(addr, "POST", "/map", &body);
+    let (hit_headers, hit) = raw_exchange(addr, "POST", "/map", &body);
+    assert_eq!(miss_headers[0], "HTTP/1.1 200 OK");
+    assert_eq!(hit_headers[0], "HTTP/1.1 200 OK");
+    let stats = service.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+    // Both carry their own timing; the body carries none, and the
+    // hit replays the miss's bytes exactly.
+    for (queue, handler) in [server_timing(&miss_headers), server_timing(&hit_headers)] {
+        assert!(queue >= 0.0 && handler >= 0.0);
+    }
+    assert!(!miss.contains("\"timing\""), "{miss}");
+    assert_eq!(hit, miss);
+
+    // Light endpoints answer inline, outside the worker pool.
+    let (health_headers, _) = raw_exchange(addr, "GET", "/healthz", "");
+    assert!(!health_headers
+        .iter()
+        .any(|h| h.starts_with("Server-Timing")));
+
+    handle.shutdown().expect("graceful shutdown");
 }
 
 #[test]

@@ -109,8 +109,8 @@ mod router;
 
 pub use bounds::TravelBounds;
 pub use engine::{
-    EpochStats, GreedyRouter, NegotiatedRouter, NegotiationConfig, ParseRouterKindError,
-    RouteRequest, RouterFactory, RouterKind, RoutingEngine, RoutingStats,
+    EpochStats, GreedyRouter, NegotiatedRouter, ParseRouterKindError, RouteRequest, RouterFactory,
+    RouterKind, RoutingEngine, RoutingStats,
 };
 pub use plan::{ResourceUse, RoutePlan, Step};
 pub use resource::{Resource, ResourceState};

@@ -13,11 +13,10 @@ use qspr_route::RouterKind;
 
 const BELL: &str = "QUBIT a\nQUBIT b\nH a\nC-X a,b\n";
 
-/// Normalizes the two fields that legitimately differ between a
-/// spec-built fabric and its anonymous programmatic twin: wall-clock
-/// and spec provenance. Everything else must match byte for byte.
+/// Clears the one field that legitimately differs between a spec-built
+/// fabric and its anonymous programmatic twin: spec provenance.
+/// Everything else must match byte for byte.
 fn normalized(mut summary: FlowSummary) -> FlowSummary {
-    summary.timing = qspr::FlowTiming::default();
     summary.fabric = None;
     summary
 }

@@ -183,9 +183,8 @@ proptest! {
 
     /// `Flow::jobs` is a pure performance hint: for any random fabric
     /// and circuit, every engine (greedy and negotiated under MVFB, plus
-    /// greedy under a Monte Carlo placer) produces byte-identical summary JSON — modulo the wall-clock
-    /// `"timing"` object — and a byte-identical recorded trace at every
-    /// thread count. This is the determinism contract behind
+    /// greedy under a Monte Carlo placer) produces byte-identical summary
+    /// JSON and a byte-identical recorded trace at every thread count. This is the determinism contract behind
     /// `qspr map --jobs N` and the serve `"jobs"` field.
     #[test]
     fn jobs_never_change_flow_results(
@@ -198,7 +197,6 @@ proptest! {
     ) {
         use std::sync::Arc;
         use qspr::place::MonteCarloPlacer;
-        use qspr::service::normalize_timing;
         use qspr::{Flow, RouterKind, ToJson};
 
         let Ok(fabric) = RegularFabricSpec::new(rows, cols, pitch).build() else {
@@ -229,8 +227,8 @@ proptest! {
                 match (&reference, &result) {
                     (Ok(expected), Ok(got)) => {
                         prop_assert_eq!(
-                            normalize_timing(&expected.summary().to_json()),
-                            normalize_timing(&got.summary().to_json()),
+                            expected.summary().to_json(),
+                            got.summary().to_json(),
                             "summary diverged at jobs={} engine={}", jobs, engine
                         );
                         prop_assert_eq!(
