@@ -328,7 +328,7 @@ fn storm(addr: &str, threads: usize) -> Result<(), String> {
         .expect("paper code encodes")
         .to_qasm();
     // Distinct seed counts keep every request a cache miss (distinct
-    // fingerprints), so each one really occupies the worker pool.
+    // fingerprints), so each one really holds a permit.
     let body = |m: usize| {
         JsonObject::new()
             .string("program", &five13)

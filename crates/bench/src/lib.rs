@@ -10,6 +10,8 @@
 //! kernels. End-to-end and per-layer speed is measured by the
 //! standalone `perfbench` package.
 
+#![forbid(unsafe_code)]
+
 use qspr_fabric::Fabric;
 use qspr_qecc::codes::{benchmark_suite, Benchmark};
 

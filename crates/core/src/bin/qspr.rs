@@ -88,7 +88,7 @@ options:
   --router R    routing engine: greedy (default) or negotiated
   --m N         MVFB seed count (default 25)
   --jobs N      placement seeds run on N threads (default 1; identical output at any N)
-  --threads T   serve: worker threads (default: all CPUs)
+  --threads T   serve: heavy requests mapped at once (default: all CPUs)
   --format FMT  output format: text (default) or json
   --trace       print the micro-command trace after mapping
   --sta         map: append the static timing analysis to the report
@@ -526,9 +526,9 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     if let Some(threads) = cli.threads()? {
         config.threads = threads;
     }
-    // Per-request "jobs" budget: the worker pool already fans out
+    // Per-request "jobs" budget: the permit gate already fans out
     // across requests, so each request gets at most its fair share of
-    // the host's cores — pool threads times seed threads can never
+    // the host's cores — permits times seed threads can never
     // oversubscribe. Clamping is safe because jobs never changes
     // response bytes.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -538,7 +538,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     // Feed every pipeline span (parse, place, route epochs, sta, ...)
     // into the service registry as per-phase latency histograms, so
     // `GET /metrics` reports where mapping time goes. Global, because
-    // requests are handled on worker threads.
+    // requests are handled on connection threads.
     qspr::obs::install_global(Arc::new(qspr::obs::MetricsSpanSink::new(Arc::clone(
         service.metrics(),
     ))));

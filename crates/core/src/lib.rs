@@ -28,7 +28,8 @@
 //!   via [`json::ToJson`] like every other report type, and the Table 1
 //!   row (which carries placement wall time) is formatted by `table1`;
 //! * [`service`] — the `qspr serve` subsystem: a resident HTTP/1.1 JSON
-//!   mapping service with a fixed worker pool, a seed-deterministic
+//!   mapping service with one thread per connection, a permit gate
+//!   for the heavy endpoints, a seed-deterministic
 //!   LRU result cache keyed by [`Flow::fingerprint`], and a
 //!   Prometheus-format `GET /metrics` endpoint;
 //! * [`obs`] — the observability substrate (`qspr-obs`): hierarchical
@@ -65,6 +66,8 @@
 //! grace period; [`Flow`] is the only front door. The call-by-call
 //! migration table lives in the README's "Migrating from `QsprTool`"
 //! section.
+
+#![forbid(unsafe_code)]
 
 mod error;
 mod flow;

@@ -3,16 +3,16 @@
 //! same no-new-dependencies spirit as the vendored shims.
 //!
 //! Scope (and non-goals): request line + headers + `Content-Length`
-//! bodies only — no chunked encoding and no TLS. Since the reactor
-//! rewrite the server speaks **persistent HTTP/1.1**: responses
-//! default to `Connection: keep-alive` and clients may pipeline
-//! requests back-to-back on one connection; `Connection: close` (from
-//! either side), protocol errors and server drain still close. Limits
+//! bodies only — no chunked encoding and no TLS. The server speaks
+//! **persistent HTTP/1.1**: responses default to
+//! `Connection: keep-alive` and clients may pipeline requests
+//! back-to-back on one connection; `Connection: close` (from either
+//! side), protocol errors and server drain still close. Limits
 //! on the request line, header count and body size bound what an
 //! untrusted peer can make the server buffer.
 //!
 //! The server side parses with [`Parser`], an *incremental* state
-//! machine fed arbitrary byte slices as they arrive off a non-blocking
+//! machine fed arbitrary byte slices as they arrive off the
 //! socket. Parsing is restartable — each [`Parser::next_request`] call
 //! re-examines the buffered prefix — so the outcome depends only on
 //! the accumulated bytes, never on how reads were chunked; a property
@@ -79,8 +79,8 @@ pub struct Response {
     /// `Retry-After` header value in seconds (sent on `429` when the
     /// admission queue is full; parsed back by [`Client`]).
     pub retry_after: Option<u64>,
-    /// `Server-Timing` header value: the worker pool sets it on every
-    /// response it produces (see `Response::with_server_timing`).
+    /// `Server-Timing` header value: the server sets it on every
+    /// response produced under a permit (see `Response::with_server_timing`).
     /// [`Client`] does not parse it back.
     pub(crate) server_timing: Option<String>,
 }
@@ -115,7 +115,7 @@ impl Response {
     }
 
     /// Attaches `Server-Timing: queue;dur=<ms>, handler;dur=<ms>`: how
-    /// long this request waited for a worker and how long the handler
+    /// long this request waited for a permit and how long the handler
     /// ran, in milliseconds with microsecond resolution. Per-request
     /// time lives here, on the wire, and never in a body, so a cached
     /// body replays byte for byte while its header reports the hit's
@@ -149,7 +149,7 @@ impl Response {
 }
 
 /// Serializes `response` as a complete HTTP/1.1 message. `keep_alive`
-/// selects the `Connection` header; the reactor passes `false` on the
+/// selects the `Connection` header; the server passes `false` on the
 /// last response before it closes a connection.
 pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
@@ -236,14 +236,10 @@ impl Parser {
     }
 
     /// `true` when bytes of an incomplete request are buffered (the
-    /// slowloris signal: the reactor times these out).
+    /// slowloris signal: the server times these out from their first
+    /// byte).
     pub fn has_partial(&self) -> bool {
         !self.poisoned && self.buf.len() > self.start
-    }
-
-    /// Bytes currently buffered and not yet consumed by a request.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
     }
 
     /// Extracts one CR-stripped, `\n`-terminated line starting at

@@ -5,25 +5,25 @@
 //! invocation, even though the flow is
 //! fully seed-determined and identical requests are common (the same
 //! QECC encode blocks recur across suites). This module keeps the
-//! mapper resident behind a fleet-grade, dependency-free front end:
+//! mapper resident behind a small, dependency-free front end:
 //!
-//! - **Persistent HTTP/1.1.** A hand-rolled readiness reactor
-//!   (non-blocking sockets + `poll(2)` through a thin libc-free
-//!   shim) owns every connection and feeds a fixed worker pool.
-//!   Connections are keep-alive by default and clients may pipeline
-//!   requests back-to-back; responses always come back in request
-//!   order, whichever worker finishes first.
+//! - **Persistent HTTP/1.1.** A blocking `std::net` accept loop runs
+//!   one thread per connection. Connections are keep-alive by default
+//!   and clients may pipeline requests back-to-back; each connection
+//!   answers one request at a time, so responses come back in request
+//!   order.
 //! - **A result cache.** Response bodies live in one
 //!   [`ResultCache`] — an LRU behind one lock, keyed by the canonical
 //!   [`Flow::fingerprint`](crate::Flow::fingerprint), with byte
 //!   accounting. Repeated requests return byte-identical cached
 //!   responses without touching the mapper.
-//! - **Admission control.** Each heavy endpoint has a bounded queue;
-//!   when it is full the reactor answers `429 Too Many Requests` with
-//!   a `Retry-After` header instead of queueing without bound, so an
-//!   overloaded server degrades predictably. Graceful drain is
-//!   preserved: shutdown stops reads, finishes in-flight requests and
-//!   flushes every buffered response.
+//! - **Admission control.** The heavy endpoints share `--threads`
+//!   permits, and each has a bounded wait queue; when it is full the
+//!   server answers `429 Too Many Requests` with a `Retry-After` header
+//!   instead of queueing without bound, so an overloaded server
+//!   degrades predictably. Graceful drain is preserved: shutdown
+//!   closes the listener, and every connection finishes and writes the
+//!   request it is serving before it closes.
 //!
 //! # Endpoints
 //!
@@ -38,10 +38,10 @@
 //! | `GET /metrics` | — | Prometheus text exposition: request counts by endpoint/status, cache hits/misses, queue depth and wait, rejections, handler latency, per-phase span timings |
 //! | `POST /shutdown` | — | `{"status":"shutting-down"}`, then a graceful drain |
 //!
-//! Every response the worker pool produces (the four `POST` mapping
+//! Every response produced under a permit (the four `POST` mapping
 //! endpoints, unless rejected with `429`) carries a
 //! `Server-Timing: queue;dur=<ms>, handler;dur=<ms>` header: the
-//! request's own wait for a worker and its own handler time, so a
+//! request's own wait for a permit and its own handler time, so a
 //! cache hit reports the hit, not the miss that filled the cache.
 //! Bodies carry no clock.
 //!
@@ -49,8 +49,8 @@
 //! `m` 25, `jobs` 1, `trace` false. The `"jobs"` field runs the
 //! request's MVFB seeds on that many threads, like the `--jobs` flag
 //! of `qspr map`; it never changes response bytes, and the service
-//! clamps it to [`MapService::jobs_budget`] so concurrent request
-//! workers times seed threads cannot oversubscribe the host.
+//! clamps it to [`MapService::jobs_budget`] so concurrent heavy
+//! requests times seed threads cannot oversubscribe the host.
 //! `POST /batch` maps its programs one after another in input order,
 //! each on the request's clamped seed threads, consults the cache per
 //! circuit (its items share cache entries with `/compare`), and
@@ -67,9 +67,9 @@
 //! line/header/body size limits in [`http`], JSON nesting depth in the
 //! parser, `m` (the one field that scales *work*, not input size)
 //! capped at 10 000 seeds per request, `/batch` capped at 256 programs,
-//! a `"fabric"` document capped at 262 144 grid cells,
-//! pipelining capped per connection, and the admission queues bounded
-//! by `--max-queue`.
+//! a `"fabric"` document capped at 262 144 grid cells, one request
+//! answered at a time per connection, and the admission queues
+//! bounded by `--max-queue`.
 //!
 //! # Determinism and the cache
 //!
@@ -120,8 +120,7 @@
 pub mod http;
 
 mod cache;
-mod poll;
-mod reactor;
+mod transport;
 
 pub use cache::{CacheConfig, CacheStats, ResultCache, DEFAULT_CACHE_ENTRIES};
 pub use http::{Request, Response};
@@ -144,32 +143,33 @@ use crate::error::QsprError;
 use crate::flow::{Flow, FlowPolicy};
 use crate::json::{JsonArray, JsonObject, JsonValue, ToJson};
 
-/// How a [`Server`] binds, sizes its worker pool, and paces its
-/// connections. (The result-cache geometry belongs to
+/// How a [`Server`] binds, how many heavy requests it runs at once,
+/// and how it paces its connections. (The result-cache geometry belongs to
 /// [`MapService::new`] / [`MapService::with_cache`] — the service, not
 /// the transport, owns the cache.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Fixed worker-pool size (clamped to at least 1).
+    /// Permits for the heavy endpoints: at most this many `/map`,
+    /// `/compare`, `/sta` and `/batch` requests run at once (clamped to
+    /// at least 1; `--threads` on the CLI).
     pub threads: usize,
     /// Emit one structured access-log line per request to stderr
     /// (`--log` on the CLI).
     pub log: bool,
     /// Idle seconds before a keep-alive connection is closed. `0`
     /// disables persistence entirely: every response carries
-    /// `Connection: close` (the pre-reactor behavior, `--keep-alive 0`
-    /// on the CLI).
+    /// `Connection: close` (`--keep-alive 0` on the CLI).
     pub keep_alive_secs: u64,
-    /// Bound on each heavy endpoint's admission queue; a request
-    /// arriving past it is answered `429` + `Retry-After` instead of
-    /// queued (`--max-queue` on the CLI).
+    /// Most requests that may wait for a permit, per heavy endpoint; a
+    /// request arriving past it is answered `429` + `Retry-After`
+    /// instead of waiting (`--max-queue` on the CLI).
     pub max_queue: usize,
 }
 
 impl Default for ServeConfig {
-    /// `127.0.0.1:7878`, one worker per CPU, no access log, 30-second
+    /// `127.0.0.1:7878`, one permit per CPU, no access log, 30-second
     /// keep-alive, 256-deep admission queues.
     fn default() -> ServeConfig {
         ServeConfig {
@@ -300,8 +300,8 @@ impl ToJson for StatsSnapshot {
 ///
 /// `MapService` is transport-free — [`MapService::handle`] maps a
 /// parsed [`Request`] to a [`Response`] and is what the golden tests
-/// exercise; [`Server`] adds the reactor, TCP listener and worker pool
-/// on top.
+/// exercise; [`Server`] adds the TCP listener, connection threads and
+/// permit gate on top.
 pub struct MapService {
     fabric: Arc<Fabric>,
     /// Upper bound on a request's `"jobs"` value (see
@@ -424,7 +424,8 @@ impl MapService {
     /// parallelism).
     ///
     /// `"jobs"` scales *threads* the way `"m"` scales work, so an
-    /// untrusted body must not be able to multiply the worker pool.
+    /// untrusted body must not be able to multiply the heavy-request
+    /// permits.
     /// Values above the budget are clamped silently rather than
     /// rejected — `"jobs"` is a performance hint that never changes
     /// response bytes, so clamping preserves the answer.
@@ -555,10 +556,10 @@ impl MapService {
         response
     }
 
-    /// The `429 Too Many Requests` answer for a request the reactor
-    /// refused to enqueue: counted as a request and an error, tagged
-    /// with a one-second `Retry-After` (the queue drains at
-    /// mapping-request speed, so "soon" is the honest hint).
+    /// The `429 Too Many Requests` answer for a heavy request that found
+    /// its endpoint's wait queue full: counted as a request and an
+    /// error, tagged with a one-second `Retry-After` (the queue drains
+    /// at mapping-request speed, so "soon" is the honest hint).
     pub fn reject(&self, endpoint: &'static str) -> Response {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -619,8 +620,8 @@ impl MapService {
             Ok(request) => request,
             Err(e) => return error_response(400, &e.to_string()),
         };
-        // The budget clamp keeps request-level concurrency (the worker
-        // pool) times seed parallelism bounded no matter what the
+        // The budget clamp keeps request-level concurrency (the permit
+        // gate) times seed parallelism bounded no matter what the
         // body asked for; results are byte-identical at every value.
         request.jobs = request.jobs.min(self.jobs_budget);
         // A request-supplied fabric document replaces the resident
@@ -1085,13 +1086,14 @@ fn parse_fabric_field(value: &JsonValue) -> Result<Option<String>, QsprError> {
     }
 }
 
-/// The TCP front end: a readiness reactor plus a fixed worker pool,
-/// all serving one shared [`MapService`].
+/// The TCP front end: one thread per connection and a permit gate for
+/// the heavy endpoints, all serving one shared [`MapService`].
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
     service: Arc<MapService>,
-    config: reactor::ReactorConfig,
+    /// `threads` and `max_queue` clamped to at least 1.
+    config: ServeConfig,
 }
 
 impl Server {
@@ -1108,11 +1110,10 @@ impl Server {
         Ok(Server {
             listener,
             service,
-            config: reactor::ReactorConfig {
+            config: ServeConfig {
                 threads: config.threads.max(1),
-                log: config.log,
-                keep_alive_secs: config.keep_alive_secs,
                 max_queue: config.max_queue.max(1),
+                ..config.clone()
             },
         })
     }
@@ -1127,24 +1128,23 @@ impl Server {
     }
 
     /// Serves until shutdown is requested, then drains gracefully: the
-    /// listener closes, reads stop, in-flight requests finish, every
-    /// buffered response flushes, workers join.
+    /// listener closes, each connection finishes and writes the request
+    /// it is serving, and every connection thread joins.
     ///
-    /// One reactor thread (this one) owns every socket: it accepts,
-    /// reads, parses, enforces admission control and writes, while the
-    /// fixed pool of `threads` workers runs
-    /// [`MapService::handle`] on dispatched requests. Responses go out
-    /// strictly in per-connection request order — pipelined requests
-    /// may *complete* out of order across the pool, but never reorder
-    /// on the wire.
+    /// This thread runs a blocking accept loop and gives every
+    /// connection its own thread, which reads, parses and answers one
+    /// request at a time, so responses go out in request order. The
+    /// heavy endpoints (`/map`, `/compare`, `/sta`, `/batch`) first take
+    /// one of `threads` permits in FIFO order; light ones answer on the
+    /// connection thread.
     ///
     /// # Errors
     ///
-    /// Returns the first fatal `accept`/`poll` error. Per-connection
-    /// I/O failures are answered with `400`/`413` where possible and
-    /// never stop the server.
+    /// Returns the first fatal `accept` error, after the live
+    /// connections drain. Per-connection I/O failures are answered with
+    /// `400`/`413` where possible and never stop the server.
     pub fn run(self) -> io::Result<()> {
-        reactor::run(self.listener, &self.service, &self.config)
+        transport::run(self.listener, &self.service, &self.config)
     }
 
     /// Runs the server on a background thread, returning a
@@ -1183,8 +1183,8 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Requests shutdown, wakes the reactor and joins the server
-    /// thread (in-flight requests finish first).
+    /// Requests shutdown, wakes the accept loop and joins the server
+    /// thread (in-flight requests finish and are written first).
     ///
     /// # Errors
     ///
@@ -1195,9 +1195,9 @@ impl ServerHandle {
     /// Panics if the server thread itself panicked.
     pub fn shutdown(self) -> io::Result<()> {
         self.service.request_shutdown();
-        // Wake the reactor's poll by knocking on the listener; if the
+        // Wake the blocking accept by knocking on the listener; if the
         // server already exited the connect simply fails, which is
-        // fine (the reactor also ticks on its own).
+        // fine.
         let _ = TcpStream::connect(wake_addr(self.addr));
         self.thread.join().expect("server thread panicked")
     }

@@ -832,7 +832,7 @@ fn parse_whole(wire: &[u8]) -> (Vec<Request>, Option<String>) {
 }
 
 /// Parses `wire` split at the given cycle of chunk sizes, draining
-/// after every feed (the worst-case interleaving a reactor sees).
+/// after every feed (the worst-case interleaving a socket delivers).
 fn parse_chunked(wire: &[u8], sizes: &[usize]) -> (Vec<Request>, Option<String>) {
     let mut parser = Parser::new();
     let mut requests = Vec::new();
@@ -1154,7 +1154,7 @@ fn worker_responses_carry_their_own_server_timing() {
     assert!(!miss.contains("\"timing\""), "{miss}");
     assert_eq!(hit, miss);
 
-    // Light endpoints answer inline, outside the worker pool.
+    // Light endpoints answer outside the permit gate.
     let (health_headers, _) = raw_exchange(addr, "GET", "/healthz", "");
     assert!(!health_headers
         .iter()

@@ -35,6 +35,8 @@
 //! assert_eq!(same.to_ascii(), fabric.to_ascii());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cell;
 mod error;
 mod grid;

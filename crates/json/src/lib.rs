@@ -40,6 +40,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 /// Types that serialize themselves to a stable JSON string.

@@ -4,7 +4,7 @@
 //!
 //! The crate is dependency-free (only `qspr-json` for serialization)
 //! and designed around one invariant: **instrumentation left in place
-//! costs almost nothing when nobody is listening**. [`span`] is a
+//! costs almost nothing when nobody is listening**. [`span()`] is a
 //! single relaxed atomic load on the disabled path, so pipeline
 //! crates (`qspr-qasm`, `qspr-sched`, `qspr-place`, `qspr-sim`,
 //! `qspr-sta`) instrument unconditionally; hot inner loops
@@ -33,6 +33,8 @@
 //! assert_eq!(roots[0].name, "parse");
 //! assert_eq!(roots[0].children[0].name, "tokenize");
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod metrics;
 mod profile;

@@ -51,6 +51,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod monte_carlo;
 mod mvfb;
 mod placer;

@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod error;
 mod gate;

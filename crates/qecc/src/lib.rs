@@ -30,6 +30,8 @@
 //! assert_eq!(circuit.num_qubits(), 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codes;
 pub mod encoder;
 

@@ -96,6 +96,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bounds;
 pub mod engine;
 mod plan;

@@ -88,6 +88,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod priority;
 mod qidg;
 mod schedule;

@@ -121,6 +121,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod error;
 mod outcome;

@@ -1,13 +1,15 @@
-//! Fault injection against the `qspr serve` reactor: misbehaving
+//! Fault injection against the `qspr serve` transport (one thread per
+//! connection, a permit gate for the heavy endpoints): misbehaving
 //! clients — slowloris dribblers, mid-request disconnects, peers that
 //! never read, garbage after valid pipelines — must never hang the
-//! event loop, leak connections, or corrupt the responses of
-//! well-behaved clients, and a shutdown must drain in-flight work.
+//! server, leak connections, or corrupt the responses of well-behaved
+//! clients; a full admission queue answers `429`; and a shutdown must
+//! drain in-flight work.
 //!
 //! Every raw socket carries a read timeout so a regression fails the
 //! test quickly instead of wedging the suite.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
@@ -19,12 +21,19 @@ use qspr_fabric::Fabric;
 const BELL: &str = "QUBIT a\nQUBIT b\nH a\nC-X a,b\n";
 
 fn spawn_server(threads: usize, keep_alive_secs: u64) -> ServerHandle {
-    let service = Arc::new(MapService::new(Fabric::quale_45x85(), 32));
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
+    spawn(ServeConfig {
         threads,
         keep_alive_secs,
         ..ServeConfig::default()
+    })
+}
+
+/// Serves `config` on an ephemeral loopback port with a 32-entry cache.
+fn spawn(config: ServeConfig) -> ServerHandle {
+    let service = Arc::new(MapService::new(Fabric::quale_45x85(), 32));
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..config
     };
     Server::bind(service, &config)
         .expect("bind ephemeral")
@@ -89,7 +98,7 @@ fn assert_healthy(handle: &ServerHandle) {
 fn slowloris_connections_are_reaped_without_blocking_others() {
     // keep_alive 1s: a connection holding a partial request is cut off
     // on the (shorter of the) partial-request timeout — it cannot pin
-    // reactor state forever.
+    // a connection thread forever.
     let handle = spawn_server(2, 1);
 
     let mut dribbler = raw_client(&handle);
@@ -101,7 +110,7 @@ fn slowloris_connections_are_reaped_without_blocking_others() {
     }
 
     // The server hangs up on the dribbler within the timeout window
-    // (1s limit + poll tick), even if it keeps dribbling occasionally.
+    // (1s limit + read tick), even if it keeps dribbling occasionally.
     let started = Instant::now();
     let mut one = [0u8; 1];
     let outcome = dribbler.read(&mut one);
@@ -120,8 +129,81 @@ fn slowloris_connections_are_reaped_without_blocking_others() {
 }
 
 #[test]
+fn slow_dribblers_are_reaped_from_the_first_byte() {
+    // One byte every 300 ms would hold a partial request open forever
+    // if its deadline restarted on every byte. It is counted from the
+    // first byte, so with keep-alive 1s the socket closes after about a
+    // second however steadily the peer dribbles (27 bytes take ~8 s).
+    let handle = spawn_server(1, 1);
+    let mut dribbler = raw_client(&handle);
+    dribbler
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .expect("read timeout");
+    let started = Instant::now();
+    let closed = b"POST /map HTTP/1.1\r\nX-Slow:".iter().any(|&byte| {
+        let mut one = [0u8; 1];
+        match dribbler
+            .write_all(&[byte])
+            .and_then(|()| dribbler.read(&mut one))
+        {
+            Ok(0) => true,
+            Ok(_) => panic!("the server answered a partial request"),
+            Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        }
+    });
+    assert!(
+        closed && started.elapsed() < Duration::from_secs(4),
+        "dribbler still connected after {:?}",
+        started.elapsed()
+    );
+    assert_healthy(&handle);
+    handle.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn a_full_admission_queue_answers_429_with_retry_after() {
+    // One permit and a queue of one: a slow /map holds the permit, an
+    // identical second /map waits, and a third is refused outright.
+    let handle = spawn(ServeConfig {
+        threads: 1,
+        max_queue: 1,
+        ..ServeConfig::default()
+    });
+    let slow = format!("{{\"program\":{BELL:?},\"m\":2000}}");
+    let mut first = http::Client::connect(handle.addr()).expect("connect");
+    first.write_request("POST", "/map", &slow).expect("map");
+    let mut second = http::Client::connect(handle.addr()).expect("connect");
+    second.write_request("POST", "/map", &slow).expect("map");
+    let mut scraper = http::Client::connect(handle.addr()).expect("connect");
+    let mut map_depth = || {
+        let metrics = scraper.send("GET", "/metrics", "").expect("metrics");
+        let prefix = "qspr_queue_depth{endpoint=\"/map\"} ";
+        let line = metrics.body.lines().find_map(|l| l.strip_prefix(prefix));
+        line.expect("a /map depth gauge").to_owned()
+    };
+    let started = Instant::now();
+    while map_depth() != "1" {
+        assert!(started.elapsed() < Duration::from_secs(10), "never queued");
+        thread::sleep(Duration::from_millis(2));
+    }
+    let third = http::call(handle.addr(), "POST", "/map", &slow).expect("third map");
+    assert_eq!(
+        (third.status, third.retry_after),
+        (429, Some(1)),
+        "{}",
+        third.body
+    );
+    let a = first.read_response().expect("first answer");
+    let b = second.read_response().expect("second answer");
+    assert_eq!((a.status, b.status), (200, 200), "{}", a.body);
+    assert_eq!(a.body, b.body);
+    assert_eq!(map_depth(), "0");
+    handle.shutdown().expect("graceful shutdown");
+}
+
+#[test]
 fn mid_request_disconnects_never_wedge_the_pool() {
-    // More abandoned connections than worker threads, in every state:
+    // More abandoned connections than permits, in every state:
     // nothing sent, half a request line, full headers without the
     // body, and a complete request dropped before the response.
     let handle = spawn_server(2, 5);
@@ -162,7 +244,7 @@ fn mid_request_disconnects_never_wedge_the_pool() {
 #[test]
 fn never_reading_clients_are_bounded_and_reaped() {
     // A client that pipelines requests and never drains its socket
-    // must not block the reactor thread or starve other connections.
+    // must not block the server or starve other connections.
     let handle = spawn_server(1, 1);
     let mut hoarder = raw_client(&handle);
     let mut pipeline = Vec::new();
@@ -229,7 +311,7 @@ fn oversized_content_length_is_rejected_up_front() {
     let handle = spawn_server(1, 5);
     let stream = raw_client(&handle);
     let mut writer = stream.try_clone().expect("clone socket");
-    // 100 MiB announced: the reactor must answer 413 from the header
+    // 100 MiB announced: the server must answer 413 from the header
     // alone and close, rather than buffer toward the announced size.
     writer
         .write_all(b"POST /map HTTP/1.1\r\nContent-Length: 104857600\r\n\r\n")
@@ -246,8 +328,7 @@ fn oversized_content_length_is_rejected_up_front() {
 #[test]
 fn pipelined_responses_come_back_in_request_order() {
     // One batched write interleaving slow (mapping) and fast (inline)
-    // endpoints; the reorder buffer must emit responses in request
-    // order on the wire.
+    // endpoints; responses must leave in request order on the wire.
     let handle = spawn_server(4, 5);
     let map_body = format!("{{\"program\":{BELL:?},\"m\":6}}");
     let mut wire = Vec::new();
@@ -300,7 +381,7 @@ fn shutdown_drains_a_slow_inflight_request() {
     client
         .write_request("POST", "/map", &slow_body)
         .expect("write slow request");
-    // Give the reactor time to parse and dispatch it to the worker.
+    // Give the server time to parse it and start mapping.
     thread::sleep(Duration::from_millis(150));
     handle.shutdown().expect("drain completes");
     // The server is gone — but our in-flight answer was flushed first.
