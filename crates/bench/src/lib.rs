@@ -3,12 +3,10 @@
 //! Binaries (run with `--release`):
 //!
 //! * `table1` — MVFB vs Monte Carlo placers (paper Table 1);
-//! * `table2` — ideal baseline vs QUALE vs QSPR (paper Table 2);
-//! * `loadgen` — correctness oracle for a running `qspr serve`.
+//! * `table2` — ideal baseline vs QUALE vs QSPR (paper Table 2).
 //!
-//! The criterion bench `micro` (`cargo bench`) times the substrate
-//! kernels. End-to-end and per-layer speed is measured by the
-//! standalone `perfbench` package.
+//! End-to-end and per-layer speed is measured by the standalone
+//! `perfbench` package.
 
 #![forbid(unsafe_code)]
 
@@ -110,8 +108,8 @@ mod tests {
         );
         let typo = flag_value(&args(&["table2", "--m", "1OO"]), "--m", 100).unwrap_err();
         assert!(typo.contains("--m") && typo.contains("1OO"), "{typo}");
-        let missing = flag_value(&args(&["loadgen", "--iters"]), "--iters", 4).unwrap_err();
-        assert!(missing.contains("--iters"), "{missing}");
+        let missing = flag_value(&args(&["table2", "--m"]), "--m", 100).unwrap_err();
+        assert!(missing.contains("--m"), "{missing}");
     }
 
     #[test]

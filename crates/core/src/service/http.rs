@@ -375,8 +375,8 @@ impl Parser {
 // ---------------------------------------------------------------------------
 
 /// A persistent (keep-alive) HTTP client for one connection to the
-/// service: the client side `loadgen`, the fault-injection tests and
-/// the integration tests drive the server with.
+/// service: the client side the fault-injection and integration tests
+/// drive the server with.
 ///
 /// [`Client::send`] writes one request and blocks for its response;
 /// [`Client::write_request`] / [`Client::read_response`] split the two

@@ -82,9 +82,10 @@
 //! a miss that finishes after an identical one answers with the body
 //! already cached, so repeated requests are byte-identical. Where
 //! time went is reported beside the body, in the `Server-Timing`
-//! header, the access log and `/metrics`. The `loadgen` binary in
-//! `qspr-bench` asserts both properties under concurrent keep-alive
-//! load.
+//! header, the access log and `/metrics`. The service tests assert
+//! both properties, in process under concurrent clients
+//! (`tests/service_e2e.rs`) and against the spawned `qspr serve`
+//! binary (`crates/core/tests/serve_binary.rs`).
 //!
 //! # Examples
 //!
@@ -125,7 +126,6 @@ mod transport;
 pub use cache::{CacheConfig, CacheStats, ResultCache, DEFAULT_CACHE_ENTRIES};
 pub use http::{Request, Response};
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -295,8 +295,8 @@ impl ToJson for StatsSnapshot {
     }
 }
 
-/// The resident mapping service: one shared fabric, one [`Flow`] per
-/// requested configuration, one LRU cache of response bodies.
+/// The resident mapping service: one shared fabric, one LRU cache of
+/// response bodies.
 ///
 /// `MapService` is transport-free — [`MapService::handle`] maps a
 /// parsed [`Request`] to a [`Response`] and is what the golden tests
@@ -307,9 +307,6 @@ pub struct MapService {
     /// Upper bound on a request's `"jobs"` value (see
     /// [`MapService::jobs_budget`]).
     jobs_budget: usize,
-    /// One configured `Flow` per `(policy, router, m, trace, jobs)`,
-    /// all sharing `fabric` behind the same `Arc`.
-    flows: Mutex<HashMap<String, Flow>>,
     cache: ResultCache,
     /// The `/metrics` mirrors of the cache's hit and miss counters,
     /// created once so a lookup never searches the registry.
@@ -385,7 +382,6 @@ impl MapService {
         MapService {
             fabric: fabric.into(),
             jobs_budget: thread::available_parallelism().map_or(1, |n| n.get()),
-            flows: Mutex::new(HashMap::new()),
             cache: ResultCache::new(cache_capacity),
             cache_hits: metrics.counter("qspr_cache_hits_total", "Mapping-cache hits.", &[]),
             cache_misses: metrics.counter(
@@ -616,14 +612,10 @@ impl MapService {
             Endpoint::Sta => &self.counters.sta_requests,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let mut request = match parse_mapping_request(endpoint, body) {
+        let request = match parse_mapping_request(endpoint, body) {
             Ok(request) => request,
             Err(e) => return error_response(400, &e.to_string()),
         };
-        // The budget clamp keeps request-level concurrency (the permit
-        // gate) times seed parallelism bounded no matter what the
-        // body asked for; results are byte-identical at every value.
-        request.jobs = request.jobs.min(self.jobs_budget);
         // A request-supplied fabric document replaces the resident
         // fabric for this request only.
         let fabric = match request_fabric(request.fabric.as_deref()) {
@@ -688,11 +680,10 @@ impl MapService {
     /// the first failure answers `422` naming its circuit.
     fn batch(&self, body: &str) -> Response {
         self.counters.batch_requests.fetch_add(1, Ordering::Relaxed);
-        let mut request = match parse_batch_request(body) {
+        let request = match parse_batch_request(body) {
             Ok(request) => request,
             Err(e) => return error_response(400, &e.to_string()),
         };
-        request.jobs = request.jobs.min(self.jobs_budget);
         let fabric = match request_fabric(request.fabric.as_deref()) {
             Ok(fabric) => fabric,
             Err(response) => return response,
@@ -743,11 +734,10 @@ impl MapService {
         value
     }
 
-    /// The shared [`Flow`] for a request's configuration, created on
-    /// first use; every flow shares the service fabric's `Arc`. A
-    /// request-supplied `fabric` gets a one-off flow instead — the
-    /// flows map is keyed by configuration only and must stay bound to
-    /// the resident fabric.
+    /// The [`Flow`] for a request's configuration, on the request's own
+    /// `fabric` document if it sent one, else on the resident fabric's
+    /// `Arc`. A `Flow` is a handful of `Arc` clones, so each request
+    /// builds its own.
     fn flow_for(&self, request: &MapRequest, fabric: Option<Arc<Fabric>>) -> Flow {
         self.flow_for_config(
             request.policy,
@@ -760,7 +750,11 @@ impl MapService {
     }
 
     /// [`MapService::flow_for`] by explicit configuration axes (shared
-    /// with `/batch`, which has no single `MapRequest`).
+    /// with `/batch`, which has no single `MapRequest`). `jobs` is
+    /// clamped to the [`MapService::jobs_budget`], which keeps
+    /// request-level concurrency (the permit gate) times seed
+    /// parallelism bounded no matter what the body asked for; results
+    /// are byte-identical at every value.
     fn flow_for_config(
         &self,
         policy: FlowPolicy,
@@ -770,22 +764,12 @@ impl MapService {
         jobs: usize,
         fabric: Option<Arc<Fabric>>,
     ) -> Flow {
-        let configure = |flow: Flow| {
-            flow.policy(policy)
-                .router(router)
-                .seeds(seeds)
-                .record_trace(trace)
-                .jobs(jobs)
-        };
-        if let Some(fabric) = fabric {
-            return configure(Flow::on(fabric));
-        }
-        let key = format!("{policy}|{router}|{seeds}|{trace}|{jobs}");
-        let mut flows = self.flows.lock().expect("flows lock");
-        flows
-            .entry(key)
-            .or_insert_with(|| configure(Flow::on(Arc::clone(&self.fabric))))
-            .clone()
+        Flow::on(fabric.unwrap_or_else(|| Arc::clone(&self.fabric)))
+            .policy(policy)
+            .router(router)
+            .seeds(seeds)
+            .record_trace(trace)
+            .jobs(jobs.min(self.jobs_budget))
     }
 }
 

@@ -353,18 +353,12 @@ fn sta_requests_validate_their_fields() {
 
 #[test]
 fn flows_are_reused_per_configuration() {
+    // What every configuration's flow reuses is the service fabric:
+    // each request's flow shares its `Arc` rather than copying it.
     let service = service();
-    let body = format!("{{\"program\":{BELL:?},\"m\":2}}");
-    post(&service, "/map", &body);
-    post(&service, "/map", &body);
-    post(
-        &service,
-        "/map",
-        &format!("{{\"program\":{BELL:?},\"m\":3}}"),
-    );
-    assert_eq!(service.flows.lock().unwrap().len(), 2);
-    // Every flow shares the service fabric Arc rather than copying it.
-    for flow in service.flows.lock().unwrap().values() {
+    for m in [2, 3] {
+        let body = format!("{{\"program\":{BELL:?},\"m\":{m}}}");
+        let flow = service.flow_for(&parse_mapping_request(Endpoint::Map, &body).unwrap(), None);
         assert!(Arc::ptr_eq(flow.fabric_arc(), service.fabric()));
     }
 }
@@ -382,19 +376,11 @@ fn jobs_field_parses_clamps_and_never_changes_bytes() {
     assert!(bad(&format!("{{\"program\":{BELL:?},\"jobs\":\"two\"}}")).contains("positive integer"));
     // An over-budget request is clamped, not rejected: the flow the
     // service builds runs with the budgeted thread count.
-    let response = post(
-        &service,
-        "/map",
-        &format!("{{\"program\":{BELL:?},\"m\":2,\"jobs\":64}}"),
-    );
+    let body = format!("{{\"program\":{BELL:?},\"m\":2,\"jobs\":64}}");
+    let request = parse_mapping_request(Endpoint::Map, &body).unwrap();
+    assert_eq!(service.flow_for(&request, None).job_count(), 2);
+    let response = post(&service, "/map", &body);
     assert_eq!(response.status, 200, "{}", response.body);
-    {
-        let flows = service.flows.lock().unwrap();
-        assert_eq!(flows.len(), 1);
-        let (key, flow) = flows.iter().next().unwrap();
-        assert!(key.ends_with("|2"), "flows key carries clamped jobs: {key}");
-        assert_eq!(flow.job_count(), 2);
-    }
     // `jobs` is a performance hint, not a result axis: a fresh service
     // mapping the same program sequentially produces the same bytes.
     let sequential = MapService::new(Fabric::quale_45x85(), 8);
@@ -429,8 +415,6 @@ fn request_fabric_overrides_the_resident_fabric() {
         response.body
     );
     assert!(response.body.contains(r#"{"capacity":4,"count":1}"#));
-    // One-off fabrics never land in the per-configuration flows map.
-    assert_eq!(service.flows.lock().unwrap().len(), 0);
     // And the cached repeat is byte-identical.
     let warm = post(&service, "/map", &body);
     assert_eq!(warm, response);
@@ -725,7 +709,7 @@ fn encode_response_golden() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn sharded_cache_accounts_bytes_exactly() {
+fn result_cache_accounts_bytes_exactly() {
     let cache = ResultCache::new(64);
     let mut expected = 0u64;
     for i in 0..40 {
@@ -751,7 +735,7 @@ fn sharded_cache_accounts_bytes_exactly() {
 }
 
 #[test]
-fn sharded_cache_keeps_the_first_writer() {
+fn result_cache_keeps_the_first_writer() {
     let cache = ResultCache::new(16);
     // Two identical cold requests racing: the later insert answers with
     // the body the earlier one cached, and so does every later hit.
@@ -767,7 +751,7 @@ fn sharded_cache_keeps_the_first_writer() {
 }
 
 #[test]
-fn sharded_cache_is_deterministic_under_concurrency() {
+fn result_cache_is_deterministic_under_concurrency() {
     // N threads hammer disjoint key ranges concurrently; every thread
     // sees exactly its own values, and the final counters add up.
     let cache = Arc::new(ResultCache::new(4096));

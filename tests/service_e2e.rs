@@ -2,9 +2,8 @@
 //! deployment would use it: a real server on an ephemeral port, real
 //! TCP clients, concurrent traffic, counter checks, graceful shutdown.
 //!
-//! The heavier load/oracle checks live in the `loadgen` binary
-//! (`qspr-bench`), which CI runs against a spawned `qspr serve`; this
-//! test keeps a fast in-process version in the tier-1 suite.
+//! The same checks against the spawned `qspr serve` binary live in
+//! `crates/core/tests/serve_binary.rs`.
 
 use std::sync::Arc;
 use std::thread;

@@ -3,8 +3,8 @@
 //! clients — slowloris dribblers, mid-request disconnects, peers that
 //! never read, garbage after valid pipelines — must never hang the
 //! server, leak connections, or corrupt the responses of well-behaved
-//! clients; a full admission queue answers `429`; and a shutdown must
-//! drain in-flight work.
+//! clients; a full admission queue answers `429` and admits the refused
+//! request once it drains; and a shutdown must drain in-flight work.
 //!
 //! Every raw socket carries a read timeout so a regression fails the
 //! test quickly instead of wedging the suite.
@@ -193,11 +193,16 @@ fn a_full_admission_queue_answers_429_with_retry_after() {
         "{}",
         third.body
     );
+    assert!(third.body.contains("admission queue"), "{}", third.body);
     let a = first.read_response().expect("first answer");
     let b = second.read_response().expect("second answer");
     assert_eq!((a.status, b.status), (200, 200), "{}", a.body);
     assert_eq!(a.body, b.body);
     assert_eq!(map_depth(), "0");
+    // Once the queue has drained, the refused request is admitted and
+    // answers the bytes the admitted twins got.
+    let retry = http::call(handle.addr(), "POST", "/map", &slow).expect("retried map");
+    assert_eq!((retry.status, &retry.body), (200, &a.body));
     handle.shutdown().expect("graceful shutdown");
 }
 
