@@ -1,118 +1,66 @@
-//! The paper's six benchmark codes and their encoding circuits.
+//! The paper's six benchmark circuits.
 //!
 //! The original circuits came from M. Grassl's "Cyclic QECC" page, which
 //! is no longer reachable, so their gate lists are not recoverable.
-//! Each code here is rebuilt from first principles with the same
-//! `[[n, k, d]]` parameters:
+//! Each circuit here encodes a code rebuilt from first principles with
+//! the same `[[n, k, d]]` parameters, and is committed as QASM under
+//! `circuits/`:
 //!
-//! | code | form | provenance |
-//! |------|------|------------|
-//! | \[\[5,1,3\]\] | cyclic shifts of `XZZXI` (the perfect code) | textbook; the paper's Fig. 2/3 circuit ships verbatim as [`fig3_program`] |
-//! | \[\[7,1,3\]\] | CSS, Hamming column order (not shift-invariant) | textbook Steane code |
-//! | \[\[9,1,3\]\] | additive cyclic: ZZ-pair shifts plus two X-type rows | generators found by a GF(4) additive cyclic search, no longer shipped |
-//! | \[\[14,8,3\]\] | additive cyclic: six shifts of one seed | generators found by a GF(4) additive cyclic search, no longer shipped |
-//! | \[\[19,1,7\]\] | additive cyclic: eighteen shifts of one seed | seed literal; distance 7 verified by the ignored exhaustive scan |
-//! | \[\[23,1,7\]\] | linear cyclic (quantum Golay): eleven X/Z shift pairs | generators found by a GF(4) linear cyclic search over x²³−1, no longer shipped; pinned by a unit test |
+//! | code | form | circuit provenance |
+//! |------|------|--------------------|
+//! | \[\[5,1,3\]\] | cyclic shifts of `XZZXI` (the perfect code) | standard-form encoder output; the suite maps the paper's Fig. 2/3 circuit verbatim instead ([`fig3_program`]) |
+//! | \[\[7,1,3\]\] | CSS, Hamming column order (not shift-invariant), the textbook Steane code | standard-form encoder output; the synthesizer is no longer shipped |
+//! | \[\[9,1,3\]\] | additive cyclic: ZZ-pair shifts plus two X-type rows, from a GF(4) search no longer shipped | standard-form encoder output; the synthesizer is no longer shipped |
+//! | \[\[14,8,3\]\] | additive cyclic: six shifts of one seed, from a GF(4) search no longer shipped | standard-form encoder output; the synthesizer is no longer shipped |
+//! | \[\[19,1,7\]\] | additive cyclic: eighteen shifts of one seed | standard-form encoder output; the synthesizer is no longer shipped |
+//! | \[\[23,1,7\]\] | linear cyclic (quantum Golay): eleven X/Z shift pairs, from a GF(4) search no longer shipped | standard-form encoder output; the synthesizer is no longer shipped |
 //!
-//! Every code except the Steane code is closed under a one-position
-//! cyclic shift; a unit test checks this, and another pins the Golay
-//! generator strings.
-//!
-//! Every code's distance-3 bound is machine-checked in the normal test
-//! suite; the full distance-7 verifications run as `--ignored` tests
-//! (release mode recommended).
+//! The circuits are the only source at run time. The test suite rebuilds
+//! every code from its generator literals and checks the data against
+//! it: each committed encoder takes |0…0⟩ to a state its code's
+//! stabilizers fix (by tableau simulation), every code has distance at
+//! least 3 and (all but the Steane code) is closed under a one-position
+//! cyclic shift. The full distance-7 verifications run as `--ignored`
+//! tests (release mode recommended).
 
 use qspr_qasm::Program;
 
-use crate::encoder::encoding_circuit;
-use crate::pauli::Pauli;
-use crate::stabilizer::StabilizerCode;
-
-/// The perfect \[\[5,1,3\]\] code: cyclic shifts of `XZZXI`.
-pub fn five_one_three() -> StabilizerCode {
-    StabilizerCode::new("[[5,1,3]]", ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
-        .expect("statically valid")
-        .with_claimed_distance(3)
-}
-
-/// The Steane \[\[7,1,3\]\] code (CSS form of the cyclic Hamming code).
-pub fn steane() -> StabilizerCode {
-    StabilizerCode::new(
+/// The six encoding circuits, in table order: the paper's circuit name,
+/// the code distance `d` and the QASM text `qspr encode` prints.
+///
+/// Each text is in the canonical form [`Program::to_qasm`] writes.
+pub const ENCODERS: [(&str, u32, &str); 6] = [
+    (
+        "[[5,1,3]]",
+        3,
+        include_str!("../circuits/encode_5_1_3.qasm"),
+    ),
+    (
         "[[7,1,3]]",
-        [
-            "XXXXIII", "XXIIXXI", "XIXIXIX", "ZZZZIII", "ZZIIZZI", "ZIZIZIZ",
-        ],
-    )
-    .expect("statically valid")
-    .with_claimed_distance(3)
-}
-
-/// A \[\[9,1,3\]\] additive cyclic code: ZZ-pair shifts plus two X-type
-/// rows, found by a GF(4) additive cyclic search over x⁹−1 (the paper's
-/// benchmark is cyclic; Shor's code is not).
-pub fn nine_one_three() -> StabilizerCode {
-    StabilizerCode::new(
+        3,
+        include_str!("../circuits/encode_7_1_3.qasm"),
+    ),
+    (
         "[[9,1,3]]",
-        [
-            "ZIIZIIIII",
-            "IZIIZIIII",
-            "IIZIIZIII",
-            "IIIZIIZII",
-            "IIIIZIIZI",
-            "IIIIIZIIZ",
-            "XXIXXIXXI",
-            "IXXIXXIXX",
-        ],
-    )
-    .expect("statically valid")
-    .with_claimed_distance(3)
-}
-
-/// A \[\[14,8,3\]\] additive cyclic code: six cyclic shifts of the seed
-/// `ZXYXYXXIZXXIII` (found by a GF(4) additive cyclic search, distance 3
-/// verified exhaustively).
-pub fn fourteen_eight_three() -> StabilizerCode {
-    StabilizerCode::from_paulis("[[14,8,3]]", shifts("ZXYXYXXIZXXIII", 6))
-        .expect("statically valid")
-        .with_claimed_distance(3)
-}
-
-/// A \[\[19,1,7\]\] additive cyclic code: eighteen cyclic shifts of the seed
-/// `ZZIIXIIIXXIXXIIIXII` (distance 7 verified exhaustively in the
-/// ignored test suite).
-pub fn nineteen_one_seven() -> StabilizerCode {
-    StabilizerCode::from_paulis("[[19,1,7]]", shifts("ZZIIXIIIXXIXXIIIXII", 18))
-        .expect("statically valid")
-        .with_claimed_distance(7)
-}
-
-/// The \[\[23,1,7\]\] quantum Golay code: eleven cyclic shifts of the
-/// X-type seed `XIXIIXIIXXXXX` (ten `I`s follow), each followed at once by
-/// its Z-type twin. Encoder synthesis depends on generator order, so the
-/// X/Z interleaving is part of the workload (distance 7 verified
-/// exhaustively in the ignored test suite).
-pub fn twenty_three_one_seven() -> StabilizerCode {
-    let x = shifts("XIXIIXIIXXXXXIIIIIIIIII", 11);
-    let z = shifts("ZIZIIZIIZZZZZIIIIIIIIII", 11);
-    let generators = x.into_iter().zip(z).flat_map(|(x, z)| [x, z]).collect();
-    StabilizerCode::from_paulis("[[23,1,7]]", generators)
-        .expect("statically valid")
-        .with_claimed_distance(7)
-}
-
-/// Cyclic rotations (by 0..count) of a seed Pauli string.
-fn shifts(seed: &str, count: usize) -> Vec<Pauli> {
-    let base: Pauli = seed.parse().expect("valid seed literal");
-    let n = base.num_qubits();
-    (0..count)
-        .map(|s| {
-            // Rotation by s: position i of the result holds position
-            // (i - s) mod n of the seed.
-            let perm: Vec<usize> = (0..n).map(|i| (i + n - s) % n).collect();
-            base.permuted(&perm)
-        })
-        .collect()
-}
+        3,
+        include_str!("../circuits/encode_9_1_3.qasm"),
+    ),
+    (
+        "[[14,8,3]]",
+        3,
+        include_str!("../circuits/encode_14_8_3.qasm"),
+    ),
+    (
+        "[[19,1,7]]",
+        7,
+        include_str!("../circuits/encode_19_1_7.qasm"),
+    ),
+    (
+        "[[23,1,7]]",
+        7,
+        include_str!("../circuits/encode_23_1_7.qasm"),
+    ),
+];
 
 /// The paper's Fig. 3: the QASM text of its \[\[5,1,3\]\] encoding circuit,
 /// transcribed verbatim (the paper's numbering skips instruction 16).
@@ -141,14 +89,14 @@ pub fn fig3_program() -> Program {
     Program::parse(FIG3_QASM).expect("the paper's circuit parses")
 }
 
-/// One benchmark of the paper's evaluation: a named code and the QASM
-/// encoding circuit the mapper consumes.
+/// One benchmark of the paper's evaluation: a named circuit the mapper
+/// consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Benchmark {
     /// The paper's circuit name, e.g. `[[14,8,3]]`.
     pub name: String,
-    /// The underlying stabilizer code.
-    pub code: StabilizerCode,
+    /// The distance `d` of the encoded `[[n, k, d]]` code.
+    pub distance: u32,
     /// The encoding circuit (workload for the mapper).
     pub program: Program,
 }
@@ -156,13 +104,12 @@ pub struct Benchmark {
 /// The paper's full benchmark set (Tables 1 and 2), in table order.
 ///
 /// The \[\[5,1,3\]\] entry uses the paper's own Fig. 3 circuit verbatim; the
-/// other five circuits are synthesized standard-form encoders, each
-/// machine-verified against its code by stabilizer simulation.
+/// other five are the committed [`ENCODERS`].
 ///
 /// # Panics
 ///
-/// Panics only if encoder synthesis fails for a built-in code, which the
-/// test suite rules out.
+/// Panics only if a committed circuit fails to parse, which the test
+/// suite rules out.
 ///
 /// # Examples
 ///
@@ -173,33 +120,122 @@ pub struct Benchmark {
 /// assert_eq!(suite[5].program.num_qubits(), 23);
 /// ```
 pub fn benchmark_suite() -> Vec<Benchmark> {
-    let mut out = Vec::with_capacity(6);
-    out.push(Benchmark {
-        name: "[[5,1,3]]".to_owned(),
-        code: five_one_three(),
-        program: fig3_program(),
-    });
-    for code in [
-        steane(),
-        nine_one_three(),
-        fourteen_eight_three(),
-        nineteen_one_seven(),
-        twenty_three_one_seven(),
-    ] {
-        let program = encoding_circuit(&code).expect("built-in codes encode");
-        out.push(Benchmark {
-            name: code.name().to_owned(),
-            code,
-            program,
-        });
-    }
-    out
+    ENCODERS
+        .iter()
+        .enumerate()
+        .map(|(i, &(name, distance, text))| Benchmark {
+            name: name.to_owned(),
+            distance,
+            program: if i == 0 {
+                fig3_program()
+            } else {
+                Program::parse(text).expect("committed circuits parse")
+            },
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pauli::Pauli;
+    use crate::stabilizer::StabilizerCode;
     use crate::tableau::StabilizerSim;
+
+    /// The perfect \[\[5,1,3\]\] code: cyclic shifts of `XZZXI`.
+    fn five_one_three() -> StabilizerCode {
+        StabilizerCode::new("[[5,1,3]]", ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
+            .expect("statically valid")
+            .with_claimed_distance(3)
+    }
+
+    /// The Steane \[\[7,1,3\]\] code (CSS form of the cyclic Hamming code).
+    fn steane() -> StabilizerCode {
+        StabilizerCode::new(
+            "[[7,1,3]]",
+            [
+                "XXXXIII", "XXIIXXI", "XIXIXIX", "ZZZZIII", "ZZIIZZI", "ZIZIZIZ",
+            ],
+        )
+        .expect("statically valid")
+        .with_claimed_distance(3)
+    }
+
+    /// A \[\[9,1,3\]\] additive cyclic code: ZZ-pair shifts plus two X-type
+    /// rows, found by a GF(4) additive cyclic search over x⁹−1 (the
+    /// paper's benchmark is cyclic; Shor's code is not).
+    fn nine_one_three() -> StabilizerCode {
+        StabilizerCode::new(
+            "[[9,1,3]]",
+            [
+                "ZIIZIIIII",
+                "IZIIZIIII",
+                "IIZIIZIII",
+                "IIIZIIZII",
+                "IIIIZIIZI",
+                "IIIIIZIIZ",
+                "XXIXXIXXI",
+                "IXXIXXIXX",
+            ],
+        )
+        .expect("statically valid")
+        .with_claimed_distance(3)
+    }
+
+    /// A \[\[14,8,3\]\] additive cyclic code: six cyclic shifts of the seed
+    /// `ZXYXYXXIZXXIII` (found by a GF(4) additive cyclic search).
+    fn fourteen_eight_three() -> StabilizerCode {
+        StabilizerCode::from_paulis("[[14,8,3]]", shifts("ZXYXYXXIZXXIII", 6))
+            .expect("statically valid")
+            .with_claimed_distance(3)
+    }
+
+    /// A \[\[19,1,7\]\] additive cyclic code: eighteen cyclic shifts of the
+    /// seed `ZZIIXIIIXXIXXIIIXII`.
+    fn nineteen_one_seven() -> StabilizerCode {
+        StabilizerCode::from_paulis("[[19,1,7]]", shifts("ZZIIXIIIXXIXXIIIXII", 18))
+            .expect("statically valid")
+            .with_claimed_distance(7)
+    }
+
+    /// The \[\[23,1,7\]\] quantum Golay code: eleven cyclic shifts of the
+    /// X-type seed `XIXIIXIIXXXXX` (ten `I`s follow), each followed at
+    /// once by its Z-type twin. The committed encoder was synthesized
+    /// from the generators in this order.
+    fn twenty_three_one_seven() -> StabilizerCode {
+        let x = shifts("XIXIIXIIXXXXXIIIIIIIIII", 11);
+        let z = shifts("ZIZIIZIIZZZZZIIIIIIIIII", 11);
+        let generators = x.into_iter().zip(z).flat_map(|(x, z)| [x, z]).collect();
+        StabilizerCode::from_paulis("[[23,1,7]]", generators)
+            .expect("statically valid")
+            .with_claimed_distance(7)
+    }
+
+    /// The six codes, in [`ENCODERS`] order.
+    fn all_codes() -> [StabilizerCode; 6] {
+        [
+            five_one_three(),
+            steane(),
+            nine_one_three(),
+            fourteen_eight_three(),
+            nineteen_one_seven(),
+            twenty_three_one_seven(),
+        ]
+    }
+
+    /// Cyclic rotations (by 0..count) of a seed Pauli string.
+    fn shifts(seed: &str, count: usize) -> Vec<Pauli> {
+        let base: Pauli = seed.parse().expect("valid seed literal");
+        let n = base.num_qubits();
+        (0..count)
+            .map(|s| {
+                // Rotation by s: position i of the result holds position
+                // (i - s) mod n of the seed.
+                let perm: Vec<usize> = (0..n).map(|i| (i + n - s) % n).collect();
+                base.permuted(&perm)
+            })
+            .collect()
+    }
 
     #[test]
     fn parameters_match_the_paper() {
@@ -211,24 +247,48 @@ mod tests {
             ("[[19,1,7]]", 19, 1),
             ("[[23,1,7]]", 23, 1),
         ];
-        for (bench, (name, n, k)) in benchmark_suite().iter().zip(expect) {
+        let suite = benchmark_suite();
+        for ((bench, code), (name, n, k)) in suite.iter().zip(all_codes()).zip(expect) {
             assert_eq!(bench.name, name);
-            assert_eq!(bench.code.num_qubits(), n, "{name}");
-            assert_eq!(bench.code.num_logical(), k, "{name}");
+            assert_eq!(code.name(), name);
+            assert_eq!(code.num_qubits(), n, "{name}");
+            assert_eq!(code.num_logical(), k, "{name}");
+            assert_eq!(code.claimed_distance(), Some(bench.distance), "{name}");
             assert_eq!(bench.program.num_qubits(), n, "{name}");
         }
     }
 
     #[test]
+    fn synthesized_encoders_verify_against_their_codes() {
+        for ((name, _, text), code) in ENCODERS.into_iter().zip(all_codes()) {
+            assert_eq!(name, code.name());
+            let program = Program::parse(text).expect("committed circuits parse");
+            assert_eq!(program.to_qasm(), text, "{name} is not canonical QASM");
+            let mut sim = StabilizerSim::new(code.num_qubits());
+            sim.run(&program).expect("Clifford circuit");
+            for s in code.stabilizers() {
+                assert_eq!(sim.stabilizes(s), Some(true), "{name}: {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_gate_mix_matches_fig2_style() {
+        // Standard-form encoders: one H per X-type stabilizer row plus a
+        // controlled-Pauli cascade — the shape of the paper's Fig. 2.
+        let program = Program::parse(ENCODERS[0].2).expect("parses");
+        let h = program
+            .instructions()
+            .iter()
+            .filter(|i| i.gate == qspr_qasm::Gate::H)
+            .count();
+        assert_eq!(h, 4);
+        assert!(program.two_qubit_gate_count() >= 8);
+    }
+
+    #[test]
     fn all_codes_have_distance_at_least_3() {
-        for code in [
-            five_one_three(),
-            steane(),
-            nine_one_three(),
-            fourteen_eight_three(),
-            nineteen_one_seven(),
-            twenty_three_one_seven(),
-        ] {
+        for code in all_codes() {
             assert!(code.verify_distance_at_least(3), "{}", code.name());
         }
     }
@@ -249,23 +309,20 @@ mod tests {
     }
 
     #[test]
+    fn distance_7_codes_reject_all_weight_4_errors() {
+        // A deeper prefix of the distance check than the unit tests run
+        // (weight ≤ 4; the full weight-6 scan lives in the ignored tests).
+        assert!(nineteen_one_seven().min_distance_up_to(4).is_none());
+        assert!(twenty_three_one_seven().min_distance_up_to(4).is_none());
+    }
+
+    #[test]
     #[ignore = "exhaustive distance-7 scan; run with --release"]
     fn distance_7_codes_verified_exhaustively() {
         assert!(nineteen_one_seven().verify_distance_at_least(7));
         assert_eq!(nineteen_one_seven().min_distance_up_to(7), Some(7));
         assert!(twenty_three_one_seven().verify_distance_at_least(7));
         assert_eq!(twenty_three_one_seven().min_distance_up_to(7), Some(7));
-    }
-
-    #[test]
-    fn synthesized_encoders_verify_against_their_codes() {
-        for bench in benchmark_suite().iter().skip(1) {
-            let mut sim = StabilizerSim::new(bench.code.num_qubits());
-            sim.run(&bench.program).unwrap();
-            for s in bench.code.stabilizers() {
-                assert_eq!(sim.stabilizes(s), Some(true), "{}: {s}", bench.name);
-            }
-        }
     }
 
     #[test]
@@ -289,8 +346,8 @@ mod tests {
     #[test]
     fn golay_generators_are_pinned() {
         // The reference the deleted GF(4) cyclic search produced, in its
-        // order; encoder synthesis (and every [[23,1,7]] latency)
-        // depends on both the strings and the order.
+        // order; the committed [[23,1,7]] encoder was synthesized from
+        // both the strings and the order.
         let expect = [
             "XIXIIXIIXXXXXIIIIIIIIII",
             "ZIZIIZIIZZZZZIIIIIIIIII",

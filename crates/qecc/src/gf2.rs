@@ -10,23 +10,8 @@
 /// *combination mask* records which previously inserted vectors
 /// participate, so group-membership queries can report the exact product
 /// of generators (used when verifying stabilizer signs).
-///
-/// # Examples
-///
-/// ```
-/// use qspr_qecc::BitBasis;
-///
-/// let mut basis = BitBasis::new(4);
-/// assert!(basis.insert(0b0011));
-/// assert!(basis.insert(0b0110));
-/// // 0b0101 = v0 ^ v1 is dependent; the combo mask names both.
-/// assert!(!basis.insert(0b0101));
-/// assert_eq!(basis.reduce(0b0101), (0, 0b11));
-/// assert_eq!(basis.rank(), 2);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BitBasis {
-    cols: usize,
     /// (pivot column, reduced vector, combination over inserted vectors)
     rows: Vec<(u32, u128, u128)>,
     inserted: usize,
@@ -40,16 +25,7 @@ impl BitBasis {
     /// Panics if `cols > 128`.
     pub fn new(cols: usize) -> BitBasis {
         assert!(cols <= 128, "BitBasis supports at most 128 columns");
-        BitBasis {
-            cols,
-            rows: Vec::new(),
-            inserted: 0,
-        }
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
+        BitBasis::default()
     }
 
     /// Current rank.

@@ -1,51 +1,44 @@
-//! Stabilizer quantum error-correction substrate for the QSPR benchmarks.
+//! The paper's six benchmark circuits as committed QASM.
 //!
 //! The paper evaluates QSPR on six *cyclic QECC encoding circuits*
 //! (\[\[5,1,3\]\], \[\[7,1,3\]\], \[\[9,1,3\]\], \[\[14,8,3\]\], \[\[19,1,7\]\], \[\[23,1,7\]\])
-//! taken from a now-defunct web page. This crate rebuilds that benchmark
-//! set from first principles:
+//! taken from a now-defunct web page. Their replacements are fixed
+//! programs in the paper's gate set (`H`, `C-X`, `C-Y`, `C-Z`, …), committed
+//! under `circuits/` and exposed by [`codes`]:
 //!
-//! * [`Pauli`] / [`PhasedPauli`] — n-qubit Pauli algebra (n ≤ 64) with
-//!   symplectic commutation and phase-tracked multiplication;
-//! * [`BitBasis`] — GF(2) linear algebra over symplectic bit-vectors;
-//! * [`StabilizerCode`] — commuting/independence validation, logical
-//!   operator extraction (symplectic Gram–Schmidt), and exhaustive
-//!   distance verification;
-//! * [`encoder`] — Gottesman/Cleve standard-form encoding-circuit
-//!   synthesis emitting [`qspr_qasm::Program`]s in the paper's gate set
-//!   (`H`, `C-X`, `C-Y`, `C-Z`, …);
-//! * [`StabilizerSim`] — an Aaronson–Gottesman tableau simulator used to
-//!   *prove* each synthesized encoder maps |0…0⟩⊗|ψ⟩ into the code space;
-//! * [`codes`] — the six named benchmark codes and
-//!   [`codes::benchmark_suite`], the circuits every experiment consumes.
+//! * [`codes::ENCODERS`] — the six encoding circuits `qspr encode` prints;
+//! * [`codes::benchmark_suite`] — the circuits every experiment maps,
+//!   with the paper's own Fig. 3 circuit for \[\[5,1,3\]\].
+//!
+//! The stabilizer algebra that checks this data (Pauli operators, GF(2)
+//! bases, stabilizer codes with exhaustive distance checks and an
+//! Aaronson–Gottesman tableau simulator) is test-only: it proves that
+//! every committed encoder takes |0…0⟩ into its code space, and nothing
+//! at run time needs it.
 //!
 //! # Examples
 //!
 //! ```
-//! use qspr_qecc::codes;
+//! use qspr_qasm::Program;
+//! use qspr_qecc::codes::ENCODERS;
 //!
-//! let five = codes::five_one_three();
-//! assert_eq!((five.num_qubits(), five.num_logical()), (5, 1));
-//! let circuit = qspr_qecc::encoder::encoding_circuit(&five).unwrap();
-//! assert_eq!(circuit.num_qubits(), 5);
+//! let (name, distance, text) = ENCODERS[1];
+//! assert_eq!((name, distance), ("[[7,1,3]]", 3));
+//! assert_eq!(Program::parse(text)?.num_qubits(), 7);
+//! # Ok::<(), qspr_qasm::ParseError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod codes;
-pub mod encoder;
 
+#[cfg(test)]
 mod gf2;
+#[cfg(test)]
 mod pauli;
-// Test-only: keeps `proptest` a dev-dependency and the module out of
-// release builds entirely (the file's inner `#![cfg(test)]` alone would
-// still parse it into non-test builds).
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
 mod stabilizer;
+#[cfg(test)]
 mod tableau;
-
-pub use gf2::BitBasis;
-pub use pauli::{Pauli, PauliKind, PhasedPauli};
-pub use stabilizer::{CodeError, StabilizerCode};
-pub use tableau::{StabilizerSim, UnsupportedGate};

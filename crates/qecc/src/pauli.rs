@@ -47,19 +47,6 @@ impl PauliKind {
 }
 
 /// A sign-free n-qubit Pauli operator, stored as x/z bit masks.
-///
-/// # Examples
-///
-/// ```
-/// use qspr_qecc::Pauli;
-///
-/// let a: Pauli = "XZZXI".parse().unwrap();
-/// let b: Pauli = "IXZZX".parse().unwrap();
-/// assert_eq!(a.num_qubits(), 5);
-/// assert_eq!(a.weight(), 4);
-/// assert!(a.commutes_with(&b));
-/// assert_eq!(a.to_string(), "XZZXI");
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pauli {
     n: u8,
@@ -151,7 +138,7 @@ impl Pauli {
     }
 
     /// The symplectic bit-vector: x bits in the low word, z bits shifted
-    /// into the high half (column layout used by [`crate::BitBasis`]).
+    /// into the high half (column layout used by [`crate::gf2::BitBasis`]).
     pub fn symplectic(&self) -> u128 {
         (self.x as u128) | ((self.z as u128) << self.n)
     }
@@ -246,19 +233,6 @@ impl FromStr for Pauli {
 
 /// A Pauli with a global phase `i^phase` (`phase` mod 4), closed under
 /// multiplication — needed to verify stabilizer *signs*.
-///
-/// # Examples
-///
-/// ```
-/// use qspr_qecc::PhasedPauli;
-///
-/// let x = PhasedPauli::from_str_plus("X").unwrap();
-/// let z = PhasedPauli::from_str_plus("Z").unwrap();
-/// let xz = x.mul(&z);
-/// // XZ = -iY.
-/// assert_eq!(xz.pauli().to_string(), "Y");
-/// assert_eq!(xz.phase(), 3);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhasedPauli {
     pauli: Pauli,

@@ -56,23 +56,6 @@ impl Error for CodeError {}
 
 /// An `[[n, k]]` stabilizer code: `n − k` independent commuting Pauli
 /// generators plus derived logical operators.
-///
-/// # Examples
-///
-/// ```
-/// use qspr_qecc::StabilizerCode;
-///
-/// // The perfect [[5,1,3]] code (cyclic shifts of XZZXI).
-/// let code = StabilizerCode::new(
-///     "[[5,1,3]]",
-///     ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
-/// )?;
-/// assert_eq!(code.num_qubits(), 5);
-/// assert_eq!(code.num_logical(), 1);
-/// // Exhaustively verified: no logical operator of weight < 3.
-/// assert_eq!(code.min_distance_up_to(3), Some(3));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StabilizerCode {
     name: String,

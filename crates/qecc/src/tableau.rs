@@ -1,5 +1,6 @@
 //! Aaronson–Gottesman stabilizer tableau simulation of Clifford
-//! circuits, used to machine-check the synthesized encoding circuits.
+//! circuits, used to check that each committed encoding circuit takes
+//! |0…0⟩ into its code space.
 
 use std::error::Error;
 use std::fmt;
@@ -35,22 +36,6 @@ struct Row {
 /// Aaronson–Gottesman representation; the circuit gates of the QSPR
 /// benchmarks (`H`, `S`, `S†`, Paulis, `C-X`, `C-Y`, `C-Z`, `SWAP`) are
 /// all supported.
-///
-/// # Examples
-///
-/// ```
-/// use qspr_qasm::Program;
-/// use qspr_qecc::StabilizerSim;
-///
-/// // A Bell pair: stabilized by +XX and +ZZ.
-/// let p = Program::parse("QUBIT a\nQUBIT b\nH a\nC-X a,b\n").unwrap();
-/// let mut sim = StabilizerSim::new(2);
-/// sim.run(&p).unwrap();
-/// assert_eq!(sim.stabilizes(&"XX".parse().unwrap()), Some(true));
-/// assert_eq!(sim.stabilizes(&"ZZ".parse().unwrap()), Some(true));
-/// assert_eq!(sim.stabilizes(&"YY".parse().unwrap()), Some(false)); // -YY
-/// assert_eq!(sim.stabilizes(&"XZ".parse().unwrap()), None); // not in group
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StabilizerSim {
     n: usize,
@@ -81,11 +66,6 @@ impl StabilizerSim {
             });
         }
         StabilizerSim { n, rows }
-    }
-
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n
     }
 
     fn h(&mut self, q: usize) {

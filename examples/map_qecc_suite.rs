@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{row}   [{} qubits, {} gates, d>={}]",
             bench.program.num_qubits(),
             bench.program.instructions().len(),
-            bench.code.claimed_distance().unwrap_or(1),
+            bench.distance,
         );
     }
     println!("\nExpected shape: baseline <= QSPR <= QUALE on every row, with");
