@@ -13,7 +13,9 @@
 //! channel *segments* between junctions, junction adjacency, and one *port*
 //! per trap (the channel cell a qubit steps through to enter the trap).
 //! Routers and the event-driven simulator work exclusively on this derived
-//! topology.
+//! topology. The topology also owns the fabric's empty-fabric
+//! [`TravelBounds`] tables, created and filled on first use, so every
+//! mapping on one fabric shares them.
 //!
 //! The 45×85 fabric released with QUALE is not recoverable, so
 //! [`Fabric::quale_45x85`] generates a regular macro-tile layout with the
@@ -37,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 
+mod bounds;
 mod cell;
 mod error;
 mod grid;
@@ -47,6 +50,7 @@ mod spec;
 mod stats;
 mod topology;
 
+pub use bounds::TravelBounds;
 pub use cell::{Cell, Coord, Orientation};
 pub use error::FabricError;
 pub use grid::Fabric;

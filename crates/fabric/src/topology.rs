@@ -2,9 +2,12 @@
 //! ports.
 
 use std::fmt;
+use std::sync::Arc;
 
+use crate::bounds::{BoundTables, TravelBounds};
 use crate::cell::{Cell, Coord, Orientation};
 use crate::error::FabricError;
+use crate::pmd::Time;
 use crate::search::SearchGraph;
 
 /// Identifier of a channel [`Segment`] within a [`Topology`].
@@ -262,6 +265,7 @@ pub struct Topology {
     segment_caps: Vec<Option<u8>>,
     junction_caps: Vec<Option<u8>>,
     search: SearchGraph,
+    bounds: BoundTables,
 }
 
 impl Topology {
@@ -331,6 +335,15 @@ impl Topology {
     /// run shortest-path queries over (see [`SearchGraph`]).
     pub fn search_graph(&self) -> &SearchGraph {
         &self.search
+    }
+
+    /// This fabric's empty-fabric bound table at move delay `t_move`,
+    /// turn delay `t_turn` and search turn weight `goal_turn` (see
+    /// [`TravelBounds`]). The first request for a weight triple creates
+    /// an empty table; every later one, from any thread, gets the same
+    /// table, so each entry is computed once per fabric.
+    pub fn travel_bounds(&self, t_move: Time, t_turn: Time, goal_turn: Time) -> Arc<TravelBounds> {
+        self.bounds.get(self, t_move, t_turn, goal_turn)
     }
 
     /// The capacity override of a segment, `None` when it uses the
@@ -453,8 +466,22 @@ impl Topology {
     /// The head of this list is QUALE's "center placement" order when `to`
     /// is the fabric center.
     pub fn traps_by_distance(&self, to: Coord) -> Vec<TrapId> {
+        self.nearest_traps(to, self.traps.len())
+    }
+
+    /// The first `k` entries of [`Topology::traps_by_distance`] (every
+    /// trap when `k` exceeds their number), without sorting the rest:
+    /// a selection splits off the `k` nearest, and only those are
+    /// sorted. Keys are distinct (the id breaks ties), so the result is
+    /// exactly the head of the full order.
+    pub fn nearest_traps(&self, to: Coord, k: usize) -> Vec<TrapId> {
+        let key = |id: &TrapId| (self.trap(*id).coord.manhattan(to), *id);
         let mut ids: Vec<TrapId> = (0..self.traps.len() as u32).map(TrapId).collect();
-        ids.sort_by_key(|id| (self.trap(*id).coord.manhattan(to), *id));
+        if k < ids.len() {
+            ids.select_nth_unstable_by_key(k, key);
+            ids.truncate(k);
+        }
+        ids.sort_unstable_by_key(key);
         ids
     }
 
@@ -627,6 +654,7 @@ impl Topology {
             segment_caps,
             junction_caps,
             search,
+            bounds: BoundTables::default(),
         })
     }
 }
@@ -833,6 +861,28 @@ T.|..
                     t.nearest_trap_linear(to, accept),
                     "query {} on a {}x{} fabric", to, fabric.rows(), fabric.cols()
                 );
+            }
+        }
+
+        /// `nearest_traps(to, k)` is the head of a full sort by
+        /// `(distance, id)` for every `k`, including 0 and `k` beyond
+        /// the trap count.
+        #[test]
+        fn nearest_traps_are_the_head_of_a_full_sort(
+            kind in 0u8..6,
+            rows in 7u16..40,
+            cols in 7u16..40,
+            pitch in 2u16..6,
+            queries in proptest::collection::vec((0u16..120, 0u16..120, 0usize..400), 1..8),
+        ) {
+            let fabric = ring_search_fabric(kind, rows, cols, pitch);
+            let t = fabric.topology();
+            for (r, c, k) in queries {
+                let to = Coord::new(r, c);
+                let mut full: Vec<TrapId> = (0..t.traps().len() as u32).map(TrapId).collect();
+                full.sort_by_key(|id| (t.trap(*id).coord().manhattan(to), *id));
+                full.truncate(k);
+                proptest::prop_assert_eq!(t.nearest_traps(to, k), full, "k = {}", k);
             }
         }
     }

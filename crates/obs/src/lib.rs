@@ -6,8 +6,8 @@
 //! and designed around one invariant: **instrumentation left in place
 //! costs almost nothing when nobody is listening**. [`span()`] is a
 //! single relaxed atomic load on the disabled path, so pipeline
-//! crates (`qspr-qasm`, `qspr-sched`, `qspr-place`, `qspr-sim`,
-//! `qspr-sta`) instrument unconditionally; hot inner loops
+//! crates (`qspr-fabric`, `qspr-qasm`, `qspr-sched`, `qspr-place`,
+//! `qspr-sim`, `qspr-sta`) instrument unconditionally; hot inner loops
 //! additionally cache [`enabled`] in a local bool.
 //!
 //! Two consumers exist today:

@@ -50,11 +50,9 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use qspr_fabric::{Time, Topology, TrapId};
 
-use crate::bounds::TravelBounds;
 use crate::plan::RoutePlan;
 use crate::resource::{Resource, ResourceState};
 use crate::router::{Overlay, Router, RouterConfig};
@@ -182,18 +180,6 @@ pub trait RoutingEngine {
 
     /// Tells the engine a plan was committed (feeds history terms).
     fn note_booked(&mut self, plan: &RoutePlan);
-
-    /// Offers the engine a [`TravelBounds`] table shared by its caller
-    /// (a mapper hands every engine it builds the same one, so each
-    /// empty-fabric bound is computed once per mapper instead of once
-    /// per engine). An engine may keep it, and should only when it was
-    /// built for the engine's topology and weights, or ignore it, which
-    /// the default does. Every value in the table is an exact
-    /// empty-fabric lower bound, so using it can only prune work, never
-    /// change an answer.
-    fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) {
-        let _ = bounds;
-    }
 
     /// A thread-count hint. Engines run on the mapping thread and
     /// ignore it; parallelism lives in the placers, which run whole
@@ -441,10 +427,6 @@ impl RoutingEngine for GreedyRouter<'_> {
         self.router.note_booked(plan);
     }
 
-    fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) {
-        self.router.share_bounds(bounds);
-    }
-
     fn stats(&self) -> RoutingStats {
         self.stats
     }
@@ -536,7 +518,7 @@ impl<'a> NegotiatedRouter<'a> {
     /// below by the corresponding component here — so the negotiation
     /// can be skipped without changing which plans get adopted.
     ///
-    /// Only called with routable movers: [`TravelBounds::min_duration`]
+    /// Only called with routable movers: [`qspr_fabric::TravelBounds::min_duration`]
     /// is the exact empty-fabric minimum, and every capacity is at
     /// least 1, so each mover's bound is finite.
     fn joint_lower_bound(&self, requests: &[RouteRequest]) -> (Time, Time) {
@@ -834,10 +816,6 @@ impl RoutingEngine for NegotiatedRouter<'_> {
 
     fn note_booked(&mut self, plan: &RoutePlan) {
         self.router.note_booked(plan);
-    }
-
-    fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) {
-        self.router.share_bounds(bounds);
     }
 
     fn refines(&self) -> bool {

@@ -60,12 +60,13 @@
 //!   penalized goals and a pinned tie case);
 //! * the prune's *goal fields* (the empty-fabric cost from every search
 //!   node to a target segment's ends, at the router's turn weight) are
-//!   kept per mapper, not per router: they live in a [`TravelBounds`]
-//!   table, one lock-free `OnceLock` per target segment, filled on
-//!   first use. A [`Router::new`] router owns a table of its own, and a
-//!   mapper hands one table to every engine it builds
-//!   ([`RoutingEngine::share_bounds`]), so across the `m` MVFB runs of
-//!   a mapping, on every seed thread, each field is computed once.
+//!   kept once per fabric, not per router or per mapper: they live in
+//!   the fabric's [`TravelBounds`] table for the router's weights
+//!   ([`RouterConfig::travel_bounds`]), one lock-free `OnceLock` per
+//!   target segment, filled on first use. Every router on the fabric
+//!   reads the same table, so across the `m` MVFB runs of a mapping,
+//!   every seed thread and every later mapping on the same fabric,
+//!   each field is computed once.
 //!
 //! [`NegotiatedRouter`] keeps the same discipline across rip-up
 //! iterations: epoch bookings, touched-resource sets and conflict
@@ -98,7 +99,6 @@
 
 #![forbid(unsafe_code)]
 
-mod bounds;
 pub mod engine;
 mod plan;
 // Test-only: keeps `proptest` a dev-dependency and the module out of
@@ -109,12 +109,12 @@ mod proptests;
 mod resource;
 mod router;
 
-pub use bounds::TravelBounds;
 pub use engine::{
     EpochStats, GreedyRouter, NegotiatedRouter, ParseRouterKindError, RouteRequest, RouterFactory,
     RouterKind, RoutingEngine, RoutingStats,
 };
 pub use plan::{ResourceUse, RoutePlan, Step};
+pub use qspr_fabric::TravelBounds;
 pub use resource::{Resource, ResourceState};
 pub use router::{Router, RouterConfig};
 

@@ -547,7 +547,7 @@ proptest! {
         };
         let n = topo.traps().len();
         for config in [qspr, RouterConfig::quale(&tech)] {
-            let bounds = crate::TravelBounds::new(topo, &config);
+            let bounds = config.travel_bounds(topo);
             let mut engine = RouterKind::Greedy.build(topo, config);
             let empty = ResourceState::new(topo);
             if config.turn_aware {
@@ -587,7 +587,7 @@ proptest! {
         let topo = fabric.topology();
         let tech = TechParams::date2012();
         let config = if quale { RouterConfig::quale(&tech) } else { RouterConfig::qspr(&tech) };
-        let bounds = crate::TravelBounds::new(topo, &config);
+        let bounds = config.travel_bounds(topo);
         let reference = Router::new(
             topo,
             RouterConfig { turn_aware: true, history_cost: false, ..config },

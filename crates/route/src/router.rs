@@ -12,9 +12,9 @@ use std::sync::Arc;
 
 use qspr_fabric::{
     JunctionId, SearchGraph, Segment, SegmentEnd, SegmentId, TechParams, Time, Topology, TrapId,
+    TravelBounds,
 };
 
-use crate::bounds::{turn_weight, TravelBounds};
 use crate::plan::{RoutePlan, Step};
 use crate::resource::{Resource, ResourceState};
 
@@ -76,6 +76,41 @@ impl RouterConfig {
             channel_capacity: 1,
             junction_capacity: 1,
         }
+    }
+
+    /// `topology`'s empty-fabric bound table at this config's move and
+    /// turn delays and search turn weight (its capacities and history
+    /// setting do not matter: the bounds hold for all of them). Every
+    /// router with these weights on the same fabric reads this table.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qspr_fabric::{Fabric, TechParams};
+    /// use qspr_route::{ResourceState, Router, RouterConfig};
+    ///
+    /// let fabric = Fabric::quale_45x85();
+    /// let topo = fabric.topology();
+    /// let config = RouterConfig::qspr(&TechParams::date2012());
+    /// let bounds = config.travel_bounds(topo);
+    /// let traps = topo.traps_by_distance(fabric.center());
+    /// let plan = Router::new(topo, config)
+    ///     .route(&ResourceState::new(topo), traps[0], traps[40])
+    ///     .unwrap();
+    /// assert_eq!(bounds.min_duration(topo, traps[0], traps[40]), plan.duration());
+    /// assert_eq!(bounds.goals_filled(), 1, "the router filled the shared table");
+    /// ```
+    pub fn travel_bounds(&self, topology: &Topology) -> Arc<TravelBounds> {
+        topology.travel_bounds(self.t_move, self.t_turn, turn_weight(self))
+    }
+}
+
+/// The turn weight `config`'s router searches with.
+fn turn_weight(config: &RouterConfig) -> Time {
+    if config.turn_aware {
+        config.t_turn
+    } else {
+        0
     }
 }
 
@@ -219,9 +254,9 @@ pub struct Router<'a> {
     /// allocating. Borrowed only for the duration of one search, never
     /// across calls, so the runtime check can't fail.
     scratch: RefCell<SearchScratch>,
-    /// Empty-fabric bounds whose goal fields back the exact pruning in
-    /// [`Router::route_with`]; a mapper shares one table among all the
-    /// routers it builds ([`Router::share_bounds`]).
+    /// The fabric's empty-fabric bounds at this router's weights
+    /// ([`RouterConfig::travel_bounds`]), whose goal fields back the
+    /// exact pruning in [`Router::route_with`].
     bounds: Arc<TravelBounds>,
 }
 
@@ -245,22 +280,8 @@ impl<'a> Router<'a> {
             junc_caps,
             history: vec![0; topology.segments().len()],
             scratch: RefCell::new(SearchScratch::new(topology.search_graph().num_nodes())),
-            bounds: Arc::new(TravelBounds::new(topology, &config)),
+            bounds: config.travel_bounds(topology),
         }
-    }
-
-    /// Makes this router read its goal fields from `bounds` (filled on
-    /// first use and shared, for example, by every run of one mapper)
-    /// instead of its own table, when `bounds` was built for this
-    /// router's topology and weights. Returns whether it did. The
-    /// fields are exact empty-fabric values either way, so routes do
-    /// not change; only work is saved.
-    pub(crate) fn share_bounds(&mut self, bounds: &Arc<TravelBounds>) -> bool {
-        let fits = bounds.serves(self.topology, &self.config);
-        if fits {
-            self.bounds = Arc::clone(bounds);
-        }
-        fits
     }
 
     /// The empty-fabric bound table this router prunes with.
@@ -1247,34 +1268,40 @@ mod tests {
         assert!(router.route(&state, a, b).is_none());
     }
 
-    /// A router adopts a shared bound table only when it was built for
-    /// the same fabric size and weights, and then fills it instead of
-    /// its own.
+    /// Routers read the fabric's bound table for their weights: one
+    /// with other capacities shares it and fills it, a turn-blind one
+    /// and one on another fabric do not.
     #[test]
-    fn shared_bounds_must_match_the_router_weights() {
+    fn routers_share_the_fabric_table_for_their_weights() {
         let f = quale_fabric();
         let topo = f.topology();
         let tech = TechParams::date2012();
         let qspr = RouterConfig::qspr(&tech);
-        let shared = Arc::new(TravelBounds::new(topo, &qspr));
-        let mut blind = Router::new(topo, RouterConfig::quale(&tech));
-        assert!(!blind.share_bounds(&shared), "turn weight 0 vs T_turn");
+        let shared = qspr.travel_bounds(topo);
+        let blind = Router::new(topo, RouterConfig::quale(&tech));
+        assert!(
+            !Arc::ptr_eq(&shared, &blind.bounds),
+            "turn weight 0 vs T_turn"
+        );
         let small = Fabric::from_ascii(crate::FIG5_DEMO_FABRIC).unwrap();
-        let mut other = Router::new(small.topology(), qspr);
-        assert!(!other.share_bounds(&shared), "another fabric");
-        let mut router = Router::new(
+        let other = Router::new(small.topology(), qspr);
+        assert!(!Arc::ptr_eq(&shared, &other.bounds), "another fabric");
+        let router = Router::new(
             topo,
             RouterConfig {
                 channel_capacity: 1,
                 ..qspr
             },
         );
-        assert!(router.share_bounds(&shared), "capacities do not matter");
+        assert!(
+            Arc::ptr_eq(&shared, &router.bounds),
+            "capacities do not matter"
+        );
         let traps = topo.traps_by_distance(f.center());
         router
             .route(&ResourceState::new(topo), traps[0], traps[40])
             .unwrap();
-        assert_eq!(shared.goal_fields(), 1);
-        assert_eq!(router.bounds().goal_fields(), 1);
+        assert_eq!(shared.goals_filled(), 1);
+        assert_eq!(blind.bounds().goals_filled(), 0);
     }
 }

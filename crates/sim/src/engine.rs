@@ -31,11 +31,6 @@ pub struct Mapper<'a> {
     router: Arc<dyn RouterFactory + Send + Sync>,
     record_trace: bool,
     jobs: usize,
-    /// Empty-fabric travel bounds for pruning meeting-trap probes and
-    /// route searches, filled on first use and shared by every run and
-    /// clone of this mapper (all MVFB seeds of a flow, on any thread)
-    /// and by every engine it builds.
-    bounds: Arc<TravelBounds>,
 }
 
 impl<'a> Mapper<'a> {
@@ -48,7 +43,6 @@ impl<'a> Mapper<'a> {
             router: Arc::new(RouterKind::Greedy),
             record_trace: false,
             jobs: 1,
-            bounds: Arc::new(TravelBounds::new(fabric.topology(), &policy.router)),
         }
     }
 
@@ -104,12 +98,6 @@ impl<'a> Mapper<'a> {
     /// The active policy.
     pub fn policy(&self) -> &MapperPolicy {
         &self.policy
-    }
-
-    /// The empty-fabric bound table this mapper and every engine it
-    /// builds share (read-only; it fills itself on use).
-    pub fn travel_bounds(&self) -> &TravelBounds {
-        &self.bounds
     }
 
     /// Schedules, places (per the given initial placement) and routes
@@ -290,6 +278,10 @@ struct Sim<'m, 'a> {
     qidg: &'m Qidg,
     order_key: &'m [f64],
     engine: Box<dyn RoutingEngine + 'a>,
+    /// The fabric's empty-fabric bounds at the policy's router weights,
+    /// for pruning meeting-trap probes (shared with every router on the
+    /// fabric, filled on first use).
+    bounds: Arc<TravelBounds>,
     /// Engine implements epoch refinement: buffer legs per issue phase
     /// and let it rip up and re-route the joint set before events are
     /// scheduled.
@@ -390,9 +382,9 @@ impl<'m, 'a> Sim<'m, 'a> {
             .topo_order()
             .filter(|id| pending[id.index()] == 0)
             .collect();
-        let mut engine = mapper.router.build(topo, mapper.policy.router);
-        engine.share_bounds(&mapper.bounds);
+        let engine = mapper.router.build(topo, mapper.policy.router);
         Sim {
+            bounds: mapper.policy.router.travel_bounds(topo),
             defer_epoch: engine.refines(),
             epoch_plans: Vec::new(),
             epoch_owners: Vec::new(),
@@ -931,7 +923,7 @@ impl<'m, 'a> Sim<'m, 'a> {
         movers
             .iter()
             .flatten()
-            .map(|&from| self.mapper.bounds.min_duration(self.topo, from, meeting))
+            .map(|&from| self.bounds.min_duration(self.topo, from, meeting))
             .max()
             .unwrap_or(0)
     }

@@ -62,15 +62,13 @@ impl Placement {
     ///
     /// Panics if the fabric has fewer than `num_qubits` traps.
     pub fn center(fabric: &Fabric, num_qubits: usize) -> Placement {
-        let order = fabric.topology().traps_by_distance(fabric.center());
+        let traps = fabric.topology().nearest_traps(fabric.center(), num_qubits);
         assert!(
-            order.len() >= num_qubits,
+            traps.len() == num_qubits,
             "fabric has {} traps, need {num_qubits}",
-            order.len()
+            traps.len()
         );
-        Placement {
-            traps: order[..num_qubits].to_vec(),
-        }
+        Placement { traps }
     }
 
     /// A random permutation of the `num_qubits` center-closest traps — the

@@ -7,9 +7,9 @@ use proptest::prelude::*;
 
 use qspr::json::ToJson;
 use qspr::{Flow, FlowSummary};
-use qspr_fabric::{Fabric, FabricSpec, RegularFabricSpec};
+use qspr_fabric::{Coord, Fabric, FabricSpec, RegularFabricSpec, TechParams, Time, TrapId};
 use qspr_qasm::Program;
-use qspr_route::RouterKind;
+use qspr_route::{RouterConfig, RouterKind};
 
 const BELL: &str = "QUBIT a\nQUBIT b\nH a\nC-X a,b\n";
 
@@ -146,4 +146,87 @@ fn ascii_front_end_is_provenance_free() {
     let fabric = Fabric::parse(&art).expect("ASCII art parses");
     assert_eq!(fabric, Fabric::quale_45x85());
     assert!(fabric.info().is_none());
+}
+
+/// Bound tables belong to the fabric that owns them. A fabric and its
+/// mirror image have equal trap and segment counts but different
+/// layouts. Mapping on one after the other gives each exactly the
+/// summary it gets on a freshly built copy of itself, whose tables start
+/// empty, and each table holds its own fabric's durations: the mirror's
+/// bound between two traps equals the original's between their mirror
+/// images, even when the original's table was filled first.
+#[test]
+fn mirror_fabrics_keep_their_own_bound_tables() {
+    let art = Fabric::parse(include_str!("../examples/fabrics/ulb_tiled.json"))
+        .expect("committed spec parses")
+        .to_ascii();
+    let mirror_art: String = art
+        .lines()
+        .map(|line| line.chars().rev().chain(['\n']).collect::<String>())
+        .collect();
+    let build = |text: &str| Fabric::from_ascii(text).expect("fabric builds");
+    let (fabric, mirror) = (build(&art), build(&mirror_art));
+    let counts = |f: &Fabric| (f.topology().traps().len(), f.topology().segments().len());
+    assert_eq!(counts(&fabric), counts(&mirror));
+    assert_ne!(fabric.to_ascii(), mirror.to_ascii(), "the layouts differ");
+
+    let (topo, mirror_topo) = (fabric.topology(), mirror.topology());
+    let config = RouterConfig::qspr(&TechParams::date2012());
+    let (bounds, mirror_bounds) = (
+        config.travel_bounds(topo),
+        config.travel_bounds(mirror_topo),
+    );
+    let traps: Vec<TrapId> = (0..topo.traps().len() as u32).map(TrapId).collect();
+    let durations: Vec<Vec<Time>> = traps
+        .iter()
+        .map(|&a| {
+            traps
+                .iter()
+                .map(|&b| bounds.min_duration(topo, a, b))
+                .collect()
+        })
+        .collect();
+    let image = |t: TrapId| {
+        let c = topo.trap(t).coord();
+        let mirrored = Coord::new(c.row, fabric.cols() - 1 - c.col);
+        mirror_topo
+            .trap_at(mirrored)
+            .expect("mirror image of a trap")
+    };
+    assert!(traps.iter().any(|&t| image(t) != t), "the ids differ");
+    for &a in &traps {
+        for &b in &traps {
+            assert_eq!(
+                mirror_bounds.min_duration(mirror_topo, image(a), image(b)),
+                durations[a.index()][b.index()],
+                "{a} to {b}"
+            );
+        }
+    }
+
+    let programs = [
+        Program::parse(BELL).unwrap(),
+        qspr_qecc::codes::fig3_program(),
+    ];
+    for router in [RouterKind::Greedy, RouterKind::Negotiated] {
+        let json = |fabric: &Fabric, program: &Program| {
+            Flow::on(fabric.clone())
+                .seeds(3)
+                .router(router)
+                .run(program)
+                .expect("maps")
+                .summary()
+                .to_json()
+        };
+        for program in &programs {
+            // `fabric` and `mirror` live through the whole loop, so
+            // their tables fill up; the fresh copies start empty.
+            let shared = [json(&fabric, program), json(&mirror, program)];
+            let fresh = [
+                json(&build(&art), program),
+                json(&build(&mirror_art), program),
+            ];
+            assert_eq!(shared, fresh, "{router}");
+        }
+    }
 }

@@ -99,25 +99,27 @@ fn built_in_engines_agree_through_the_dyn_seam() {
     );
 }
 
-/// Every engine a mapper builds reads the mapper's one bound table, so
-/// a goal field is computed once per mapper, not once per MVFB run:
-/// a paper-effort placement fills at most one field per segment, and
-/// mapping again fills none. Were the table not handed over, each
-/// engine would fill a private table and the mapper's would stay empty.
+/// Every engine reads the fabric's one bound table for its weights, so
+/// a goal field is computed once per fabric, not once per MVFB run or
+/// per mapper: a paper-effort placement fills at most one field per
+/// segment, and mapping again, with the same mapper or a new one, fills
+/// none. Were the table not shared, each engine would fill a private
+/// table and the fabric's would stay empty.
 #[test]
-fn engines_share_the_mappers_goal_fields() {
+fn engines_share_the_fabrics_goal_fields() {
     let fabric = Fabric::quale_45x85();
-    let segments = fabric.topology().segments().len();
+    let topo = fabric.topology();
+    let segments = topo.segments().len();
     let tech = *Flow::on(fabric.clone()).tech_params();
+    let policy = qspr_sim::MapperPolicy::qspr(&tech);
+    let bounds = policy.router.travel_bounds(topo);
     let program = benchmark_suite().swap_remove(1).program;
     for router in [RouterKind::Greedy, RouterKind::Negotiated] {
-        let mapper = Mapper::new(&fabric, tech, qspr_sim::MapperPolicy::qspr(&tech))
-            .router(router)
-            .jobs(2);
+        let mapper = Mapper::new(&fabric, tech, policy).router(router).jobs(2);
         let sol = MvfbPlacer::new(MvfbConfig::new(25, 0xD57E_2012))
             .place(&mapper, &program)
             .expect("places");
-        let filled = mapper.travel_bounds().goal_fields();
+        let filled = bounds.goals_filled();
         assert!(
             0 < filled && filled <= segments,
             "{router}: {filled} goal fields over {} runs on {segments} segments",
@@ -127,9 +129,12 @@ fn engines_share_the_mappers_goal_fields() {
             PassDirection::Forward => program.clone(),
             PassDirection::Backward => program.reversed(),
         };
-        let outcome = mapper.map(&again, &sol.initial_placement).expect("maps");
-        assert_eq!(outcome.latency(), sol.latency);
-        assert_eq!(mapper.travel_bounds().goal_fields(), filled, "{router}");
+        let fresh = Mapper::new(&fabric, tech, policy).router(router);
+        for mapper in [&mapper, &fresh] {
+            let outcome = mapper.map(&again, &sol.initial_placement).expect("maps");
+            assert_eq!(outcome.latency(), sol.latency);
+            assert_eq!(bounds.goals_filled(), filled, "{router}");
+        }
     }
 }
 
@@ -330,9 +335,16 @@ fn profile_shows_meeting_probes_under_issue() {
                 .sum()
         };
         assert!(count("probe") > 0, "{router}: no probe span under issue");
+        // A probe opens no span of its own; only the bound-table fills
+        // it triggers nest under it.
         let mut nested = Vec::new();
         children_of(&report.spans, "probe", &mut nested);
-        assert!(nested.is_empty(), "{router}: probe is a leaf span");
+        assert!(
+            nested
+                .iter()
+                .all(|n| n.name == "bounds" && n.children.is_empty()),
+            "{router}: probe holds only leaf bounds spans"
+        );
         if router == RouterKind::Greedy {
             assert!(
                 count("route") < count("probe"),
@@ -342,6 +354,40 @@ fn profile_shows_meeting_probes_under_issue() {
             );
         }
     }
+}
+
+/// `--profile` names bound-table fills: each filled duration row or
+/// goal field is one `bounds` span. The tables belong to the fabric, so
+/// a second `Flow::run` on the same fabric, even from a new flow, fills
+/// nothing and maps to the same bytes.
+#[test]
+fn a_second_run_on_the_same_fabric_fills_no_bounds() {
+    use qspr::obs::{install_thread, Collector};
+
+    let fabric = Arc::new(Fabric::quale_45x85());
+    let tech = *Flow::on(Arc::clone(&fabric)).tech_params();
+    let bounds = qspr_sim::MapperPolicy::qspr(&tech)
+        .router
+        .travel_bounds(fabric.topology());
+    let program = fig3_program();
+    let run = || {
+        let collector = Arc::new(Collector::new());
+        let guard = install_thread(Arc::clone(&collector) as _);
+        let result = Flow::on(Arc::clone(&fabric)).seeds(4).run(&program);
+        drop(guard);
+        let json = result.expect("fig3 maps").summary().to_json();
+        (collector.count_of("bounds"), json)
+    };
+    let (first, first_json) = run();
+    assert!(first > 0, "the first run fills the empty tables");
+    assert_eq!(
+        first as usize,
+        bounds.rows_filled() + bounds.goals_filled(),
+        "one span per fill"
+    );
+    let (second, second_json) = run();
+    assert_eq!(second, 0, "the second run reads the filled tables");
+    assert_eq!(second_json, first_json);
 }
 
 /// Table 1 at `m = 5` (greedy router, the flow's default MVFB seed):
