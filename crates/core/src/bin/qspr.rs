@@ -37,8 +37,8 @@
 //! table after the text report.
 //!
 //! `qspr serve` runs the resident mapping service of `qspr::service`:
-//! `POST /map`, `POST /compare`, `POST /sta` and `POST /batch` with
-//! the same JSON schemas as `--format json`, `GET /healthz`,
+//! `POST /map`, `POST /compare` and `POST /sta` with the same JSON
+//! schemas as `--format json` (one program per request), `GET /healthz`,
 //! `GET /stats`, `GET /metrics` (Prometheus text format),
 //! `POST /shutdown`. Connections are keep-alive by default
 //! (`--keep-alive SECS` idle timeout, 0 restores close-per-request),
@@ -64,8 +64,12 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("qspr: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            // The usage text helps with a mistyped command line, not
+            // with a missing file or an unmappable circuit.
+            if matches!(e, QsprError::Usage(_)) {
+                eprintln!();
+                eprintln!("{USAGE}");
+            }
             ExitCode::FAILURE
         }
     }
@@ -174,12 +178,17 @@ impl Cli {
         self.options.iter().any(|(f, _)| f == flag)
     }
 
+    /// The MVFB seed count; zero seeds would place nothing, so it is a
+    /// usage error rather than a stalled mapping.
     fn m(&self) -> Result<usize, QsprError> {
         match self.value("--m") {
             None => Ok(25),
-            Some(v) => v
-                .parse()
-                .map_err(|_| QsprError::usage(format!("--m expects a number, got {v:?}"))),
+            Some(v) => match v.parse() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(QsprError::usage(format!(
+                    "--m expects a positive number, got {v:?}"
+                ))),
+            },
         }
     }
 
@@ -551,7 +560,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     // discover the ephemeral port), so it goes first on its own line.
     println!("listening on http://{addr}/");
     println!(
-        "threads {} | cache {} entries | keep-alive {}s | queue {} | POST /map, POST /compare, POST /sta, POST /batch, GET /healthz, GET /stats, GET /metrics, POST /shutdown",
+        "threads {} | cache {} entries | keep-alive {}s | queue {} | POST /map, POST /compare, POST /sta, GET /healthz, GET /stats, GET /metrics, POST /shutdown",
         config.threads,
         service.cache().capacity(),
         config.keep_alive_secs,
@@ -562,13 +571,11 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
         .map_err(|e| QsprError::io(addr.to_string(), e))?;
     let stats = service.stats();
     println!(
-        "served {} requests ({} map, {} compare, {} sta, {} batch/{} programs) | cache {} hits / {} misses | rejected {} | busy {}ms",
+        "served {} requests ({} map, {} compare, {} sta) | cache {} hits / {} misses | rejected {} | busy {}ms",
         stats.requests,
         stats.map_requests,
         stats.compare_requests,
         stats.sta_requests,
-        stats.batch_requests,
-        stats.batch_programs,
         stats.cache_hits,
         stats.cache_misses,
         stats.rejected,
@@ -896,10 +903,20 @@ mod tests {
     fn suite_stops_at_the_first_failing_circuit() {
         let err = run(&strings(&["suite", "/nonexistent.qasm"])).unwrap_err();
         assert!(matches!(err, QsprError::Io { .. }));
-        // Zero seeds stalls every circuit; the error names the first.
-        let err = run(&strings(&["suite", "--m", "0"])).unwrap_err();
+        // No circuit fits a two-trap fabric; the error names the first.
+        let fabric =
+            std::env::temp_dir().join(format!("qspr-two-traps-{}.txt", std::process::id()));
+        std::fs::write(&fabric, "-+-+-\n.|T|.\n-+-+-\n.|T|.\n-+-+-\n").unwrap();
+        let fabric_arg = fabric.to_str().unwrap();
+        let result = run(&strings(&["suite", "--m", "2", "--fabric", fabric_arg]));
+        std::fs::remove_file(&fabric).unwrap();
+        let err = result.unwrap_err();
         assert!(matches!(err, QsprError::Circuit { .. }), "{err}");
-        assert!(err.to_string().starts_with("[[5,1,3]]: "), "{err}");
+        assert!(
+            err.to_string()
+                .starts_with("[[5,1,3]]: fabric has 2 traps but "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub enum QsprError {
     Fabric(FabricError),
     /// The mapper could not map a program.
     Map(MapError),
-    /// A suite or `/batch` run failed on a named circuit.
+    /// A `qspr suite` run failed on a named circuit.
     Circuit {
         /// The failing circuit's name (its source path for QASM files).
         circuit: String,

@@ -6,8 +6,9 @@
 //! exact response bodies the service sent on the cold path, so a cache
 //! hit is byte-identical by construction. The LRU is a `HashMap` plus
 //! an intrusive recency list in a slab of indices (no `unsafe`, O(1)
-//! get/insert/evict). It keeps an incremental byte count and
-//! hit/miss/eviction counters, which `/stats` reports.
+//! get/insert/evict). It keeps an incremental byte count and an
+//! eviction counter, which `/stats` reports; the service counts hits
+//! and misses itself, once per lookup.
 //!
 //! One mutex guards the whole cache. Every request already takes the
 //! metrics registry's single mutex several times, so a finer cache lock
@@ -37,7 +38,7 @@ impl Default for CacheConfig {
     }
 }
 
-/// A point-in-time copy of the cache's occupancy and counters,
+/// A point-in-time copy of the cache's occupancy and evictions,
 /// surfaced by `GET /stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -45,10 +46,6 @@ pub struct CacheStats {
     pub entries: u64,
     /// Bytes currently held (keys + values).
     pub bytes: u64,
-    /// Lookups that found their key.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
     /// Entries removed by capacity pressure.
     pub evictions: u64,
 }
@@ -80,8 +77,6 @@ struct Lru {
     /// Bytes currently held (maintained incrementally; the test-only
     /// audit recomputes it from the slab).
     bytes: usize,
-    hits: u64,
-    misses: u64,
     evictions: u64,
 }
 
@@ -95,20 +90,14 @@ impl Lru {
             tail: NONE,
             free: Vec::new(),
             bytes: 0,
-            hits: 0,
-            misses: 0,
             evictions: 0,
         }
     }
 
     /// Looks `key` up: a hit is promoted and cloned out.
     fn get(&mut self, key: &str) -> Option<String> {
-        let Some(&slot) = self.map.get(key) else {
-            self.misses += 1;
-            return None;
-        };
+        let slot = *self.map.get(key)?;
         self.promote(slot);
-        self.hits += 1;
         Some(self.slab[slot].value.clone())
     }
 
@@ -210,8 +199,7 @@ impl Lru {
 /// cache.insert("key".into(), "body".into());
 /// assert_eq!(cache.get("key"), Some("body".into())); // hit
 /// assert_eq!(cache.get("absent"), None); // miss
-/// let stats = cache.stats();
-/// assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
+/// assert_eq!(cache.stats().entries, 1);
 /// ```
 #[derive(Debug)]
 pub struct ResultCache {
@@ -230,8 +218,7 @@ impl ResultCache {
         self.lru.lock().expect("result cache lock")
     }
 
-    /// Looks up `key`, marking it most recently used on a hit. Every
-    /// call counts as one hit or one miss.
+    /// Looks up `key`, marking it most recently used on a hit.
     pub fn get(&self, key: &str) -> Option<String> {
         self.lock().get(key)
     }
@@ -284,14 +271,12 @@ impl ResultCache {
         self.lock().bytes as u64
     }
 
-    /// A consistent snapshot of occupancy and counters.
+    /// A consistent snapshot of occupancy and evictions.
     pub fn stats(&self) -> CacheStats {
         let lru = self.lock();
         CacheStats {
             entries: lru.map.len() as u64,
             bytes: lru.bytes as u64,
-            hits: lru.hits,
-            misses: lru.misses,
             evictions: lru.evictions,
         }
     }
@@ -397,7 +382,6 @@ mod tests {
         assert_eq!(off.get("a"), None);
         assert!(off.is_empty());
         assert_eq!(off.capacity(), 0);
-        assert_eq!(off.stats().misses, 1);
     }
 
     #[test]
@@ -448,18 +432,12 @@ mod tests {
     #[derive(Default)]
     struct Model {
         entries: Vec<(String, String)>,
-        hits: u64,
-        misses: u64,
         evictions: u64,
     }
 
     impl Model {
         fn get(&mut self, key: &str) -> Option<String> {
-            let Some(at) = self.entries.iter().position(|(k, _)| k == key) else {
-                self.misses += 1;
-                return None;
-            };
-            self.hits += 1;
+            let at = self.entries.iter().position(|(k, _)| k == key)?;
             let entry = self.entries.remove(at);
             self.entries.insert(0, entry);
             Some(self.entries[0].1.clone())
@@ -487,7 +465,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// On any operation trace the cache agrees with the naive model:
-        /// same returned values, hits, misses and evictions, same final
+        /// same returned values and evictions, same final
         /// contents in the same recency order, same byte count.
         #[test]
         fn cache_matches_a_naive_recency_model(
@@ -518,8 +496,6 @@ mod tests {
                 CacheStats {
                     entries: model.entries.len() as u64,
                     bytes: bytes as u64,
-                    hits: model.hits,
-                    misses: model.misses,
                     evictions: model.evictions,
                 }
             );

@@ -28,9 +28,11 @@ use std::time::Duration;
 const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Most headers accepted on one request.
 const MAX_HEADERS: usize = 100;
-/// Largest accepted request body, bytes (QASM programs are small; the
-/// biggest paper circuit is under 4 KiB — `/batch` bodies carry a few
-/// dozen of them at most).
+/// Largest accepted request body, bytes. A body carries one QASM
+/// program (the biggest paper circuit is under 4 KiB) and at most one
+/// `"fabric"` document of up to the service's `MAX_FABRIC_CELLS`
+/// (2^18) grid cells, about 256 KiB as ASCII art before JSON escaping;
+/// the limit leaves room for a spelled-out spec of that size.
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
 
 /// One parsed HTTP request: method, path, (possibly empty) body, and

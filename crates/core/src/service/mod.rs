@@ -32,13 +32,12 @@
 //! | `POST /map` | `{"program", "policy"?, "router"?, "m"?, "jobs"?, "trace"?, "fabric"?}` | the [`FlowSummary`](crate::FlowSummary) JSON of `qspr map --format json` |
 //! | `POST /compare` | `{"program", "name"?, "router"?, "m"?, "jobs"?, "fabric"?}` | the [`ComparisonRow`](crate::ComparisonRow) JSON of `qspr compare --format json` |
 //! | `POST /sta` | `{"program", "policy"?, "router"?, "m"?, "jobs"?, "fabric"?}` | the [`qspr_sta::TimingReport`] JSON of `qspr sta --format json` |
-//! | `POST /batch` | `{"programs":[...], "names"?, "router"?, "m"?, "jobs"?, "fabric"?}` | a JSON **array** of [`ComparisonRow`](crate::ComparisonRow)s, in input order |
 //! | `GET /healthz` | — | `{"status":"ok","version":...}` (the crate version the CLI reports) |
 //! | `GET /stats` | — | [`StatsSnapshot`] JSON: requests, cache hits/misses/evictions, rejections, worker busy time, uptime, bound address |
 //! | `GET /metrics` | — | Prometheus text exposition: request counts by endpoint/status, cache hits/misses, queue depth and wait, rejections, handler latency, per-phase span timings |
 //! | `POST /shutdown` | — | `{"status":"shutting-down"}`, then a graceful drain |
 //!
-//! Every response produced under a permit (the four `POST` mapping
+//! Every response produced under a permit (the three `POST` mapping
 //! endpoints, unless rejected with `429`) carries a
 //! `Server-Timing: queue;dur=<ms>, handler;dur=<ms>` header: the
 //! request's own wait for a permit and its own handler time, so a
@@ -50,13 +49,10 @@
 //! request's MVFB seeds on that many threads, like the `--jobs` flag
 //! of `qspr map`; it never changes response bytes, and the service
 //! clamps it to [`MapService::jobs_budget`] so concurrent heavy
-//! requests times seed threads cannot oversubscribe the host.
-//! `POST /batch` maps its programs one after another in input order,
-//! each on the request's clamped seed threads, consults the cache per
-//! circuit (its items share cache entries with `/compare`), and
-//! replies with one input-ordered array, or a `422` naming the
-//! earliest circuit that fails to map. The optional `"fabric"` field
-//! carries a fabric description *document* (a JSON
+//! requests times seed threads cannot oversubscribe the host. A client
+//! that wants many Table 2 rows sends one `/compare` per circuit,
+//! pipelined on one keep-alive connection if it likes. The optional
+//! `"fabric"` field carries a fabric description *document* (a JSON
 //! [`qspr_fabric::FabricSpec`] embedded as a string, or ASCII art) and
 //! maps that request onto the described fabric instead of the server's
 //! resident one; a malformed document, or a program with more qubits
@@ -66,7 +62,7 @@
 //! plain text). Untrusted input is bounded on every axis: request
 //! line/header/body size limits in [`http`], JSON nesting depth in the
 //! parser, `m` (the one field that scales *work*, not input size)
-//! capped at 10 000 seeds per request, `/batch` capped at 256 programs,
+//! between 1 and 10 000 seeds per request, one program per request,
 //! a `"fabric"` document capped at 262 144 grid cells, one request
 //! answered at a time per connection, and the admission queues
 //! bounded by `--max-queue`.
@@ -74,15 +70,15 @@
 //! # Determinism and the cache
 //!
 //! The flow is seed-determined and no body carries a clock, so the
-//! body of every mapping response (`/map`, `/compare`, `/sta`,
-//! `/batch`) is a pure function of its request: `/map` bodies are
-//! byte-identical to `qspr map --format json`, `/compare` and `/batch`
-//! bodies to the CLI's comparison rows, for the same inputs. The cache
-//! stores the cold body verbatim and the first writer of a key wins:
-//! a miss that finishes after an identical one answers with the body
-//! already cached, so repeated requests are byte-identical. Where
-//! time went is reported beside the body, in the `Server-Timing`
-//! header, the access log and `/metrics`. The service tests assert
+//! body of every mapping response (`/map`, `/compare`, `/sta`) is a
+//! pure function of its request: `/map` bodies are byte-identical to
+//! `qspr map --format json`, `/compare` bodies to the CLI's comparison
+//! rows, for the same inputs. The cache stores the cold body verbatim
+//! and the first writer of a key wins: a miss that finishes after an
+//! identical one answers with the body already cached, so repeated
+//! requests are byte-identical. Where time went is reported beside the
+//! body, in the `Server-Timing` header, the access log and `/metrics`.
+//! The service tests assert
 //! both properties, in process under concurrent clients
 //! (`tests/service_e2e.rs`) and against the spawned `qspr serve`
 //! binary (`crates/core/tests/serve_binary.rs`).
@@ -141,7 +137,7 @@ use qspr_route::RouterKind;
 
 use crate::error::QsprError;
 use crate::flow::{Flow, FlowPolicy};
-use crate::json::{JsonArray, JsonObject, JsonValue, ToJson};
+use crate::json::{JsonObject, JsonValue, ToJson};
 
 /// How a [`Server`] binds, how many heavy requests it runs at once,
 /// and how it paces its connections. (The result-cache geometry belongs to
@@ -152,8 +148,8 @@ pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
     /// Permits for the heavy endpoints: at most this many `/map`,
-    /// `/compare`, `/sta` and `/batch` requests run at once (clamped to
-    /// at least 1; `--threads` on the CLI).
+    /// `/compare` and `/sta` requests run at once (clamped to at least
+    /// 1; `--threads` on the CLI).
     pub threads: usize,
     /// Emit one structured access-log line per request to stderr
     /// (`--log` on the CLI).
@@ -199,11 +195,6 @@ const MAX_SEEDS: usize = 10_000;
 /// a 512×512 grid, ~68x the paper's 45×85 fabric.
 const MAX_FABRIC_CELLS: usize = 1 << 18;
 
-/// Most programs accepted in one `POST /batch` body. Each program is a
-/// full comparison flow (three mapped runs), so the cap bounds the
-/// work one request can pin a worker with, exactly like [`MAX_SEEDS`].
-const MAX_BATCH_PROGRAMS: usize = 256;
-
 /// Monotonic service counters (updated with relaxed atomics; the
 /// counters are statistics, not synchronization).
 #[derive(Debug, Default)]
@@ -212,8 +203,6 @@ struct Counters {
     map_requests: AtomicU64,
     compare_requests: AtomicU64,
     sta_requests: AtomicU64,
-    batch_requests: AtomicU64,
-    batch_programs: AtomicU64,
     rejected: AtomicU64,
     errors: AtomicU64,
     busy_us: AtomicU64,
@@ -232,11 +221,6 @@ pub struct StatsSnapshot {
     pub compare_requests: u64,
     /// `POST /sta` requests.
     pub sta_requests: u64,
-    /// `POST /batch` requests.
-    pub batch_requests: u64,
-    /// Programs carried by `/batch` requests that reached the cache
-    /// (each one is a hit or a miss, like a `/compare` request).
-    pub batch_programs: u64,
     /// Mapping-cache hits.
     pub cache_hits: u64,
     /// Mapping-cache misses (cold mappings executed).
@@ -268,17 +252,15 @@ pub struct StatsSnapshot {
 impl ToJson for StatsSnapshot {
     /// Stable JSON schema, pinned by a golden test:
     /// `{"requests","map_requests","compare_requests","sta_requests",
-    /// "batch_requests","batch_programs","cache_hits","cache_misses",
-    /// "cache_entries","cache_capacity","cache_bytes","cache_evictions",
-    /// "rejected","errors","busy_us","uptime_ms","uptime_s","addr"}`.
+    /// "cache_hits","cache_misses","cache_entries","cache_capacity",
+    /// "cache_bytes","cache_evictions","rejected","errors","busy_us",
+    /// "uptime_ms","uptime_s","addr"}`.
     fn to_json(&self) -> String {
         JsonObject::new()
             .number("requests", self.requests)
             .number("map_requests", self.map_requests)
             .number("compare_requests", self.compare_requests)
             .number("sta_requests", self.sta_requests)
-            .number("batch_requests", self.batch_requests)
-            .number("batch_programs", self.batch_programs)
             .number("cache_hits", self.cache_hits)
             .number("cache_misses", self.cache_misses)
             .number("cache_entries", self.cache_entries)
@@ -308,8 +290,9 @@ pub struct MapService {
     /// [`MapService::jobs_budget`]).
     jobs_budget: usize,
     cache: ResultCache,
-    /// The `/metrics` mirrors of the cache's hit and miss counters,
-    /// created once so a lookup never searches the registry.
+    /// Cache hits and misses, one count per lookup, behind both
+    /// `/stats` and `/metrics`; created once so a lookup never
+    /// searches the registry.
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     counters: Counters,
@@ -359,18 +342,6 @@ struct MapRequest {
     name: String,
     /// Optional fabric description document (spec JSON or ASCII art)
     /// overriding the server's resident fabric for this request.
-    fabric: Option<String>,
-}
-
-/// A parsed, validated `/batch` request body.
-#[derive(Debug)]
-struct BatchRequest {
-    /// `(name, program text, parsed program)` per circuit, in input
-    /// order.
-    circuits: Vec<(String, String, Program)>,
-    router: RouterKind,
-    seeds: usize,
-    jobs: usize,
     fabric: Option<String>,
 }
 
@@ -472,10 +443,8 @@ impl MapService {
             map_requests: c.map_requests.load(Ordering::Relaxed),
             compare_requests: c.compare_requests.load(Ordering::Relaxed),
             sta_requests: c.sta_requests.load(Ordering::Relaxed),
-            batch_requests: c.batch_requests.load(Ordering::Relaxed),
-            batch_programs: c.batch_programs.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
+            cache_hits: self.cache_hits.get(),
+            cache_misses: self.cache_misses.get(),
             cache_entries: cache.entries,
             cache_capacity: self.cache.capacity() as u64,
             cache_bytes: cache.bytes,
@@ -520,7 +489,6 @@ impl MapService {
             ("POST", "/map") => self.mapping(Endpoint::Map, &request.body),
             ("POST", "/compare") => self.mapping(Endpoint::Compare, &request.body),
             ("POST", "/sta") => self.mapping(Endpoint::Sta, &request.body),
-            ("POST", "/batch") => self.batch(&request.body),
             (_, path) if KNOWN_PATHS.contains(&path) => {
                 error_response(405, &format!("method {} not allowed here", request.method))
             }
@@ -629,21 +597,15 @@ impl MapService {
             flow = flow.record_trace(true);
         }
         let fabric_key = fabric_cache_key(request.fabric.as_deref());
+        let fingerprint = flow.fingerprint(&request.program_text);
         let key = match endpoint {
-            Endpoint::Map => format!(
-                "map|{fabric_key}{}",
-                flow.fingerprint(&request.program_text)
-            ),
-            Endpoint::Compare => compare_cache_key(
-                &fabric_key,
-                &request.name,
-                &flow.fingerprint(&request.program_text),
-            ),
+            Endpoint::Map => format!("map|{fabric_key}{fingerprint}"),
+            Endpoint::Compare => {
+                let name = &request.name;
+                format!("compare|{fabric_key}{}:{name}|{fingerprint}", name.len())
+            }
             // The fingerprint already carries the trace axis set above.
-            Endpoint::Sta => format!(
-                "sta|{fabric_key}{}",
-                flow.fingerprint(&request.program_text)
-            ),
+            Endpoint::Sta => format!("sta|{fabric_key}{fingerprint}"),
         };
         if let Some(cached) = self.cache_lookup(&key) {
             return Response::new(200, cached);
@@ -669,59 +631,6 @@ impl MapService {
         }
     }
 
-    /// `POST /batch`: N circuits on one request, cache-aware per
-    /// circuit, replied as one input-ordered JSON array of comparison
-    /// rows.
-    ///
-    /// Each circuit's cache key is exactly the `/compare` key for the
-    /// same `(name, program, router, m, fabric)` — the two endpoints
-    /// share entries, and a batch re-run is pure cache hits. Misses
-    /// are mapped in input order, each cached as soon as it is mapped;
-    /// the first failure answers `422` naming its circuit.
-    fn batch(&self, body: &str) -> Response {
-        self.counters.batch_requests.fetch_add(1, Ordering::Relaxed);
-        let request = match parse_batch_request(body) {
-            Ok(request) => request,
-            Err(e) => return error_response(400, &e.to_string()),
-        };
-        let fabric = match request_fabric(request.fabric.as_deref()) {
-            Ok(fabric) => fabric,
-            Err(response) => return response,
-        };
-        let flow = self.flow_for_config(
-            FlowPolicy::Qspr,
-            request.router,
-            request.seeds,
-            false,
-            request.jobs,
-            fabric,
-        );
-        let fabric_key = fabric_cache_key(request.fabric.as_deref());
-        // From here on every circuit reaches the cache, so it joins the
-        // hits+misses == mapping-requests accounting.
-        self.counters
-            .batch_programs
-            .fetch_add(request.circuits.len() as u64, Ordering::Relaxed);
-        let keys: Vec<String> = request
-            .circuits
-            .iter()
-            .map(|(name, text, _)| compare_cache_key(&fabric_key, name, &flow.fingerprint(text)))
-            .collect();
-        let cached: Vec<Option<String>> = keys.iter().map(|key| self.cache_lookup(key)).collect();
-        let mut array = JsonArray::new();
-        for (((name, _, program), key), row) in request.circuits.iter().zip(keys).zip(cached) {
-            let row = match row {
-                Some(row) => row,
-                None => match flow.compare(name, program) {
-                    Ok(row) => self.cache.insert(key, row.to_json()),
-                    Err(e) => return error_response(422, &QsprError::circuit(name, e).to_string()),
-                },
-            };
-            array.push_raw(&row);
-        }
-        Response::new(200, array.build())
-    }
-
     /// Looks `key` up in the result cache, mirroring the outcome into
     /// `/metrics`.
     fn cache_lookup(&self, key: &str) -> Option<String> {
@@ -737,39 +646,18 @@ impl MapService {
     /// The [`Flow`] for a request's configuration, on the request's own
     /// `fabric` document if it sent one, else on the resident fabric's
     /// `Arc`. A `Flow` is a handful of `Arc` clones, so each request
-    /// builds its own.
+    /// builds its own. `jobs` is clamped to the
+    /// [`MapService::jobs_budget`], which keeps request-level
+    /// concurrency (the permit gate) times seed parallelism bounded no
+    /// matter what the body asked for; results are byte-identical at
+    /// every value.
     fn flow_for(&self, request: &MapRequest, fabric: Option<Arc<Fabric>>) -> Flow {
-        self.flow_for_config(
-            request.policy,
-            request.router,
-            request.seeds,
-            request.trace,
-            request.jobs,
-            fabric,
-        )
-    }
-
-    /// [`MapService::flow_for`] by explicit configuration axes (shared
-    /// with `/batch`, which has no single `MapRequest`). `jobs` is
-    /// clamped to the [`MapService::jobs_budget`], which keeps
-    /// request-level concurrency (the permit gate) times seed
-    /// parallelism bounded no matter what the body asked for; results
-    /// are byte-identical at every value.
-    fn flow_for_config(
-        &self,
-        policy: FlowPolicy,
-        router: RouterKind,
-        seeds: usize,
-        trace: bool,
-        jobs: usize,
-        fabric: Option<Arc<Fabric>>,
-    ) -> Flow {
         Flow::on(fabric.unwrap_or_else(|| Arc::clone(&self.fabric)))
-            .policy(policy)
-            .router(router)
-            .seeds(seeds)
-            .record_trace(trace)
-            .jobs(jobs.min(self.jobs_budget))
+            .policy(request.policy)
+            .router(request.router)
+            .seeds(request.seeds)
+            .record_trace(request.trace)
+            .jobs(request.jobs.min(self.jobs_budget))
     }
 }
 
@@ -783,7 +671,6 @@ const KNOWN_PATHS: &[&str] = &[
     "/map",
     "/compare",
     "/sta",
-    "/batch",
 ];
 
 /// The metrics label for a request path. Unknown paths share one
@@ -805,12 +692,6 @@ fn fabric_cache_key(fabric: Option<&str>) -> String {
     fabric.map_or(String::new(), |text| {
         format!("fabric:{}:{text}|", text.len())
     })
-}
-
-/// The cache key of a comparison result — shared by `/compare` and the
-/// per-circuit lookups of `/batch`.
-fn compare_cache_key(fabric_key: &str, name: &str, fingerprint: &str) -> String {
-    format!("compare|{fabric_key}{}:{name}|{fingerprint}", name.len())
 }
 
 /// Builds a request's `"fabric"` document, if any, within
@@ -868,7 +749,7 @@ pub fn normalize_timing(json: &str) -> String {
     )
 }
 
-/// Parses and validates a `/map` or `/compare` body against its
+/// Parses and validates a `/map`, `/compare` or `/sta` body against its
 /// endpoint's allowed fields, applying the CLI defaults.
 fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, QsprError> {
     let value =
@@ -904,9 +785,39 @@ fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, Q
             .ok_or_else(|| QsprError::usage("field \"policy\" must be a string"))?
             .parse()?,
     };
-    let router = parse_router_field(&value)?;
-    let seeds = parse_seeds_field(&value)?;
-    let jobs = parse_jobs_field(&value)?;
+    let router = match value.get("router") {
+        None => RouterKind::Greedy,
+        Some(v) => v
+            .as_str()
+            .ok_or_else(|| QsprError::usage("field \"router\" must be a string"))?
+            .parse()
+            .map_err(|e| QsprError::usage(format!("{e}")))?,
+    };
+    // Seeds scale work, so they are bounded on both sides: zero seeds
+    // would place nothing and report a stall.
+    let seeds = match value.get("m") {
+        None => DEFAULT_SEEDS,
+        Some(v) => {
+            let m = v
+                .as_u64()
+                .filter(|&m| m > 0)
+                .ok_or_else(|| QsprError::usage("field \"m\" must be a positive integer"))?;
+            if m > MAX_SEEDS as u64 {
+                return Err(QsprError::usage(format!(
+                    "field \"m\" exceeds the service limit of {MAX_SEEDS}"
+                )));
+            }
+            m as usize
+        }
+    };
+    let jobs = match value.get("jobs") {
+        None => 1,
+        Some(v) => v
+            .as_u64()
+            .filter(|&jobs| jobs > 0)
+            .ok_or_else(|| QsprError::usage("field \"jobs\" must be a positive integer"))?
+            as usize,
+    };
     let trace = match value.get("trace") {
         None => false,
         Some(v) => v
@@ -920,7 +831,16 @@ fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, Q
             .ok_or_else(|| QsprError::usage("field \"name\" must be a string"))?
             .to_owned(),
     };
-    let fabric = parse_fabric_field(&value)?;
+    let fabric = match value.get("fabric") {
+        None => None,
+        Some(v) => Some(
+            v.as_str()
+                .ok_or_else(|| {
+                    QsprError::usage("field \"fabric\" must be a string (spec JSON or ASCII art)")
+                })?
+                .to_owned(),
+        ),
+    };
     Ok(MapRequest {
         program_text,
         program,
@@ -932,142 +852,6 @@ fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, Q
         name,
         fabric,
     })
-}
-
-/// Parses and validates a `/batch` body: a `"programs"` array (each a
-/// QASM string), optional per-circuit `"names"`, and the shared
-/// `router`/`m`/`jobs`/`fabric` axes of `/compare`.
-fn parse_batch_request(body: &str) -> Result<BatchRequest, QsprError> {
-    let value =
-        JsonValue::parse(body).map_err(|e| QsprError::usage(format!("invalid JSON body: {e}")))?;
-    let Some(fields) = value.as_object() else {
-        return Err(QsprError::usage("request body must be a JSON object"));
-    };
-    const ALLOWED: &[&str] = &["programs", "names", "router", "m", "jobs", "fabric"];
-    for (key, _) in fields {
-        if !ALLOWED.contains(&key.as_str()) {
-            return Err(QsprError::usage(format!(
-                "unknown field {key:?} (allowed: {})",
-                ALLOWED.join(", ")
-            )));
-        }
-    }
-    let programs = value
-        .get("programs")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| QsprError::usage("field \"programs\" (array of strings) is required"))?;
-    if programs.is_empty() {
-        return Err(QsprError::usage("field \"programs\" must not be empty"));
-    }
-    if programs.len() > MAX_BATCH_PROGRAMS {
-        return Err(QsprError::usage(format!(
-            "field \"programs\" exceeds the service limit of {MAX_BATCH_PROGRAMS} circuits"
-        )));
-    }
-    let names: Option<Vec<String>> = match value.get("names") {
-        None => None,
-        Some(v) => {
-            let names = v
-                .as_array()
-                .ok_or_else(|| QsprError::usage("field \"names\" must be an array of strings"))?;
-            if names.len() != programs.len() {
-                return Err(QsprError::usage(format!(
-                    "field \"names\" has {} entries for {} programs",
-                    names.len(),
-                    programs.len()
-                )));
-            }
-            Some(
-                names
-                    .iter()
-                    .map(|n| {
-                        n.as_str().map(str::to_owned).ok_or_else(|| {
-                            QsprError::usage("field \"names\" must be an array of strings")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            )
-        }
-    };
-    let mut circuits = Vec::with_capacity(programs.len());
-    for (i, entry) in programs.iter().enumerate() {
-        let text = entry
-            .as_str()
-            .ok_or_else(|| QsprError::usage(format!("programs[{i}] must be a string")))?;
-        let program =
-            Program::parse(text).map_err(|e| QsprError::usage(format!("programs[{i}]: {e}")))?;
-        let name = names
-            .as_ref()
-            .map_or_else(|| format!("program{i}"), |names| names[i].clone());
-        circuits.push((name, text.to_owned(), program));
-    }
-    Ok(BatchRequest {
-        circuits,
-        router: parse_router_field(&value)?,
-        seeds: parse_seeds_field(&value)?,
-        jobs: parse_jobs_field(&value)?,
-        fabric: parse_fabric_field(&value)?,
-    })
-}
-
-/// The shared `"router"` field (defaults to greedy, like `--router`).
-fn parse_router_field(value: &JsonValue) -> Result<RouterKind, QsprError> {
-    match value.get("router") {
-        None => Ok(RouterKind::Greedy),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| QsprError::usage("field \"router\" must be a string"))?
-            .parse()
-            .map_err(|e| QsprError::usage(format!("{e}"))),
-    }
-}
-
-/// The shared `"m"` field (defaults to [`DEFAULT_SEEDS`], capped at
-/// [`MAX_SEEDS`]).
-fn parse_seeds_field(value: &JsonValue) -> Result<usize, QsprError> {
-    match value.get("m") {
-        None => Ok(DEFAULT_SEEDS),
-        Some(v) => {
-            let m = v
-                .as_u64()
-                .ok_or_else(|| QsprError::usage("field \"m\" must be a non-negative integer"))?;
-            if m > MAX_SEEDS as u64 {
-                return Err(QsprError::usage(format!(
-                    "field \"m\" exceeds the service limit of {MAX_SEEDS}"
-                )));
-            }
-            Ok(m as usize)
-        }
-    }
-}
-
-/// The shared `"jobs"` field (defaults to 1; clamped to the budget by
-/// the caller).
-fn parse_jobs_field(value: &JsonValue) -> Result<usize, QsprError> {
-    match value.get("jobs") {
-        None => Ok(1),
-        Some(v) => {
-            let jobs = v
-                .as_u64()
-                .filter(|&jobs| jobs > 0)
-                .ok_or_else(|| QsprError::usage("field \"jobs\" must be a positive integer"))?;
-            Ok(jobs as usize)
-        }
-    }
-}
-
-/// The shared optional `"fabric"` document field.
-fn parse_fabric_field(value: &JsonValue) -> Result<Option<String>, QsprError> {
-    match value.get("fabric") {
-        None => Ok(None),
-        Some(v) => Ok(Some(
-            v.as_str()
-                .ok_or_else(|| {
-                    QsprError::usage("field \"fabric\" must be a string (spec JSON or ASCII art)")
-                })?
-                .to_owned(),
-        )),
-    }
 }
 
 /// The TCP front end: one thread per connection and a permit gate for
@@ -1118,7 +902,7 @@ impl Server {
     /// This thread runs a blocking accept loop and gives every
     /// connection its own thread, which reads, parses and answers one
     /// request at a time, so responses go out in request order. The
-    /// heavy endpoints (`/map`, `/compare`, `/sta`, `/batch`) first take
+    /// heavy endpoints (`/map`, `/compare`, `/sta`) first take
     /// one of `threads` permits in FIFO order; light ones answer on the
     /// connection thread.
     ///

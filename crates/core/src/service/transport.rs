@@ -5,9 +5,9 @@
 //! [`Parser`](http::Parser) and answers one request at a time, writing
 //! each response before it parses the next, so pipelined responses
 //! leave in request order by construction. Light endpoints answer on
-//! the connection thread; heavy ones (`POST /map`, `/compare`, `/sta`,
-//! `/batch`) first take one of `threads` permits from the FIFO [`Gate`],
-//! where at most `max_queue` requests per endpoint may wait. A read
+//! the connection thread; heavy ones (`POST /map`, `/compare`, `/sta`)
+//! first take one of `threads` permits from the FIFO [`Gate`], where at
+//! most `max_queue` requests per endpoint may wait. A read
 //! waits at most until the connection's deadline: the keep-alive
 //! timeout when idle, or a shorter bound counted from the first byte of
 //! a partial request (the slowloris bound). A write waits at most the
@@ -28,7 +28,7 @@ use super::http::{self, Request, Response};
 use super::{access_log, wake_addr, MapService, ServeConfig};
 
 /// The heavy endpoints, in gate slot order.
-const HEAVY: [&str; 4] = ["/map", "/compare", "/sta", "/batch"];
+const HEAVY: [&str; 3] = ["/map", "/compare", "/sta"];
 
 /// Most concurrently open connections; accepts beyond it are dropped.
 const MAX_CONNS: usize = 1024;
@@ -236,7 +236,7 @@ struct Gate {
     turn: Condvar,
     max_queue: usize,
     /// `qspr_queue_depth`, one gauge per [`HEAVY`] slot.
-    depth: [Arc<Gauge>; 4],
+    depth: [Arc<Gauge>; HEAVY.len()],
     /// `qspr_queue_wait_us`.
     wait: Arc<Histogram>,
 }
@@ -249,7 +249,7 @@ struct GateState {
     /// The oldest waiting ticket; waiters are `serving..next_ticket`.
     serving: u64,
     /// Waiters per [`HEAVY`] slot.
-    queued: [usize; 4],
+    queued: [usize; HEAVY.len()],
 }
 
 /// One held permit; dropping it returns the permit to the [`Gate`].
@@ -262,7 +262,7 @@ impl Gate {
                 free: config.threads,
                 next_ticket: 0,
                 serving: 0,
-                queued: [0; 4],
+                queued: [0; HEAVY.len()],
             }),
             turn: Condvar::new(),
             max_queue: config.max_queue,

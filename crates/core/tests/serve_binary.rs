@@ -79,14 +79,13 @@ impl Drop for Serve {
 }
 
 /// `(path, body, expected body)` for `/map` (the defaults, then a
-/// non-default policy and router), `/compare`, `/batch` and `/sta`,
-/// every expected body computed locally through `Flow`.
+/// non-default policy and router), `/compare` and `/sta`, every
+/// expected body computed locally through `Flow`.
 fn cases() -> Vec<(&'static str, String, String)> {
     let fabric = Arc::new(Fabric::quale_45x85());
     let flow = || Flow::on(Arc::clone(&fabric)).seeds(4);
     let (bell, ghz3) = (Program::parse(BELL).unwrap(), Program::parse(GHZ3).unwrap());
     let map = |flow: Flow, program| flow.run(program).unwrap().summary().to_json();
-    let compare = |name, program| flow().compare(name, program).unwrap().to_json();
     let quale = flow()
         .policy(FlowPolicy::Quale)
         .router(RouterKind::Negotiated);
@@ -95,17 +94,14 @@ fn cases() -> Vec<(&'static str, String, String)> {
     let bell_m4 = format!(r#""program":{BELL:?},"m":4"#);
     let quale_body =
         format!(r#"{{"program":{GHZ3:?},"m":4,"policy":"quale","router":"negotiated"}}"#);
-    let batch_body = format!(r#"{{"programs":[{BELL:?},{GHZ3:?}],"names":["bell","ghz3"],"m":4}}"#);
-    let batch = format!("[{},{}]", compare("bell", &bell), compare("ghz3", &ghz3));
     vec![
         ("/map", format!("{{{bell_m4}}}"), map(flow(), &bell)),
         ("/map", quale_body, map(quale, &ghz3)),
         (
             "/compare",
             format!(r#"{{{bell_m4},"name":"bell"}}"#),
-            compare("bell", &bell),
+            flow().compare("bell", &bell).unwrap().to_json(),
         ),
-        ("/batch", batch_body, batch),
         ("/sta", format!("{{{bell_m4}}}"), sta.unwrap().to_json()),
     ]
 }
@@ -122,16 +118,13 @@ fn drive(client: &mut http::Client, cases: &[(&str, String, String)], start: usi
 }
 
 /// Asserts that every `/stats` cache lookup belongs to one
-/// map/compare/sta request or one batch program, and that the repeats
-/// hit; returns the `requests` counter.
+/// map/compare/sta request, and that the repeats hit; returns the
+/// `requests` counter.
 fn stats_adding_up(client: &mut http::Client) -> u64 {
     let stats = client.send("GET", "/stats", "").expect("stats").body;
     let stats = JsonValue::parse(&stats).expect("stats JSON");
     let field = |name| stats.get(name).and_then(JsonValue::as_u64).expect(name);
-    let lookups = field("map_requests")
-        + field("compare_requests")
-        + field("sta_requests")
-        + field("batch_programs");
+    let lookups = field("map_requests") + field("compare_requests") + field("sta_requests");
     assert_eq!(field("cache_hits") + field("cache_misses"), lookups);
     assert!(field("cache_hits") > 0);
     field("requests")
@@ -166,7 +159,7 @@ fn one_keep_alive_connection_gets_the_library_bytes_and_counters_add_up() {
     assert_eq!(requests, stats_requests);
 
     let log = serve.shutdown();
-    for path in ["/map", "/batch"] {
+    for path in ["/map", "/compare", "/sta"] {
         let entry = format!("method=POST path={path} status=200");
         assert!(log.contains(&entry), "no {entry:?} in the log:\n{log}");
     }

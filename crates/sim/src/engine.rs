@@ -135,10 +135,6 @@ impl<'a> Mapper<'a> {
                 let alap = qidg.alap();
                 qidg.topo_order().map(|id| alap.start(id) as f64).collect()
             }
-            IssueOrder::Asap => {
-                let asap = qidg.asap();
-                qidg.topo_order().map(|id| asap.start(id) as f64).collect()
-            }
         };
         PreparedProgram {
             qidg,
@@ -536,12 +532,12 @@ impl<'m, 'a> Sim<'m, 'a> {
                     .expect("priorities are finite")
                     .then(ka.1.cmp(&kb.1))
             });
-            let strict = self.mapper.policy.strict_order;
+            let strict = matches!(self.mapper.policy.order, IssueOrder::Alap);
             let mut progressed = false;
             let mut head_blocked = false;
             for item in candidates.drain(..) {
                 let issued = match item {
-                    // Under strict extraction, a blocked instruction
+                    // Under ALAP extraction, a blocked instruction
                     // holds back every unissued instruction behind it;
                     // second/return legs belong to already-issued
                     // operations and may always proceed.
@@ -1529,23 +1525,6 @@ mod policy_behavior_tests {
                 forced.latency()
             );
         }
-    }
-
-    #[test]
-    fn strict_order_never_beats_dynamic_order() {
-        let f = fabric();
-        let tech = TechParams::date2012();
-        let p = qspr_qasm::random_program(&qspr_qasm::RandomProgramConfig::new(8, 40), 7);
-        let placement = Placement::center(&f, 8);
-        let dynamic = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
-            .map(&p, &placement)
-            .unwrap();
-        let mut strict_policy = MapperPolicy::qspr(&tech);
-        strict_policy.strict_order = true;
-        let strict = Mapper::new(&f, tech, strict_policy)
-            .map(&p, &placement)
-            .unwrap();
-        assert!(strict.latency() >= dynamic.latency());
     }
 
     #[test]

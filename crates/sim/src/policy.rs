@@ -32,10 +32,11 @@ pub enum IssueOrder {
     /// QSPR's priority list (§III): a linear combination of transitive
     /// dependent count and longest path delay to the QIDG sink.
     PriorityList(PriorityWeights),
-    /// QUALE: instructions extracted in ALAP order.
+    /// QUALE: instructions *extracted* in ALAP order, strictly: a
+    /// blocked instruction holds back every unissued instruction behind
+    /// it (head-of-line blocking), as in tools that walk a precomputed
+    /// schedule rather than QSPR's dynamic ready list.
     Alap,
-    /// QPOS-era baseline: plain ASAP (program) order.
-    Asap,
 }
 
 /// The complete mapper policy.
@@ -49,11 +50,9 @@ pub enum IssueOrder {
 /// let tech = TechParams::date2012();
 /// let qspr = MapperPolicy::qspr(&tech);
 /// assert_eq!(qspr.movement, MovementPolicy::BothToMedian);
-/// assert!(!qspr.strict_order);
 /// let quale = MapperPolicy::quale(&tech);
 /// assert_eq!(quale.movement, MovementPolicy::ReturnToHome);
 /// assert_eq!(quale.router.channel_capacity, 1);
-/// assert!(quale.strict_order);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapperPolicy {
@@ -63,12 +62,6 @@ pub struct MapperPolicy {
     pub movement: MovementPolicy,
     /// Ready-instruction issue order.
     pub order: IssueOrder,
-    /// Issue instructions strictly in schedule order: a blocked
-    /// instruction holds back everything behind it (head-of-line
-    /// blocking). This models tools that *extract* instructions from a
-    /// precomputed schedule (QUALE's ALAP traversal), as opposed to
-    /// QSPR's dynamic ready-list.
-    pub strict_order: bool,
 }
 
 impl MapperPolicy {
@@ -79,7 +72,6 @@ impl MapperPolicy {
             router: RouterConfig::qspr(tech),
             movement: MovementPolicy::BothToMedian,
             order: IssueOrder::PriorityList(PriorityWeights::default()),
-            strict_order: false,
         }
     }
 
@@ -91,7 +83,6 @@ impl MapperPolicy {
             router: RouterConfig::quale(tech),
             movement: MovementPolicy::ReturnToHome,
             order: IssueOrder::Alap,
-            strict_order: true,
         }
     }
 
@@ -105,7 +96,6 @@ impl MapperPolicy {
             router,
             movement: MovementPolicy::SourceToDestination,
             order: IssueOrder::PriorityList(PriorityWeights::dependents_only()),
-            strict_order: false,
         }
     }
 }

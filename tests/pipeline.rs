@@ -148,7 +148,7 @@ fn quale_overhead_grows_with_circuit_size() {
 }
 
 #[test]
-fn batch_mapping_is_deterministic_across_thread_counts() {
+fn suite_mapping_is_deterministic_across_thread_counts() {
     // The suite contract: every circuit's comparison row is identical
     // at --jobs 1 and --jobs 4.
     use qspr_qasm::{random_program, Program, RandomProgramConfig};
