@@ -106,11 +106,10 @@ impl FromStr for FlowPolicy {
 /// methods; [`Flow::run`] executes QIDG scheduling, placement (through
 /// the configured [`Placer`]) and turn-aware routing on one program.
 /// Because the fabric lives behind an [`Arc`], a `Flow` is `Send +
-/// 'static` and cheap to clone — the foundation for batch and service
-/// front ends.
+/// 'static` and cheap to clone — the foundation for the suite and
+/// service front ends.
 ///
-/// See the crate docs for an example and the `QsprTool` migration
-/// table.
+/// See the crate docs for an example.
 #[derive(Clone)]
 pub struct Flow {
     fabric: Arc<Fabric>,

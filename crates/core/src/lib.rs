@@ -59,13 +59,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! # Migrating from `QsprTool`
-//!
-//! The deprecated `QsprTool` facade was removed after its one-release
-//! grace period; [`Flow`] is the only front door. The call-by-call
-//! migration table lives in the README's "Migrating from `QsprTool`"
-//! section.
 
 #![forbid(unsafe_code)]
 

@@ -303,6 +303,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// Entries in recency order, most recent first (test-only walk).
     fn contents(cache: &ResultCache) -> Vec<(String, String)> {
@@ -499,6 +500,46 @@ mod tests {
                     evictions: model.evictions,
                 }
             );
+        }
+    }
+
+    #[test]
+    fn result_cache_is_deterministic_under_concurrency() {
+        // N threads hammer disjoint key ranges concurrently; every thread
+        // sees exactly its own values, and the final counters add up.
+        let cache = Arc::new(ResultCache::new(4096));
+        let threads = 8;
+        let per_thread = 100u32;
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let cache = Arc::clone(&cache);
+                std::thread::spawn(move || {
+                    for k in 0..per_thread {
+                        let key = format!("t{t}-k{k}");
+                        let value = format!("value-{t}-{k}");
+                        assert_eq!(cache.get(&key), None, "first lookup misses");
+                        cache.insert(key.clone(), value.clone());
+                        assert_eq!(cache.get(&key), Some(value), "own insert visible");
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        let stats = cache.stats();
+        let ops = u64::from(per_thread) * threads as u64;
+        assert_eq!(cache.len() as u64, ops);
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(cache.audit_bytes(), cache.bytes());
+        // Everything is still retrievable afterwards, deterministically.
+        for t in 0..threads {
+            for k in 0..per_thread {
+                assert_eq!(
+                    cache.get(&format!("t{t}-k{k}")),
+                    Some(format!("value-{t}-{k}"))
+                );
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Service tests: wire-schema goldens (the `/map`, `/stats` and error
 //! body contracts, alongside the JSON goldens in
-//! `crate::json`), cache semantics, HTTP parser property tests, and
-//! real-TCP keep-alive round trips.
+//! `crate::json`), cache semantics under the service, HTTP parser
+//! property tests, and real-TCP keep-alive round trips.
 
 use super::http::{encode_response, Parser};
 use super::*;
@@ -568,92 +568,6 @@ fn encode_response_golden() {
         String::from_utf8(encode_response(&timed, true)).unwrap(),
         "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nServer-Timing: queue;dur=0.012, handler;dur=3456.789\r\nConnection: keep-alive\r\n\r\n{}"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Result cache under the service
-// ---------------------------------------------------------------------------
-
-#[test]
-fn result_cache_accounts_bytes_exactly() {
-    let cache = ResultCache::new(64);
-    let mut expected = 0u64;
-    for i in 0..40 {
-        let key = format!("key-{i}");
-        let value = "v".repeat(i);
-        expected += (key.len() + value.len()) as u64;
-        cache.insert(key, value);
-    }
-    // No evictions yet (40 entries of 64): the audit (recomputed from
-    // the slab) and the incremental totals agree.
-    assert_eq!(cache.audit_bytes(), expected);
-    assert_eq!(cache.bytes(), expected);
-    assert_eq!(cache.stats().bytes, expected);
-    // A repeated insert keeps the first value and never leaks.
-    cache.insert("key-0".into(), "longer-value".repeat(4));
-    assert_eq!(cache.audit_bytes(), expected);
-    // Evictions release their bytes.
-    for i in 0..500 {
-        cache.insert(format!("evict-{i}"), "x".repeat(100));
-    }
-    assert_eq!(cache.len(), 64);
-    assert_eq!(cache.audit_bytes(), cache.bytes());
-}
-
-#[test]
-fn result_cache_keeps_the_first_writer() {
-    let cache = ResultCache::new(16);
-    // Two identical cold requests racing: the later insert answers with
-    // the body the earlier one cached, and so does every later hit.
-    assert_eq!(cache.insert("k".into(), "first".into()), "first");
-    assert_eq!(cache.insert("k".into(), "second".into()), "first");
-    assert_eq!(cache.get("k"), Some("first".into()));
-    assert_eq!(cache.len(), 1);
-    assert_eq!(cache.audit_bytes(), cache.bytes());
-    // A disabled cache keeps nothing and hands each writer its own body.
-    let off = ResultCache::new(0);
-    assert_eq!(off.insert("k".into(), "mine".into()), "mine");
-    assert_eq!(off.get("k"), None);
-}
-
-#[test]
-fn result_cache_is_deterministic_under_concurrency() {
-    // N threads hammer disjoint key ranges concurrently; every thread
-    // sees exactly its own values, and the final counters add up.
-    let cache = Arc::new(ResultCache::new(4096));
-    let threads = 8;
-    let per_thread = 100u32;
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                for k in 0..per_thread {
-                    let key = format!("t{t}-k{k}");
-                    let value = format!("value-{t}-{k}");
-                    assert_eq!(cache.get(&key), None, "first lookup misses");
-                    cache.insert(key.clone(), value.clone());
-                    assert_eq!(cache.get(&key), Some(value), "own insert visible");
-                }
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().unwrap();
-    }
-    let stats = cache.stats();
-    let ops = u64::from(per_thread) * threads as u64;
-    assert_eq!(cache.len() as u64, ops);
-    assert_eq!(stats.evictions, 0);
-    assert_eq!(cache.audit_bytes(), cache.bytes());
-    // Everything is still retrievable afterwards, deterministically.
-    for t in 0..threads {
-        for k in 0..per_thread {
-            assert_eq!(
-                cache.get(&format!("t{t}-k{k}")),
-                Some(format!("value-{t}-{k}"))
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

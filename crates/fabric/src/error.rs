@@ -40,13 +40,14 @@ pub enum FabricError {
     TrapWithoutPort(Coord),
     /// A regular-fabric spec was inconsistent (e.g. pitch < 2).
     BadSpec(String),
-    /// The grid holds more cells than the caller's budget allows
-    /// ([`crate::Fabric::parse_within`]); rejected before any cell is
-    /// built.
+    /// The grid holds more cells than the caller's budget allows, or a
+    /// spec's regions, links and capacity rules would paint more than a
+    /// fixed multiple of it ([`crate::Fabric::parse_within`]); rejected
+    /// before any cell is built.
     TooManyCells {
-        /// Cells the description would build (`rows × cols`).
+        /// Cells the description would build (`rows × cols`), or paint.
         cells: usize,
-        /// The budget.
+        /// The budget (for painted cells, the multiple of it).
         max: usize,
     },
     /// A booking counter hit its hard ceiling (`u8::MAX` concurrent

@@ -120,25 +120,12 @@ impl Fabric {
     /// any validation error from [`Fabric::new`].
     pub fn from_ascii(text: &str) -> Result<Fabric, FabricError> {
         let lines: Vec<&str> = text.lines().collect();
-        let rows = lines.len();
-        let cols = lines.iter().map(|l| l.chars().count()).max().unwrap_or(0);
-        if rows == 0 || cols == 0 {
-            return Err(FabricError::EmptyGrid);
-        }
-        let mut cells = Vec::with_capacity(rows * cols);
-        for (ln, line) in lines.iter().enumerate() {
-            let mut count = 0;
-            for (cn, ch) in line.chars().enumerate() {
-                let cell = Cell::from_char(ch).ok_or(FabricError::UnknownChar {
-                    line: ln + 1,
-                    column: cn + 1,
-                    ch,
-                })?;
-                cells.push(cell);
-                count += 1;
-            }
-            cells.extend(std::iter::repeat(Cell::Empty).take(cols - count));
-        }
+        let (rows, cols) = ascii_dims(&lines);
+        let mut cells = vec![Cell::Empty; rows * cols];
+        read_ascii(&lines, |r, c, cell| {
+            cells[r * cols + c] = cell;
+            Ok(())
+        })?;
         Fabric::new(rows, cols, cells)
     }
 
@@ -202,10 +189,43 @@ impl Fabric {
         self.info.as_ref()
     }
 
-    /// Attaches (or clears) spec provenance metadata.
-    pub(crate) fn set_info(&mut self, info: Option<FabricInfo>) {
-        self.info = info;
+    /// Attaches spec provenance metadata.
+    pub(crate) fn set_info(&mut self, info: FabricInfo) {
+        self.info = Some(info);
     }
+}
+
+/// The `(rows, cols)` of ASCII art: one row per line, as wide as its
+/// longest line.
+pub(crate) fn ascii_dims<S: AsRef<str>>(lines: &[S]) -> (usize, usize) {
+    let cols = lines.iter().map(|l| l.as_ref().chars().count()).max();
+    (lines.len(), cols.unwrap_or(0))
+}
+
+/// The one reader of the ASCII cell format, shared by
+/// [`Fabric::from_ascii`] and the spec's `ascii` regions and tiles:
+/// hands `put` the 0-based `(row, col)` and cell of every character in
+/// row-major order. Padding of ragged lines is left to the caller.
+///
+/// # Errors
+///
+/// [`FabricError::UnknownChar`] (1-based) at the first character that is
+/// not a cell, or the first error `put` returns.
+pub(crate) fn read_ascii<S: AsRef<str>>(
+    lines: &[S],
+    mut put: impl FnMut(usize, usize, Cell) -> Result<(), FabricError>,
+) -> Result<(), FabricError> {
+    for (r, line) in lines.iter().enumerate() {
+        for (c, ch) in line.as_ref().chars().enumerate() {
+            let cell = Cell::from_char(ch).ok_or(FabricError::UnknownChar {
+                line: r + 1,
+                column: c + 1,
+                ch,
+            })?;
+            put(r, c, cell)?;
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for Fabric {

@@ -19,9 +19,12 @@
 //!
 //! The 45×85 fabric released with QUALE is not recoverable, so
 //! [`Fabric::quale_45x85`] generates a regular macro-tile layout with the
-//! same dimensions (junction pitch 4, four traps per tile) in its place.
-//! Arbitrary layouts can be supplied in
-//! ASCII via [`Fabric::from_ascii`].
+//! same dimensions (junction pitch 4, four traps per tile) in its place;
+//! [`Fabric::regular`] paints that layout at any size and pitch.
+//! Arbitrary layouts can be supplied as ASCII art
+//! ([`Fabric::from_ascii`]) or as a JSON [`FabricSpec`] document that
+//! composes regions of either kind with links and per-type capacities;
+//! [`Fabric::parse`] accepts both.
 //!
 //! # Examples
 //!
@@ -55,7 +58,6 @@ pub use cell::{Cell, Coord, Orientation};
 pub use error::FabricError;
 pub use grid::Fabric;
 pub use pmd::{TechParams, Time};
-pub use regular::RegularFabricSpec;
 pub use search::{SearchEdge, SearchGraph};
 pub use spec::{FabricInfo, FabricSpec};
 pub use stats::FabricStats;

@@ -1,86 +1,46 @@
 //! Generator for regular macro-tile fabrics, including the 45×85 layout
 //! standing in for the fabric released with QUALE.
 
+use crate::cell::{Cell, Coord};
 use crate::error::FabricError;
 use crate::grid::Fabric;
-use crate::spec::FabricSpec;
 
-/// Parameters of a regular grid fabric.
-///
-/// Channel rows and columns run at every multiple of `pitch`; junctions sit
-/// at their crossings; traps occupy the corners of each tile interior
-/// (cells whose in-tile offsets are 1 or `pitch-1` in both axes), which
-/// puts every trap adjacent to a channel.
-///
-/// With `pitch = 4` this reproduces the macro-structure of the QUALE
-/// fabric: a sea of 3×3 tile interiors with four traps each.
-///
-/// # Examples
-///
-/// ```
-/// use qspr_fabric::RegularFabricSpec;
-///
-/// let fabric = RegularFabricSpec::new(9, 9, 4).build()?;
-/// assert_eq!(fabric.topology().junctions().len(), 9);
-/// assert_eq!(fabric.topology().traps().len(), 16);
-/// # Ok::<(), qspr_fabric::FabricError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegularFabricSpec {
-    rows: u16,
-    cols: u16,
-    pitch: u16,
-}
-
-impl RegularFabricSpec {
-    /// Creates a spec; validation happens in [`RegularFabricSpec::build`].
-    pub fn new(rows: u16, cols: u16, pitch: u16) -> RegularFabricSpec {
-        RegularFabricSpec { rows, cols, pitch }
-    }
-
-    /// Grid rows.
-    pub fn rows(&self) -> u16 {
-        self.rows
-    }
-
-    /// Grid columns.
-    pub fn cols(&self) -> u16 {
-        self.cols
-    }
-
-    /// Channel pitch (distance between consecutive channel rows/columns).
-    pub fn pitch(&self) -> u16 {
-        self.pitch
-    }
-
-    /// The equivalent declarative document: a single-region
-    /// [`FabricSpec`] with the `regular` family. Serializing it with
-    /// [`FabricSpec::to_json`] yields a file the CLI can load.
-    pub fn to_spec(&self) -> FabricSpec {
-        FabricSpec::regular(
-            &format!("regular-{}x{}-p{}", self.rows, self.cols, self.pitch),
-            self.rows,
-            self.cols,
-            self.pitch,
-        )
-    }
-
-    /// Generates the fabric by elaborating [`RegularFabricSpec::to_spec`]
-    /// — this type is now a thin wrapper over the declarative spec
-    /// layer, and produces a byte-identical fabric to the pre-spec
-    /// direct painter (pinned by round-trip tests).
+impl Fabric {
+    /// A regular grid fabric: channel rows and columns run at every
+    /// multiple of `pitch`, junctions sit at their crossings, and traps
+    /// occupy the corners of each tile interior (cells whose in-tile
+    /// offsets are 1 or `pitch-1` in both axes) wherever a channel is
+    /// adjacent, which guards partial tiles at ragged edges.
+    ///
+    /// With `pitch = 4` this reproduces the macro-structure of the QUALE
+    /// fabric: a sea of 3×3 tile interiors with four traps each.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qspr_fabric::Fabric;
+    ///
+    /// let fabric = Fabric::regular(9, 9, 4)?;
+    /// assert_eq!(fabric.topology().junctions().len(), 9);
+    /// assert_eq!(fabric.topology().traps().len(), 16);
+    /// # Ok::<(), qspr_fabric::FabricError>(())
+    /// ```
     ///
     /// # Errors
     ///
     /// Returns [`FabricError::BadSpec`] when `pitch < 2` or the grid is too
     /// small to contain a full tile (needs at least `pitch+1` in each
     /// dimension), plus any validation error from [`Fabric::new`].
-    pub fn build(&self) -> Result<Fabric, FabricError> {
-        self.to_spec().build_anonymous()
+    pub fn regular(rows: u16, cols: u16, pitch: u16) -> Result<Fabric, FabricError> {
+        let width = usize::from(cols);
+        let mut cells = vec![Cell::Empty; usize::from(rows) * width];
+        paint_regular(rows, cols, pitch, |r, c, cell| {
+            cells[r * width + c] = cell;
+            Ok(())
+        })?;
+        Fabric::new(usize::from(rows), width, cells)
     }
-}
 
-impl Fabric {
     /// The 45×85 fabric used for every experiment in the paper (Fig. 4),
     /// reconstructed as a regular pitch-4 macro-tile layout: 264 junctions,
     /// 924 traps.
@@ -91,9 +51,67 @@ impl Fabric {
     /// assert_eq!(f.topology().junctions().len(), 264);
     /// ```
     pub fn quale_45x85() -> Fabric {
-        RegularFabricSpec::new(45, 85, 4)
-            .build()
-            .expect("the QUALE spec is statically valid")
+        Fabric::regular(45, 85, 4).expect("the QUALE grid is statically valid")
+    }
+}
+
+/// The one painter of the regular grid, shared by [`Fabric::regular`]
+/// and the spec's `regular` and `nearest_neighbor` regions: checks the
+/// grid with [`check_regular`], then hands `put` the 0-based
+/// `(row, col)` and cell of every grid cell in row-major order.
+///
+/// # Errors
+///
+/// The error of [`check_regular`], or the first error `put` returns.
+pub(crate) fn paint_regular(
+    rows: u16,
+    cols: u16,
+    pitch: u16,
+    mut put: impl FnMut(usize, usize, Cell) -> Result<(), FabricError>,
+) -> Result<(), FabricError> {
+    check_regular(rows, cols, pitch)?;
+    for r in 0..rows {
+        for c in 0..cols {
+            put(r.into(), c.into(), regular_cell(rows, cols, pitch, r, c))?;
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a regular grid with `pitch < 2` or no room for one full tile.
+pub(crate) fn check_regular(rows: u16, cols: u16, pitch: u16) -> Result<(), FabricError> {
+    if pitch < 2 {
+        return Err(FabricError::BadSpec(format!(
+            "pitch must be at least 2, got {pitch}"
+        )));
+    }
+    if rows <= pitch || cols <= pitch {
+        return Err(FabricError::BadSpec(format!(
+            "grid {rows}×{cols} smaller than one tile (pitch {pitch})"
+        )));
+    }
+    Ok(())
+}
+
+/// The cell at `(r, c)` of a `rows × cols` regular grid (see
+/// [`Fabric::regular`]); the grid must pass [`check_regular`].
+fn regular_cell(rows: u16, cols: u16, pitch: u16, r: u16, c: u16) -> Cell {
+    let on_line = |x: u16| x % pitch == 0;
+    let corner = |x: u16| x % pitch == 1 || x % pitch == pitch - 1;
+    match (on_line(r), on_line(c)) {
+        (true, true) => Cell::Junction,
+        (true, false) => Cell::HChannel,
+        (false, true) => Cell::VChannel,
+        (false, false) => {
+            let has_port = Coord::new(r, c)
+                .neighbors(rows, cols)
+                .any(|n| on_line(n.row) != on_line(n.col));
+            if corner(r) && corner(c) && has_port {
+                Cell::Trap
+            } else {
+                Cell::Empty
+            }
+        }
     }
 }
 
@@ -162,25 +180,30 @@ mod tests {
     #[test]
     fn bad_specs_are_rejected() {
         assert!(matches!(
-            RegularFabricSpec::new(45, 85, 1).build(),
+            Fabric::regular(45, 85, 1),
             Err(FabricError::BadSpec(_))
         ));
         assert!(matches!(
-            RegularFabricSpec::new(3, 85, 4).build(),
+            Fabric::regular(3, 85, 4),
+            Err(FabricError::BadSpec(_))
+        ));
+        // No room for a tile, without overflowing `pitch + 1`.
+        assert!(matches!(
+            Fabric::regular(5, 5, u16::MAX),
             Err(FabricError::BadSpec(_))
         ));
     }
 
     #[test]
     fn minimal_pitch_2_builds() {
-        let f = RegularFabricSpec::new(5, 5, 2).build().unwrap();
+        let f = Fabric::regular(5, 5, 2).unwrap();
         assert!(!f.topology().traps().is_empty());
     }
 
     #[test]
     fn ragged_edges_still_build() {
         // 10×11 with pitch 4 leaves partial tiles on the south/east edges.
-        let f = RegularFabricSpec::new(10, 11, 4).build().unwrap();
+        let f = Fabric::regular(10, 11, 4).unwrap();
         assert!(!f.topology().traps().is_empty());
         // Round-trips like any other fabric.
         let g = Fabric::from_ascii(&f.to_ascii()).unwrap();

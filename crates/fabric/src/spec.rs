@@ -3,24 +3,26 @@
 //! A [`FabricSpec`] is a *document* describing a fabric — resource
 //! types with per-type capacities, reusable tile macros, a list of
 //! placed regions, inter-region channel links and capacity assignments
-//! — that a single elaborator, [`FabricSpec::build`], compiles into a
-//! concrete [`Fabric`]. Two front ends produce specs:
+//! — that one elaborator, [`FabricSpec::build`], compiles into a
+//! concrete [`Fabric`]. Documents are JSON ([`FabricSpec::parse_json`]),
+//! read by the strict RFC 8259 parser in `qspr-json`; the grammar is
+//! documented in `docs/FABRIC_SPEC.md` and `examples/fabrics/` ships
+//! working files.
 //!
-//! * **JSON** ([`FabricSpec::parse_json`]), read by the strict RFC 8259
-//!   parser in `qspr-json`. The grammar is documented in
-//!   `docs/FABRIC_SPEC.md`; `examples/fabrics/` ships working files.
-//! * **ASCII art** ([`FabricSpec::from_ascii`]), wrapping the classic
-//!   one-character-per-cell format as a single-region spec.
-//!
-//! The programmatic constructors ([`FabricSpec::regular`], and
-//! [`crate::RegularFabricSpec::build`] which now routes through it) emit
-//! the same document, so every fabric in the workspace — hardcoded,
-//! file-loaded or generated — flows through one elaboration pipeline:
+//! The spec composes the fabric layer's own readers rather than
+//! re-implementing them: `regular` and `nearest_neighbor` regions paint
+//! with the cell program behind [`Fabric::regular`], and `ascii` regions
+//! and tiles read their art with the reader behind
+//! [`Fabric::from_ascii`]. Each region paints straight onto one canvas:
 //!
 //! ```text
-//! JSON / ASCII / constructor  →  FabricSpec  →  paint regions →
-//! paint links → assign capacities  →  Fabric::with_capacities
+//! JSON  →  FabricSpec  →  paint regions → paint links →
+//! assign capacities  →  Fabric::with_capacities
 //! ```
+//!
+//! [`Fabric::parse`] is the loader behind every `--fabric` flag: it
+//! builds JSON documents through the spec (with [`FabricInfo`]
+//! provenance) and hands anything else to [`Fabric::from_ascii`].
 //!
 //! # Region families
 //!
@@ -52,11 +54,23 @@
 //! # Ok::<(), qspr_fabric::FabricError>(())
 //! ```
 
-use qspr_json::{JsonArray, JsonObject, JsonValue};
+use std::collections::HashMap;
 
-use crate::cell::{Cell, Coord};
+use qspr_json::JsonValue;
+
+use crate::cell::Cell;
 use crate::error::FabricError;
-use crate::grid::Fabric;
+use crate::grid::{ascii_dims, read_ascii, Fabric};
+use crate::regular::{check_regular, paint_regular};
+
+/// How many times over its cell budget a document may paint: the
+/// region patches, link runs and capacity rectangles of
+/// [`Fabric::parse_within`] may visit at most this many cells per
+/// budgeted cell. Regions may coincide where their cells agree and
+/// capacity rules may repeat, so the canvas alone does not bound the
+/// elaborator's work; a real document paints each cell about once per
+/// layer.
+const REPAINTS: usize = 8;
 
 /// Provenance metadata the elaborator attaches to a built [`Fabric`]:
 /// what the spec was called and how it was composed. Descriptive only —
@@ -89,20 +103,15 @@ impl TypeKind {
     }
 }
 
-/// A named resource type with its occupancy capacity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A resource type's kind and occupancy capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TypeDecl {
-    name: String,
     kind: TypeKind,
     capacity: u8,
 }
 
-/// A named tile macro: a small ASCII-art cell patch for stamping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TileDecl {
-    name: String,
-    art: Vec<String>,
-}
+/// Tile macros by name: small ASCII-art cell patches for stamping.
+type Tiles = HashMap<String, Vec<String>>;
 
 /// How one region's cells are generated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,38 +136,6 @@ enum RegionKind {
 }
 
 impl RegionKind {
-    /// The `(rows, cols)` patch this region paints, computed from the
-    /// declaration alone; `(0, 0)` for a dangling tile reference, which
-    /// [`FabricSpec::build`] rejects.
-    fn dims(&self, tiles: &[TileDecl]) -> (usize, usize) {
-        let art_dims = |art: &[String]| {
-            let cols = art.iter().map(|l| l.chars().count()).max().unwrap_or(0);
-            (art.len(), cols)
-        };
-        match self {
-            RegionKind::Regular { rows, cols, .. } => (usize::from(*rows), usize::from(*cols)),
-            RegionKind::NearestNeighbor {
-                sites_rows,
-                sites_cols,
-            } => (
-                2 * usize::from(*sites_rows) + 1,
-                2 * usize::from(*sites_cols) + 1,
-            ),
-            RegionKind::Ascii { art } => art_dims(art),
-            RegionKind::Tiled {
-                tile,
-                tile_rows,
-                tile_cols,
-            } => tiles.iter().find(|t| t.name == *tile).map_or((0, 0), |t| {
-                let (rows, cols) = art_dims(&t.art);
-                (
-                    rows * usize::from(*tile_rows),
-                    cols * usize::from(*tile_cols),
-                )
-            }),
-        }
-    }
-
     fn family(&self) -> &'static str {
         match self {
             RegionKind::Regular { .. } => "regular",
@@ -175,6 +152,67 @@ struct RegionDecl {
     name: String,
     origin: (u16, u16),
     kind: RegionKind,
+}
+
+impl RegionDecl {
+    /// The `(rows, cols)` patch this region paints, computed from the
+    /// declaration alone.
+    ///
+    /// # Errors
+    ///
+    /// [`FabricError::BadSpec`] for a region that cannot be painted: a
+    /// bad regular grid, no sites, empty art, a dangling tile reference,
+    /// zero repetitions, or a patch beyond `u16` addressing.
+    fn extent(&self, tiles: &Tiles) -> Result<(usize, usize), FabricError> {
+        let name = &self.name;
+        match &self.kind {
+            RegionKind::Regular { rows, cols, pitch } => {
+                check_regular(*rows, *cols, *pitch)?;
+                Ok((usize::from(*rows), usize::from(*cols)))
+            }
+            RegionKind::NearestNeighbor {
+                sites_rows,
+                sites_cols,
+            } => {
+                if *sites_rows == 0 || *sites_cols == 0 {
+                    return Err(bad(format!(
+                        "region {name:?}: nearest_neighbor needs at least one site"
+                    )));
+                }
+                if *sites_rows > (u16::MAX - 1) / 2 || *sites_cols > (u16::MAX - 1) / 2 {
+                    return Err(bad(format!(
+                        "region {name:?}: nearest_neighbor site grid too large"
+                    )));
+                }
+                Ok((
+                    2 * usize::from(*sites_rows) + 1,
+                    2 * usize::from(*sites_cols) + 1,
+                ))
+            }
+            RegionKind::Ascii { art } => art_extent(name, art),
+            RegionKind::Tiled {
+                tile,
+                tile_rows,
+                tile_cols,
+            } => {
+                let art = find_tile(tiles, name, tile)?;
+                if *tile_rows == 0 || *tile_cols == 0 {
+                    return Err(bad(format!(
+                        "region {name:?}: tile repetitions must be positive"
+                    )));
+                }
+                let (rows, cols) = art_extent(tile, art)?;
+                let (rows, cols) = (
+                    rows * usize::from(*tile_rows),
+                    cols * usize::from(*tile_cols),
+                );
+                if rows > u16::MAX as usize || cols > u16::MAX as usize {
+                    return Err(bad(format!("region {name:?}: tiled area too large")));
+                }
+                Ok((rows, cols))
+            }
+        }
+    }
 }
 
 /// A straight inter-region channel painted between two canvas cells.
@@ -205,8 +243,9 @@ struct CapacityRule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricSpec {
     name: String,
-    types: Vec<TypeDecl>,
-    tiles: Vec<TileDecl>,
+    /// Resource types by name.
+    types: HashMap<String, TypeDecl>,
+    tiles: Tiles,
     regions: Vec<RegionDecl>,
     links: Vec<LinkDecl>,
     capacities: Vec<CapacityRule>,
@@ -217,19 +256,15 @@ fn bad(msg: impl Into<String>) -> FabricError {
 }
 
 impl FabricSpec {
-    /// The spec's name (echoed into [`FabricInfo`]).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The `rows × cols` canvas bounding every region and link,
     /// computed from the declarations without painting anything, so an
-    /// oversized document can be refused cheaply.
+    /// oversized document can be refused cheaply. A region that cannot
+    /// be painted counts as empty; [`FabricSpec::build`] rejects it.
     fn canvas_dims(&self) -> (usize, usize) {
         let mut canvas_rows = 0usize;
         let mut canvas_cols = 0usize;
         for region in &self.regions {
-            let (rows, cols) = region.kind.dims(&self.tiles);
+            let (rows, cols) = region.extent(&self.tiles).unwrap_or((0, 0));
             canvas_rows = canvas_rows.max(region.origin.0 as usize + rows);
             canvas_cols = canvas_cols.max(region.origin.1 as usize + cols);
         }
@@ -240,54 +275,29 @@ impl FabricSpec {
         (canvas_rows, canvas_cols)
     }
 
-    /// The composition family: the single region's family, or
-    /// `"composite"` when several regions are placed.
-    pub fn family(&self) -> &str {
-        match self.regions.as_slice() {
-            [only] => only.kind.family(),
-            _ => "composite",
-        }
-    }
-
-    /// Number of regions the spec places.
-    pub fn regions(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// A single-region spec generating the paper's regular macro-tile
-    /// grid — the document form of [`crate::RegularFabricSpec`].
-    pub fn regular(name: &str, rows: u16, cols: u16, pitch: u16) -> FabricSpec {
-        FabricSpec {
-            name: name.to_owned(),
-            types: Vec::new(),
-            tiles: Vec::new(),
-            regions: vec![RegionDecl {
-                name: "main".to_owned(),
-                origin: (0, 0),
-                kind: RegionKind::Regular { rows, cols, pitch },
-            }],
-            links: Vec::new(),
-            capacities: Vec::new(),
-        }
-    }
-
-    /// Wraps classic ASCII fabric art as a single-region spec (the
-    /// second front end next to JSON).
-    pub fn from_ascii(name: &str, art: &str) -> FabricSpec {
-        FabricSpec {
-            name: name.to_owned(),
-            types: Vec::new(),
-            tiles: Vec::new(),
-            regions: vec![RegionDecl {
-                name: "main".to_owned(),
-                origin: (0, 0),
-                kind: RegionKind::Ascii {
-                    art: art.lines().map(str::to_owned).collect(),
-                },
-            }],
-            links: Vec::new(),
-            capacities: Vec::new(),
-        }
+    /// The cells elaboration visits, counted from the declarations:
+    /// every region's patch, link run and capacity rectangle. Coinciding
+    /// regions and repeated rules each count again.
+    fn painted_cells(&self) -> usize {
+        let regions = self.regions.iter().map(|region| {
+            let (rows, cols) = region.extent(&self.tiles).unwrap_or((0, 0));
+            rows * cols
+        });
+        let links = self.links.iter().map(|link| {
+            usize::from(link.from.0.abs_diff(link.to.0))
+                + usize::from(link.from.1.abs_diff(link.to.1))
+                + 1
+        });
+        let rules = self.capacities.iter().map(|rule| match rule.selector {
+            Selector::At(..) => 1,
+            Selector::Rect(r0, c0, r1, c1) => {
+                (usize::from(r1.saturating_sub(r0)) + 1) * (usize::from(c1.saturating_sub(c0)) + 1)
+            }
+        });
+        regions
+            .chain(links)
+            .chain(rules)
+            .fold(0, usize::saturating_add)
     }
 
     /// Parses a JSON spec document (grammar: `docs/FABRIC_SPEC.md`).
@@ -309,8 +319,8 @@ impl FabricSpec {
             "document",
         )?;
         let name = req_str(&value, "name", "document")?.to_owned();
-        let types = opt_list(&value, "types", parse_type)?;
-        let tiles = opt_list(&value, "tiles", parse_tile)?;
+        let types = by_name(opt_list(&value, "types", parse_type)?);
+        let tiles = by_name(opt_list(&value, "tiles", parse_tile)?);
         let regions = opt_list(&value, "regions", parse_region)?;
         if regions.is_empty() {
             return Err(bad("document needs at least one region"));
@@ -327,99 +337,6 @@ impl FabricSpec {
         })
     }
 
-    /// Renders the spec back to its JSON document form. Parsing the
-    /// output reproduces the spec (`parse_json(spec.to_json()) == spec`,
-    /// property-tested), which is what lets generated specs be written
-    /// to disk and loaded back with `--fabric`.
-    pub fn to_json(&self) -> String {
-        let mut doc = JsonObject::new().string("name", &self.name);
-        if !self.types.is_empty() {
-            let mut arr = JsonArray::new();
-            for t in &self.types {
-                arr.push_raw(
-                    &JsonObject::new()
-                        .string("name", &t.name)
-                        .string("kind", t.kind.as_str())
-                        .number("capacity", t.capacity as u64)
-                        .build(),
-                );
-            }
-            doc = doc.raw("types", &arr.build());
-        }
-        if !self.tiles.is_empty() {
-            let mut arr = JsonArray::new();
-            for tile in &self.tiles {
-                arr.push_raw(
-                    &JsonObject::new()
-                        .string("name", &tile.name)
-                        .raw("art", &string_array(&tile.art))
-                        .build(),
-                );
-            }
-            doc = doc.raw("tiles", &arr.build());
-        }
-        let mut regions = JsonArray::new();
-        for region in &self.regions {
-            let mut obj = JsonObject::new()
-                .string("name", &region.name)
-                .string("family", region.kind.family())
-                .raw(
-                    "origin",
-                    &format!("[{},{}]", region.origin.0, region.origin.1),
-                );
-            obj = match &region.kind {
-                RegionKind::Regular { rows, cols, pitch } => obj
-                    .number("rows", *rows as u64)
-                    .number("cols", *cols as u64)
-                    .number("pitch", *pitch as u64),
-                RegionKind::NearestNeighbor {
-                    sites_rows,
-                    sites_cols,
-                } => obj
-                    .number("sites_rows", *sites_rows as u64)
-                    .number("sites_cols", *sites_cols as u64),
-                RegionKind::Ascii { art } => obj.raw("art", &string_array(art)),
-                RegionKind::Tiled {
-                    tile,
-                    tile_rows,
-                    tile_cols,
-                } => obj
-                    .string("tile", tile)
-                    .number("tile_rows", *tile_rows as u64)
-                    .number("tile_cols", *tile_cols as u64),
-            };
-            regions.push_raw(&obj.build());
-        }
-        doc = doc.raw("regions", &regions.build());
-        if !self.links.is_empty() {
-            let mut arr = JsonArray::new();
-            for link in &self.links {
-                arr.push_raw(
-                    &JsonObject::new()
-                        .raw("from", &format!("[{},{}]", link.from.0, link.from.1))
-                        .raw("to", &format!("[{},{}]", link.to.0, link.to.1))
-                        .build(),
-                );
-            }
-            doc = doc.raw("links", &arr.build());
-        }
-        if !self.capacities.is_empty() {
-            let mut arr = JsonArray::new();
-            for rule in &self.capacities {
-                let obj = JsonObject::new().string("type", &rule.type_name);
-                let obj = match rule.selector {
-                    Selector::At(r, c) => obj.raw("at", &format!("[{r},{c}]")),
-                    Selector::Rect(r0, c0, r1, c1) => {
-                        obj.raw("rect", &format!("[{r0},{c0},{r1},{c1}]"))
-                    }
-                };
-                arr.push_raw(&obj.build());
-            }
-            doc = doc.raw("capacities", &arr.build());
-        }
-        doc.build()
-    }
-
     /// Elaborates the spec into a concrete [`Fabric`]: paints every
     /// region onto a common canvas, paints the inter-region links,
     /// applies the capacity assignments, and validates the result
@@ -433,61 +350,9 @@ impl FabricSpec {
     /// through occupied cells, capacity rules matching nothing) and any
     /// validation error from [`Fabric::with_capacities`].
     pub fn build(&self) -> Result<Fabric, FabricError> {
-        // Pass 1: elaborate each region to its local cell patch.
-        let mut patches: Vec<(&RegionDecl, u16, u16, Vec<Cell>)> = Vec::new();
         for region in &self.regions {
-            let (rows, cols, cells) = match &region.kind {
-                RegionKind::Regular { rows, cols, pitch } => {
-                    (*rows, *cols, paint_regular(*rows, *cols, *pitch)?)
-                }
-                RegionKind::NearestNeighbor {
-                    sites_rows,
-                    sites_cols,
-                } => {
-                    if *sites_rows == 0 || *sites_cols == 0 {
-                        return Err(bad(format!(
-                            "region {:?}: nearest_neighbor needs at least one site",
-                            region.name
-                        )));
-                    }
-                    if *sites_rows > (u16::MAX - 1) / 2 || *sites_cols > (u16::MAX - 1) / 2 {
-                        return Err(bad(format!(
-                            "region {:?}: nearest_neighbor site grid too large",
-                            region.name
-                        )));
-                    }
-                    let rows = 2 * sites_rows + 1;
-                    let cols = 2 * sites_cols + 1;
-                    (rows, cols, paint_regular(rows, cols, 2)?)
-                }
-                RegionKind::Ascii { art } => parse_art(&region.name, art)?,
-                RegionKind::Tiled {
-                    tile,
-                    tile_rows,
-                    tile_cols,
-                } => {
-                    let decl = self.tiles.iter().find(|t| t.name == *tile).ok_or_else(|| {
-                        bad(format!(
-                            "region {:?} references unknown tile {tile:?}",
-                            region.name
-                        ))
-                    })?;
-                    if *tile_rows == 0 || *tile_cols == 0 {
-                        return Err(bad(format!(
-                            "region {:?}: tile repetitions must be positive",
-                            region.name
-                        )));
-                    }
-                    let (trows, tcols, tcells) = parse_art(&decl.name, &decl.art)?;
-                    stamp_tile(trows, tcols, &tcells, *tile_rows, *tile_cols).ok_or_else(|| {
-                        bad(format!("region {:?}: tiled area too large", region.name))
-                    })?
-                }
-            };
-            patches.push((region, rows, cols, cells));
+            region.extent(&self.tiles)?;
         }
-
-        // Canvas bounding box over regions and link endpoints.
         let (canvas_rows, canvas_cols) = self.canvas_dims();
         if canvas_rows == 0 || canvas_cols == 0 {
             return Err(FabricError::EmptyGrid);
@@ -499,31 +364,12 @@ impl FabricSpec {
             });
         }
         let mut canvas = vec![Cell::Empty; canvas_rows * canvas_cols];
+        for region in &self.regions {
+            self.paint(region, &mut canvas, canvas_cols)?;
+        }
         let idx = |r: u16, c: u16| r as usize * canvas_cols + c as usize;
 
-        // Pass 2: blit regions (identical cells may coincide; anything
-        // else is an overlap error).
-        for (region, rows, cols, cells) in &patches {
-            for r in 0..*rows {
-                for c in 0..*cols {
-                    let cell = cells[r as usize * *cols as usize + c as usize];
-                    if cell == Cell::Empty {
-                        continue;
-                    }
-                    let (gr, gc) = (region.origin.0 + r, region.origin.1 + c);
-                    let slot = &mut canvas[idx(gr, gc)];
-                    if *slot != Cell::Empty && *slot != cell {
-                        return Err(bad(format!(
-                            "region {:?} overlaps existing {:?} cell at ({gr}, {gc})",
-                            region.name, *slot
-                        )));
-                    }
-                    *slot = cell;
-                }
-            }
-        }
-
-        // Pass 3: inter-region links — straight channel runs that may
+        // Inter-region links — straight channel runs that may
         // pass through (but not overwrite) junctions and aligned
         // channels at their attachment points.
         for link in &self.links {
@@ -553,13 +399,12 @@ impl FabricSpec {
             }
         }
 
-        // Pass 4: capacity assignments.
+        // Capacity assignments.
         let mut cell_caps = vec![None; canvas_rows * canvas_cols];
         for rule in &self.capacities {
             let decl = self
                 .types
-                .iter()
-                .find(|t| t.name == rule.type_name)
+                .get(&rule.type_name)
                 .ok_or_else(|| bad(format!("unknown capacity type {:?}", rule.type_name)))?;
             let (r0, c0, r1, c1) = match rule.selector {
                 Selector::At(r, c) => (r, c, r, c),
@@ -599,21 +444,70 @@ impl FabricSpec {
         }
 
         let mut fabric = Fabric::with_capacities(canvas_rows, canvas_cols, canvas, &cell_caps)?;
-        fabric.set_info(Some(FabricInfo {
+        let family = match self.regions.as_slice() {
+            [only] => only.kind.family(),
+            _ => "composite",
+        };
+        fabric.set_info(FabricInfo {
             name: self.name.clone(),
-            family: self.family().to_owned(),
+            family: family.to_owned(),
             regions: self.regions.len(),
-        }));
+        });
         Ok(fabric)
     }
 
-    /// Builds and then drops the provenance metadata — for programmatic
-    /// wrappers like [`crate::RegularFabricSpec::build`] that must stay
-    /// indistinguishable from the pre-spec direct constructors.
-    pub(crate) fn build_anonymous(&self) -> Result<Fabric, FabricError> {
-        let mut fabric = self.build()?;
-        fabric.set_info(None);
-        Ok(fabric)
+    /// Paints `region` onto the row-major `canvas`, `width` cells wide,
+    /// which bounds it. Identical cells may coincide; anything else
+    /// painted over a non-empty cell is an overlap error.
+    fn paint(
+        &self,
+        region: &RegionDecl,
+        canvas: &mut [Cell],
+        width: usize,
+    ) -> Result<(), FabricError> {
+        let (top, left) = (usize::from(region.origin.0), usize::from(region.origin.1));
+        let mut put = |r: usize, c: usize, cell: Cell| {
+            let (gr, gc) = (top + r, left + c);
+            let slot = &mut canvas[gr * width + gc];
+            if cell == Cell::Empty || *slot == cell {
+                return Ok(());
+            }
+            if *slot != Cell::Empty {
+                return Err(bad(format!(
+                    "region {:?} overlaps existing {:?} cell at ({gr}, {gc})",
+                    region.name, *slot
+                )));
+            }
+            *slot = cell;
+            Ok(())
+        };
+        match &region.kind {
+            RegionKind::Regular { rows, cols, pitch } => paint_regular(*rows, *cols, *pitch, put),
+            RegionKind::NearestNeighbor {
+                sites_rows,
+                sites_cols,
+            } => paint_regular(2 * sites_rows + 1, 2 * sites_cols + 1, 2, put),
+            RegionKind::Ascii { art } => {
+                read_ascii(art, put).map_err(|e| with_region(&region.name, e))
+            }
+            RegionKind::Tiled { tile, .. } => {
+                let art = find_tile(&self.tiles, &region.name, tile)?;
+                let (tile_rows, tile_cols) = ascii_dims(art);
+                let mut stamp = vec![Cell::Empty; tile_rows * tile_cols];
+                read_ascii(art, |r, c, cell| {
+                    stamp[r * tile_cols + c] = cell;
+                    Ok(())
+                })
+                .map_err(|e| with_region(tile, e))?;
+                let (rows, cols) = region.extent(&self.tiles)?;
+                for r in 0..rows {
+                    for c in 0..cols {
+                        put(r, c, stamp[(r % tile_rows) * tile_cols + c % tile_cols])?;
+                    }
+                }
+                Ok(())
+            }
+        }
     }
 }
 
@@ -621,9 +515,8 @@ impl Fabric {
     /// Parses a fabric description through either front end: documents
     /// whose first non-whitespace byte is `{` are [`FabricSpec`] JSON
     /// (built with provenance attached); anything else is ASCII art,
-    /// delegated to [`Fabric::from_ascii`] unchanged (no provenance, so
-    /// reports for ASCII fabrics stay byte-identical to the pre-spec
-    /// loader).
+    /// read by [`Fabric::from_ascii`] (no provenance, so reports for
+    /// ASCII fabrics carry no `fabric` block).
     ///
     /// This is the loader behind every `--fabric <file>` flag.
     ///
@@ -637,19 +530,19 @@ impl Fabric {
 
     /// [`Fabric::parse`] for untrusted documents: a description whose
     /// grid would hold more than `max_cells` cells is rejected with
-    /// [`FabricError::TooManyCells`] before any cell is built, so a few
-    /// bytes of spec cannot buy an arbitrarily large fabric.
+    /// [`FabricError::TooManyCells`] before any cell is built, and so is
+    /// a spec whose regions, links and capacity rules would paint more
+    /// than a fixed multiple of `max_cells` cells in all. A few bytes of
+    /// spec cannot buy an arbitrarily large fabric, nor a long
+    /// elaboration of a small one.
     ///
     /// # Errors
     ///
     /// As [`Fabric::parse`], plus [`FabricError::TooManyCells`].
     pub fn parse_within(text: &str, max_cells: usize) -> Result<Fabric, FabricError> {
-        let within = |cells: usize| {
-            if cells > max_cells {
-                Err(FabricError::TooManyCells {
-                    cells,
-                    max: max_cells,
-                })
+        let within = |cells: usize, max: usize| {
+            if cells > max {
+                Err(FabricError::TooManyCells { cells, max })
             } else {
                 Ok(())
             }
@@ -657,127 +550,58 @@ impl Fabric {
         if text.trim_start().starts_with('{') {
             let spec = FabricSpec::parse_json(text)?;
             let (rows, cols) = spec.canvas_dims();
-            within(rows.saturating_mul(cols))?;
+            within(rows.saturating_mul(cols), max_cells)?;
+            within(spec.painted_cells(), max_cells.saturating_mul(REPAINTS))?;
             spec.build()
         } else {
-            let rows = text.lines().count();
-            let cols = text.lines().map(|l| l.chars().count()).max().unwrap_or(0);
-            within(rows.saturating_mul(cols))?;
+            let (rows, cols) = ascii_dims(&text.lines().collect::<Vec<_>>());
+            within(rows.saturating_mul(cols), max_cells)?;
             Fabric::from_ascii(text)
         }
     }
 }
 
-/// Renders a `Vec<String>` as a JSON array of strings.
-fn string_array(items: &[String]) -> String {
-    let mut arr = JsonArray::new();
-    for item in items {
-        arr.push_raw(&format!("\"{}\"", qspr_json::escape(item)));
-    }
-    arr.build()
-}
-
-/// Paints the regular macro-tile pattern (the cell program previously
-/// private to `fabric::regular`): channel rows/columns at every multiple
-/// of `pitch`, junctions at crossings, traps at tile-interior corners
-/// adjacent to a channel.
-pub(crate) fn paint_regular(rows: u16, cols: u16, pitch: u16) -> Result<Vec<Cell>, FabricError> {
-    if pitch < 2 {
-        return Err(bad(format!("pitch must be at least 2, got {pitch}")));
-    }
-    if rows < pitch + 1 || cols < pitch + 1 {
-        return Err(bad(format!(
-            "grid {rows}×{cols} smaller than one tile (pitch {pitch})"
-        )));
-    }
-    let mut cells = vec![Cell::Empty; rows as usize * cols as usize];
-    let idx = |r: u16, c: u16| r as usize * cols as usize + c as usize;
-    for r in 0..rows {
-        for c in 0..cols {
-            let on_h = r % pitch == 0;
-            let on_v = c % pitch == 0;
-            cells[idx(r, c)] = match (on_h, on_v) {
-                (true, true) => Cell::Junction,
-                (true, false) => Cell::HChannel,
-                (false, true) => Cell::VChannel,
-                (false, false) => Cell::Empty,
-            };
-        }
-    }
-    // Traps at tile-interior corners, only where a channel is adjacent
-    // (this guards partial tiles at ragged edges).
-    for r in 1..rows {
-        for c in 1..cols {
-            let (ro, co) = (r % pitch, c % pitch);
-            let corner_row = ro == 1 || ro == pitch - 1;
-            let corner_col = co == 1 || co == pitch - 1;
-            if !(corner_row && corner_col) || ro == 0 || co == 0 {
-                continue;
-            }
-            let coord = Coord::new(r, c);
-            let has_port = coord
-                .neighbors(rows, cols)
-                .any(|n| cells[idx(n.row, n.col)].is_channel());
-            if has_port && cells[idx(r, c)] == Cell::Empty {
-                cells[idx(r, c)] = Cell::Trap;
-            }
-        }
-    }
-    Ok(cells)
-}
-
-/// Parses region/tile ASCII art into a `(rows, cols, cells)` patch,
-/// padding ragged lines with empty cells on the right.
-fn parse_art(name: &str, art: &[String]) -> Result<(u16, u16, Vec<Cell>), FabricError> {
-    let rows = art.len();
-    let cols = art.iter().map(|l| l.chars().count()).max().unwrap_or(0);
+/// Rejects ASCII art `name` that is empty or beyond `u16` addressing,
+/// else returns its `(rows, cols)`.
+fn art_extent(name: &str, art: &[String]) -> Result<(usize, usize), FabricError> {
+    let (rows, cols) = ascii_dims(art);
     if rows == 0 || cols == 0 {
         return Err(bad(format!("region {name:?}: empty art")));
     }
     if rows > u16::MAX as usize || cols > u16::MAX as usize {
         return Err(bad(format!("region {name:?}: art exceeds u16 addressing")));
     }
-    let mut cells = Vec::with_capacity(rows * cols);
-    for (ln, line) in art.iter().enumerate() {
-        let mut count = 0;
-        for (cn, ch) in line.chars().enumerate() {
-            let cell = Cell::from_char(ch).ok_or_else(|| {
-                bad(format!(
-                    "region {name:?}: unknown cell character {ch:?} at line {}, column {}",
-                    ln + 1,
-                    cn + 1
-                ))
-            })?;
-            cells.push(cell);
-            count += 1;
-        }
-        cells.extend(std::iter::repeat(Cell::Empty).take(cols - count));
-    }
-    Ok((rows as u16, cols as u16, cells))
+    Ok((rows, cols))
 }
 
-/// Stamps a tile patch `reps_r × reps_c` times; `None` on u16 overflow.
-fn stamp_tile(
-    trows: u16,
-    tcols: u16,
-    tcells: &[Cell],
-    reps_r: u16,
-    reps_c: u16,
-) -> Option<(u16, u16, Vec<Cell>)> {
-    let rows = (trows as usize).checked_mul(reps_r as usize)?;
-    let cols = (tcols as usize).checked_mul(reps_c as usize)?;
-    if rows > u16::MAX as usize || cols > u16::MAX as usize {
-        return None;
+/// The art of the tile that `region` names.
+fn find_tile<'a>(tiles: &'a Tiles, region: &str, tile: &str) -> Result<&'a [String], FabricError> {
+    tiles.get(tile).map(Vec::as_slice).ok_or_else(|| {
+        bad(format!(
+            "region {region:?} references unknown tile {tile:?}"
+        ))
+    })
+}
+
+/// Indexes named declarations, so each reference costs one lookup;
+/// the first of several declarations with one name wins.
+fn by_name<T>(items: Vec<(String, T)>) -> HashMap<String, T> {
+    let mut map = HashMap::with_capacity(items.len());
+    for (name, item) in items {
+        map.entry(name).or_insert(item);
     }
-    let mut cells = vec![Cell::Empty; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            let tr = r % trows as usize;
-            let tc = c % tcols as usize;
-            cells[r * cols + c] = tcells[tr * tcols as usize + tc];
-        }
+    map
+}
+
+/// Gives the ASCII reader's unknown-character error the context of the
+/// region (or tile) `name` whose art it read.
+fn with_region(name: &str, e: FabricError) -> FabricError {
+    match e {
+        FabricError::UnknownChar { line, column, ch } => bad(format!(
+            "region {name:?}: unknown cell character {ch:?} at line {line}, column {column}"
+        )),
+        other => other,
     }
-    Some((rows as u16, cols as u16, cells))
 }
 
 // ---------------------------------------------------------------------
@@ -859,7 +683,7 @@ fn coord_array(value: &JsonValue, len: usize, ctx: &str) -> Result<Vec<u16>, Fab
         .collect()
 }
 
-fn parse_type(i: usize, value: &JsonValue) -> Result<TypeDecl, FabricError> {
+fn parse_type(i: usize, value: &JsonValue) -> Result<(String, TypeDecl), FabricError> {
     let ctx = format!("types[{i}]");
     let fields = value
         .as_object()
@@ -883,11 +707,7 @@ fn parse_type(i: usize, value: &JsonValue) -> Result<TypeDecl, FabricError> {
         Ok(c) if c >= 1 => c,
         _ => return Err(bad(format!("{ctx}: capacity must be in 1..=255"))),
     };
-    Ok(TypeDecl {
-        name,
-        kind,
-        capacity,
-    })
+    Ok((name, TypeDecl { kind, capacity }))
 }
 
 fn parse_art_field(value: &JsonValue, ctx: &str) -> Result<Vec<String>, FabricError> {
@@ -909,16 +729,16 @@ fn parse_art_field(value: &JsonValue, ctx: &str) -> Result<Vec<String>, FabricEr
         .collect()
 }
 
-fn parse_tile(i: usize, value: &JsonValue) -> Result<TileDecl, FabricError> {
+fn parse_tile(i: usize, value: &JsonValue) -> Result<(String, Vec<String>), FabricError> {
     let ctx = format!("tiles[{i}]");
     let fields = value
         .as_object()
         .ok_or_else(|| bad(format!("{ctx} must be an object")))?;
     check_fields(fields, &["name", "art"], &ctx)?;
-    Ok(TileDecl {
-        name: req_str(value, "name", &ctx)?.to_owned(),
-        art: parse_art_field(value, &ctx)?,
-    })
+    Ok((
+        req_str(value, "name", &ctx)?.to_owned(),
+        parse_art_field(value, &ctx)?,
+    ))
 }
 
 fn parse_region(i: usize, value: &JsonValue) -> Result<RegionDecl, FabricError> {
@@ -1051,7 +871,7 @@ fn parse_capacity(i: usize, value: &JsonValue) -> Result<CapacityRule, FabricErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regular::RegularFabricSpec;
+    use crate::cell::Coord;
     use crate::topology::SegmentId;
 
     #[test]
@@ -1065,7 +885,7 @@ mod tests {
             let spec = FabricSpec::parse_json(doc).unwrap();
             let fabric = spec.build().unwrap();
             let (rows, cols) = (fabric.rows() as usize, fabric.cols() as usize);
-            assert_eq!(spec.canvas_dims(), (rows, cols), "{}", spec.name());
+            assert_eq!(spec.canvas_dims(), (rows, cols), "{doc}");
             assert_eq!(Fabric::parse_within(doc, rows * cols), Ok(fabric));
         }
     }
@@ -1096,11 +916,45 @@ mod tests {
     }
 
     #[test]
+    fn cell_budget_bounds_the_elaborators_work() {
+        // 64 coinciding 9×9 regions: an 81-cell canvas, 64 patches.
+        let region = r#"{"family":"regular","rows":9,"cols":9,"pitch":4}"#;
+        let regions = format!(r#"{{"name":"c","regions":[{}]}}"#, [region; 64].join(","));
+        assert_eq!(
+            Fabric::parse_within(&regions, 100),
+            Err(FabricError::TooManyCells {
+                cells: 64 * 81,
+                max: 800
+            })
+        );
+        // 64 whole-canvas capacity rules over one region.
+        let rule = r#"{"type":"wide","rect":[0,0,8,8]}"#;
+        let rules = format!(
+            r#"{{"name":"r","types":[{{"name":"wide","kind":"channel","capacity":2}}],
+                "regions":[{region}],"capacities":[{}]}}"#,
+            [rule; 64].join(",")
+        );
+        assert_eq!(
+            Fabric::parse_within(&rules, 100),
+            Err(FabricError::TooManyCells {
+                cells: 65 * 81,
+                max: 800
+            })
+        );
+        // The same documents build when the work fits the budget.
+        assert!(Fabric::parse_within(&regions, 81 * 8).is_ok());
+        assert!(Fabric::parse_within(&rules, 81 * 65 / 8 + 1).is_ok());
+    }
+
+    #[test]
     fn regular_spec_matches_direct_constructor() {
         for (rows, cols, pitch) in [(9u16, 9u16, 4u16), (45, 85, 4), (31, 61, 3), (5, 5, 2)] {
-            let direct = RegularFabricSpec::new(rows, cols, pitch).build().unwrap();
-            let spec = FabricSpec::regular("r", rows, cols, pitch);
-            let elaborated = spec.build().unwrap();
+            let direct = Fabric::regular(rows, cols, pitch).unwrap();
+            let elaborated = Fabric::parse(&format!(
+                r#"{{"name":"r","regions":[
+                    {{"family":"regular","rows":{rows},"cols":{cols},"pitch":{pitch}}}]}}"#
+            ))
+            .unwrap();
             assert_eq!(direct, elaborated);
             assert_eq!(direct.to_ascii(), elaborated.to_ascii());
             // Provenance is attached by the spec path only.
@@ -1110,33 +964,34 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_to_json() {
-        let text = r#"{
-            "name": "round-trip",
-            "types": [{"name": "hub", "kind": "junction", "capacity": 3}],
-            "tiles": [{"name": "ulb", "art": ["-T", "-T"]}],
-            "regions": [
-                {"name": "a", "family": "regular", "rows": 5, "cols": 5, "pitch": 2},
-                {"name": "b", "family": "tiled", "origin": [0, 8], "tile": "ulb",
-                 "tile_rows": 2, "tile_cols": 1}
-            ],
-            "links": [{"from": [0, 4], "to": [0, 8]}],
-            "capacities": [{"type": "hub", "at": [0, 0]}]
-        }"#;
-        let spec = FabricSpec::parse_json(text).unwrap();
-        let reparsed = FabricSpec::parse_json(&spec.to_json()).unwrap();
-        assert_eq!(spec, reparsed);
-        assert_eq!(spec.build().unwrap(), reparsed.build().unwrap());
-    }
-
-    #[test]
     fn ascii_front_end_matches_from_ascii() {
-        let art = "..|..\nT.|..\n--+--\n..|.T\n..|..\n";
-        let via_spec = FabricSpec::from_ascii("cross", art).build().unwrap();
-        let direct = Fabric::from_ascii(art).unwrap();
+        let lines = ["..|..", "T.|..", "--+--", "..|.T", "..|"];
+        let doc = |lines: &[&str]| {
+            format!(
+                r#"{{"name":"cross","regions":[{{"family":"ascii","art":["{}"]}}]}}"#,
+                lines.join(r#"",""#)
+            )
+        };
+        let via_spec = Fabric::parse(&doc(&lines)).unwrap();
+        let direct = Fabric::from_ascii(&lines.join("\n")).unwrap();
         assert_eq!(via_spec, direct);
         assert_eq!(via_spec.to_ascii(), direct.to_ascii());
         assert_eq!(via_spec.info().unwrap().family, "ascii");
+        // One reader: the same character at the same place, with the
+        // region's context on the spec side.
+        let bad_lines = ["--+--", "..X.."];
+        assert_eq!(
+            Fabric::from_ascii(&bad_lines.join("\n")),
+            Err(FabricError::UnknownChar {
+                line: 2,
+                column: 3,
+                ch: 'X'
+            })
+        );
+        assert_eq!(
+            Fabric::parse(&doc(&bad_lines)).unwrap_err().to_string(),
+            "invalid fabric spec: region \"region0\": unknown cell character 'X' at line 2, column 3"
+        );
     }
 
     #[test]
@@ -1254,7 +1109,10 @@ mod tests {
 
     #[test]
     fn uniform_specs_report_no_overrides() {
-        let fabric = FabricSpec::regular("u", 9, 9, 4).build().unwrap();
+        let fabric = Fabric::parse(
+            r#"{"name":"u","regions":[{"family":"regular","rows":9,"cols":9,"pitch":4}]}"#,
+        )
+        .unwrap();
         let t = fabric.topology();
         assert!(!t.has_capacity_overrides());
         assert_eq!(t.capacity_histogram().len(), 1);
@@ -1342,5 +1200,30 @@ mod tests {
         assert_eq!(fabric.topology().traps().len(), 2 * 3);
         // Stamps repeat exactly.
         assert_eq!(fabric.cell(Coord::new(0, 0)), fabric.cell(Coord::new(2, 2)));
+    }
+
+    #[test]
+    fn repeated_names_resolve_to_the_first_declaration() {
+        let fabric = Fabric::parse(
+            r#"{
+                "name": "twice",
+                "types": [
+                    {"name": "hub", "kind": "junction", "capacity": 2},
+                    {"name": "hub", "kind": "channel", "capacity": 7}
+                ],
+                "tiles": [
+                    {"name": "ulb", "art": ["+-", "|T"]},
+                    {"name": "ulb", "art": ["+-", "|."]}
+                ],
+                "regions": [{"family": "tiled", "tile": "ulb",
+                             "tile_rows": 2, "tile_cols": 2}],
+                "capacities": [{"type": "hub", "at": [0, 0]}]
+            }"#,
+        )
+        .unwrap();
+        let t = fabric.topology();
+        assert_eq!(t.traps().len(), 4);
+        let hub = t.junction_at(Coord::new(0, 0)).unwrap();
+        assert_eq!(t.junction_cap(hub), Some(2));
     }
 }

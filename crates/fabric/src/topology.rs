@@ -821,11 +821,7 @@ T.|..
             1 => include_str!("../../../examples/fabrics/two_region_bridge.json"),
             2 => include_str!("../../../examples/fabrics/ulb_tiled.json"),
             3 => include_str!("../../../examples/fabrics/nearest_neighbor_6x6.json"),
-            _ => {
-                return crate::RegularFabricSpec::new(rows, cols, pitch)
-                    .build()
-                    .expect("generated regular spec builds")
-            }
+            _ => return Fabric::regular(rows, cols, pitch).expect("generated regular grid builds"),
         };
         Fabric::parse(spec).expect("committed spec builds")
     }

@@ -192,8 +192,8 @@ proptest! {
         soft_flag in 0u8..2,
     ) {
         let soft = soft_flag == 1;
-        let Ok(fabric) = qspr_fabric::RegularFabricSpec::new(rows, cols, pitch).build() else {
-            // Degenerate spec (too small for a tile); nothing to test.
+        let Ok(fabric) = Fabric::regular(rows, cols, pitch) else {
+            // Degenerate geometry (too small for a tile); nothing to test.
             return Ok(());
         };
         let topo = fabric.topology();
@@ -278,8 +278,8 @@ proptest! {
         history_pattern in proptest::collection::vec(0u32..50, 1..97),
         pairs in proptest::collection::vec((0usize..64, 0usize..64, 0u8..4, 0u8..4), 1..8),
     ) {
-        let Ok(fabric) = qspr_fabric::RegularFabricSpec::new(rows, cols, pitch).build() else {
-            // Degenerate spec (too small for a tile); nothing to test.
+        let Ok(fabric) = Fabric::regular(rows, cols, pitch) else {
+            // Degenerate geometry (too small for a tile); nothing to test.
             return Ok(());
         };
         let topo = fabric.topology();
@@ -357,8 +357,7 @@ proptest! {
     ) {
         let tech = TechParams::date2012();
         let config = RouterConfig::qspr(&tech);
-        let plain = qspr_fabric::RegularFabricSpec::new(rows, cols, 4)
-            .build()
+        let plain = Fabric::regular(rows, cols, 4)
             .expect("geometry fits at least one pitch-4 tile");
 
         // Heterogeneous overrides: wide junctions on the left half,
@@ -483,9 +482,7 @@ proptest! {
 fn bounds_fabric(kind: u8, rows: u16, cols: u16, pitch: u16) -> Fabric {
     match kind % 2 {
         0 => Fabric::quale_45x85(),
-        _ => qspr_fabric::RegularFabricSpec::new(rows, cols, pitch)
-            .build()
-            .expect("generated regular spec builds"),
+        _ => Fabric::regular(rows, cols, pitch).expect("generated regular grid builds"),
     }
 }
 

@@ -1113,9 +1113,7 @@ mod tests {
         const DST: Coord = Coord { row: 1, col: 7 };
 
         fn build() -> Fabric {
-            qspr_fabric::RegularFabricSpec::new(9, 9, 4)
-                .build()
-                .expect("valid spec")
+            Fabric::regular(9, 9, 4).expect("valid grid")
         }
     }
 

@@ -112,9 +112,7 @@ fn overfull_fabric_stalls_cleanly_instead_of_deadlocking() {
 fn long_random_programs_on_a_small_fabric() {
     // A single-tile fabric with eight traps, hammered by 200-gate random
     // programs under every policy.
-    let f = qspr_fabric::RegularFabricSpec::new(9, 9, 4)
-        .build()
-        .unwrap();
+    let f = Fabric::regular(9, 9, 4).unwrap();
     let tech = TechParams::date2012();
     for (seed, policy) in [
         (1u64, MapperPolicy::qspr(&tech)),

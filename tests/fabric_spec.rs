@@ -1,20 +1,21 @@
 //! End-to-end tests of the declarative fabric description layer: specs
 //! that only the spec front end can express (heterogeneous capacities,
 //! multi-region fabrics) must map programs through the full [`Flow`],
-//! and spec round trips must leave mapping results byte-identical.
+//! and a fabric written as a spec document must map byte-identically to
+//! the same fabric built directly.
 
 use proptest::prelude::*;
 
 use qspr::json::ToJson;
 use qspr::{Flow, FlowSummary};
-use qspr_fabric::{Coord, Fabric, FabricSpec, RegularFabricSpec, TechParams, Time, TrapId};
+use qspr_fabric::{Coord, Fabric, FabricSpec, TechParams, Time, TrapId};
 use qspr_qasm::Program;
 use qspr_route::{RouterConfig, RouterKind};
 
 const BELL: &str = "QUBIT a\nQUBIT b\nH a\nC-X a,b\n";
 
 /// Clears the one field that legitimately differs between a spec-built
-/// fabric and its anonymous programmatic twin: spec provenance.
+/// fabric and its directly built twin: spec provenance.
 /// Everything else must match byte for byte.
 fn normalized(mut summary: FlowSummary) -> FlowSummary {
     summary.fabric = None;
@@ -97,9 +98,9 @@ fn two_region_fabrics_map_end_to_end() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A spec-round-tripped regular fabric maps every program to the
-    /// byte-identical summary the direct constructor produces, under
-    /// both routing engines (modulo wall-clock and the provenance
+    /// A regular fabric written as a JSON spec document maps every
+    /// program to the byte-identical summary [`Fabric::regular`]
+    /// produces, under both routing engines (modulo the provenance
     /// block, which only the spec path carries).
     #[test]
     fn round_tripped_fabrics_map_byte_identically(
@@ -107,14 +108,11 @@ proptest! {
         cols in 9u16..14,
         seed in 0u64..32,
     ) {
-        let direct = RegularFabricSpec::new(rows, cols, 4)
-            .build()
-            .expect("geometry fits a pitch-4 tile");
-        let document = RegularFabricSpec::new(rows, cols, 4).to_spec().to_json();
-        let round_tripped = FabricSpec::parse_json(&document)
-            .expect("emitted documents parse")
-            .build()
-            .expect("emitted documents build");
+        let direct = Fabric::regular(rows, cols, 4).expect("geometry fits a pitch-4 tile");
+        let document = format!(
+            r#"{{"name":"r","regions":[{{"family":"regular","rows":{rows},"cols":{cols},"pitch":4}}]}}"#
+        );
+        let round_tripped = Fabric::parse(&document).expect("the document builds");
         prop_assert_eq!(&round_tripped, &direct);
 
         let program = Program::parse(BELL).unwrap();

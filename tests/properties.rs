@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use qspr_fabric::{Fabric, RegularFabricSpec, TechParams};
+use qspr_fabric::{Fabric, TechParams};
 use qspr_qasm::{random_program, Program, RandomProgramConfig};
 use qspr_route::{ResourceState, Router, RouterConfig};
 use qspr_sched::Qidg;
@@ -128,7 +128,7 @@ proptest! {
         a_pick in 0usize..500,
         b_pick in 0usize..500,
     ) {
-        let Ok(fabric) = RegularFabricSpec::new(rows, cols, pitch).build() else {
+        let Ok(fabric) = Fabric::regular(rows, cols, pitch) else {
             // Too small for a tile: fine, nothing to test.
             return Ok(());
         };
@@ -199,7 +199,7 @@ proptest! {
         use qspr::place::MonteCarloPlacer;
         use qspr::{Flow, RouterKind, ToJson};
 
-        let Ok(fabric) = RegularFabricSpec::new(rows, cols, pitch).build() else {
+        let Ok(fabric) = Fabric::regular(rows, cols, pitch) else {
             return Ok(()); // too small for a tile: nothing to test
         };
         prop_assume!(fabric.topology().traps().len() >= qubits);
