@@ -49,6 +49,7 @@
 //! structured access-log line per request to stderr.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use qspr::json::JsonArray;
@@ -104,6 +105,9 @@ options:
   --keep-alive SECS  serve: idle connection timeout (default 30; 0 = close per request)
   --log         serve: one structured access-log line per request on stderr
   --help, -h    print this help and exit";
+
+/// What `--m`, `--jobs`, `--threads` and `--max-queue` expect.
+const POSITIVE: &str = "a positive number";
 
 /// Output format selected with `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,73 +182,24 @@ impl Cli {
         self.options.iter().any(|(f, _)| f == flag)
     }
 
-    /// The MVFB seed count; zero seeds would place nothing, so it is a
-    /// usage error rather than a stalled mapping.
-    fn m(&self) -> Result<usize, QsprError> {
-        match self.value("--m") {
-            None => Ok(25),
+    /// The number `flag` gives, or `default` when it is absent. A value
+    /// that does not parse, or is below `min`, is a usage error naming
+    /// `what` the flag expects.
+    fn number<T: FromStr + PartialOrd>(
+        &self,
+        flag: &str,
+        default: T,
+        min: T,
+        what: &str,
+    ) -> Result<T, QsprError> {
+        match self.value(flag) {
+            None => Ok(default),
             Some(v) => match v.parse() {
-                Ok(n) if n >= 1 => Ok(n),
+                Ok(n) if n >= min => Ok(n),
                 _ => Err(QsprError::usage(format!(
-                    "--m expects a positive number, got {v:?}"
+                    "{flag} expects {what}, got {v:?}"
                 ))),
             },
-        }
-    }
-
-    fn jobs(&self) -> Result<usize, QsprError> {
-        match self.value("--jobs") {
-            None => Ok(1),
-            Some(v) => match v.parse() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(QsprError::usage(format!(
-                    "--jobs expects a positive number, got {v:?}"
-                ))),
-            },
-        }
-    }
-
-    fn threads(&self) -> Result<Option<usize>, QsprError> {
-        match self.value("--threads") {
-            None => Ok(None),
-            Some(v) => match v.parse() {
-                Ok(n) if n >= 1 => Ok(Some(n)),
-                _ => Err(QsprError::usage(format!(
-                    "--threads expects a positive number, got {v:?}"
-                ))),
-            },
-        }
-    }
-
-    fn cache(&self) -> Result<usize, QsprError> {
-        match self.value("--cache") {
-            None => Ok(DEFAULT_CACHE_ENTRIES),
-            Some(v) => v.parse().map_err(|_| {
-                QsprError::usage(format!("--cache expects a number of entries, got {v:?}"))
-            }),
-        }
-    }
-
-    fn max_queue(&self) -> Result<usize, QsprError> {
-        match self.value("--max-queue") {
-            None => Ok(256),
-            Some(v) => match v.parse() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(QsprError::usage(format!(
-                    "--max-queue expects a positive number, got {v:?}"
-                ))),
-            },
-        }
-    }
-
-    fn keep_alive(&self) -> Result<u64, QsprError> {
-        match self.value("--keep-alive") {
-            None => Ok(30),
-            Some(v) => v.parse().map_err(|_| {
-                QsprError::usage(format!(
-                    "--keep-alive expects an idle timeout in seconds (0 disables), got {v:?}"
-                ))
-            }),
         }
     }
 
@@ -302,13 +257,14 @@ impl Cli {
         Ok(())
     }
 
-    /// A flow on the selected fabric with the selected seed count and
-    /// routing engine.
+    /// A flow on the selected fabric with the selected seed count,
+    /// routing engine and seed threads. Zero seeds would place nothing,
+    /// so `--m 0` is a usage error rather than a stalled mapping.
     fn flow(&self) -> Result<Flow, QsprError> {
         Ok(Flow::on(self.fabric()?)
-            .seeds(self.m()?)
+            .seeds(self.number("--m", 25, 1, POSITIVE)?)
             .router(self.router()?)
-            .jobs(self.jobs()?))
+            .jobs(self.number("--jobs", 1, 1, POSITIVE)?))
     }
 }
 
@@ -525,16 +481,19 @@ fn cmd_suite(cli: &Cli) -> Result<(), QsprError> {
 }
 
 fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
-    let mut config = ServeConfig {
-        addr: cli.value("--addr").unwrap_or("127.0.0.1:7878").to_owned(),
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        addr: cli.value("--addr").unwrap_or(&defaults.addr).to_owned(),
         log: cli.switch("--log"),
-        keep_alive_secs: cli.keep_alive()?,
-        max_queue: cli.max_queue()?,
-        ..ServeConfig::default()
+        keep_alive_secs: cli.number(
+            "--keep-alive",
+            defaults.keep_alive_secs,
+            0,
+            "an idle timeout in seconds (0 disables)",
+        )?,
+        max_queue: cli.number("--max-queue", defaults.max_queue, 1, POSITIVE)?,
+        threads: cli.number("--threads", defaults.threads, 1, POSITIVE)?,
     };
-    if let Some(threads) = cli.threads()? {
-        config.threads = threads;
-    }
     // Per-request "jobs" budget: the permit gate already fans out
     // across requests, so each request gets at most its fair share of
     // the host's cores — permits times seed threads can never
@@ -542,8 +501,13 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     // response bytes.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let jobs_budget = (cores / config.threads.max(1)).max(1);
-    let service =
-        Arc::new(MapService::new(cli.fabric()?, cli.cache()?).with_jobs_budget(jobs_budget));
+    let service = Arc::new(
+        MapService::new(
+            cli.fabric()?,
+            cli.number("--cache", DEFAULT_CACHE_ENTRIES, 0, "a number of entries")?,
+        )
+        .with_jobs_budget(jobs_budget),
+    );
     // Feed every pipeline span (parse, place, route epochs, sta, ...)
     // into the service registry as per-phase latency histograms, so
     // `GET /metrics` reports where mapping time goes. Global, because
@@ -643,7 +607,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.positional, vec!["file.qasm"]);
-        assert_eq!(cli.m().unwrap(), 7);
+        assert_eq!(cli.flow().unwrap().seed_count(), 7);
         assert!(cli.switch("--trace"));
         assert_eq!(cli.value("--policy"), Some("quale"));
     }
@@ -705,7 +669,8 @@ mod tests {
     #[test]
     fn default_m_is_25() {
         let cli = Cli::parse(&[]).unwrap();
-        assert_eq!(cli.m().unwrap(), 25);
+        assert_eq!(cli.flow().unwrap().seed_count(), 25);
+        assert!(USAGE.contains("MVFB seed count (default 25)"));
     }
 
     #[test]
@@ -760,20 +725,28 @@ mod tests {
         );
     }
 
+    /// The usage error `run` returns for `line`.
+    fn usage_error(line: &[&str]) -> String {
+        let err = run(&strings(line)).unwrap_err();
+        assert!(matches!(err, QsprError::Usage(_)), "{line:?}: {err}");
+        err.to_string()
+    }
+
     #[test]
     fn jobs_flag_parses_validates_and_feeds_the_flow() {
-        assert_eq!(Cli::parse(&[]).unwrap().jobs().unwrap(), 1);
+        assert_eq!(Cli::parse(&[]).unwrap().flow().unwrap().job_count(), 1);
         let cli = Cli::parse(&strings(&["--jobs", "4"])).unwrap();
-        assert_eq!(cli.jobs().unwrap(), 4);
         assert_eq!(cli.flow().unwrap().job_count(), 4);
-        assert!(Cli::parse(&strings(&["--jobs", "0"]))
-            .unwrap()
-            .jobs()
-            .is_err());
-        assert!(Cli::parse(&strings(&["--jobs", "many"]))
-            .unwrap()
-            .jobs()
-            .is_err());
+        for bad in ["0", "many"] {
+            assert_eq!(
+                usage_error(&["suite", "--jobs", bad]),
+                format!("--jobs expects a positive number, got {bad:?}")
+            );
+        }
+        assert_eq!(
+            usage_error(&["suite", "--m", "0"]),
+            r#"--m expects a positive number, got "0""#
+        );
         assert!(Cli::parse(&strings(&["--jobs"])).is_err());
         assert!(Cli::parse(&strings(&["--jobs", "1", "--jobs", "2"])).is_err());
     }
@@ -781,41 +754,38 @@ mod tests {
     #[test]
     fn threads_flag_parses_and_validates() {
         let cli = Cli::parse(&strings(&["--threads", "8"])).unwrap();
-        assert_eq!(cli.threads().unwrap(), Some(8));
-        assert_eq!(Cli::parse(&[]).unwrap().threads().unwrap(), None);
-        assert!(Cli::parse(&strings(&["--threads", "0"]))
-            .unwrap()
-            .threads()
-            .is_err());
-        assert!(Cli::parse(&strings(&["--threads", "many"]))
-            .unwrap()
-            .threads()
-            .is_err());
+        assert_eq!(cli.number("--threads", 1, 1, POSITIVE).unwrap(), 8);
+        let cli = Cli::parse(&[]).unwrap();
+        assert_eq!(cli.number("--threads", 3, 1, POSITIVE).unwrap(), 3);
+        for bad in ["0", "many"] {
+            assert_eq!(
+                usage_error(&["serve", "--threads", bad]),
+                format!("--threads expects a positive number, got {bad:?}")
+            );
+        }
     }
 
     #[test]
     fn serve_flags_parse_and_validate() {
         let cli = Cli::parse(&strings(&["--addr", "127.0.0.1:0", "--cache", "16"])).unwrap();
         assert_eq!(cli.value("--addr"), Some("127.0.0.1:0"));
-        assert_eq!(cli.cache().unwrap(), 16);
-        // Defaults: no addr flag, 128 cache entries, as the help says.
+        assert_eq!(cli.number("--cache", 128, 0, "").unwrap(), 16);
+        // Defaults: no addr flag, the library's cache size, as the help
+        // says.
         let cli = Cli::parse(&[]).unwrap();
         assert_eq!(cli.value("--addr"), None);
-        assert_eq!(cli.cache().unwrap(), 128);
-        assert!(USAGE.contains("(default 128, 0 = off)"));
+        assert!(USAGE.contains(&format!(
+            "(default {}; port 0 = ephemeral)",
+            ServeConfig::default().addr
+        )));
+        assert!(USAGE.contains(&format!("(default {DEFAULT_CACHE_ENTRIES}, 0 = off)")));
         // Cache must be numeric; 0 (disabled) is allowed.
+        let cli = Cli::parse(&strings(&["--cache", "0"])).unwrap();
+        assert_eq!(cli.number("--cache", 128, 0, "").unwrap(), 0);
         assert_eq!(
-            Cli::parse(&strings(&["--cache", "0"]))
-                .unwrap()
-                .cache()
-                .unwrap(),
-            0
+            usage_error(&["serve", "--cache", "lots"]),
+            r#"--cache expects a number of entries, got "lots""#
         );
-        let err = Cli::parse(&strings(&["--cache", "lots"]))
-            .unwrap()
-            .cache()
-            .unwrap_err();
-        assert!(err.to_string().contains("--cache expects"));
         // Value-flag plumbing applies: duplicates and missing values.
         assert!(Cli::parse(&strings(&["--addr", "a", "--addr", "b"])).is_err());
         assert!(Cli::parse(&strings(&["--cache"])).is_err());
@@ -823,22 +793,29 @@ mod tests {
 
     #[test]
     fn front_end_flags_parse_and_validate() {
-        // Defaults: 256-deep admission queues, 30s keep-alive.
-        let cli = Cli::parse(&[]).unwrap();
-        assert_eq!(cli.max_queue().unwrap(), 256);
-        assert_eq!(cli.keep_alive().unwrap(), 30);
+        // The help states the library's defaults.
+        let defaults = ServeConfig::default();
+        assert!(USAGE.contains(&format!("before 429 (default {})", defaults.max_queue)));
+        assert!(USAGE.contains(&format!(
+            "(default {}; 0 = close per request)",
+            defaults.keep_alive_secs
+        )));
         let cli = Cli::parse(&strings(&["--max-queue", "2", "--keep-alive", "0"])).unwrap();
-        assert_eq!(cli.max_queue().unwrap(), 2);
-        assert_eq!(cli.keep_alive().unwrap(), 0, "0 = close per request");
+        assert_eq!(cli.number("--max-queue", 256, 1, POSITIVE).unwrap(), 2);
+        assert_eq!(
+            cli.number("--keep-alive", 30, 0, "").unwrap(),
+            0,
+            "0 = close per request"
+        );
         // Queue depth must stay positive; keep-alive allows 0.
-        assert!(Cli::parse(&strings(&["--max-queue", "0"]))
-            .unwrap()
-            .max_queue()
-            .is_err());
-        assert!(Cli::parse(&strings(&["--keep-alive", "soon"]))
-            .unwrap()
-            .keep_alive()
-            .is_err());
+        assert_eq!(
+            usage_error(&["serve", "--max-queue", "0"]),
+            r#"--max-queue expects a positive number, got "0""#
+        );
+        assert_eq!(
+            usage_error(&["serve", "--keep-alive", "soon"]),
+            r#"--keep-alive expects an idle timeout in seconds (0 disables), got "soon""#
+        );
         assert!(Cli::parse(&strings(&["--max-queue"])).is_err());
         assert!(Cli::parse(&strings(&["--keep-alive", "1", "--keep-alive", "2"])).is_err());
     }

@@ -4,18 +4,19 @@
 //! Keys are the canonical flow fingerprints of
 //! [`Flow::fingerprint`](crate::Flow::fingerprint); values are the
 //! exact response bodies the service sent on the cold path, so a cache
-//! hit is byte-identical by construction. The LRU is a `HashMap` plus
-//! an intrusive recency list in a slab of indices (no `unsafe`, O(1)
-//! get/insert/evict). It keeps an incremental byte count and an
-//! eviction counter, which `/stats` reports; the service counts hits
-//! and misses itself, once per lookup.
+//! hit is byte-identical by construction. The LRU is two std maps: a
+//! `HashMap` from key to value and the stamp of its last use, and a
+//! `BTreeMap` from stamp to key whose first entry is the eviction
+//! victim (O(log n) get/insert/evict). It keeps an incremental byte
+//! count and an eviction counter, which `/stats` reports; the service
+//! counts hits and misses itself, once per lookup.
 //!
 //! One mutex guards the whole cache. Every request already takes the
 //! metrics registry's single mutex several times, so a finer cache lock
 //! removes no contention: an 8-way sharded cache was no faster than
 //! this one on perfbench's `serve_hit_miss` workload (2-vCPU host).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard};
 
 /// Result-cache capacity in entries when none is configured (the
@@ -50,32 +51,20 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Sentinel for "no neighbor" in the intrusive recency list.
-const NONE: usize = usize::MAX;
-
-/// One slab slot: a key/value pair threaded into the recency list.
-#[derive(Debug)]
-struct Entry {
-    key: String,
-    value: String,
-    prev: usize,
-    next: usize,
-}
-
-/// The slab LRU behind [`ResultCache`]'s lock.
+/// The LRU behind [`ResultCache`]'s lock. Each use of a key takes the
+/// next stamp from `clock`; `recency` orders the stamps, so its first
+/// entry is the least recently used key.
 #[derive(Debug)]
 struct Lru {
     capacity: usize,
-    map: HashMap<String, usize>,
-    slab: Vec<Entry>,
-    /// Most recently used entry (list head).
-    head: usize,
-    /// Least recently used entry (list tail, next eviction victim).
-    tail: usize,
-    /// Recycled slab slots.
-    free: Vec<usize>,
+    /// Key → (value, stamp of its last use).
+    map: HashMap<String, (String, u64)>,
+    /// Stamp of last use → key, oldest first.
+    recency: BTreeMap<u64, String>,
+    /// The next stamp to hand out.
+    clock: u64,
     /// Bytes currently held (maintained incrementally; the test-only
-    /// audit recomputes it from the slab).
+    /// audit recomputes it from the map).
     bytes: usize,
     evictions: u64,
 }
@@ -85,20 +74,25 @@ impl Lru {
         Lru {
             capacity,
             map: HashMap::new(),
-            slab: Vec::new(),
-            head: NONE,
-            tail: NONE,
-            free: Vec::new(),
+            recency: BTreeMap::new(),
+            clock: 0,
             bytes: 0,
             evictions: 0,
         }
     }
 
-    /// Looks `key` up: a hit is promoted and cloned out.
+    /// Looks `key` up: a hit is restamped as most recently used and
+    /// cloned out.
     fn get(&mut self, key: &str) -> Option<String> {
-        let slot = *self.map.get(key)?;
-        self.promote(slot);
-        Some(self.slab[slot].value.clone())
+        let (value, stamp) = self.map.get_mut(key)?;
+        let key = self
+            .recency
+            .remove(stamp)
+            .expect("every entry has a recency stamp");
+        *stamp = self.clock;
+        self.recency.insert(self.clock, key);
+        self.clock += 1;
+        Some(value.clone())
     }
 
     /// See [`ResultCache::insert`].
@@ -106,85 +100,31 @@ impl Lru {
         if self.capacity == 0 {
             return value;
         }
-        if let Some(&slot) = self.map.get(&key) {
-            self.promote(slot);
-            return self.slab[slot].value.clone();
+        if let Some(cached) = self.get(&key) {
+            return cached;
         }
         if self.map.len() == self.capacity {
-            self.evict_tail();
+            let (_, victim) = self
+                .recency
+                .pop_first()
+                .expect("a full cache has a least recently used entry");
+            let (evicted, _) = self
+                .map
+                .remove(&victim)
+                .expect("every recency stamp names an entry");
+            self.bytes -= victim.len() + evicted.len();
+            self.evictions += 1;
         }
         self.bytes += key.len() + value.len();
-        let entry = Entry {
-            key: key.clone(),
-            value: value.clone(),
-            prev: NONE,
-            next: self.head,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = entry;
-                slot
-            }
-            None => {
-                self.slab.push(entry);
-                self.slab.len() - 1
-            }
-        };
-        if self.head != NONE {
-            self.slab[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NONE {
-            self.tail = slot;
-        }
-        self.map.insert(key, slot);
+        self.recency.insert(self.clock, key.clone());
+        self.map.insert(key, (value.clone(), self.clock));
+        self.clock += 1;
         value
-    }
-
-    /// Unlinks `slot` from the recency list and relinks it at the head.
-    fn promote(&mut self, slot: usize) {
-        if self.head == slot {
-            return;
-        }
-        let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
-        if prev != NONE {
-            self.slab[prev].next = next;
-        }
-        if next != NONE {
-            self.slab[next].prev = prev;
-        }
-        if self.tail == slot {
-            self.tail = prev;
-        }
-        self.slab[slot].prev = NONE;
-        self.slab[slot].next = self.head;
-        if self.head != NONE {
-            self.slab[self.head].prev = slot;
-        }
-        self.head = slot;
-    }
-
-    /// Removes the least recently used entry.
-    fn evict_tail(&mut self) {
-        let victim = self.tail;
-        debug_assert_ne!(victim, NONE, "evict called on an empty cache");
-        let prev = self.slab[victim].prev;
-        if prev != NONE {
-            self.slab[prev].next = NONE;
-        } else {
-            self.head = NONE;
-        }
-        self.tail = prev;
-        let Entry { key, value, .. } = &self.slab[victim];
-        self.bytes -= key.len() + value.len();
-        self.map.remove(key);
-        self.free.push(victim);
-        self.evictions += 1;
     }
 }
 
 /// An internally synchronized LRU cache of response bodies with string
-/// keys: one mutex around one slab LRU, shared by every worker thread.
+/// keys: one mutex around one LRU, shared by every worker thread.
 ///
 /// Capacity 0 disables the cache: every lookup misses and nothing is
 /// stored. An insert never replaces an existing entry (see
@@ -281,19 +221,20 @@ impl ResultCache {
         }
     }
 
-    /// Test-only invariant check: recomputes the byte total from the
-    /// slab, asserts it matches the incremental counter and returns it.
+    /// Test-only invariant check: asserts that every entry has exactly
+    /// one recency stamp and that the incremental byte counter matches
+    /// the map, and returns the byte total.
     #[cfg(test)]
     pub(crate) fn audit_bytes(&self) -> u64 {
         let lru = self.lock();
-        let recomputed: usize = lru
-            .map
-            .values()
-            .map(|&slot| lru.slab[slot].key.len() + lru.slab[slot].value.len())
-            .sum();
+        assert_eq!(lru.recency.len(), lru.map.len(), "recency stamps leaked");
+        for (stamp, key) in &lru.recency {
+            assert_eq!(lru.map[key].1, *stamp, "stale stamp for {key:?}");
+        }
+        let recomputed: usize = lru.map.iter().map(|(k, (v, _))| k.len() + v.len()).sum();
         assert_eq!(
             recomputed, lru.bytes,
-            "byte accounting drifted from the slab"
+            "byte accounting drifted from the map"
         );
         lru.bytes as u64
     }
@@ -305,16 +246,14 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
 
-    /// Entries in recency order, most recent first (test-only walk).
+    /// Entries in recency order, most recent first.
     fn contents(cache: &ResultCache) -> Vec<(String, String)> {
         let lru = cache.lock();
-        let mut entries = Vec::new();
-        let mut at = lru.head;
-        while at != NONE {
-            entries.push((lru.slab[at].key.clone(), lru.slab[at].value.clone()));
-            at = lru.slab[at].next;
-        }
-        entries
+        lru.recency
+            .values()
+            .rev()
+            .map(|key| (key.clone(), lru.map[key].0.clone()))
+            .collect()
     }
 
     fn keys(cache: &ResultCache) -> Vec<String> {
@@ -386,16 +325,22 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_recycled_without_growth() {
+    fn recency_stamps_do_not_leak() {
+        // Inserts, hits, repeated inserts and evictions each leave one
+        // stamp per entry; "k0" is hit every round, so it survives.
         let cache = ResultCache::new(2);
         for i in 0..100 {
-            cache.insert(format!("k{i}"), i.to_string());
+            let key = format!("k{i}");
+            cache.insert(key.clone(), i.to_string());
+            cache.get(&key);
+            cache.insert(key, "again".into());
+            cache.get("k0");
         }
-        assert_eq!(cache.len(), 2);
-        let slab = cache.lock().slab.len();
-        assert!(slab <= 3, "slab grew: {slab}");
+        assert_eq!(cache.lock().recency.len(), 2);
+        cache.audit_bytes();
+        assert_eq!(cache.get("k0"), some("0"));
         assert_eq!(cache.get("k99"), some("99"));
-        assert_eq!(cache.get("k98"), some("98"));
+        assert_eq!(cache.get("k98"), None);
     }
 
     #[test]

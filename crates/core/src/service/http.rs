@@ -8,23 +8,24 @@
 //! `Connection: keep-alive` and clients may pipeline requests
 //! back-to-back on one connection; `Connection: close` (from either
 //! side), protocol errors and server drain still close. Limits
-//! on the request line, header count and body size bound what an
-//! untrusted peer can make the server buffer.
+//! on the first line, header count and body size bound what an
+//! untrusted peer can make either side buffer.
 //!
-//! The server side parses with [`Parser`], an *incremental* state
-//! machine fed arbitrary byte slices as they arrive off the
-//! socket. Parsing is restartable — each [`Parser::next_request`] call
-//! re-examines the buffered prefix — so the outcome depends only on
-//! the accumulated bytes, never on how reads were chunked; a property
-//! test pins that feeding a stream split at arbitrary boundaries
-//! yields byte-for-byte the same requests and errors as feeding it
-//! whole.
+//! One private scanner reads every message, request or response, from
+//! a byte buffer. It returns nothing while more bytes are needed and
+//! re-examines the buffered prefix on each call, so its outcome depends
+//! only on the accumulated bytes, never on how reads were chunked. The
+//! server's [`Parser`] feeds it byte slices as they arrive off the
+//! socket, and [`Client`] the raw bytes of its responses; property
+//! tests pin that a stream split at arbitrary boundaries yields the
+//! same requests, errors and responses as the stream read whole.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Longest accepted request line or header line, bytes.
+/// Longest accepted first line (request or status line) or header
+/// line, bytes.
 const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Most headers accepted on one request.
 const MAX_HEADERS: usize = 100;
@@ -178,16 +179,125 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
+// The message scanner (both sides)
+// ---------------------------------------------------------------------------
+
+/// One message [`scan`] read off the front of a buffer.
+pub(super) struct Message<T> {
+    /// What the caller's check made of the first line.
+    pub(super) first: T,
+    /// The last `Connection` header: `Some(true)` for `close`,
+    /// `Some(false)` for `keep-alive`.
+    pub(super) close: Option<bool>,
+    /// The `Retry-After` header in seconds, when it parses.
+    pub(super) retry_after: Option<u64>,
+    pub(super) body: String,
+    /// Bytes the message took, body included.
+    pub(super) len: usize,
+}
+
+/// Scans one message off the front of `buf`: the first line, which
+/// `first_line` checks as soon as it is complete (so a malformed
+/// request line is refused before its headers arrive), the headers
+/// and the `Content-Length` body. Lines end on `\n` and every `\r` is
+/// dropped. `Ok(None)` means more bytes are needed; the outcome is a
+/// pure function of `buf`.
+///
+/// # Errors
+///
+/// Whatever `first_line` returns; `InvalidData` for an over-long line,
+/// a malformed header or `Content-Length`, too many headers or
+/// non-UTF-8 text; `InvalidInput` when `Content-Length` exceeds
+/// [`MAX_BODY`].
+pub(super) fn scan<T>(
+    buf: &[u8],
+    first_line: impl FnOnce(&str) -> io::Result<T>,
+) -> io::Result<Option<Message<T>>> {
+    // The CR-stripped line starting at `at` and the offset past its
+    // `\n`; the length limit applies before the terminator arrives.
+    let line = |at: usize| -> io::Result<Option<(String, usize)>> {
+        let mut text = Vec::new();
+        for (i, &b) in buf[at..].iter().enumerate() {
+            match b {
+                b'\n' => {
+                    let text = String::from_utf8(text).map_err(|_| bad("non-UTF-8 line"))?;
+                    return Ok(Some((text, at + i + 1)));
+                }
+                b'\r' => {}
+                b => text.push(b),
+            }
+            if text.len() > MAX_REQUEST_LINE {
+                return Err(bad("line exceeds limit"));
+            }
+        }
+        Ok(None)
+    };
+    let Some((text, mut at)) = line(0)? else {
+        return Ok(None);
+    };
+    let first = first_line(&text)?;
+    let (mut close, mut retry_after, mut content_length) = (None, None, 0);
+    for _ in 0..MAX_HEADERS {
+        let Some((header, next)) = line(at)? else {
+            return Ok(None);
+        };
+        at = next;
+        if header.is_empty() {
+            // `content_length` is at most `MAX_BODY`, so this cannot
+            // overflow.
+            let len = at + content_length;
+            let Some(body) = buf.get(at..len) else {
+                return Ok(None);
+            };
+            let body = String::from_utf8(body.to_vec()).map_err(|_| bad("non-UTF-8 body"))?;
+            return Ok(Some(Message {
+                first,
+                close,
+                retry_after,
+                body,
+                len,
+            }));
+        }
+        let Some((name, value)) = header.split_once(':') else {
+            return Err(bad("malformed header"));
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.parse().map_err(|_| bad("invalid Content-Length"))?;
+            if content_length > MAX_BODY {
+                // InvalidInput (vs InvalidData for syntax errors)
+                // lets the server answer 413 instead of 400.
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "body exceeds limit",
+                ));
+            }
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
+                close = Some(true);
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                close = Some(false);
+            }
+        } else if name.eq_ignore_ascii_case("retry-after") {
+            retry_after = value.parse().ok();
+        }
+    }
+    Err(bad("too many headers"))
+}
+
+fn bad(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.to_owned())
+}
+
+// ---------------------------------------------------------------------------
 // Incremental request parser (server side)
 // ---------------------------------------------------------------------------
 
 /// An incremental HTTP/1.1 request parser over a growable byte buffer.
 ///
 /// Feed bytes as they arrive with [`Parser::feed`], then drain
-/// complete requests with [`Parser::next_request`]. Line endings
-/// follow the historical server's tolerance: lines terminate on `\n`
-/// and every `\r` is dropped. A protocol violation is returned as an
-/// `io::Error` (`InvalidData` → answer `400`; `InvalidInput` → the
+/// complete requests with [`Parser::next_request`]. A protocol
+/// violation is returned as an `io::Error` (`InvalidData` → answer `400`; `InvalidInput` → the
 /// body limit, answer `413`) and poisons the parser — the connection
 /// must close, there is no resynchronization after junk.
 ///
@@ -218,14 +328,6 @@ pub struct Parser {
     poisoned: bool,
 }
 
-/// How far `scan_line` got.
-enum Line {
-    /// A complete line (CRs stripped) ending before `next`.
-    Done { text: String, next: usize },
-    /// No terminator yet; more bytes are needed.
-    Partial,
-}
-
 impl Parser {
     /// An empty parser.
     pub fn new() -> Parser {
@@ -244,29 +346,6 @@ impl Parser {
         !self.poisoned && self.buf.len() > self.start
     }
 
-    /// Extracts one CR-stripped, `\n`-terminated line starting at
-    /// `at`, enforcing the line-length limit.
-    fn scan_line(&self, at: usize) -> io::Result<Line> {
-        let mut text = Vec::new();
-        for (i, &b) in self.buf[at..].iter().enumerate() {
-            match b {
-                b'\n' => {
-                    let text = String::from_utf8(text).map_err(|_| bad("non-UTF-8 line"))?;
-                    return Ok(Line::Done {
-                        text,
-                        next: at + i + 1,
-                    });
-                }
-                b'\r' => {}
-                b => text.push(b),
-            }
-            if text.len() > MAX_REQUEST_LINE {
-                return Err(bad("line exceeds limit"));
-            }
-        }
-        Ok(Line::Partial)
-    }
-
     /// Attempts to parse the next complete request from the buffer.
     ///
     /// Returns `Ok(None)` when more bytes are needed. The outcome is a
@@ -283,93 +362,51 @@ impl Parser {
         if self.poisoned {
             return Err(bad("parser poisoned by an earlier protocol error"));
         }
-        match self.try_parse() {
-            Ok(Some((request, consumed))) => {
-                self.start = consumed;
-                // Compact once the dead prefix outgrows the live tail,
-                // keeping the buffer proportional to pending data.
-                if self.start > 4096 && self.start * 2 > self.buf.len() {
-                    self.buf.drain(..self.start);
-                    self.start = 0;
-                }
-                Ok(Some(request))
-            }
-            Ok(None) => Ok(None),
+        let message = match scan(&self.buf[self.start..], request_line) {
+            Ok(Some(message)) => message,
+            Ok(None) => return Ok(None),
             Err(e) => {
                 self.poisoned = true;
-                Err(e)
+                return Err(e);
             }
+        };
+        self.start += message.len;
+        // Compact once the dead prefix outgrows the live tail, keeping
+        // the buffer proportional to pending data.
+        if self.start > 4096 && self.start * 2 > self.buf.len() {
+            self.buf.drain(..self.start);
+            self.start = 0;
         }
+        let (method, path, http10) = message.first;
+        Ok(Some(Request {
+            method,
+            path,
+            body: message.body,
+            // HTTP/1.0 closes by default; 1.1 keeps alive by default.
+            close: message.close.unwrap_or(http10),
+        }))
     }
+}
 
-    fn try_parse(&self) -> io::Result<Option<(Request, usize)>> {
-        let Line::Done { text: line, next } = self.scan_line(self.start)? else {
-            return Ok(None);
-        };
-        let mut parts = line.split_whitespace();
-        let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-        {
-            (Some(m), Some(p), Some(v), None) => (m, p, v),
-            _ => return Err(bad("malformed request line")),
-        };
-        if !matches!(version, "HTTP/1.1" | "HTTP/1.0") {
-            return Err(bad("unsupported HTTP version"));
+/// Checks a request line: method, path, and whether it spoke HTTP/1.0.
+fn request_line(line: &str) -> io::Result<(String, String, bool)> {
+    let mut parts = line.split_whitespace();
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(method), Some(path), Some(version @ ("HTTP/1.1" | "HTTP/1.0")), None) => {
+            Ok((method.to_owned(), path.to_owned(), version == "HTTP/1.0"))
         }
-        // HTTP/1.0 closes by default; 1.1 keeps alive by default.
-        let mut close = version == "HTTP/1.0";
-        let mut content_length: usize = 0;
-        let mut at = next;
-        for _ in 0..MAX_HEADERS {
-            let Line::Done { text: header, next } = self.scan_line(at)? else {
-                return Ok(None);
-            };
-            at = next;
-            if header.is_empty() {
-                // Headers done; the body needs `content_length` bytes.
-                let body_end = at
-                    .checked_add(content_length)
-                    .ok_or_else(|| bad("bad length"))?;
-                if self.buf.len() < body_end {
-                    return Ok(None);
-                }
-                let body = String::from_utf8(self.buf[at..body_end].to_vec())
-                    .map_err(|_| bad("non-UTF-8 body"))?;
-                let request = Request {
-                    method: method.to_owned(),
-                    path: path.to_owned(),
-                    body,
-                    close,
-                };
-                return Ok(Some((request, body_end)));
-            }
-            let Some((name, value)) = header.split_once(':') else {
-                return Err(bad("malformed header"));
-            };
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("invalid Content-Length"))?;
-                if content_length > MAX_BODY {
-                    // InvalidInput (vs InvalidData for syntax errors)
-                    // lets the server answer 413 instead of 400.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "body exceeds limit",
-                    ));
-                }
-            } else if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    close = true;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    close = false;
-                }
-            }
-        }
-        Err(bad("too many headers"))
+        (Some(_), Some(_), Some(_), None) => Err(bad("unsupported HTTP version")),
+        _ => Err(bad("malformed request line")),
     }
+}
+
+/// Checks a status line and returns its status code.
+pub(super) fn status_line(line: &str) -> io::Result<u16> {
+    line.strip_prefix("HTTP/1.1 ")
+        .or_else(|| line.strip_prefix("HTTP/1.0 "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| bad("malformed status line"))
 }
 
 // ---------------------------------------------------------------------------
@@ -383,13 +420,15 @@ impl Parser {
 /// [`Client::send`] writes one request and blocks for its response;
 /// [`Client::write_request`] / [`Client::read_response`] split the two
 /// halves so callers can pipeline several requests before reading any
-/// response. After a response carrying `Connection: close` (or an I/O
-/// error) the connection is dead — [`Client::is_closed`] reports it
-/// and the caller reconnects.
+/// response. After a response carrying `Connection: close` the
+/// connection is dead — [`Client::is_closed`] reports it and the caller
+/// reconnects.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    /// Received bytes not yet returned as a response (the start of the
+    /// next pipelined one).
+    buf: Vec<u8>,
     closed: bool,
 }
 
@@ -405,10 +444,9 @@ impl Client {
         stream.set_read_timeout(Some(Duration::from_secs(120)))?;
         stream.set_write_timeout(Some(Duration::from_secs(120)))?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
+            stream,
+            buf: Vec::new(),
             closed: false,
         })
     }
@@ -426,66 +464,61 @@ impl Client {
     ///
     /// Any socket failure.
     pub fn write_request(&mut self, method: &str, path: &str, body: &str) -> io::Result<()> {
+        self.write(method, path, body, false)
+    }
+
+    /// Writes one request, asking the server to close afterwards when
+    /// `close` is set.
+    fn write(&mut self, method: &str, path: &str, body: &str, close: bool) -> io::Result<()> {
+        let connection = if close { "Connection: close\r\n" } else { "" };
         let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: qspr\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nHost: qspr\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{connection}\r\n",
             body.len(),
         );
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()
+        self.stream.write_all(head.as_bytes())?;
+        self.stream.write_all(body.as_bytes())?;
+        self.stream.flush()
     }
 
     /// Reads one response off the connection (in pipeline order).
     ///
     /// # Errors
     ///
-    /// Any socket failure, or a malformed / over-limit response.
+    /// Any socket failure; `UnexpectedEof` when the server closes
+    /// mid-response; `InvalidData` for a malformed response (or none at
+    /// all); `InvalidInput` when its `Content-Length` exceeds
+    /// [`MAX_BODY`].
     pub fn read_response(&mut self) -> io::Result<Response> {
-        let status_line =
-            read_line(&mut self.reader, MAX_REQUEST_LINE)?.ok_or_else(|| bad("empty response"))?;
-        let status: u16 = status_line
-            .strip_prefix("HTTP/1.1 ")
-            .or_else(|| status_line.strip_prefix("HTTP/1.0 "))
-            .and_then(|rest| rest.split_whitespace().next())
-            .and_then(|code| code.parse().ok())
-            .ok_or_else(|| bad("malformed status line"))?;
-        let mut content_length: usize = 0;
-        let mut retry_after = None;
-        for _ in 0..MAX_HEADERS {
-            let header = read_line(&mut self.reader, MAX_REQUEST_LINE)?
-                .ok_or_else(|| bad("truncated headers"))?;
-            if header.is_empty() {
-                let body = read_body(&mut self.reader, content_length)?;
+        let mut chunk = [0u8; 8 * 1024];
+        loop {
+            if let Some(message) = scan(&self.buf, status_line)? {
+                self.buf.drain(..message.len);
+                self.closed |= message.close == Some(true);
                 // The client does not parse Content-Type back; it
                 // reports the default.
-                let mut response = Response::new(status, body);
-                response.retry_after = retry_after;
+                let mut response = Response::new(message.first, message.body);
+                response.retry_after = message.retry_after;
                 return Ok(response);
             }
-            let Some((name, value)) = header.split_once(':') else {
-                continue;
-            };
-            let (name, value) = (name.trim(), value.trim());
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| bad("invalid Content-Length"))?;
-                if content_length > MAX_BODY {
-                    return Err(bad("response body exceeds limit"));
+            match self.stream.read(&mut chunk)? {
+                0 if self.buf.is_empty() => return Err(bad("empty response")),
+                0 => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-response",
+                    ))
                 }
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                retry_after = value.parse().ok();
-            } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
-            {
-                self.closed = true;
+                n => self.buf.extend_from_slice(&chunk[..n]),
             }
         }
-        Err(bad("too many headers"))
     }
 
     /// One request, one response, in order.
     ///
     /// # Errors
     ///
-    /// Any socket failure, or a malformed / over-limit response.
+    /// As [`Client::read_response`], and `NotConnected` once the server
+    /// has closed the connection.
     pub fn send(&mut self, method: &str, path: &str, body: &str) -> io::Result<Response> {
         if self.closed {
             return Err(io::Error::new(
@@ -505,7 +538,7 @@ impl Client {
 ///
 /// # Errors
 ///
-/// Any socket failure, or a malformed / over-limit response.
+/// As [`Client::read_response`], and any failure to connect.
 pub fn call(
     addr: impl ToSocketAddrs,
     method: &str,
@@ -513,51 +546,6 @@ pub fn call(
     body: &str,
 ) -> io::Result<Response> {
     let mut client = Client::connect(addr)?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: qspr\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len(),
-    );
-    client.writer.write_all(head.as_bytes())?;
-    client.writer.write_all(body.as_bytes())?;
-    client.writer.flush()?;
+    client.write(method, path, body, true)?;
     client.read_response()
-}
-
-fn bad(message: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.to_owned())
-}
-
-/// Reads one CRLF- (or bare-LF-) terminated line, without the
-/// terminator. `Ok(None)` only on EOF before the first byte.
-fn read_line<R: BufRead>(reader: &mut R, limit: usize) -> io::Result<Option<String>> {
-    let mut buf = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
-            0 => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err(bad("unexpected EOF in line"));
-            }
-            _ => match byte[0] {
-                b'\n' => break,
-                b'\r' => {}
-                b => buf.push(b),
-            },
-        }
-        if buf.len() > limit {
-            return Err(bad("line exceeds limit"));
-        }
-    }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| bad("non-UTF-8 line"))
-}
-
-/// Reads exactly `length` body bytes.
-fn read_body<R: BufRead>(reader: &mut R, length: usize) -> io::Result<String> {
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body)?;
-    String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))
 }

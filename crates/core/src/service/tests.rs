@@ -674,6 +674,101 @@ proptest! {
     }
 }
 
+/// Every status `Response::reason` names, and one it does not.
+const STATUSES: [u16; 9] = [200, 400, 404, 405, 413, 422, 429, 500, 503];
+
+/// Any response the server could write, and whether it keeps the
+/// connection alive: a status, a body of arbitrary characters (line
+/// breaks included), an optional `Retry-After` and `Server-Timing`.
+fn any_response() -> impl Strategy<Value = (Response, bool)> {
+    (
+        0..STATUSES.len(),
+        collection::vec(0u32..0x11_0000, 0..60),
+        (any::<bool>(), any::<u64>()),
+        (any::<bool>(), 0u64..10_000_000),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(status, chars, (retry, seconds), (timed, us), keep_alive)| {
+                let body: String = chars
+                    .into_iter()
+                    .map(|c| char::from_u32(c).unwrap_or('\u{fffd}'))
+                    .collect();
+                let mut response = Response::new(STATUSES[status], body);
+                if retry {
+                    response = response.with_retry_after(seconds);
+                }
+                if timed {
+                    response = response.with_server_timing(
+                        Duration::from_micros(us),
+                        Duration::from_micros(us / 3),
+                    );
+                }
+                (response, keep_alive)
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The client's scanner reads back what `encode_response` wrote:
+    /// one to three pipelined responses, their bytes arriving split at
+    /// arbitrary points and buffered as `Client::read_response` buffers
+    /// them, come out with the same status, body, `Retry-After` and
+    /// close flag, and no byte left over.
+    #[test]
+    fn client_scanner_round_trips_encoded_responses(
+        responses in collection::vec(any_response(), 1..4),
+        sizes in collection::vec(1usize..40, 1..12),
+    ) {
+        let mut wire = Vec::new();
+        for (response, keep_alive) in &responses {
+            wire.extend_from_slice(&encode_response(response, *keep_alive));
+        }
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        let mut cycle = sizes.iter().copied().cycle();
+        let mut at = 0;
+        while at < wire.len() {
+            let n = cycle.next().unwrap_or(1).min(wire.len() - at);
+            buf.extend_from_slice(&wire[at..at + n]);
+            at += n;
+            while let Some(message) = http::scan(&buf, http::status_line).unwrap() {
+                buf.drain(..message.len);
+                got.push((message.first, message.body, message.retry_after, message.close));
+            }
+        }
+        prop_assert!(buf.is_empty(), "{} bytes left over", buf.len());
+        let want: Vec<_> = responses
+            .iter()
+            .map(|(r, keep_alive)| (r.status, r.body.clone(), r.retry_after, Some(!keep_alive)))
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+}
+
+#[test]
+fn client_scanner_refuses_malformed_and_oversize_responses() {
+    let scan = |wire: &[u8]| http::scan(wire, http::status_line).map(|m| m.is_some());
+    // A bad status line is refused before any header arrives.
+    let err = scan(b"HTTP/2 200 OK\r\n").unwrap_err();
+    assert_eq!(err.to_string(), "malformed status line");
+    let err = scan(b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n").unwrap_err();
+    assert_eq!(
+        (err.kind(), err.to_string()),
+        (io::ErrorKind::InvalidData, "malformed header".into())
+    );
+    let head = format!(
+        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+        http::MAX_BODY + 1
+    );
+    let err = scan(head.as_bytes()).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    // A body still arriving is not an error.
+    assert!(!scan(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{").unwrap());
+}
+
 #[test]
 fn parser_rejects_oversize_bodies_before_they_arrive() {
     // The Content-Length header alone triggers the 413 path; the

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::cell::Coord;
+use crate::spec::REPAINTS;
 
 /// Why a fabric description was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,15 +41,23 @@ pub enum FabricError {
     TrapWithoutPort(Coord),
     /// A regular-fabric spec was inconsistent (e.g. pitch < 2).
     BadSpec(String),
-    /// The grid holds more cells than the caller's budget allows, or a
-    /// spec's regions, links and capacity rules would paint more than a
-    /// fixed multiple of it ([`crate::Fabric::parse_within`]); rejected
-    /// before any cell is built.
+    /// The grid holds more cells than the caller's budget allows
+    /// ([`crate::Fabric::parse_within`]); rejected before any cell is
+    /// built.
     TooManyCells {
-        /// Cells the description would build (`rows × cols`), or paint.
+        /// Cells the description would build (`rows × cols`).
         cells: usize,
-        /// The budget (for painted cells, the multiple of it).
+        /// The budget.
         max: usize,
+    },
+    /// A spec's regions, links and capacity rules would paint more
+    /// cells than [`crate::Fabric::parse_within`] allows, 8 times the
+    /// caller's cell budget; rejected before anything is painted.
+    TooMuchPainting {
+        /// Cells the regions, links and capacity rules would paint.
+        painted: usize,
+        /// The caller's cell budget.
+        budget: usize,
     },
     /// A booking counter hit its hard ceiling (`u8::MAX` concurrent
     /// bookings on one resource): the capacity configuration admits more
@@ -84,6 +93,12 @@ impl fmt::Display for FabricError {
                 write!(
                     f,
                     "fabric grid of {cells} cells exceeds the {max}-cell budget"
+                )
+            }
+            FabricError::TooMuchPainting { painted, budget } => {
+                write!(
+                    f,
+                    "fabric spec paints {painted} cells, more than {REPAINTS}× the {budget}-cell budget"
                 )
             }
             FabricError::CapacityOverflow { resource } => {

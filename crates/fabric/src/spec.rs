@@ -70,7 +70,7 @@ use crate::regular::{check_regular, paint_regular};
 /// capacity rules may repeat, so the canvas alone does not bound the
 /// elaborator's work; a real document paints each cell about once per
 /// layer.
-const REPAINTS: usize = 8;
+pub(crate) const REPAINTS: usize = 8;
 
 /// Provenance metadata the elaborator attaches to a built [`Fabric`]:
 /// what the spec was called and how it was composed. Descriptive only —
@@ -530,15 +530,17 @@ impl Fabric {
 
     /// [`Fabric::parse`] for untrusted documents: a description whose
     /// grid would hold more than `max_cells` cells is rejected with
-    /// [`FabricError::TooManyCells`] before any cell is built, and so is
-    /// a spec whose regions, links and capacity rules would paint more
-    /// than a fixed multiple of `max_cells` cells in all. A few bytes of
-    /// spec cannot buy an arbitrarily large fabric, nor a long
-    /// elaboration of a small one.
+    /// [`FabricError::TooManyCells`] before any cell is built, and a
+    /// spec whose regions, links and capacity rules would paint more
+    /// than 8 × `max_cells` cells in all with
+    /// [`FabricError::TooMuchPainting`]. A few bytes of spec cannot buy
+    /// an arbitrarily large fabric, nor a long elaboration of a small
+    /// one.
     ///
     /// # Errors
     ///
-    /// As [`Fabric::parse`], plus [`FabricError::TooManyCells`].
+    /// As [`Fabric::parse`], plus [`FabricError::TooManyCells`] and
+    /// [`FabricError::TooMuchPainting`].
     pub fn parse_within(text: &str, max_cells: usize) -> Result<Fabric, FabricError> {
         let within = |cells: usize, max: usize| {
             if cells > max {
@@ -551,7 +553,13 @@ impl Fabric {
             let spec = FabricSpec::parse_json(text)?;
             let (rows, cols) = spec.canvas_dims();
             within(rows.saturating_mul(cols), max_cells)?;
-            within(spec.painted_cells(), max_cells.saturating_mul(REPAINTS))?;
+            let painted = spec.painted_cells();
+            if painted > max_cells.saturating_mul(REPAINTS) {
+                return Err(FabricError::TooMuchPainting {
+                    painted,
+                    budget: max_cells,
+                });
+            }
             spec.build()
         } else {
             let (rows, cols) = ascii_dims(&text.lines().collect::<Vec<_>>());
@@ -920,12 +928,17 @@ mod tests {
         // 64 coinciding 9×9 regions: an 81-cell canvas, 64 patches.
         let region = r#"{"family":"regular","rows":9,"cols":9,"pitch":4}"#;
         let regions = format!(r#"{{"name":"c","regions":[{}]}}"#, [region; 64].join(","));
+        let err = Fabric::parse_within(&regions, 100).unwrap_err();
         assert_eq!(
-            Fabric::parse_within(&regions, 100),
-            Err(FabricError::TooManyCells {
-                cells: 64 * 81,
-                max: 800
-            })
+            err,
+            FabricError::TooMuchPainting {
+                painted: 64 * 81,
+                budget: 100
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "fabric spec paints 5184 cells, more than 8× the 100-cell budget"
         );
         // 64 whole-canvas capacity rules over one region.
         let rule = r#"{"type":"wide","rect":[0,0,8,8]}"#;
@@ -936,9 +949,9 @@ mod tests {
         );
         assert_eq!(
             Fabric::parse_within(&rules, 100),
-            Err(FabricError::TooManyCells {
-                cells: 65 * 81,
-                max: 800
+            Err(FabricError::TooMuchPainting {
+                painted: 65 * 81,
+                budget: 100
             })
         );
         // The same documents build when the work fits the budget.
