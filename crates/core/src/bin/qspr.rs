@@ -48,6 +48,7 @@
 //! `429 Too Many Requests` with `Retry-After`. `--log` writes one
 //! structured access-log line per request to stderr.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -61,9 +62,17 @@ use qspr_qecc::codes;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|()| out.flush().map_err(Failure::Stdout)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader went away (`qspr ... | head`): nobody is left to
+        // tell, so stop quietly.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("qspr: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Qspr(e)) => {
             eprintln!("qspr: {e}");
             // The usage text helps with a mistyped command line, not
             // with a missing file or an unmappable circuit.
@@ -73,6 +82,26 @@ fn main() -> ExitCode {
             }
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a command stopped: the library refused the work, or stdout
+/// refused the output.
+#[derive(Debug)]
+enum Failure {
+    Qspr(QsprError),
+    Stdout(io::Error),
+}
+
+impl From<QsprError> for Failure {
+    fn from(e: QsprError) -> Failure {
+        Failure::Qspr(e)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Stdout(e)
     }
 }
 
@@ -282,23 +311,25 @@ fn load_program(path: &str) -> Result<Program, QsprError> {
     Program::parse(&text).map_err(QsprError::from)
 }
 
-fn run(args: &[String]) -> Result<(), QsprError> {
+/// Runs the command line `args`, writing its output to `out` (one
+/// locked stdout in `main`).
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     // Help short-circuits everything: any `--help`/`-h` anywhere wins,
     // and must exit 0 rather than trip the unknown-flag path.
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        writeln!(out, "{USAGE}")?;
         return Ok(());
     }
     // `--version` wins anywhere too, for consistency with `--help`.
     if args.first().map(String::as_str) == Some("version") || args.iter().any(|a| a == "--version")
     {
-        println!("qspr {}", env!("CARGO_PKG_VERSION"));
+        writeln!(out, "qspr {}", env!("CARGO_PKG_VERSION"))?;
         return Ok(());
     }
     let Some(command) = args.first() else {
-        return Err(QsprError::usage("missing command"));
+        return Err(QsprError::usage("missing command").into());
     };
-    let handler: fn(&Cli) -> Result<(), QsprError> = match command.as_str() {
+    let handler: fn(&Cli, &mut dyn Write) -> Result<(), Failure> = match command.as_str() {
         "map" => cmd_map,
         "sta" => cmd_sta,
         "compare" => cmd_compare,
@@ -306,14 +337,14 @@ fn run(args: &[String]) -> Result<(), QsprError> {
         "serve" => cmd_serve,
         "fabric" => cmd_fabric,
         "encode" => cmd_encode,
-        other => return Err(QsprError::usage(format!("unknown command {other:?}"))),
+        other => return Err(QsprError::usage(format!("unknown command {other:?}")).into()),
     };
     let cli = Cli::parse(&args[1..])?;
     cli.check(command)?;
-    handler(&cli)
+    handler(&cli, out)
 }
 
-fn cmd_map(cli: &Cli) -> Result<(), QsprError> {
+fn cmd_map(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let path = cli
         .positional
         .first()
@@ -365,53 +396,56 @@ fn cmd_map(cli: &Cli) -> Result<(), QsprError> {
             if let Some(profile) = &profile {
                 summary = splice_field(&summary, "profile", &profile.to_json());
             }
-            println!("{summary}");
+            writeln!(out, "{summary}")?;
         }
         OutputFormat::Text => {
             match policy {
                 FlowPolicy::Qspr => {
-                    println!("policy          qspr (MVFB m={})", flow.seed_count())
+                    writeln!(out, "policy          qspr (MVFB m={})", flow.seed_count())?
                 }
-                other => println!("policy          {other}"),
+                other => writeln!(out, "policy          {other}")?,
             }
-            println!("router          {}", result.router);
-            println!("latency         {}µs", result.latency);
-            println!("ideal baseline  {}µs", flow.ideal_latency(&program));
-            println!("placement runs  {}", result.runs);
-            println!(
+            writeln!(out, "router          {}", result.router)?;
+            writeln!(out, "latency         {}µs", result.latency)?;
+            writeln!(out, "ideal baseline  {}µs", flow.ideal_latency(&program))?;
+            writeln!(out, "placement runs  {}", result.runs)?;
+            writeln!(
+                out,
                 "movement        {} moves, {} turns",
                 result.outcome.totals().moves,
                 result.outcome.totals().turns
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "congestion wait {}µs total",
                 result.outcome.totals().congestion_wait
-            );
+            )?;
             let routing = result.outcome.routing_stats();
-            println!(
+            writeln!(
+                out,
                 "routing epochs  {} ({} rip iterations, {} ripped routes, peak pressure {})",
                 routing.epochs, routing.iterations, routing.ripped, routing.max_pressure
-            );
+            )?;
             if cli.switch("--trace") {
                 if let Some(trace) = &result.forward_trace {
-                    println!("\ntrace ({} commands):", trace.len());
+                    writeln!(out, "\ntrace ({} commands):", trace.len())?;
                     for entry in trace {
-                        println!("  {entry}");
+                        writeln!(out, "  {entry}")?;
                     }
                 }
             }
             if let Some(report) = &sta_report {
-                println!("\n{report}");
+                writeln!(out, "\n{report}")?;
             }
             if let Some(profile) = &profile {
-                println!("\n{profile}");
+                writeln!(out, "\n{profile}")?;
             }
         }
     }
     Ok(())
 }
 
-fn cmd_sta(cli: &Cli) -> Result<(), QsprError> {
+fn cmd_sta(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let path = cli
         .positional
         .first()
@@ -423,19 +457,19 @@ fn cmd_sta(cli: &Cli) -> Result<(), QsprError> {
     let result = flow.run(&program)?;
     let report = flow.timing_report(&program, &result)?;
     match format {
-        OutputFormat::Json => println!("{}", report.to_json()),
+        OutputFormat::Json => writeln!(out, "{}", report.to_json())?,
         OutputFormat::Text => {
-            println!("circuit         {path}");
-            println!("router          {}", result.router);
-            println!("latency         {}µs", result.latency);
-            println!();
-            println!("{report}");
+            writeln!(out, "circuit         {path}")?;
+            writeln!(out, "router          {}", result.router)?;
+            writeln!(out, "latency         {}µs", result.latency)?;
+            writeln!(out)?;
+            writeln!(out, "{report}")?;
         }
     }
     Ok(())
 }
 
-fn cmd_compare(cli: &Cli) -> Result<(), QsprError> {
+fn cmd_compare(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let path = cli
         .positional
         .first()
@@ -444,13 +478,13 @@ fn cmd_compare(cli: &Cli) -> Result<(), QsprError> {
     let format = cli.format()?;
     let row = cli.flow()?.compare(path, &program)?;
     match format {
-        OutputFormat::Text => println!("{row}"),
-        OutputFormat::Json => println!("{}", row.to_json()),
+        OutputFormat::Text => writeln!(out, "{row}")?,
+        OutputFormat::Json => writeln!(out, "{}", row.to_json())?,
     }
     Ok(())
 }
 
-fn cmd_suite(cli: &Cli) -> Result<(), QsprError> {
+fn cmd_suite(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let format = cli.format()?;
     let flow = cli.flow()?;
     let circuits: Vec<(String, Program)> = if cli.positional.is_empty() {
@@ -470,17 +504,17 @@ fn cmd_suite(cli: &Cli) -> Result<(), QsprError> {
             .compare(name, program)
             .map_err(|e| QsprError::circuit(name, e))?;
         match format {
-            OutputFormat::Text => println!("{row}"),
+            OutputFormat::Text => writeln!(out, "{row}")?,
             OutputFormat::Json => rows.push_raw(&row.to_json()),
         }
     }
     if format == OutputFormat::Json {
-        println!("{}", rows.build());
+        writeln!(out, "{}", rows.build())?;
     }
     Ok(())
 }
 
-fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
+fn cmd_serve(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let defaults = ServeConfig::default();
     let config = ServeConfig {
         addr: cli.value("--addr").unwrap_or(&defaults.addr).to_owned(),
@@ -522,19 +556,21 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
         .map_err(|e| QsprError::io(&config.addr, e))?;
     // The bound address is the machine-readable part (CI greps it to
     // discover the ephemeral port), so it goes first on its own line.
-    println!("listening on http://{addr}/");
-    println!(
+    writeln!(out, "listening on http://{addr}/")?;
+    writeln!(
+        out,
         "threads {} | cache {} entries | keep-alive {}s | queue {} | POST /map, POST /compare, POST /sta, GET /healthz, GET /stats, GET /metrics, POST /shutdown",
         config.threads,
         service.cache().capacity(),
         config.keep_alive_secs,
         config.max_queue,
-    );
+    )?;
     server
         .run()
         .map_err(|e| QsprError::io(addr.to_string(), e))?;
     let stats = service.stats();
-    println!(
+    writeln!(
+        out,
         "served {} requests ({} map, {} compare, {} sta) | cache {} hits / {} misses | rejected {} | busy {}ms",
         stats.requests,
         stats.map_requests,
@@ -544,15 +580,16 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
         stats.cache_misses,
         stats.rejected,
         stats.busy_us / 1000,
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_fabric(cli: &Cli) -> Result<(), QsprError> {
+fn cmd_fabric(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let fabric = cli.fabric()?;
     let topo = fabric.topology();
-    println!("{fabric}");
-    println!(
+    writeln!(out, "{fabric}")?;
+    writeln!(
+        out,
         "{}x{} cells | {} traps, {} junctions, {} segments | center {}",
         fabric.rows(),
         fabric.cols(),
@@ -560,20 +597,21 @@ fn cmd_fabric(cli: &Cli) -> Result<(), QsprError> {
         topo.junctions().len(),
         topo.segments().len(),
         fabric.center(),
-    );
+    )?;
     let stats = fabric.stats();
-    println!(
+    writeln!(
+        out,
         "connected: {} | diameter: {} moves / {} hops | mean trap distance {:.1} | empty {:.0}%",
         stats.connected,
         stats.junction_diameter_moves,
         stats.junction_diameter_hops,
         stats.mean_trap_distance,
         100.0 * stats.empty_fraction,
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_encode(cli: &Cli) -> Result<(), QsprError> {
+fn cmd_encode(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let name = cli
         .positional
         .first()
@@ -583,7 +621,7 @@ fn cmd_encode(cli: &Cli) -> Result<(), QsprError> {
         .iter()
         .find(|(code, _, _)| code.trim_matches(['[', ']']) == wanted)
         .ok_or_else(|| QsprError::usage(format!("unknown code {wanted:?}")))?;
-    print!("{text}");
+    write!(out, "{text}")?;
     Ok(())
 }
 
@@ -593,6 +631,14 @@ mod tests {
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `run` with its output discarded.
+    fn run_quiet(args: &[String]) -> Result<(), QsprError> {
+        run(args, &mut io::sink()).map_err(|e| match e {
+            Failure::Qspr(e) => e,
+            Failure::Stdout(e) => panic!("the sink refused a write: {e}"),
+        })
     }
 
     #[test]
@@ -727,7 +773,7 @@ mod tests {
 
     /// The usage error `run` returns for `line`.
     fn usage_error(line: &[&str]) -> String {
-        let err = run(&strings(line)).unwrap_err();
+        let err = run_quiet(&strings(line)).unwrap_err();
         assert!(matches!(err, QsprError::Usage(_)), "{line:?}: {err}");
         err.to_string()
     }
@@ -823,8 +869,8 @@ mod tests {
     #[test]
     fn serve_rejects_a_bad_bind_address() {
         let cli = Cli::parse(&strings(&["--addr", "definitely:not:an:addr"])).unwrap();
-        let err = cmd_serve(&cli).unwrap_err();
-        assert!(matches!(err, QsprError::Io { .. }));
+        let err = cmd_serve(&cli, &mut io::sink()).unwrap_err();
+        assert!(matches!(err, Failure::Qspr(QsprError::Io { .. })));
     }
 
     #[test]
@@ -859,7 +905,7 @@ mod tests {
             ),
             ("fabric extra", r#"unexpected argument "extra" for fabric"#),
         ] {
-            let err = run(&strings(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+            let err = run_quiet(&strings(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
             assert!(matches!(err, QsprError::Usage(_)), "{line}");
             assert_eq!(err.to_string(), error, "{line}");
         }
@@ -878,14 +924,14 @@ mod tests {
 
     #[test]
     fn suite_stops_at_the_first_failing_circuit() {
-        let err = run(&strings(&["suite", "/nonexistent.qasm"])).unwrap_err();
+        let err = run_quiet(&strings(&["suite", "/nonexistent.qasm"])).unwrap_err();
         assert!(matches!(err, QsprError::Io { .. }));
         // No circuit fits a two-trap fabric; the error names the first.
         let fabric =
             std::env::temp_dir().join(format!("qspr-two-traps-{}.txt", std::process::id()));
         std::fs::write(&fabric, "-+-+-\n.|T|.\n-+-+-\n.|T|.\n-+-+-\n").unwrap();
         let fabric_arg = fabric.to_str().unwrap();
-        let result = run(&strings(&["suite", "--m", "2", "--fabric", fabric_arg]));
+        let result = run_quiet(&strings(&["suite", "--m", "2", "--fabric", fabric_arg]));
         std::fs::remove_file(&fabric).unwrap();
         let err = result.unwrap_err();
         assert!(matches!(err, QsprError::Circuit { .. }), "{err}");
@@ -898,26 +944,26 @@ mod tests {
 
     #[test]
     fn run_rejects_unknown_commands() {
-        assert!(run(&strings(&["frobnicate"])).is_err());
-        assert!(run(&[]).is_err());
+        assert!(run_quiet(&strings(&["frobnicate"])).is_err());
+        assert!(run_quiet(&[]).is_err());
     }
 
     #[test]
     fn help_exits_cleanly_everywhere() {
         // `--help` used to fall into the unknown-flag failure path; it
         // must now succeed wherever it appears.
-        assert!(run(&strings(&["--help"])).is_ok());
-        assert!(run(&strings(&["-h"])).is_ok());
-        assert!(run(&strings(&["map", "--help"])).is_ok());
-        assert!(run(&strings(&["suite", "--threads", "2", "-h"])).is_ok());
+        assert!(run_quiet(&strings(&["--help"])).is_ok());
+        assert!(run_quiet(&strings(&["-h"])).is_ok());
+        assert!(run_quiet(&strings(&["map", "--help"])).is_ok());
+        assert!(run_quiet(&strings(&["suite", "--threads", "2", "-h"])).is_ok());
     }
 
     #[test]
     fn version_subcommand_succeeds() {
-        assert!(run(&strings(&["version"])).is_ok());
-        assert!(run(&strings(&["--version"])).is_ok());
+        assert!(run_quiet(&strings(&["version"])).is_ok());
+        assert!(run_quiet(&strings(&["--version"])).is_ok());
         // Like --help, the flag form wins anywhere on the line.
-        assert!(run(&strings(&["map", "--version"])).is_ok());
+        assert!(run_quiet(&strings(&["map", "--version"])).is_ok());
     }
 
     #[test]
@@ -938,7 +984,8 @@ mod tests {
         // `--sta` is the only STA switch; others fail before any file
         // I/O, for both commands that take STA flags.
         for command in ["map", "sta"] {
-            let err = run(&strings(&[command, "missing.qasm", "--sta-feedback"])).unwrap_err();
+            let err =
+                run_quiet(&strings(&[command, "missing.qasm", "--sta-feedback"])).unwrap_err();
             assert_eq!(err.to_string(), "unknown flag --sta-feedback");
         }
     }

@@ -25,8 +25,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Longest accepted first line (request or status line) or header
-/// line, bytes.
-const MAX_REQUEST_LINE: usize = 8 * 1024;
+/// line: bytes before its `\n`, every `\r` included.
+pub(super) const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Most headers accepted on one request.
 const MAX_HEADERS: usize = 100;
 /// Largest accepted request body, bytes. A body carries one QASM
@@ -214,7 +214,8 @@ pub(super) fn scan<T>(
     first_line: impl FnOnce(&str) -> io::Result<T>,
 ) -> io::Result<Option<Message<T>>> {
     // The CR-stripped line starting at `at` and the offset past its
-    // `\n`; the length limit applies before the terminator arrives.
+    // `\n`; the length limit counts the stripped `\r`s too, and applies
+    // before the terminator arrives.
     let line = |at: usize| -> io::Result<Option<(String, usize)>> {
         let mut text = Vec::new();
         for (i, &b) in buf[at..].iter().enumerate() {
@@ -223,11 +224,9 @@ pub(super) fn scan<T>(
                     let text = String::from_utf8(text).map_err(|_| bad("non-UTF-8 line"))?;
                     return Ok(Some((text, at + i + 1)));
                 }
+                _ if i >= MAX_REQUEST_LINE => return Err(bad("line exceeds limit")),
                 b'\r' => {}
                 b => text.push(b),
-            }
-            if text.len() > MAX_REQUEST_LINE {
-                return Err(bad("line exceeds limit"));
             }
         }
         Ok(None)

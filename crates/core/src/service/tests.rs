@@ -3,7 +3,7 @@
 //! `crate::json`), cache semantics under the service, HTTP parser
 //! property tests, and real-TCP keep-alive round trips.
 
-use super::http::{encode_response, Parser};
+use super::http::{encode_response, Parser, MAX_REQUEST_LINE};
 use super::*;
 use proptest::prelude::*;
 use qspr_fabric::Fabric;
@@ -810,6 +810,18 @@ fn parser_enforces_line_and_header_limits_incrementally() {
     let mut parser = Parser::new();
     parser.feed(&vec![b'A'; 10 * 1024]);
     assert!(parser.next_request().is_err());
+    // Carriage returns count toward the limit too, although the
+    // scanner drops them from the line's text.
+    let mut parser = Parser::new();
+    parser.feed(&vec![b'\r'; MAX_REQUEST_LINE + 1]);
+    let err = parser.next_request().unwrap_err();
+    assert_eq!(err.to_string(), "line exceeds limit");
+    // The limit is on the bytes before `\n`: a header line of exactly
+    // `MAX_REQUEST_LINE` bytes, its `\r` included, is still accepted.
+    let mut parser = Parser::new();
+    let value = "v".repeat(MAX_REQUEST_LINE - "X-Long: \r".len());
+    parser.feed(format!("GET /healthz HTTP/1.1\r\nX-Long: {value}\r\n\r\n").as_bytes());
+    assert_eq!(parser.next_request().unwrap().unwrap().path, "/healthz");
     // Too many headers.
     let mut parser = Parser::new();
     parser.feed(b"GET / HTTP/1.1\r\n");

@@ -1,0 +1,114 @@
+//! What the `qspr` binary writes to stdout: the committed greedy
+//! goldens under `tests/golden/`, byte for byte, and nothing but a
+//! quiet exit once the reader has gone away.
+
+use std::io::Read;
+use std::process::{Child, Command, Stdio};
+
+/// A committed file, relative to the workspace root.
+fn workspace_file(path: &str) -> String {
+    let full = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("read {full}: {e}"))
+}
+
+/// Starts `qspr` with `args`, its stdout piped.
+fn spawn(args: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_qspr"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn qspr")
+}
+
+/// The stdout of each child in order, asserting that each succeeded.
+fn stdouts(children: Vec<(String, Child)>) -> Vec<(String, String)> {
+    children
+        .into_iter()
+        .map(|(what, child)| {
+            let out = child.wait_with_output().expect("wait for qspr");
+            assert!(out.status.success(), "{what}: {out:?}");
+            (what, String::from_utf8(out.stdout).expect("UTF-8 stdout"))
+        })
+        .collect()
+}
+
+/// Asserts `got == want`, naming the first line that differs.
+fn assert_same_bytes(what: &str, want: &str, got: &str) {
+    if want == got {
+        return;
+    }
+    let (want_lines, got_lines): (Vec<&str>, Vec<&str>) =
+        (want.split('\n').collect(), got.split('\n').collect());
+    let line = (0..want_lines.len().max(got_lines.len()))
+        .find(|&i| want_lines.get(i) != got_lines.get(i))
+        .expect("different texts differ on some line");
+    panic!(
+        "{what}: line {} differs from the golden\n  golden: {:?}\n     got: {:?}",
+        line + 1,
+        want_lines.get(line),
+        got_lines.get(line),
+    );
+}
+
+/// The greedy halves of the CI golden steps: `qspr suite --m 25` at
+/// `--jobs 1` and `--jobs 2` (output never depends on the thread
+/// count), and the four `qspr map --m 25` runs of the [[19,1,7]] and
+/// [[23,1,7]] encoders under the qspr and quale policies. All six run
+/// at once.
+#[test]
+fn greedy_outputs_match_the_committed_goldens() {
+    let circuits = format!("{}/../qecc/circuits", env!("CARGO_MANIFEST_DIR"));
+    let mut children = Vec::new();
+    for jobs in ["1", "2"] {
+        let args = [
+            "suite", "--m", "25", "--router", "greedy", "--jobs", jobs, "--format", "json",
+        ];
+        children.push((format!("suite --jobs {jobs}"), spawn(&args)));
+    }
+    for policy in ["qspr", "quale"] {
+        for code in ["19_1_7", "23_1_7"] {
+            let file = format!("{circuits}/encode_{code}.qasm");
+            let args = [
+                "map", &file, "--m", "25", "--policy", policy, "--router", "greedy", "--format",
+                "json",
+            ];
+            children.push((format!("map {code} --policy {policy}"), spawn(&args)));
+        }
+    }
+    let outputs = stdouts(children);
+
+    let suite = workspace_file("tests/golden/suite_m25_greedy.json");
+    for (what, got) in &outputs[..2] {
+        assert_same_bytes(what, &suite, got);
+    }
+    for (golden, runs) in [
+        ("map_m25_greedy.json", &outputs[2..4]),
+        ("map_m25_quale_greedy.json", &outputs[4..6]),
+    ] {
+        let got: String = runs.iter().map(|(_, out)| out.as_str()).collect();
+        let want = workspace_file(&format!("tests/golden/{golden}"));
+        assert_same_bytes(golden, &want, &got);
+    }
+}
+
+/// A reader that closes the pipe before the first byte (as `qspr sta
+/// ... | head -c 0` would) ends the command quietly: exit status 0 and
+/// nothing on stderr, not a "failed printing to stdout" panic.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let five = format!(
+        "{}/../qecc/circuits/encode_5_1_3.qasm",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let mut child = spawn(&["sta", &five, "--m", "2", "--format", "json"]);
+    // Close the read end before the child can have written: it maps
+    // first, so its first write meets a pipe without a reader.
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    let mut err = child.stderr.take().expect("piped stderr");
+    err.read_to_string(&mut stderr).expect("read stderr");
+    let status = child.wait().expect("wait for qspr");
+    assert!(status.success(), "{status}: {stderr}");
+    assert_eq!(stderr, "");
+}

@@ -31,7 +31,8 @@
 //! # Performance
 //!
 //! Routing is the innermost loop of the whole mapper, so the search is
-//! engineered to be allocation-free and goal-directed:
+//! engineered to be allocation-free and goal-directed, and a query
+//! allocates nothing but the plan it returns:
 //!
 //! * the graph — one node per *(junction, orientation)*, edges per
 //!   same-orientation junction-to-junction segment — is precomputed
@@ -41,8 +42,14 @@
 //! * each [`Router`] owns a *scratch arena*: distance/predecessor
 //!   arrays and the frontier heap, reused across queries and
 //!   invalidated in O(1) by a generation stamp (a slot whose stamp is
-//!   stale reads as unreached), so a `route` call performs no heap
+//!   stale reads as unreached), so the search performs no heap
 //!   allocation and no O(nodes) clearing;
+//! * next to the arena, the router keeps the buffers a plan is
+//!   assembled in: a via route's node chain, its cell steps and its
+//!   resource exits. The returned [`RoutePlan`] copies its steps and
+//!   resources out once, at exact length, so a routed query allocates
+//!   exactly those two vectors, and a blocked or stationary query
+//!   allocates nothing (pinned by the `plan_allocations` test);
 //! * the Dijkstra run is *goal-directed* and stops on the best
 //!   complete candidate: each goal (an entry junction of the target
 //!   segment) carries the cost of its final leg, C* is the cheapest

@@ -65,13 +65,69 @@ impl RoutePlan {
     }
 
     /// Assembles a plan from raw steps. `resource_exits` pairs each booked
-    /// resource with the index of the step whose completion releases it.
+    /// resource with the index of the step whose completion releases it,
+    /// in non-decreasing step order, so one pass over the steps counts
+    /// the moves and turns and reads each exit's offset off the running
+    /// clock. The plan owns exact-length copies of both slices.
     ///
     /// # Panics
     ///
-    /// Panics if a resource exit index is out of range (internal router
-    /// invariant).
+    /// Panics if a resource exit index is out of range or out of order
+    /// (internal router invariant).
     pub(crate) fn from_steps(
+        from: TrapId,
+        to: TrapId,
+        steps: &[Step],
+        resource_exits: &[(Resource, usize)],
+        t_move: Time,
+        t_turn: Time,
+        est_cost: u64,
+    ) -> RoutePlan {
+        let mut resources = Vec::with_capacity(resource_exits.len());
+        let mut exits = resource_exits.iter().peekable();
+        let mut t = 0;
+        let mut moves = 0;
+        let mut turns = 0;
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                Step::Move { .. } => {
+                    t += t_move;
+                    moves += 1;
+                }
+                Step::Turn { .. } => {
+                    t += t_turn;
+                    turns += 1;
+                }
+            }
+            while let Some(&(resource, _)) = exits.next_if(|(_, idx)| *idx == i) {
+                resources.push(ResourceUse {
+                    resource,
+                    exit_offset: t,
+                });
+            }
+        }
+        assert!(
+            exits.next().is_none(),
+            "resource exit out of range or out of order"
+        );
+        RoutePlan {
+            from,
+            to,
+            steps: steps.to_vec(),
+            resources,
+            moves,
+            turns,
+            duration: t,
+            est_cost,
+        }
+    }
+
+    /// The seed implementation of [`RoutePlan::from_steps`], kept as the
+    /// reference for the plan-builder property tests: a `cumulative`
+    /// vector of per-step clock readings, indexed by each exit in
+    /// whatever order the exits come.
+    #[cfg(test)]
+    pub(crate) fn from_steps_reference(
         from: TrapId,
         to: TrapId,
         steps: Vec<Step>,
@@ -194,13 +250,30 @@ mod tests {
                 to: Coord::new(1, 2),
             },
         ];
-        let res = vec![(Resource::Segment(SegmentId(0)), 1)];
-        let p = RoutePlan::from_steps(TrapId(0), TrapId(1), steps, res, 1, 10, 42);
+        let res = [(Resource::Segment(SegmentId(0)), 1)];
+        let p = RoutePlan::from_steps(TrapId(0), TrapId(1), &steps, &res, 1, 10, 42);
         assert_eq!(p.moves(), 3);
         assert_eq!(p.turns(), 1);
         assert_eq!(p.duration(), 3 + 10);
         assert_eq!(p.est_cost(), 42);
         // Segment released after the second move completes, at t=2.
         assert_eq!(p.resources()[0].exit_offset, 2);
+        assert_eq!(
+            p,
+            RoutePlan::from_steps_reference(TrapId(0), TrapId(1), steps, res.to_vec(), 1, 10, 42)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn out_of_order_exits_are_refused() {
+        let steps = [Step::Move {
+            to: Coord::new(0, 1),
+        }; 3];
+        let res = [
+            (Resource::Segment(SegmentId(0)), 2),
+            (Resource::Segment(SegmentId(1)), 1),
+        ];
+        RoutePlan::from_steps(TrapId(0), TrapId(1), &steps, &res, 1, 10, 0);
     }
 }

@@ -4,12 +4,142 @@
 
 use proptest::prelude::*;
 
-use qspr_fabric::{Fabric, TechParams, TrapId};
+use qspr_fabric::{Coord, Fabric, SearchGraph, TechParams, Topology, TrapId};
 
 use crate::engine::{RouteRequest, RouterKind};
-use crate::plan::Step;
-use crate::resource::ResourceState;
+use crate::plan::{RoutePlan, Step};
+use crate::resource::{Resource, ResourceState};
 use crate::router::{Router, RouterConfig};
+
+/// The reference assembly of `plan`'s steps: the resource exits are
+/// re-derived by walking the cells (a move out of a segment or junction
+/// releases it, and a resource entered again is booked once and
+/// released at its last exit), and the seed's
+/// [`RoutePlan::from_steps_reference`] turns them into offsets. Equal
+/// to `plan` exactly when the router's builder and `from_steps` book
+/// and time every resource as the seed did.
+fn reference_plan(topo: &Topology, config: &RouterConfig, plan: &RoutePlan) -> RoutePlan {
+    let resource_at = |c: Coord| {
+        topo.junction_at(c)
+            .map(Resource::Junction)
+            .or_else(|| topo.channel_at(c).map(|(s, _)| Resource::Segment(s)))
+    };
+    let mut exits: Vec<(Resource, usize)> = Vec::new();
+    let mut inside = None;
+    for (i, step) in plan.steps().iter().enumerate() {
+        let Step::Move { to } = *step else {
+            continue;
+        };
+        let next = resource_at(to);
+        if let Some(left) = inside.filter(|&r| Some(r) != next) {
+            exits.retain(|&(r, _)| r != left);
+            exits.push((left, i));
+        }
+        inside = next;
+    }
+    RoutePlan::from_steps_reference(
+        plan.from_trap(),
+        plan.to_trap(),
+        plan.steps().to_vec(),
+        exits,
+        config.t_move,
+        config.t_turn,
+        plan.est_cost(),
+    )
+}
+
+/// A node-simple walk over the search graph that starts at end
+/// `start_end` (0 or 1; the other end when that one is a dead end) of
+/// `from`'s segment and takes the `choices` (each picks among the
+/// unvisited turn and edge successors), cut back to its last node that
+/// is an end node of some trap's segment. Returns that trap (the
+/// `pick`-th candidate, never `from`) and the walk, or `None` when the
+/// source segment has no junction or no walk node has a target.
+fn random_walk(
+    topo: &Topology,
+    from: TrapId,
+    start_end: usize,
+    choices: &[usize],
+    pick: usize,
+) -> Option<(TrapId, Vec<usize>)> {
+    let graph = topo.search_graph();
+    let src = topo.segment(topo.trap(from).port().segment);
+    let ends = src.ends();
+    let j = ends[start_end]
+        .junction()
+        .or(ends[1 - start_end].junction())?;
+    let mut walk = vec![SearchGraph::node(j, src.orientation())];
+    for &c in choices {
+        let cur = walk[walk.len() - 1];
+        let next: Vec<usize> = std::iter::once(SearchGraph::turn_of(cur))
+            .chain(graph.edges(cur).iter().map(|e| e.to_node as usize))
+            .filter(|n| !walk.contains(n))
+            .collect();
+        if next.is_empty() {
+            break;
+        }
+        walk.push(next[c % next.len()]);
+    }
+    while let Some(&last) = walk.last() {
+        let (j, orientation) = SearchGraph::parts(last);
+        let targets: Vec<TrapId> = (0..topo.traps().len() as u32)
+            .map(TrapId)
+            .filter(|&t| t != from)
+            .filter(|&t| {
+                let seg = topo.segment(topo.trap(t).port().segment);
+                seg.orientation() == orientation && seg.end_attached_to(j).is_some()
+            })
+            .collect();
+        if !targets.is_empty() {
+            return Some((targets[pick % targets.len()], walk));
+        }
+        walk.pop();
+    }
+    None
+}
+
+/// A route that leaves its source segment, crosses that whole segment
+/// junction to junction, and re-enters it to reach a neighbour on the
+/// same segment: the segment is booked once, released at the last
+/// exit, exactly as the reference books it.
+#[test]
+fn a_route_that_reenters_its_segment_books_it_once() {
+    let fabric = Fabric::regular(9, 9, 4).expect("valid grid");
+    let topo = fabric.topology();
+    let config = RouterConfig::qspr(&TechParams::date2012());
+    let router = Router::new(topo, config);
+    let (from, to) = (0..topo.traps().len() as u32)
+        .map(TrapId)
+        .flat_map(|a| (0..topo.traps().len() as u32).map(move |b| (a, TrapId(b))))
+        .find(|&(a, b)| {
+            let seg = topo.trap(a).port().segment;
+            a != b
+                && seg == topo.trap(b).port().segment
+                && topo
+                    .segment(seg)
+                    .ends()
+                    .iter()
+                    .all(|e| e.junction().is_some())
+        })
+        .expect("the grid has two traps on one junction-to-junction segment");
+    let seg_id = topo.trap(from).port().segment;
+    let seg = topo.segment(seg_id);
+    let [j0, j1] = seg.ends().map(|e| e.junction().unwrap());
+    let walk = [
+        SearchGraph::node(j0, seg.orientation()),
+        SearchGraph::node(j1, seg.orientation()),
+    ];
+    let plan = router.build_walk(from, to, &walk);
+    assert_eq!(plan, reference_plan(topo, &config, &plan));
+    let segment = Resource::Segment(seg_id);
+    let booked: Vec<Resource> = plan.resources().iter().map(|u| u.resource).collect();
+    assert_eq!(
+        booked,
+        [Resource::Junction(j0), Resource::Junction(j1), segment],
+        "three entries into the segment, one booking"
+    );
+    assert_eq!(plan.resources()[2].exit_offset, plan.duration());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -156,6 +286,7 @@ proptest! {
             let state = ResourceState::new(topo);
             let (plans, _epoch) = engine.route_batch(&state, &requests);
             for plan in plans.iter().flatten() {
+                prop_assert_eq!(plan, &reference_plan(topo, &config, plan), "{} plan", kind);
                 let stepped: u64 = plan
                     .steps()
                     .iter()
@@ -240,6 +371,7 @@ proptest! {
             if let Some(plan) = &fast {
                 prop_assert_eq!(plan.from_trap(), from);
                 prop_assert_eq!(plan.to_trap(), to);
+                prop_assert_eq!(plan, &reference_plan(topo, &config, plan));
             }
             // Both engines answer single-route probes through the same
             // search; they must agree with the naive reference too.
@@ -331,11 +463,15 @@ proptest! {
                 hist_weight: 1,
             };
             let overlay = (mode > 0).then_some(&overlay);
+            let fast = router.route_with(&state, from, to, overlay);
             prop_assert_eq!(
-                router.route_with(&state, from, to, overlay),
-                router.route_naive(&state, from, to, overlay),
+                &fast,
+                &router.route_naive(&state, from, to, overlay),
                 "from {} to {} (mode={}, pres_weight=16*4^{})", from, to, mode, k
             );
+            if let Some(plan) = &fast {
+                prop_assert_eq!(plan, &reference_plan(topo, &config, plan));
+            }
         }
     }
 
@@ -475,6 +611,39 @@ proptest! {
         let bwd = router.route(&state, to, from).expect("connected");
         prop_assert_eq!(fwd.duration(), bwd.duration());
         prop_assert_eq!(fwd.moves(), bwd.moves());
+    }
+
+    /// The plan builder books and times every resource as the seed's
+    /// assembly does, along any node-simple walk of the search graph,
+    /// not only the cheapest one the search returns: walks that cross
+    /// their own source or target segment, or pass one junction twice,
+    /// drive the sort-and-dedup of re-entered resources.
+    #[test]
+    fn walked_plans_match_the_reference_builder(
+        rows in 5u16..18,
+        cols in 5u16..18,
+        pitch in 2u16..5,
+        walks in proptest::collection::vec(
+            (0usize..64, 0usize..2, proptest::collection::vec(0usize..6, 0..16), 0usize..64),
+            1..8,
+        ),
+    ) {
+        let Ok(fabric) = Fabric::regular(rows, cols, pitch) else {
+            // Degenerate geometry (too small for a tile); nothing to test.
+            return Ok(());
+        };
+        let topo = fabric.topology();
+        let config = RouterConfig::qspr(&TechParams::date2012());
+        let router = Router::new(topo, config);
+        let n = topo.traps().len();
+        for (a, start_end, choices, pick) in walks {
+            let from = TrapId((a % n) as u32);
+            let Some((to, walk)) = random_walk(topo, from, start_end, &choices, pick) else {
+                continue;
+            };
+            let plan = router.build_walk(from, to, &walk);
+            prop_assert_eq!(&plan, &reference_plan(topo, &config, &plan), "walk {:?}", walk);
+        }
     }
 }
 

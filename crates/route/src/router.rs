@@ -164,7 +164,7 @@ enum Prev {
 }
 
 /// Reusable search arena: per-node distance/predecessor slots plus the
-/// frontier heap, owned by the [`Router`] so a `route` call allocates
+/// frontier heap, owned by the [`Router`] so the search allocates
 /// nothing.
 ///
 /// Slots are invalidated in O(1) per query by bumping a generation
@@ -230,6 +230,21 @@ impl SearchScratch {
     }
 }
 
+/// Reusable plan-assembly buffers, owned by the [`Router`] next to its
+/// [`SearchScratch`]: a via route's node chain, and the cell steps and
+/// resource exits of the plan being built. [`RoutePlan::from_steps`]
+/// copies steps and exits out once, at exact length, so a routed query
+/// allocates only the returned plan's two vectors.
+#[derive(Debug, Clone, Default)]
+struct PlanScratch {
+    /// Search nodes from the seed to the goal, each with the segment
+    /// that reached it (`None` for the seed and for turn edges).
+    hops: Vec<(usize, Option<SegmentId>)>,
+    steps: Vec<Step>,
+    /// Each booked resource with the index of the step that releases it.
+    exits: Vec<(Resource, usize)>,
+}
+
 /// Shortest-path router over a fabric topology.
 ///
 /// See the crate docs for the cost model. `route` is a pure query; commit
@@ -254,6 +269,9 @@ pub struct Router<'a> {
     /// allocating. Borrowed only for the duration of one search, never
     /// across calls, so the runtime check can't fail.
     scratch: RefCell<SearchScratch>,
+    /// Reusable plan-assembly buffers; borrowed only while one plan is
+    /// built, like `scratch`.
+    plan: RefCell<PlanScratch>,
     /// The fabric's empty-fabric bounds at this router's weights
     /// ([`RouterConfig::travel_bounds`]), whose goal fields back the
     /// exact pruning in [`Router::route_with`].
@@ -280,6 +298,7 @@ impl<'a> Router<'a> {
             junc_caps,
             history: vec![0; topology.segments().len()],
             scratch: RefCell::new(SearchScratch::new(topology.search_graph().num_nodes())),
+            plan: RefCell::default(),
             bounds: config.travel_bounds(topology),
         }
     }
@@ -659,6 +678,54 @@ impl<'a> Router<'a> {
         }
     }
 
+    /// The via plan that follows `walk`, a node-simple path over the
+    /// search graph from an end node of `from`'s segment to an end node
+    /// of `to`'s segment: any such path, not only a cheapest one, so the
+    /// plan-builder property tests can drive [`Router::build_via`]
+    /// through routes that leave and re-enter a segment or a junction.
+    #[cfg(test)]
+    pub(crate) fn build_walk(&self, from: TrapId, to: TrapId, walk: &[usize]) -> RoutePlan {
+        let topo = self.topology;
+        let graph = topo.search_graph();
+        let end_of = |trap: TrapId, node: usize| {
+            let seg = topo.segment(topo.trap(trap).port().segment);
+            let (j, orientation) = SearchGraph::parts(node);
+            assert_eq!(
+                orientation,
+                seg.orientation(),
+                "walk ends off the segment's axis"
+            );
+            seg.end_attached_to(j)
+                .expect("walk ends at the segment's junction")
+        };
+        let start = Prev::Start {
+            end: end_of(from, walk[0]),
+        };
+        let prev_of = |node: usize| {
+            let i = walk
+                .iter()
+                .position(|&n| n == node)
+                .expect("node on the walk");
+            let Some(i) = i.checked_sub(1) else {
+                return start;
+            };
+            let from = walk[i];
+            if SearchGraph::turn_of(from) == node {
+                return Prev::Turn { from };
+            }
+            let edge = graph
+                .edges(from)
+                .iter()
+                .find(|e| e.to_node as usize == node);
+            Prev::Seg {
+                from,
+                seg: edge.expect("consecutive walk nodes share an edge").segment,
+            }
+        };
+        let last = walk[walk.len() - 1];
+        self.build_via(from, to, prev_of, last, end_of(to, last), 0)
+    }
+
     /// Feeds the PathFinder-style history term after a plan is committed.
     /// A no-op unless `history_cost` is enabled.
     pub fn note_booked(&mut self, plan: &RoutePlan) {
@@ -750,17 +817,19 @@ impl<'a> Router<'a> {
         let pf = topo.trap(from).port();
         let pt = topo.trap(to).port();
         let seg = topo.segment(pf.segment);
-        let mut steps = vec![Step::Move { to: pf.coord }];
-        push_segment_moves(&mut steps, seg, pf.offset, pt.offset);
+        let steps = &mut self.plan.borrow_mut().steps;
+        steps.clear();
+        steps.push(Step::Move { to: pf.coord });
+        push_segment_moves(steps, seg, pf.offset, pt.offset);
         steps.push(Step::Move {
             to: topo.trap(to).coord(),
         });
-        let exits = vec![(Resource::Segment(pf.segment), steps.len() - 1)];
+        let exit = [(Resource::Segment(pf.segment), steps.len() - 1)];
         RoutePlan::from_steps(
             from,
             to,
             steps,
-            exits,
+            &exit,
             self.config.t_move,
             self.config.t_turn,
             est_cost,
@@ -785,8 +854,13 @@ impl<'a> Router<'a> {
         let pf = topo.trap(from).port();
         let pt = topo.trap(to).port();
 
+        let mut plan = self.plan.borrow_mut();
+        let PlanScratch { hops, steps, exits } = &mut *plan;
+        hops.clear();
+        steps.clear();
+        exits.clear();
+
         // Reconstruct the node path source → node.
-        let mut hops = Vec::new();
         let mut cur = node;
         let start_end = loop {
             match prev_of(cur) {
@@ -805,8 +879,7 @@ impl<'a> Router<'a> {
         hops.push((cur, None)); // The seed node itself (marker only).
         hops.reverse();
 
-        let mut steps = vec![Step::Move { to: pf.coord }];
-        let mut exits: Vec<(Resource, usize)> = Vec::new();
+        steps.push(Step::Move { to: pf.coord });
 
         // Leg 0: source port to the first junction.
         let src_seg = topo.segment(pf.segment);
@@ -814,7 +887,7 @@ impl<'a> Router<'a> {
         let (first_j, _) = SearchGraph::parts(first_node);
         {
             let end_offset = segment_end_offset(src_seg, start_end);
-            push_segment_moves(&mut steps, src_seg, pf.offset, end_offset);
+            push_segment_moves(steps, src_seg, pf.offset, end_offset);
             steps.push(Step::Move {
                 to: topo.junction(first_j).coord(),
             });
@@ -848,7 +921,7 @@ impl<'a> Router<'a> {
                         to: seg.cell_at(enter_off),
                     });
                     exits.push((Resource::Junction(ja), steps.len() - 1));
-                    push_segment_moves(&mut steps, seg, enter_off, exit_off);
+                    push_segment_moves(steps, seg, enter_off, exit_off);
                     steps.push(Step::Move {
                         to: topo.junction(jb).coord(),
                     });
@@ -866,7 +939,7 @@ impl<'a> Router<'a> {
                 to: dst_seg.cell_at(enter_off),
             });
             exits.push((Resource::Junction(current_j), steps.len() - 1));
-            push_segment_moves(&mut steps, dst_seg, enter_off, pt.offset);
+            push_segment_moves(steps, dst_seg, enter_off, pt.offset);
             steps.push(Step::Move {
                 to: topo.trap(to).coord(),
             });
@@ -874,8 +947,10 @@ impl<'a> Router<'a> {
         }
 
         // A route that leaves and re-enters the same segment books it once,
-        // releasing at the later exit.
-        exits.sort_by_key(|(r, idx)| (*r, *idx));
+        // releasing at the later exit. Each step releases at most one
+        // resource, so the keys are distinct and the in-place unstable
+        // sorts order exactly as stable ones would.
+        exits.sort_unstable_by_key(|(r, idx)| (*r, *idx));
         exits.dedup_by(|later, earlier| {
             if later.0 == earlier.0 {
                 earlier.1 = earlier.1.max(later.1);
@@ -884,7 +959,7 @@ impl<'a> Router<'a> {
                 false
             }
         });
-        exits.sort_by_key(|(_, idx)| *idx);
+        exits.sort_unstable_by_key(|(_, idx)| *idx);
 
         RoutePlan::from_steps(
             from,

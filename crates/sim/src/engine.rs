@@ -818,7 +818,11 @@ impl<'m, 'a> Sim<'m, 'a> {
         assert_eq!(best, self.probe_in_index_order(candidates));
         match best {
             Some((i, plans)) => {
-                Some((candidates[i].0, Some(plans.into_iter().flatten().collect())))
+                // Sized to the mover count: collecting the flattened
+                // array would reserve four slots.
+                let mut winners = Vec::with_capacity(plans.iter().flatten().count());
+                winners.extend(plans.into_iter().flatten());
+                Some((candidates[i].0, Some(winners)))
             }
             // No candidate routes completely right now: hand the median
             // trap to the staged-movement path, which can move one
