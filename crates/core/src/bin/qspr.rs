@@ -1,7 +1,7 @@
 //! `qspr` — command-line front end for the QSPR mapper.
 //!
 //! ```text
-//! qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
+//! qspr map <file.qasm> [--policy qspr|quale] [--router R] [--m N] [--jobs N] [--trace] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
 //! qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr suite [files...] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
@@ -28,8 +28,7 @@
 //!
 //! `qspr sta` maps a circuit with trace recording on and prints the
 //! static timing analysis of `qspr-sta`: per-instruction slack, the
-//! critical path and segment/junction bottlenecks. `qspr map --sta`
-//! appends the same report to a normal mapping run.
+//! critical path and segment/junction bottlenecks.
 //!
 //! `qspr map --profile` instruments the run with the `qspr-obs` span
 //! tracer and reports per-phase wall time, the span tree and per-epoch
@@ -107,7 +106,7 @@ impl From<io::Error> for Failure {
 
 const USAGE: &str = "\
 usage:
-  qspr map <file.qasm> [--policy qspr|quale|qpos] [--router R] [--m N] [--jobs N] [--trace] [--sta] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
+  qspr map <file.qasm> [--policy qspr|quale] [--router R] [--m N] [--jobs N] [--trace] [--dump-trace FILE] [--profile] [--fabric F] [--format FMT]
   qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr suite [files...] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
@@ -118,14 +117,13 @@ usage:
 
 options:
   --fabric F    quale45x85 (default) or a fabric file (spec JSON or ASCII art)
-  --policy P    mapper policy for `map` (default qspr)
+  --policy P    mapper policy: qspr (default) or quale
   --router R    routing engine: greedy (default) or negotiated
   --m N         MVFB seed count (default 25)
   --jobs N      placement seeds run on N threads (default 1; identical output at any N)
   --threads T   serve: heavy requests mapped at once (default: all CPUs)
   --format FMT  output format: text (default) or json
   --trace       print the micro-command trace after mapping
-  --sta         map: append the static timing analysis to the report
   --dump-trace FILE  map: write the recorded trace to FILE as JSON
   --profile     map: trace the run and report per-phase times and the span tree
   --addr A      serve: bind address (default 127.0.0.1:7878; port 0 = ephemeral)
@@ -169,7 +167,7 @@ impl Cli {
             "--keep-alive",
             "--dump-trace",
         ];
-        const SWITCHES: [&str; 4] = ["--trace", "--sta", "--profile", "--log"];
+        const SWITCHES: [&str; 3] = ["--trace", "--profile", "--log"];
         let mut positional = Vec::new();
         let mut options: Vec<(String, Option<String>)> = Vec::new();
         let mut it = args.iter();
@@ -253,7 +251,8 @@ impl Cli {
         match self.value("--fabric") {
             None | Some("quale45x85") => Ok(Fabric::quale_45x85()),
             Some(path) => {
-                let text = std::fs::read_to_string(path).map_err(|e| QsprError::io(path, e))?;
+                let text =
+                    std::fs::read_to_string(path).map_err(|e| QsprError::io("read", path, e))?;
                 Ok(Fabric::parse(&text)?)
             }
         }
@@ -299,15 +298,15 @@ impl Cli {
 
 /// Splices a pre-serialized object into the trailing brace of a summary
 /// object as `"key":value` (both inputs are `qspr_json`-built objects,
-/// so the result stays strictly parseable). Used for the `--sta` and
-/// `--profile` report blocks.
+/// so the result stays strictly parseable). Used for the `--profile`
+/// report block.
 fn splice_field(summary: &str, key: &str, value: &str) -> String {
     debug_assert!(summary.ends_with('}'));
     format!("{},\"{key}\":{value}}}", &summary[..summary.len() - 1])
 }
 
 fn load_program(path: &str) -> Result<Program, QsprError> {
-    let text = std::fs::read_to_string(path).map_err(|e| QsprError::io(path, e))?;
+    let text = std::fs::read_to_string(path).map_err(|e| QsprError::io("read", path, e))?;
     Program::parse(&text).map_err(QsprError::from)
 }
 
@@ -351,7 +350,6 @@ fn cmd_map(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
         .ok_or_else(|| QsprError::usage("map needs a QASM file argument"))?;
     let policy: FlowPolicy = cli.value("--policy").unwrap_or("qspr").parse()?;
     let format = cli.format()?;
-    let sta = cli.switch("--sta");
     let dump_trace = cli.value("--dump-trace");
     // `--profile`: collect the pipeline's spans into a thread-local
     // tree. Thread-local (not global) so a profiled run in one thread
@@ -367,7 +365,7 @@ fn cmd_map(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let flow = cli
         .flow()?
         .policy(policy)
-        .record_trace(cli.switch("--trace") || sta || dump_trace.is_some());
+        .record_trace(cli.switch("--trace") || dump_trace.is_some());
 
     let result = flow.run(&program)?;
     if let Some(out) = dump_trace {
@@ -375,14 +373,9 @@ fn cmd_map(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
             .forward_trace
             .as_ref()
             .expect("trace recording was enabled");
-        std::fs::write(out, qspr::sta::trace_to_json(trace)).map_err(|e| QsprError::io(out, e))?;
+        std::fs::write(out, qspr::sta::trace_to_json(trace))
+            .map_err(|e| QsprError::io("write", out, e))?;
     }
-    // The STA report runs inside the profiled window (its "sta" span
-    // becomes a phase); the profile itself is built afterwards, once
-    // all spans have closed.
-    let sta_report = sta
-        .then(|| flow.timing_report(&program, &result))
-        .transpose()?;
     let profile = profiling.map(|(collector, guard, t0)| {
         drop(guard);
         qspr::obs::ProfileReport::from_collector(&collector, t0.elapsed())
@@ -390,9 +383,6 @@ fn cmd_map(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     match format {
         OutputFormat::Json => {
             let mut summary = result.summary().to_json();
-            if let Some(report) = &sta_report {
-                summary = splice_field(&summary, "sta", &report.to_json());
-            }
             if let Some(profile) = &profile {
                 summary = splice_field(&summary, "profile", &profile.to_json());
             }
@@ -433,9 +423,6 @@ fn cmd_map(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
                         writeln!(out, "  {entry}")?;
                     }
                 }
-            }
-            if let Some(report) = &sta_report {
-                writeln!(out, "\n{report}")?;
             }
             if let Some(profile) = &profile {
                 writeln!(out, "\n{profile}")?;
@@ -549,11 +536,11 @@ fn cmd_serve(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     qspr::obs::install_global(Arc::new(qspr::obs::MetricsSpanSink::new(Arc::clone(
         service.metrics(),
     ))));
-    let server =
-        Server::bind(Arc::clone(&service), &config).map_err(|e| QsprError::io(&config.addr, e))?;
+    let server = Server::bind(Arc::clone(&service), &config)
+        .map_err(|e| QsprError::io("bind", &config.addr, e))?;
     let addr = server
         .local_addr()
-        .map_err(|e| QsprError::io(&config.addr, e))?;
+        .map_err(|e| QsprError::io("bind", &config.addr, e))?;
     // The bound address is the machine-readable part (CI greps it to
     // discover the ephemeral port), so it goes first on its own line.
     writeln!(out, "listening on http://{addr}/")?;
@@ -567,7 +554,7 @@ fn cmd_serve(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     )?;
     server
         .run()
-        .map_err(|e| QsprError::io(addr.to_string(), e))?;
+        .map_err(|e| QsprError::io("serve on", addr.to_string(), e))?;
     let stats = service.stats();
     writeln!(
         out,
@@ -870,7 +857,14 @@ mod tests {
     fn serve_rejects_a_bad_bind_address() {
         let cli = Cli::parse(&strings(&["--addr", "definitely:not:an:addr"])).unwrap();
         let err = cmd_serve(&cli, &mut io::sink()).unwrap_err();
-        assert!(matches!(err, Failure::Qspr(QsprError::Io { .. })));
+        let Failure::Qspr(err @ QsprError::Io { .. }) = err else {
+            panic!("not an I/O failure")
+        };
+        assert!(
+            err.to_string()
+                .starts_with("cannot bind definitely:not:an:addr: "),
+            "{err}"
+        );
     }
 
     #[test]
@@ -912,7 +906,7 @@ mod tests {
         // What a usage line lists passes, and `suite` takes any number
         // of files.
         for line in [
-            "map a.qasm --trace --sta --profile --jobs 2",
+            "map a.qasm --trace --profile --jobs 2",
             "suite a.qasm b.qasm c.qasm --router negotiated",
             "serve --threads 2 --log --keep-alive 0",
         ] {
@@ -968,40 +962,30 @@ mod tests {
 
     #[test]
     fn sta_flags_parse() {
-        let cli = Cli::parse(&strings(&[
-            "file.qasm",
-            "--sta",
-            "--dump-trace",
-            "out.json",
-        ]))
-        .unwrap();
-        assert!(cli.switch("--sta"));
+        let cli = Cli::parse(&strings(&["file.qasm", "--dump-trace", "out.json"])).unwrap();
         assert_eq!(cli.value("--dump-trace"), Some("out.json"));
         // `--dump-trace` is a value flag: it needs a path and rejects
         // duplicates like the others.
         assert!(Cli::parse(&strings(&["--dump-trace"])).is_err());
         assert!(Cli::parse(&strings(&["--dump-trace", "a", "--dump-trace", "b"])).is_err());
-        // `--sta` is the only STA switch; others fail before any file
-        // I/O, for both commands that take STA flags.
+        // `qspr sta` is the one way to ask for the timing report: no
+        // STA switch exists, and asking for one fails before any file
+        // I/O.
         for command in ["map", "sta"] {
-            let err =
-                run_quiet(&strings(&[command, "missing.qasm", "--sta-feedback"])).unwrap_err();
-            assert_eq!(err.to_string(), "unknown flag --sta-feedback");
+            let err = run_quiet(&strings(&[command, "missing.qasm", "--sta"])).unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag --sta");
         }
     }
 
     #[test]
     fn reports_splice_into_summary_json() {
-        let spliced = splice_field(r#"{"policy":"qspr"}"#, "sta", r#"{"makespan_us":7}"#);
-        assert_eq!(spliced, r#"{"policy":"qspr","sta":{"makespan_us":7}}"#);
-        // The splice stays strictly parseable, and chains.
-        assert!(qspr::json::JsonValue::parse(&spliced).is_ok());
-        let chained = splice_field(&spliced, "profile", r#"{"total_wall_us":9}"#);
+        let spliced = splice_field(r#"{"policy":"qspr"}"#, "profile", r#"{"total_wall_us":9}"#);
         assert_eq!(
-            chained,
-            r#"{"policy":"qspr","sta":{"makespan_us":7},"profile":{"total_wall_us":9}}"#
+            spliced,
+            r#"{"policy":"qspr","profile":{"total_wall_us":9}}"#
         );
-        assert!(qspr::json::JsonValue::parse(&chained).is_ok());
+        // The splice stays strictly parseable.
+        assert!(qspr::json::JsonValue::parse(&spliced).is_ok());
     }
 
     #[test]
@@ -1019,6 +1003,8 @@ mod tests {
     fn map_rejects_bad_policy_via_flow_policy() {
         let err = "best".parse::<FlowPolicy>().unwrap_err();
         assert!(err.to_string().contains("unknown policy"));
+        // The usage text offers only what parses.
+        assert!(!USAGE.contains("qpos") && !USAGE.contains("[--sta]"));
     }
 
     #[test]

@@ -49,9 +49,13 @@ pub enum QsprError {
     },
     /// Static timing analysis rejected its inputs.
     Sta(StaError),
-    /// A file could not be read.
+    /// A file could not be read or written, or an address could not be
+    /// bound or served on.
     Io {
-        /// The path that failed.
+        /// What failed on `path`: `"read"`, `"write"`, `"bind"` or
+        /// `"serve on"`.
+        action: &'static str,
+        /// The path or address that failed.
         path: String,
         /// The underlying I/O error.
         source: io::Error,
@@ -61,9 +65,11 @@ pub enum QsprError {
 }
 
 impl QsprError {
-    /// An I/O failure attributed to `path`.
-    pub fn io(path: impl Into<String>, source: io::Error) -> QsprError {
+    /// A failure to `action` (`"read"`, `"write"`, ...) `path`;
+    /// displays as `"cannot <action> <path>: <source>"`.
+    pub fn io(action: &'static str, path: impl Into<String>, source: io::Error) -> QsprError {
         QsprError::Io {
+            action,
             path: path.into(),
             source,
         }
@@ -92,7 +98,11 @@ impl fmt::Display for QsprError {
             QsprError::Map(e) => write!(f, "{e}"),
             QsprError::Circuit { circuit, source } => write!(f, "{circuit}: {source}"),
             QsprError::Sta(e) => write!(f, "{e}"),
-            QsprError::Io { path, source } => write!(f, "cannot read {path}: {source}"),
+            QsprError::Io {
+                action,
+                path,
+                source,
+            } => write!(f, "cannot {action} {path}: {source}"),
             QsprError::Usage(msg) => write!(f, "{msg}"),
         }
     }
@@ -158,8 +168,8 @@ mod tests {
         assert!(e.to_string().contains("trace"));
         assert!(e.source().is_some());
 
-        let e = QsprError::io("missing.qasm", io::Error::other("boom"));
-        assert!(e.to_string().contains("missing.qasm"));
+        let e = QsprError::io("write", "out.json", io::Error::other("boom"));
+        assert_eq!(e.to_string(), "cannot write out.json: boom");
 
         let e = QsprError::usage("unknown flag --frob");
         assert_eq!(e.to_string(), "unknown flag --frob");

@@ -55,18 +55,14 @@ pub enum FlowPolicy {
     /// The QUALE baseline: center placement, ALAP extraction,
     /// turn-blind routing, capacity-1 channels, single moving qubit.
     Quale,
-    /// The QPOS baseline: center placement, ASAP + dependent-count
-    /// priority, destination operand fixed, capacity-1 channels.
-    Qpos,
 }
 
 impl FlowPolicy {
-    /// Stable lowercase name (`"qspr"` / `"quale"` / `"qpos"`).
+    /// Stable lowercase name (`"qspr"` / `"quale"`).
     pub fn as_str(self) -> &'static str {
         match self {
             FlowPolicy::Qspr => "qspr",
             FlowPolicy::Quale => "quale",
-            FlowPolicy::Qpos => "qpos",
         }
     }
 
@@ -74,7 +70,6 @@ impl FlowPolicy {
         match self {
             FlowPolicy::Qspr => MapperPolicy::qspr(tech),
             FlowPolicy::Quale => MapperPolicy::quale(tech),
-            FlowPolicy::Qpos => MapperPolicy::qpos(tech),
         }
     }
 }
@@ -92,9 +87,8 @@ impl FromStr for FlowPolicy {
         match s {
             "qspr" => Ok(FlowPolicy::Qspr),
             "quale" => Ok(FlowPolicy::Quale),
-            "qpos" => Ok(FlowPolicy::Qpos),
             other => Err(QsprError::usage(format!(
-                "unknown policy {other:?} (expected qspr, quale or qpos)"
+                "unknown policy {other:?} (expected qspr or quale)"
             ))),
         }
     }
@@ -165,7 +159,7 @@ impl Flow {
     /// Selects the batch-routing engine: a [`RouterKind`] for the
     /// built-in greedy/negotiated engines, or any custom
     /// [`RouterFactory`]. Applies to every policy this flow runs
-    /// (including the QUALE/QPOS baselines of [`Flow::compare`]).
+    /// (including the QUALE baseline of [`Flow::compare`]).
     pub fn router(mut self, router: impl RouterFactory + Send + Sync + 'static) -> Flow {
         self.router = Arc::new(router);
         self
@@ -365,7 +359,7 @@ impl Flow {
                 };
                 (placer.place(&mapper, program)?, None)
             }
-            FlowPolicy::Quale | FlowPolicy::Qpos => {
+            FlowPolicy::Quale => {
                 let placement = Placement::center(&self.fabric, program.num_qubits());
                 // Baselines map exactly once, tracing inline if asked.
                 let outcome = mapper
@@ -411,7 +405,7 @@ impl Flow {
             // placement; report what actually ran.
             placer: match self.policy {
                 FlowPolicy::Qspr => self.placer_name().to_owned(),
-                FlowPolicy::Quale | FlowPolicy::Qpos => "center".to_owned(),
+                FlowPolicy::Quale => "center".to_owned(),
             },
             router: self.router_name().to_owned(),
             latency,
@@ -818,10 +812,17 @@ C-Z q4,q0
 
     #[test]
     fn baseline_policies_record_traces_too() {
-        let flow = fast_flow().policy(FlowPolicy::Qpos).record_trace(true);
-        let result = flow.run(&program()).unwrap();
-        let trace = result.forward_trace.as_ref().unwrap();
-        assert_eq!(trace.move_count() as u64, result.outcome.totals().moves);
+        let flow = fast_flow().policy(FlowPolicy::Quale).record_trace(true);
+        let program = program();
+        let result = flow.run(&program).unwrap();
+        // The baseline maps once, from the center placement, and keeps
+        // that run's outcome and trace.
+        let placement = Placement::center(&flow.fabric, program.num_qubits());
+        let mapper = flow.mapper(MapperPolicy::quale(&flow.tech));
+        let once = mapper.record_trace(true).map(&program, &placement).unwrap();
+        assert!(result.forward_trace.is_some());
+        assert_eq!(result.forward_trace.as_ref(), once.trace());
+        assert_eq!(result.outcome, once);
     }
 
     #[test]
@@ -883,7 +884,6 @@ C-Z q4,q0
     fn policy_parses_and_displays() {
         assert_eq!("qspr".parse::<FlowPolicy>().unwrap(), FlowPolicy::Qspr);
         assert_eq!("quale".parse::<FlowPolicy>().unwrap(), FlowPolicy::Quale);
-        assert_eq!("qpos".parse::<FlowPolicy>().unwrap(), FlowPolicy::Qpos);
         assert!("best".parse::<FlowPolicy>().is_err());
         assert_eq!(FlowPolicy::Qspr.to_string(), "qspr");
     }

@@ -12,8 +12,8 @@
 //!   stats and a micro-command trace. A `Flow` owns its fabric behind
 //!   an `Arc`, so it is `Send + 'static` — ready for thread pools and
 //!   services;
-//! * [`FlowPolicy`] — QSPR or the paper's **QUALE**/**QPOS** baselines,
-//!   selected with one builder call; the **ideal** lower bound
+//! * [`FlowPolicy`] — QSPR or the paper's **QUALE** baseline, selected
+//!   with one builder call; the **ideal** lower bound
 //!   (`T_routing = T_congestion = 0`) is [`Flow::ideal_latency`];
 //! * [`RouterKind`] — the batch-routing engine behind the mapper:
 //!   `Greedy` (sequential first-answer routing) or `Negotiated`

@@ -169,6 +169,10 @@ fn map_requests_validate_like_the_cli() {
         bad(&format!("{{\"program\":{BELL:?},\"policy\":\"best\"}}")).contains("unknown policy")
     );
     assert!(
+        bad(&format!("{{\"program\":{BELL:?},\"policy\":\"qpos\"}}"))
+            .contains(r#"unknown policy \"qpos\" (expected qspr or quale)"#)
+    );
+    assert!(
         bad(&format!("{{\"program\":{BELL:?},\"router\":\"fancy\"}}")).contains("unknown router")
     );
     assert!(

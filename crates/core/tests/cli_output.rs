@@ -1,20 +1,24 @@
-//! What the `qspr` binary writes to stdout: the committed greedy
-//! goldens under `tests/golden/`, byte for byte, and nothing but a
-//! quiet exit once the reader has gone away.
+//! What the `qspr` binary writes to stdout: the committed greedy and
+//! fabric goldens under `tests/golden/`, byte for byte, and nothing but
+//! a quiet exit once the reader has gone away.
 
 use std::io::Read;
 use std::process::{Child, Command, Stdio};
 
+/// The workspace root, where every `qspr` here runs.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
 /// A committed file, relative to the workspace root.
 fn workspace_file(path: &str) -> String {
-    let full = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+    let full = format!("{ROOT}/{path}");
     std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("read {full}: {e}"))
 }
 
-/// Starts `qspr` with `args`, its stdout piped.
+/// Starts `qspr` with `args` in the workspace root, its stdout piped.
 fn spawn(args: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_qspr"))
         .args(args)
+        .current_dir(ROOT)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -90,6 +94,47 @@ fn greedy_outputs_match_the_committed_goldens() {
         let want = workspace_file(&format!("tests/golden/{golden}"));
         assert_same_bytes(golden, &want, &got);
     }
+}
+
+/// `tests/golden/fabrics.txt`: for the built-in fabric and each
+/// committed `examples/fabrics/*.json` in name order, an `== F` line,
+/// `qspr fabric --fabric F`, and `qspr map` of the [[5,1,3]] encoder
+/// (the file `qspr encode 5,1,3` prints) on F at `--m 4` as JSON.
+#[test]
+fn fabric_outputs_match_the_committed_golden() {
+    let mut fabrics: Vec<String> = std::fs::read_dir(format!("{ROOT}/examples/fabrics"))
+        .expect("list examples/fabrics")
+        .map(|entry| entry.expect("read examples/fabrics").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.ends_with(".json"))
+        .map(|name| format!("examples/fabrics/{name}"))
+        .collect();
+    fabrics.sort();
+    fabrics.insert(0, "quale45x85".to_owned());
+    let five = "crates/qecc/circuits/encode_5_1_3.qasm";
+    let mut children = Vec::new();
+    for fabric in &fabrics {
+        let args = ["fabric", "--fabric", fabric];
+        children.push((format!("fabric {fabric}"), spawn(&args)));
+        let args = [
+            "map", five, "--fabric", fabric, "--m", "4", "--format", "json",
+        ];
+        children.push((format!("map on {fabric}"), spawn(&args)));
+    }
+    let outputs = stdouts(children);
+
+    let mut got = String::new();
+    for (fabric, runs) in fabrics.iter().zip(outputs.chunks(2)) {
+        got += &format!("== {fabric}\n");
+        for (_, out) in runs {
+            got += out;
+        }
+    }
+    assert_same_bytes(
+        "fabrics.txt",
+        &workspace_file("tests/golden/fabrics.txt"),
+        &got,
+    );
 }
 
 /// A reader that closes the pipe before the first byte (as `qspr sta

@@ -36,6 +36,12 @@ fn encode_rejects_an_unknown_code() {
     assert!(stderr.contains("unknown code \"4,1,2\""), "{stderr}");
 }
 
+/// The committed [[5,1,3]] encoder.
+const FIVE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../qecc/circuits/encode_5_1_3.qasm"
+);
+
 /// Runs `qspr` with `args`, asserts exit status 1 and returns stderr.
 fn failure(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_qspr"))
@@ -48,23 +54,42 @@ fn failure(args: &[&str]) -> String {
 
 #[test]
 fn usage_text_follows_only_usage_errors() {
-    // A missing file is not a usage mistake: one error line, no usage.
-    let stderr = failure(&["map", "/nonexistent.qasm"]);
-    assert!(stderr.starts_with("qspr: cannot read"), "{stderr}");
-    assert!(!stderr.contains("usage:"), "{stderr}");
-    // An unknown flag and zero seeds are, and both show the usage text;
-    // zero seeds fail before any mapping runs.
-    let five = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../qecc/circuits/encode_5_1_3.qasm"
-    );
+    // A file that cannot be read or written is not a usage mistake:
+    // one error line naming what failed, no usage. The trace is written
+    // after the program mapped.
+    let write = [
+        "map",
+        FIVE,
+        "--m",
+        "2",
+        "--dump-trace",
+        "/nonexistent/dir/t.json",
+    ];
+    for (args, error) in [
+        (
+            &["map", "/nonexistent.qasm"][..],
+            "cannot read /nonexistent.qasm",
+        ),
+        (&write[..], "cannot write /nonexistent/dir/t.json"),
+    ] {
+        let stderr = failure(args);
+        assert!(stderr.starts_with(&format!("qspr: {error}: ")), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+    // An unknown flag, a policy that does not exist and zero seeds are,
+    // and all show the usage text; each fails before any mapping runs.
     for (args, error) in [
         (
             &["map", "a.qasm", "--frob"][..],
             "qspr: unknown flag --frob\n",
         ),
+        (&["map", FIVE, "--sta"][..], "qspr: unknown flag --sta\n"),
         (
-            &["map", five, "--m", "0"][..],
+            &["map", FIVE, "--policy", "qpos"][..],
+            "qspr: unknown policy \"qpos\" (expected qspr or quale)\n",
+        ),
+        (
+            &["map", FIVE, "--m", "0"][..],
             "qspr: --m expects a positive number, got \"0\"\n",
         ),
     ] {

@@ -53,7 +53,7 @@ impl TechParams {
     }
 
     /// The same technology with all multiplexing disabled (capacity 1), the
-    /// assumption under which QUALE and QPOS operate.
+    /// assumption under which QUALE operates.
     pub fn without_multiplexing(mut self) -> TechParams {
         self.channel_capacity = 1;
         self.junction_capacity = 1;

@@ -11,7 +11,7 @@
 //! * **turn awareness** (Fig. 5): every junction vertex is split into a
 //!   horizontal and a vertical node joined by an edge of weight `T_turn`,
 //!   so Dijkstra correctly prefers few-turn routes. The turn-blind
-//!   variant (used to model QUALE/QPOS) sets that edge's weight to zero —
+//!   variant (used to model QUALE) sets that edge's weight to zero —
 //!   but the returned [`RoutePlan`] still records every physical turn, so
 //!   the simulator charges the cost the router ignored;
 //! * an optional PathFinder-style *history* term (`history_cost`)

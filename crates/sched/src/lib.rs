@@ -64,9 +64,9 @@
 //! each node, (a) how many instructions transitively depend on it and
 //! (b) the longest gate-delay path from it to the QIDG's end.
 //! `priority = w_d · dependents + w_p · path_delay`; QSPR weighs both
-//! terms (`default()`), QPOS keeps only the dependent count, Whitney
-//! et al. keep only the path term. Ties fall back to instruction order,
-//! which keeps the dynamic scheduler deterministic.
+//! terms (`default()`), Whitney et al. keep only the path term. Ties
+//! fall back to instruction order, which keeps the dynamic scheduler
+//! deterministic.
 //!
 //! ```
 //! use qspr_fabric::TechParams;

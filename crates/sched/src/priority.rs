@@ -2,10 +2,8 @@
 
 /// Weights of the two priority terms of §III: the number of (transitive)
 /// dependents of an instruction and the longest gate-delay path from the
-/// instruction to the end of the QIDG.
-///
-/// * QSPR uses both terms (`default()`);
-/// * QPOS uses only the dependent count (`dependents_only()`).
+/// instruction to the end of the QIDG. QSPR uses both terms
+/// (`default()`).
 ///
 /// # Examples
 ///
@@ -28,11 +26,6 @@ impl PriorityWeights {
     pub fn new(dependents: f64, path: f64) -> PriorityWeights {
         PriorityWeights { dependents, path }
     }
-
-    /// QPOS's initial priority: instructions with more dependents first.
-    pub fn dependents_only() -> PriorityWeights {
-        PriorityWeights::new(1.0, 0.0)
-    }
 }
 
 impl Default for PriorityWeights {
@@ -48,7 +41,6 @@ mod tests {
 
     #[test]
     fn presets() {
-        assert_eq!(PriorityWeights::dependents_only().path, 0.0);
         let d = PriorityWeights::default();
         assert_eq!((d.dependents, d.path), (1.0, 1.0));
     }

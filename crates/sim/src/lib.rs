@@ -8,9 +8,10 @@
 //! * [`Placement`] — an assignment of program qubits to fabric traps
 //!   (center placements, the seeds of every placer, live here too);
 //! * [`MapperPolicy`] — the policy knobs distinguishing QSPR from the
-//!   QUALE/QPOS baselines: router configuration, movement policy (move
-//!   both operands to a median trap vs. move only the source), and issue
-//!   order (priority list, ALAP, ASAP);
+//!   QUALE baseline: router configuration, movement policy (move both
+//!   operands to the cheapest meeting trap vs. shuttle the source to the
+//!   destination's home and back), and issue order (priority list or
+//!   ALAP);
 //! * [`Mapper`] — the event-driven engine. Ready instructions are issued
 //!   in policy order; 2-qubit instructions pick a target trap and route
 //!   their operands, booking channel segments and junctions; blocked
@@ -54,13 +55,13 @@
 //!
 //! 1. **Issue phase.** All instructions whose QIDG predecessors have
 //!    finished are considered in policy order (the `qspr-sched`
-//!    priority list for QSPR, ALAP order for QUALE, ASAP plus
-//!    dependent-count for QPOS). A 1-qubit instruction starts its gate
-//!    in place; a 2-qubit instruction picks the cheapest meeting trap
-//!    (per the movement policy: both operands to a median trap, or the
-//!    source to the destination) and submits its operand legs to the
-//!    routing engine. Instructions that cannot route or find no free
-//!    seat join the **busy queue**.
+//!    priority list for QSPR, ALAP order for QUALE). A 1-qubit
+//!    instruction starts its gate in place; a 2-qubit instruction picks
+//!    its meeting trap (per the movement policy: the cheapest of the
+//!    median trap and the operands' own traps, or the destination's
+//!    home) and submits its operand legs to the routing engine.
+//!    Instructions that cannot route or find no free seat join the
+//!    **busy queue**.
 //! 2. **Batch routing.** The epoch's movers go to the configured
 //!    `qspr_route::RoutingEngine` *as one batch*. The greedy engine
 //!    answers immediately, first-come-first-served; the negotiated

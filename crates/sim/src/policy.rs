@@ -11,12 +11,6 @@ pub enum MovementPolicy {
     /// QSPR: both qubits move simultaneously towards the free trap nearest
     /// to the median of their positions.
     BothToMedian,
-    /// QPOS: the destination (target) qubit stays in its trap; the
-    /// source (control) qubit travels the whole way and *stays* there.
-    /// When the destination trap is already full (two ions), both
-    /// operands relocate to the nearest free trap instead, so trap
-    /// capacity is never violated.
-    SourceToDestination,
     /// QUALE (QCCD storage model): every qubit has a *home* trap fixed by
     /// the initial placement. The source shuttles to the destination's
     /// home, the gate executes, and the source shuttles back home before
@@ -85,19 +79,6 @@ impl MapperPolicy {
             order: IssueOrder::Alap,
         }
     }
-
-    /// The QPOS baseline: ASAP extraction with dependent-count priority
-    /// (dynamic among ready instructions), destination operand fixed,
-    /// capacity-1 channels, turn-blind costs.
-    pub fn qpos(tech: &TechParams) -> MapperPolicy {
-        let mut router = RouterConfig::quale(tech);
-        router.history_cost = false;
-        MapperPolicy {
-            router,
-            movement: MovementPolicy::SourceToDestination,
-            order: IssueOrder::PriorityList(PriorityWeights::dependents_only()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,10 +101,5 @@ mod tests {
         assert!(!quale.router.turn_aware);
         assert!(quale.router.history_cost);
         assert_eq!(quale.order, IssueOrder::Alap);
-
-        let qpos = MapperPolicy::qpos(&tech);
-        assert!(!qpos.router.history_cost);
-        assert!(matches!(qpos.order, IssueOrder::PriorityList(w)
-            if w == qspr_sched::PriorityWeights::dependents_only()));
     }
 }

@@ -117,7 +117,6 @@ fn long_random_programs_on_a_small_fabric() {
     for (seed, policy) in [
         (1u64, MapperPolicy::qspr(&tech)),
         (2, MapperPolicy::quale(&tech)),
-        (3, MapperPolicy::qpos(&tech)),
     ] {
         let p = random_program(&RandomProgramConfig::new(6, 200), seed);
         let placement = Placement::center(&f, 6);

@@ -228,11 +228,6 @@ C-Z q4,q0
     }
 
     #[test]
-    fn qpos_traces_validate() {
-        mapped_trace(MapperPolicy::qpos);
-    }
-
-    #[test]
     fn teleporting_move_is_rejected() {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();

@@ -1,7 +1,7 @@
 //! End-to-end integration tests across all crates: the full benchmark
 //! suite mapped under every policy, with trace validation.
 
-use qspr::{Flow, FlowPolicy};
+use qspr::Flow;
 use qspr_fabric::{Fabric, TechParams};
 use qspr_qecc::codes::{benchmark_suite, fig3_program};
 use qspr_sim::{validate_trace, Mapper, MapperPolicy, Placement};
@@ -35,15 +35,6 @@ fn full_suite_respects_table2_shape() {
 }
 
 #[test]
-fn qpos_sits_between_ideal_and_its_own_upper_bound() {
-    let flow = fast_flow().policy(FlowPolicy::Qpos);
-    for bench in benchmark_suite().into_iter().take(3) {
-        let qpos = flow.run(&bench.program).expect("maps");
-        assert!(qpos.latency >= flow.ideal_latency(&bench.program));
-    }
-}
-
-#[test]
 fn all_policies_produce_valid_traces_on_all_benchmarks() {
     let fabric = Fabric::quale_45x85();
     let tech = TechParams::date2012();
@@ -52,7 +43,6 @@ fn all_policies_produce_valid_traces_on_all_benchmarks() {
         for (name, policy) in [
             ("qspr", MapperPolicy::qspr(&tech)),
             ("quale", MapperPolicy::quale(&tech)),
-            ("qpos", MapperPolicy::qpos(&tech)),
         ] {
             let outcome = Mapper::new(&fabric, tech, policy)
                 .record_trace(true)

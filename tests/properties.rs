@@ -253,7 +253,7 @@ proptest! {
         }
     }
 
-    /// The three baselines never beat the ideal bound, on any program.
+    /// Neither policy beats the ideal bound, on any program.
     #[test]
     fn baselines_respect_the_ideal_bound(
         qubits in 2usize..8,
@@ -265,11 +265,7 @@ proptest! {
         let tech = tech();
         let ideal = Qidg::new(&program, &tech).critical_path_delay();
         let placement = Placement::center(&fabric, qubits);
-        for policy in [
-            MapperPolicy::qspr(&tech),
-            MapperPolicy::quale(&tech),
-            MapperPolicy::qpos(&tech),
-        ] {
+        for policy in [MapperPolicy::qspr(&tech), MapperPolicy::quale(&tech)] {
             let outcome = Mapper::new(&fabric, tech, policy)
                 .map(&program, &placement)
                 .expect("maps");
