@@ -1,6 +1,6 @@
-//! What the `qspr` binary writes to stdout: the committed greedy and
-//! fabric goldens under `tests/golden/`, byte for byte, and nothing but
-//! a quiet exit once the reader has gone away.
+//! What the `qspr` binary writes to stdout: the committed greedy,
+//! negotiated and fabric goldens under `tests/golden/`, byte for byte,
+//! and nothing but a quiet exit once the reader has gone away.
 
 use std::io::Read;
 use std::process::{Child, Command, Stdio};
@@ -55,45 +55,62 @@ fn assert_same_bytes(what: &str, want: &str, got: &str) {
     );
 }
 
-/// The greedy halves of the CI golden steps: `qspr suite --m 25` at
-/// `--jobs 1` and `--jobs 2` (output never depends on the thread
-/// count), and the four `qspr map --m 25` runs of the [[19,1,7]] and
-/// [[23,1,7]] encoders under the qspr and quale policies. All six run
-/// at once.
-#[test]
-fn greedy_outputs_match_the_committed_goldens() {
+/// The golden commands of `router`: `qspr suite --m 25` at each of
+/// `jobs` (output never depends on the thread count), and the four
+/// `qspr map --m 25` runs (default `--jobs 1`) of the [[19,1,7]] and
+/// [[23,1,7]] encoders under the qspr and quale policies, all at once;
+/// each output is diffed with its file under `tests/golden/`.
+fn assert_router_goldens(router: &str, jobs: &[&str]) {
     let circuits = format!("{}/../qecc/circuits", env!("CARGO_MANIFEST_DIR"));
     let mut children = Vec::new();
-    for jobs in ["1", "2"] {
+    for jobs in jobs {
         let args = [
-            "suite", "--m", "25", "--router", "greedy", "--jobs", jobs, "--format", "json",
+            "suite", "--m", "25", "--router", router, "--jobs", jobs, "--format", "json",
         ];
-        children.push((format!("suite --jobs {jobs}"), spawn(&args)));
+        children.push((format!("{router} suite --jobs {jobs}"), spawn(&args)));
     }
     for policy in ["qspr", "quale"] {
         for code in ["19_1_7", "23_1_7"] {
             let file = format!("{circuits}/encode_{code}.qasm");
             let args = [
-                "map", &file, "--m", "25", "--policy", policy, "--router", "greedy", "--format",
+                "map", &file, "--m", "25", "--policy", policy, "--router", router, "--format",
                 "json",
             ];
-            children.push((format!("map {code} --policy {policy}"), spawn(&args)));
+            children.push((
+                format!("{router} map {code} --policy {policy}"),
+                spawn(&args),
+            ));
         }
     }
     let outputs = stdouts(children);
+    let (suites, maps) = outputs.split_at(jobs.len());
 
-    let suite = workspace_file("tests/golden/suite_m25_greedy.json");
-    for (what, got) in &outputs[..2] {
+    let suite = workspace_file(&format!("tests/golden/suite_m25_{router}.json"));
+    for (what, got) in suites {
         assert_same_bytes(what, &suite, got);
     }
     for (golden, runs) in [
-        ("map_m25_greedy.json", &outputs[2..4]),
-        ("map_m25_quale_greedy.json", &outputs[4..6]),
+        (format!("map_m25_{router}.json"), &maps[..2]),
+        (format!("map_m25_quale_{router}.json"), &maps[2..]),
     ] {
         let got: String = runs.iter().map(|(_, out)| out.as_str()).collect();
         let want = workspace_file(&format!("tests/golden/{golden}"));
-        assert_same_bytes(golden, &want, &got);
+        assert_same_bytes(&golden, &want, &got);
     }
+}
+
+/// The greedy goldens at `--jobs 1` and `--jobs 2`.
+#[test]
+fn greedy_outputs_match_the_committed_goldens() {
+    assert_router_goldens("greedy", &["1", "2"]);
+}
+
+/// The negotiated goldens at `--jobs 1`. A negotiated debug suite takes
+/// several seconds, so the `--jobs 2` runs stay in CI ("Paper-effort
+/// golden", "Full-summary golden").
+#[test]
+fn negotiated_outputs_match_the_committed_goldens() {
+    assert_router_goldens("negotiated", &["1"]);
 }
 
 /// `tests/golden/fabrics.txt`: for the built-in fabric and each

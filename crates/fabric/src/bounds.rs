@@ -1,6 +1,7 @@
 //! Empty-fabric travel-time lower bounds, used to prune route probes
 //! and route searches that provably cannot win.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -38,6 +39,10 @@ use crate::topology::{Segment, SegmentEnd, SegmentId, Topology, TrapId};
 /// The table does not borrow the topology; every lookup takes the
 /// topology that owns it.
 ///
+/// Crates above the fabric keep their own per-fabric, per-weight tables
+/// next to the bounds ([`TravelBounds::attached`]), so those are shared
+/// exactly as the bounds are.
+///
 /// # Examples
 ///
 /// ```
@@ -63,6 +68,9 @@ pub struct TravelBounds {
     goal_turn: Time,
     rows: Vec<OnceLock<Box<[Time]>>>,
     goals: Vec<OnceLock<Box<[Time]>>>,
+    /// Tables of other crates kept with these bounds, at most one per
+    /// type ([`TravelBounds::attached`]).
+    attached: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl fmt::Debug for TravelBounds {
@@ -86,7 +94,44 @@ impl TravelBounds {
             goal_turn,
             rows: empty(topology.traps().len()),
             goals: empty(topology.segments().len()),
+            attached: Mutex::default(),
         }
+    }
+
+    /// The table of type `T` kept with these bounds, made by `make` on
+    /// the first request for `T`: every later request, from any thread,
+    /// gets the same table. A crate that the fabric does not know keeps
+    /// a table here to share it per fabric and per weight triple, like
+    /// the bounds themselves (`qspr-route` keeps its quiet-route table
+    /// here).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::{Arc, Mutex};
+    /// use qspr_fabric::{Fabric, TechParams};
+    ///
+    /// let fabric = Fabric::quale_45x85();
+    /// let tech = TechParams::date2012();
+    /// let bounds = fabric.topology().travel_bounds(tech.t_move, tech.t_turn, tech.t_turn);
+    /// let notes = bounds.attached(|| Mutex::new(Vec::<u32>::new()));
+    /// notes.lock().unwrap().push(7);
+    /// let again = bounds.attached(|| -> Mutex<Vec<u32>> { unreachable!("made once") });
+    /// assert!(Arc::ptr_eq(&notes, &again));
+    /// ```
+    pub fn attached<T: Any + Send + Sync>(&self, make: impl FnOnce() -> T) -> Arc<T> {
+        // The only update is one `push` of a made table, so the list is
+        // valid at every step and a poisoned lock is safe to recover.
+        let mut tables = self.attached.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = tables
+            .iter()
+            .find_map(|table| Arc::clone(table).downcast::<T>().ok())
+        {
+            return table;
+        }
+        let table = Arc::new(make());
+        tables.push(Arc::clone(&table) as Arc<dyn Any + Send + Sync>);
+        table
     }
 
     /// The minimum travel duration from `from` to `to` on an empty

@@ -15,7 +15,8 @@
 //! Routers and the event-driven simulator work exclusively on this derived
 //! topology. The topology also owns the fabric's empty-fabric
 //! [`TravelBounds`] tables, created and filled on first use, so every
-//! mapping on one fabric shares them.
+//! mapping on one fabric shares them, and the tables that crates above
+//! the fabric keep with them ([`TravelBounds::attached`]).
 //!
 //! The 45×85 fabric released with QUALE is not recoverable, so
 //! [`Fabric::quale_45x85`] generates a regular macro-tile layout with the

@@ -73,7 +73,33 @@
 //!   target segment, filled on first use. Every router on the fabric
 //!   reads the same table, so across the `m` MVFB runs of a mapping,
 //!   every seed thread and every later mapping on the same fabric,
-//!   each field is computed once.
+//!   each field is computed once;
+//! * most queries skip the search: a [`QuietRoutes`] table per fabric
+//!   and router weights ([`RouterConfig::quiet_routes`], kept with the
+//!   [`TravelBounds`] and shared the same way) holds the plans of the
+//!   *quiet fabric*, keyed by the two traps and the bookings (0 or 1)
+//!   on their two port segments; on a key's quiet fabric those are the
+//!   only bookings and no segment has history. An overlay-free
+//!   [`Router::route`] whose search read only quiet-fabric weights
+//!   stores its plan (no extra search), and a later query with the
+//!   same key gets a clone of it whenever every other resource on the
+//!   plan still reads its quiet-fabric weight: each segment is unbooked
+//!   and history-free, and each junction has room. That is exact.
+//!   Bookings and history only raise an Eq. 2 weight, and a full
+//!   resource only removes an edge, while a junction toll stays 0
+//!   below capacity. So the plan's own edges keep their quiet weights,
+//!   its path keeps its quiet cost, and no other path gets cheaper. The
+//!   search settles nodes in `(cost, node)` order and a predecessor
+//!   changes only on a strictly cheaper offer. Any offer that would
+//!   displace one of the plan's predecessors, ties included, would have
+//!   displaced it on the quiet fabric too. So the same predecessors
+//!   win, and so do the same goal end and the same direct-or-via
+//!   choice. The argument needs every capacity to be at least 1, so a
+//!   router with a capacity of 0 has no table. The table stores only
+//!   filled keys, at most [`QUIET_ROUTES_CAP`] of them, in lock-free
+//!   open-addressing slots: past the cap, queries search. On a warm
+//!   `m = 25` greedy suite sweep, 82 234 of 138 519 overlay-free
+//!   queries are answered from the table.
 //!
 //! [`NegotiatedRouter`] keeps the same discipline across rip-up
 //! iterations: epoch bookings, touched-resource sets and conflict
@@ -113,6 +139,7 @@ mod plan;
 // still parse it into non-test builds).
 #[cfg(test)]
 mod proptests;
+mod quiet;
 mod resource;
 mod router;
 
@@ -122,6 +149,7 @@ pub use engine::{
 };
 pub use plan::{ResourceUse, RoutePlan, Step};
 pub use qspr_fabric::TravelBounds;
+pub use quiet::{QuietRoutes, QUIET_ROUTES_CAP};
 pub use resource::{Resource, ResourceState};
 pub use router::{Router, RouterConfig};
 

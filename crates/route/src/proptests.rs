@@ -496,27 +496,7 @@ proptest! {
         let plain = Fabric::regular(rows, cols, 4)
             .expect("geometry fits at least one pitch-4 tile");
 
-        // Heterogeneous overrides: wide junctions on the left half,
-        // fat channels on the top half, defaults elsewhere.
-        let hetero_doc = format!(
-            r#"{{
-                "name": "hetero",
-                "types": [
-                    {{"name": "wide", "kind": "junction", "capacity": {junction_cap}}},
-                    {{"name": "fat", "kind": "channel", "capacity": {channel_cap}}}
-                ],
-                "regions": [{{"family": "regular", "rows": {rows}, "cols": {cols}, "pitch": 4}}],
-                "capacities": [
-                    {{"type": "wide", "rect": [0, 0, {}, {}]}},
-                    {{"type": "fat", "rect": [0, 0, {}, {}]}}
-                ]
-            }}"#,
-            rows - 1, cols / 2, rows / 2, cols - 1,
-        );
-        let hetero = qspr_fabric::FabricSpec::parse_json(&hetero_doc)
-            .expect("well-formed document")
-            .build()
-            .expect("halves of a 9+ grid contain junctions and channels");
+        let hetero = hetero_fabric(rows, cols, junction_cap, channel_cap);
         prop_assert!(hetero.topology().has_capacity_overrides());
         let router = Router::new(hetero.topology(), config);
         let n = hetero.topology().traps().len();
@@ -593,6 +573,117 @@ proptest! {
         }
     }
 
+    /// The quiet-route table changes no answer: `route` equals the
+    /// naive reference for every pair, first under random booked load
+    /// (whose routes also feed the QUALE router's history) with and
+    /// without random bookings (0 or 1) on the pair's two port
+    /// segments, then on the quiet fabric (a second router shares the
+    /// table; re-asking is a hit) and with port bookings only, then
+    /// with one booking on the interior of a stored plan, and under the
+    /// load again. Anything the loaded searches stored must be right on
+    /// the quiet fabric. It runs the QSPR router and the
+    /// history-keeping QUALE router, on regular grids and on a spec
+    /// fabric with capacity overrides, and `route_with` also checks
+    /// every hit against the full search.
+    #[test]
+    fn quiet_route_hits_equal_the_naive_search(
+        spec in any::<bool>(),
+        quale in any::<bool>(),
+        rows in 9u16..16,
+        cols in 9u16..16,
+        junction_cap in 1u8..4,
+        channel_cap in 1u8..4,
+        pairs in proptest::collection::vec((0usize..64, 0usize..64), 1..6),
+        load in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+        ports in proptest::collection::vec((0u8..2, 0u8..2), 1..5),
+        interior in proptest::collection::vec(0usize..64, 1..6),
+    ) {
+        let fabric = if spec {
+            hetero_fabric(rows, cols, junction_cap, channel_cap)
+        } else {
+            Fabric::regular(rows, cols, 4).expect("geometry fits at least one pitch-4 tile")
+        };
+        let topo = fabric.topology();
+        let tech = TechParams::date2012();
+        let config = if quale { RouterConfig::quale(&tech) } else { RouterConfig::qspr(&tech) };
+        let mut router = Router::new(topo, config);
+        let n = topo.traps().len();
+        let trap = |i: usize| TrapId((i % n) as u32);
+        let pairs: Vec<(TrapId, TrapId)> = pairs
+            .iter()
+            .map(|&(a, b)| (trap(a), trap(b)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let port = |t: TrapId| Resource::Segment(topo.trap(t).port().segment);
+        // `base` with `bf` more bookings on `from`'s port segment and
+        // `bt` more on `to`'s.
+        let with_ports = |base: &ResourceState, (from, to): (TrapId, TrapId), (bf, bt): (u8, u8)| {
+            let mut state = base.clone();
+            for (t, k) in [(from, bf), (to, bt)] {
+                for _ in 0..k {
+                    state.book(port(t)).unwrap();
+                }
+            }
+            state
+        };
+        let check = |router: &Router<'_>, state: &ResourceState, (from, to): (TrapId, TrapId)| {
+            let got = router.route(state, from, to);
+            prop_assert_eq!(&got, &router.route_naive(state, from, to, None), "{} to {}", from, to);
+            Ok(got)
+        };
+
+        let quiet = ResourceState::new(topo);
+        let mut loaded = ResourceState::new(topo);
+        for &(a, b) in &load {
+            if let Some(plan) = router.route(&loaded, trap(a), trap(b)) {
+                for u in plan.resources() {
+                    loaded.book(u.resource).unwrap();
+                }
+                router.note_booked(&plan);
+            }
+        }
+        for &pair in &pairs {
+            check(&router, &loaded, pair)?;
+            for &bookings in &ports {
+                check(&router, &with_ports(&loaded, pair, bookings), pair)?;
+            }
+        }
+
+        let fresh = Router::new(topo, config);
+        let mut stored = Vec::new();
+        for &pair in &pairs {
+            let plan = check(&fresh, &quiet, pair)?;
+            let hits = fresh.quiet_hits.get();
+            check(&fresh, &quiet, pair)?;
+            if plan.is_some() {
+                prop_assert_eq!(fresh.quiet_hits.get(), hits + 1, "a quiet re-query hits");
+            }
+            for &bookings in &ports {
+                check(&fresh, &with_ports(&quiet, pair, bookings), pair)?;
+                check(&router, &with_ports(&quiet, pair, bookings), pair)?;
+            }
+            stored.extend(plan);
+        }
+
+        for (plan, &pick) in stored.iter().zip(interior.iter().cycle()) {
+            let ends = [port(plan.from_trap()), port(plan.to_trap())];
+            let inner: Vec<Resource> = plan
+                .resources()
+                .iter()
+                .map(|u| u.resource)
+                .filter(|r| !ends.contains(r))
+                .collect();
+            if let Some(&resource) = inner.get(pick % inner.len().max(1)) {
+                let mut state = ResourceState::new(topo);
+                state.book(resource).unwrap();
+                check(&fresh, &state, (plan.from_trap(), plan.to_trap()))?;
+            }
+        }
+        for &pair in &pairs {
+            check(&router, &loaded, pair)?;
+        }
+    }
+
     /// Routing is symmetric in travel time on a quiet fabric (paths may
     /// differ, but the physical duration must match: the graph is
     /// undirected and the cost model direction-free).
@@ -645,6 +736,35 @@ proptest! {
             prop_assert_eq!(&plan, &reference_plan(topo, &config, &plan), "walk {:?}", walk);
         }
     }
+}
+
+/// A `rows × cols` pitch-4 spec fabric with heterogeneous capacity
+/// overrides: junctions of capacity `junction_cap` on the left half,
+/// channels of capacity `channel_cap` on the top half, defaults
+/// elsewhere.
+fn hetero_fabric(rows: u16, cols: u16, junction_cap: u8, channel_cap: u8) -> Fabric {
+    let doc = format!(
+        r#"{{
+            "name": "hetero",
+            "types": [
+                {{"name": "wide", "kind": "junction", "capacity": {junction_cap}}},
+                {{"name": "fat", "kind": "channel", "capacity": {channel_cap}}}
+            ],
+            "regions": [{{"family": "regular", "rows": {rows}, "cols": {cols}, "pitch": 4}}],
+            "capacities": [
+                {{"type": "wide", "rect": [0, 0, {}, {}]}},
+                {{"type": "fat", "rect": [0, 0, {}, {}]}}
+            ]
+        }}"#,
+        rows - 1,
+        cols / 2,
+        rows / 2,
+        cols - 1,
+    );
+    qspr_fabric::FabricSpec::parse_json(&doc)
+        .expect("well-formed document")
+        .build()
+        .expect("halves of a 9+ grid contain junctions and channels")
 }
 
 /// The quale fabric (`kind` 0) or a regular grid of random geometry.

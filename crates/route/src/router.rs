@@ -16,6 +16,7 @@ use qspr_fabric::{
 };
 
 use crate::plan::{RoutePlan, Step};
+use crate::quiet::{QuietKey, QuietRoutes};
 use crate::resource::{Resource, ResourceState};
 
 /// Routing policy knobs.
@@ -102,6 +103,35 @@ impl RouterConfig {
     /// ```
     pub fn travel_bounds(&self, topology: &Topology) -> Arc<TravelBounds> {
         topology.travel_bounds(self.t_move, self.t_turn, turn_weight(self))
+    }
+
+    /// `topology`'s quiet-route table at this config's move and turn
+    /// delays and search turn weight, kept with
+    /// [`RouterConfig::travel_bounds`]: every router with these weights
+    /// on the same fabric, whatever its capacities (all at least 1) and
+    /// history setting, reads and fills this table.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qspr_fabric::{Fabric, TechParams};
+    /// use qspr_route::{ResourceState, Router, RouterConfig};
+    ///
+    /// let fabric = Fabric::quale_45x85();
+    /// let topo = fabric.topology();
+    /// let config = RouterConfig::qspr(&TechParams::date2012());
+    /// let table = config.quiet_routes(topo);
+    /// let traps = topo.traps_by_distance(fabric.center());
+    /// let router = Router::new(topo, config);
+    /// let quiet = ResourceState::new(topo);
+    /// let searched = router.route(&quiet, traps[0], traps[40]).unwrap();
+    /// assert_eq!(table.len(), 1, "the search filled the shared table");
+    /// let reused = router.route(&quiet, traps[0], traps[40]).unwrap();
+    /// assert_eq!(reused, searched);
+    /// assert_eq!(table.len(), 1);
+    /// ```
+    pub fn quiet_routes(&self, topology: &Topology) -> Arc<QuietRoutes> {
+        self.travel_bounds(topology).attached(QuietRoutes::default)
     }
 }
 
@@ -276,21 +306,32 @@ pub struct Router<'a> {
     /// ([`RouterConfig::travel_bounds`]), whose goal fields back the
     /// exact pruning in [`Router::route_with`].
     bounds: Arc<TravelBounds>,
+    /// The fabric's quiet-route table at this router's weights
+    /// ([`RouterConfig::quiet_routes`]); `None` when some capacity is 0,
+    /// since a table's plans hold for every router sharing it only when
+    /// every capacity is at least 1.
+    quiet: Option<Arc<QuietRoutes>>,
+    /// Queries answered from `quiet` (test builds only).
+    #[cfg(test)]
+    pub(crate) quiet_hits: std::cell::Cell<usize>,
 }
 
 impl<'a> Router<'a> {
     /// Creates a router for `topology` with the given policy.
     pub fn new(topology: &'a Topology, config: RouterConfig) -> Router<'a> {
-        let seg_caps = topology
+        let seg_caps: Vec<u8> = topology
             .segment_caps()
             .iter()
             .map(|c| c.unwrap_or(config.channel_capacity))
             .collect();
-        let junc_caps = topology
+        let junc_caps: Vec<u8> = topology
             .junction_caps()
             .iter()
             .map(|c| c.unwrap_or(config.junction_capacity))
             .collect();
+        let bounds = config.travel_bounds(topology);
+        let quiet = (!seg_caps.contains(&0) && !junc_caps.contains(&0))
+            .then(|| bounds.attached(QuietRoutes::default));
         Router {
             topology,
             config,
@@ -299,7 +340,10 @@ impl<'a> Router<'a> {
             history: vec![0; topology.segments().len()],
             scratch: RefCell::new(SearchScratch::new(topology.search_graph().num_nodes())),
             plan: RefCell::default(),
-            bounds: config.travel_bounds(topology),
+            bounds,
+            quiet,
+            #[cfg(test)]
+            quiet_hits: std::cell::Cell::new(0),
         }
     }
 
@@ -333,12 +377,20 @@ impl<'a> Router<'a> {
     /// current bookings in `state`, or `None` when every path is blocked
     /// by full channels/junctions (the instruction then waits in the busy
     /// queue).
+    ///
+    /// The answer is always the search's, but it may come from the
+    /// fabric's quiet-route table ([`RouterConfig::quiet_routes`]) without
+    /// a search: when the query's port segments hold at most one booking
+    /// each and every other resource on the stored plan still reads its
+    /// quiet-fabric weight, the search would return that plan again (see
+    /// the crate docs, "Performance").
     pub fn route(&self, state: &ResourceState, from: TrapId, to: TrapId) -> Option<RoutePlan> {
         self.route_with(state, from, to, None)
     }
 
     /// [`Router::route`] with an optional congestion [`Overlay`] (the
-    /// negotiated-congestion engine's window into the search).
+    /// negotiated-congestion engine's window into the search). Only
+    /// overlay-free queries use the quiet-route table.
     pub(crate) fn route_with(
         &self,
         state: &ResourceState,
@@ -349,6 +401,82 @@ impl<'a> Router<'a> {
         if from == to {
             return Some(RoutePlan::stationary(from));
         }
+        let keyed = match (&self.quiet, overlay) {
+            (Some(table), None) => self.quiet_key(state, from, to).map(|key| (table, key)),
+            _ => None,
+        };
+        let Some((table, key)) = keyed else {
+            return self.search(state, from, to, overlay).0;
+        };
+        if let Some(stored) = table.get(key).filter(|p| self.reads_quiet(state, p)) {
+            let plan = stored.clone();
+            // Every hit must be what the search returns.
+            #[cfg(test)]
+            {
+                assert_eq!(
+                    Some(&plan),
+                    self.search(state, from, to, None).0.as_ref(),
+                    "quiet-route hit {from} -> {to}"
+                );
+                self.quiet_hits.set(self.quiet_hits.get() + 1);
+            }
+            return Some(plan);
+        }
+        let (plan, quiet) = self.search(state, from, to, None);
+        if let (true, Some(plan)) = (quiet, &plan) {
+            table.insert(key, plan);
+        }
+        plan
+    }
+
+    /// The quiet-route key of the query from `from` to `to`, or `None`
+    /// when a port segment is full, holds more than one booking or has
+    /// history: the table keys only port bookings of 0 and 1, and only
+    /// history-free quiet fabrics.
+    fn quiet_key(&self, state: &ResourceState, from: TrapId, to: TrapId) -> Option<QuietKey> {
+        let port = |trap: TrapId| {
+            let seg = self.topology.trap(trap).port().segment;
+            let n = state.usage(Resource::Segment(seg));
+            (n <= 1 && n < self.seg_caps[seg.index()] && !self.has_history(seg)).then_some(n)
+        };
+        Some(QuietKey::new(from, to, [port(from)?, port(to)?]))
+    }
+
+    /// Whether every resource on stored `plan` reads its quiet-fabric
+    /// weight under `state`: each segment other than the two port
+    /// segments (which the key matched) is unbooked and history-free,
+    /// and each junction has room (its toll is 0 below capacity, as on
+    /// the quiet fabric).
+    fn reads_quiet(&self, state: &ResourceState, plan: &RoutePlan) -> bool {
+        let topo = self.topology;
+        let ports = [plan.from_trap(), plan.to_trap()].map(|t| topo.trap(t).port().segment);
+        plan.resources().iter().all(|u| match u.resource {
+            Resource::Segment(s) => {
+                ports.contains(&s) || (state.usage(u.resource) == 0 && !self.has_history(s))
+            }
+            Resource::Junction(j) => state.usage(u.resource) < self.junc_caps[j.index()],
+        })
+    }
+
+    /// Whether `seg` carries a history penalty in this router's weights.
+    fn has_history(&self, seg: SegmentId) -> bool {
+        self.config.history_cost && self.history[seg.index()] > 0
+    }
+
+    /// The search behind [`Router::route_with`], and whether it read
+    /// only *quiet-fabric weights*: the weights of the fabric where the
+    /// two port segments hold their current bookings, nothing else is
+    /// booked and no segment has history. Such a search returns exactly
+    /// what it returns on that quiet fabric, since it is a function of
+    /// the weights it reads (the goal fields do not depend on the
+    /// state).
+    fn search(
+        &self,
+        state: &ResourceState,
+        from: TrapId,
+        to: TrapId,
+        overlay: Option<&Overlay<'_>>,
+    ) -> (Option<RoutePlan>, bool) {
         let topo = self.topology;
         let graph = topo.search_graph();
         let pf = topo.trap(from).port();
@@ -372,8 +500,15 @@ impl<'a> Router<'a> {
         if self.segment_weight(state, pf.segment, 0, overlay).is_none()
             || self.segment_weight(state, pt.segment, 0, overlay).is_none()
         {
-            return None;
+            return (None, false);
         }
+
+        // `quiet` turns false at the first weight read that differs from
+        // the quiet fabric's: a full resource (every capacity is at least
+        // 1, so nothing is full on the quiet fabric), or a booked or
+        // historic segment other than the two port segments. A junction
+        // with room reads a toll of 0 whatever its bookings.
+        let mut quiet = true;
 
         // Goal nodes: the junction-attached ends of the target segment,
         // each with `entry`, the cost of the final leg from that end into
@@ -389,7 +524,10 @@ impl<'a> Router<'a> {
         let dst_seg = topo.segment(pt.segment);
         let goals: [Option<(usize, u64)>; 2] = [0, 1].map(|end| {
             let j = dst_seg.ends()[end].junction()?;
-            self.junction_toll(state, j, overlay)?;
+            if self.junction_toll(state, j, overlay).is_none() {
+                quiet = false;
+                return None;
+            }
             let moves = dst_seg.moves_to_end(pt.offset, end);
             let w = self.segment_weight(state, pt.segment, moves, overlay)?;
             Some((
@@ -398,7 +536,7 @@ impl<'a> Router<'a> {
             ))
         });
         let Some(min_entry) = goals.iter().flatten().map(|&(_, entry)| entry).min() else {
-            return best_direct.map(|c| self.build_direct(from, to, c));
+            return (best_direct.map(|c| self.build_direct(from, to, c)), quiet);
         };
 
         // Goal-directed Dijkstra over the precomputed search graph,
@@ -414,6 +552,7 @@ impl<'a> Router<'a> {
                 continue;
             };
             let Some(toll) = self.junction_toll(state, j, overlay) else {
+                quiet = false;
                 continue;
             };
             let moves = src_seg.moves_to_end(pf.offset, end);
@@ -497,11 +636,19 @@ impl<'a> Router<'a> {
             // Precomputed segment edges along the current orientation.
             for edge in graph.edges(node) {
                 let Some(toll2) = self.junction_toll(state, edge.to_junction, overlay) else {
+                    quiet = false;
                     continue;
                 };
                 let Some(w) = self.segment_weight(state, edge.segment, edge.moves, overlay) else {
+                    quiet = false;
                     continue;
                 };
+                if w != u64::from(edge.moves) * t_move
+                    && edge.segment != pf.segment
+                    && edge.segment != pt.segment
+                {
+                    quiet = false;
+                }
                 let next = edge.to_node as usize;
                 let next_cost = cost.saturating_add(w).saturating_add(toll2);
                 if next_cost < scratch.dist(next) && !prune(next_cost.saturating_add(h[next])) {
@@ -534,14 +681,15 @@ impl<'a> Router<'a> {
             }
         }
 
-        match (best_direct, best_via) {
+        let plan = match (best_direct, best_via) {
             (None, None) => None,
             (Some(c), None) => Some(self.build_direct(from, to, c)),
             (Some(cd), Some((cv, _, _))) if cd <= cv => Some(self.build_direct(from, to, cd)),
             (_, Some((cv, node, end))) => {
                 Some(self.build_via(from, to, |n| scratch.prev(n), node, end, cv))
             }
-        }
+        };
+        (plan, quiet)
     }
 
     /// The seed implementation of [`Router::route_with`], kept verbatim
@@ -1339,6 +1487,53 @@ mod tests {
         let a = topo.trap_at(Coord::new(0, 1)).unwrap();
         let b = topo.trap_at(Coord::new(0, 6)).unwrap();
         assert!(router.route(&state, a, b).is_none());
+    }
+
+    /// A router with a capacity of 0 keeps out of the quiet-route
+    /// table that it shares with a capacity-2 router: it reads none of
+    /// the stored plans and fills nothing, and it answers as the naive
+    /// search does.
+    #[test]
+    fn capacity_zero_routers_keep_out_of_the_quiet_table() {
+        let f = quale_fabric();
+        let topo = f.topology();
+        let qspr = RouterConfig::qspr(&TechParams::date2012());
+        let table = qspr.quiet_routes(topo);
+        let traps = topo.traps_by_distance(f.center());
+        let quiet = ResourceState::new(topo);
+        let pairs = [
+            (traps[0], traps[40]),
+            (traps[1], traps[2]),
+            (traps[7], traps[3]),
+        ];
+        let wide = Router::new(topo, qspr);
+        for &(a, b) in &pairs {
+            wide.route(&quiet, a, b).expect("quiet fabric routes");
+        }
+        assert_eq!(table.len(), pairs.len());
+        let zero_channels = RouterConfig {
+            channel_capacity: 0,
+            ..qspr
+        };
+        let zero_junctions = RouterConfig {
+            junction_capacity: 0,
+            ..qspr
+        };
+        for config in [zero_channels, zero_junctions] {
+            assert!(
+                Arc::ptr_eq(&table, &config.quiet_routes(topo)),
+                "same weights"
+            );
+            let router = Router::new(topo, config);
+            assert!(router.quiet.is_none());
+            for &(a, b) in &pairs {
+                let plan = router.route(&quiet, a, b);
+                assert_eq!(plan, router.route_naive(&quiet, a, b, None));
+                assert_ne!(plan, wide.route(&quiet, a, b), "{a} -> {b}");
+            }
+            assert_eq!(router.quiet_hits.get(), 0);
+            assert_eq!(table.len(), pairs.len());
+        }
     }
 
     /// Routers read the fabric's bound table for their weights: one

@@ -1,5 +1,6 @@
 //! Allocation budget of a warm [`Router`]: the search runs in the
-//! router's own scratch, so a routed query allocates exactly the
+//! router's own scratch and a quiet-route table hit clones a stored
+//! plan, so a routed query, searched or not, allocates exactly the
 //! returned plan's `steps` and `resources` vectors, and a blocked or
 //! stationary query allocates nothing.
 //!
@@ -65,8 +66,12 @@ fn count<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
+    /// A via route on the quiet fabric: a quiet-route table hit.
     Via,
+    /// A same-segment route on the quiet fabric: a table hit.
     Direct,
+    /// A via route that misses the table and searches.
+    Searched,
     Blocked,
     Stationary,
 }
@@ -75,7 +80,9 @@ enum Kind {
 fn a_warm_router_allocates_only_the_returned_plan() {
     let fabric = Fabric::quale_45x85();
     let topo = fabric.topology();
-    let router = Router::new(topo, RouterConfig::qspr(&TechParams::date2012()));
+    let config = RouterConfig::qspr(&TechParams::date2012());
+    let router = Router::new(topo, config);
+    let table = config.quiet_routes(topo);
     let quiet = ResourceState::new(topo);
 
     let by_center = topo.traps_by_distance(fabric.center());
@@ -97,29 +104,48 @@ fn a_warm_router_allocates_only_the_returned_plan() {
         blocked.book(src_seg).unwrap();
     }
 
+    // A state whose only booking sits on the interior of the quiet
+    // plan from `by_corner[0]` to `far`, which the search must read.
+    let mut interior = ResourceState::new(topo);
+    let quiet_plan = router.route(&quiet, by_corner[0], far).unwrap();
+    let ports = [by_corner[0], far].map(|t| Resource::Segment(topo.trap(t).port().segment));
+    let inner = quiet_plan.resources()[1..]
+        .iter()
+        .map(|u| u.resource)
+        .find(|r| matches!(r, Resource::Segment(_)) && !ports.contains(r))
+        .expect("a corner-to-corner route crosses a middle segment");
+    interior.book(inner).unwrap();
+
     let queries = [
         (Kind::Via, &quiet, by_center[0], by_center[40]),
         (Kind::Via, &quiet, by_corner[0], far),
         (Kind::Via, &quiet, far, by_center[7]),
         (Kind::Direct, &quiet, a, b),
         (Kind::Direct, &quiet, b, a),
+        (Kind::Searched, &interior, by_corner[0], far),
         (Kind::Blocked, &blocked, by_center[0], by_center[40]),
         (Kind::Blocked, &blocked, far, by_center[0]),
         (Kind::Stationary, &quiet, by_center[3], by_center[3]),
     ];
     // Warm-up: the first queries grow the search heap and fill the
-    // fabric's goal fields; neither happens again for the same queries.
+    // fabric's goal fields and quiet-route table; none of that happens
+    // again for the same queries. The searched query reads its
+    // booking, so it fills no table entry.
     for &(_, state, from, to) in &queries {
         router.route(state, from, to);
     }
+    assert_eq!(table.len(), 5, "three via and two direct quiet routes");
     for &(kind, state, from, to) in &queries {
         let (plan, allocs, reallocs) = count(|| router.route(state, from, to));
         let expected = match kind {
-            Kind::Via | Kind::Direct => {
+            Kind::Via | Kind::Direct | Kind::Searched => {
                 let plan = plan.as_ref().expect("routable query");
                 assert!(!plan.steps().is_empty() && !plan.resources().is_empty());
                 let hops = plan.resources().len();
                 assert_eq!(kind == Kind::Direct, hops == 1, "{kind:?} books {hops}");
+                if kind == Kind::Searched {
+                    assert_ne!(plan, &quiet_plan, "the booking moves the route");
+                }
                 2
             }
             Kind::Blocked => {
@@ -137,4 +163,5 @@ fn a_warm_router_allocates_only_the_returned_plan() {
             "{kind:?} {from} -> {to}: (allocations, reallocations)"
         );
     }
+    assert_eq!(table.len(), 5, "warm queries fill nothing");
 }

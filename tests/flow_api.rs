@@ -138,6 +138,46 @@ fn engines_share_the_fabrics_goal_fields() {
     }
 }
 
+/// Every map on a fabric shares the fabric's quiet-route table. MVFB
+/// fills it with the same keys at `jobs(1)` and `jobs(2)` (a key is
+/// stored exactly when some query's search reads only quiet-fabric
+/// weights, whichever thread runs it first), and a second placement of
+/// the same program on the same fabric fills no key.
+#[test]
+fn mappings_share_the_fabrics_quiet_routes() {
+    let tech = *Flow::on(Fabric::quale_45x85()).tech_params();
+    let policy = qspr_sim::MapperPolicy::qspr(&tech);
+    let program = benchmark_suite().swap_remove(1).program;
+    let mut runs = Vec::new();
+    for jobs in [1, 2] {
+        let fabric = Fabric::quale_45x85();
+        let table = policy.router.quiet_routes(fabric.topology());
+        let mapper = Mapper::new(&fabric, tech, policy).jobs(jobs);
+        let placer = MvfbPlacer::new(MvfbConfig::new(25, 0xD57E_2012));
+        let sol = placer.place(&mapper, &program).expect("places");
+        let filled = table.len();
+        assert!(
+            0 < filled && filled < qspr_route::QUIET_ROUTES_CAP,
+            "jobs {jobs}: {filled} keys"
+        );
+        let again = placer.place(&mapper, &program).expect("places");
+        assert_eq!(again.initial_placement, sol.initial_placement);
+        assert_eq!(
+            table.len(),
+            filled,
+            "jobs {jobs}: the second map fills nothing"
+        );
+        runs.push((
+            sol.latency,
+            sol.direction,
+            sol.initial_placement,
+            sol.runs,
+            filled,
+        ));
+    }
+    assert_eq!(runs[0], runs[1]);
+}
+
 /// The two built-in routing engines are selectable through the same
 /// flow. The latency ordering asserted below is empirical (the
 /// engine's structural never-worse guarantee is per epoch, not per
