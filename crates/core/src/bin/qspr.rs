@@ -230,6 +230,10 @@ impl Cli {
         }
     }
 
+    fn policy(&self) -> Result<FlowPolicy, QsprError> {
+        Ok(self.value("--policy").unwrap_or("qspr").parse()?)
+    }
+
     fn router(&self) -> Result<RouterKind, QsprError> {
         match self.value("--router") {
             None => Ok(RouterKind::Greedy),
@@ -348,7 +352,7 @@ fn cmd_map(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
         .positional
         .first()
         .ok_or_else(|| QsprError::usage("map needs a QASM file argument"))?;
-    let policy: FlowPolicy = cli.value("--policy").unwrap_or("qspr").parse()?;
+    let policy = cli.policy()?;
     let format = cli.format()?;
     let dump_trace = cli.value("--dump-trace");
     // `--profile`: collect the pipeline's spans into a thread-local
@@ -437,7 +441,7 @@ fn cmd_sta(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
         .positional
         .first()
         .ok_or_else(|| QsprError::usage("sta needs a QASM file argument"))?;
-    let policy: FlowPolicy = cli.value("--policy").unwrap_or("qspr").parse()?;
+    let policy = cli.policy()?;
     let format = cli.format()?;
     let program = load_program(path)?;
     let flow = cli.flow()?.policy(policy).record_trace(true);

@@ -7,7 +7,7 @@ use std::io;
 
 use qspr_fabric::FabricError;
 use qspr_qasm::ParseError;
-use qspr_sim::MapError;
+use qspr_sim::{MapError, ParseFlowPolicyError};
 use qspr_sta::StaError;
 
 /// Any failure of the QSPR flow.
@@ -140,6 +140,12 @@ impl From<MapError> for QsprError {
     }
 }
 
+impl From<ParseFlowPolicyError> for QsprError {
+    fn from(e: ParseFlowPolicyError) -> QsprError {
+        QsprError::Usage(e.to_string())
+    }
+}
+
 impl From<StaError> for QsprError {
     fn from(e: StaError) -> QsprError {
         QsprError::Sta(e)
@@ -170,6 +176,11 @@ mod tests {
 
         let e = QsprError::io("write", "out.json", io::Error::other("boom"));
         assert_eq!(e.to_string(), "cannot write out.json: boom");
+
+        let policy = "qpos".parse::<qspr_sim::FlowPolicy>().unwrap_err();
+        let e = QsprError::from(policy);
+        assert!(matches!(&e, QsprError::Usage(m)
+            if m == r#"unknown policy "qpos" (expected qspr or quale)"#));
 
         let e = QsprError::usage("unknown flag --frob");
         assert_eq!(e.to_string(), "unknown flag --frob");

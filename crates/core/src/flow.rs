@@ -29,7 +29,6 @@
 //! ```
 
 use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,61 +37,12 @@ use qspr_place::{MonteCarloPlacer, MvfbConfig, MvfbPlacer, PassDirection, Placer
 use qspr_qasm::Program;
 use qspr_route::{RouterFactory, RouterKind, RoutingStats};
 use qspr_sched::Qidg;
-use qspr_sim::{MapError, Mapper, MapperPolicy, MappingOutcome, Placement, Trace};
+use qspr_sim::{FlowPolicy, MapError, Mapper, MappingOutcome, Placement, Trace};
 use qspr_sta::{TimingAnalysis, TimingReport};
 
 use crate::error::QsprError;
 use crate::json::{JsonArray, JsonObject, ToJson};
 use crate::report::{ComparisonRow, PlacerComparisonRow};
-
-/// Which mapper policy a [`Flow`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FlowPolicy {
-    /// The paper's full tool: priority scheduling, placer-driven
-    /// placement, turn-aware multiplexed routing.
-    Qspr,
-    /// The QUALE baseline: center placement, ALAP extraction,
-    /// turn-blind routing, capacity-1 channels, single moving qubit.
-    Quale,
-}
-
-impl FlowPolicy {
-    /// Stable lowercase name (`"qspr"` / `"quale"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FlowPolicy::Qspr => "qspr",
-            FlowPolicy::Quale => "quale",
-        }
-    }
-
-    fn mapper_policy(self, tech: &TechParams) -> MapperPolicy {
-        match self {
-            FlowPolicy::Qspr => MapperPolicy::qspr(tech),
-            FlowPolicy::Quale => MapperPolicy::quale(tech),
-        }
-    }
-}
-
-impl fmt::Display for FlowPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for FlowPolicy {
-    type Err = QsprError;
-
-    fn from_str(s: &str) -> Result<FlowPolicy, QsprError> {
-        match s {
-            "qspr" => Ok(FlowPolicy::Qspr),
-            "quale" => Ok(FlowPolicy::Quale),
-            other => Err(QsprError::usage(format!(
-                "unknown policy {other:?} (expected qspr or quale)"
-            ))),
-        }
-    }
-}
 
 /// The full QSPR flow as an owned, reusable value.
 ///
@@ -239,7 +189,7 @@ impl Flow {
         self.router.name()
     }
 
-    fn mapper(&self, policy: MapperPolicy) -> Mapper<'_> {
+    fn mapper(&self, policy: FlowPolicy) -> Mapper<'_> {
         Mapper::new(&self.fabric, self.tech, policy)
             .router(Arc::clone(&self.router))
             .jobs(self.jobs)
@@ -344,7 +294,7 @@ impl Flow {
     /// mismatches).
     pub fn run(&self, program: &Program) -> Result<FlowResult, QsprError> {
         self.check_fits(program)?;
-        let mapper = self.mapper(self.policy.mapper_policy(&self.tech));
+        let mapper = self.mapper(self.policy);
         // Baselines map exactly once; keep that outcome rather than
         // recomputing it below.
         let (solution, baseline_outcome) = match self.policy {
@@ -472,7 +422,7 @@ impl Flow {
     pub fn map_with(
         &self,
         program: &Program,
-        policy: MapperPolicy,
+        policy: FlowPolicy,
         placement: &Placement,
     ) -> Result<MappingOutcome, QsprError> {
         Ok(self.mapper(policy).map(program, placement)?)
@@ -509,7 +459,7 @@ impl Flow {
         let baseline = self.ideal_latency(program);
         let placement = Placement::center(&self.fabric, program.num_qubits());
         let quale = self
-            .map_with(program, MapperPolicy::quale(&self.tech), &placement)?
+            .map_with(program, FlowPolicy::Quale, &placement)?
             .latency();
         let qspr = self.run(program)?.latency;
         Ok(ComparisonRow::new(name, baseline, quale, qspr))
@@ -529,7 +479,7 @@ impl Flow {
         program: &Program,
     ) -> Result<PlacerComparisonRow, QsprError> {
         self.check_fits(program)?;
-        let mapper = self.mapper(MapperPolicy::qspr(&self.tech));
+        let mapper = self.mapper(FlowPolicy::Qspr);
         let mvfb_engine = MvfbPlacer::new(self.mvfb);
         let mvfb = (&mvfb_engine as &dyn Placer).place(&mapper, program)?;
         let mc_engine = MonteCarloPlacer::new(mvfb.runs, self.mvfb.rng_seed ^ 0x4D43);
@@ -818,7 +768,7 @@ C-Z q4,q0
         // The baseline maps once, from the center placement, and keeps
         // that run's outcome and trace.
         let placement = Placement::center(&flow.fabric, program.num_qubits());
-        let mapper = flow.mapper(MapperPolicy::quale(&flow.tech));
+        let mapper = flow.mapper(FlowPolicy::Quale);
         let once = mapper.record_trace(true).map(&program, &placement).unwrap();
         assert!(result.forward_trace.is_some());
         assert_eq!(result.forward_trace.as_ref(), once.trace());

@@ -69,11 +69,13 @@ mod report;
 pub mod service;
 
 pub use error::QsprError;
-pub use flow::{FabricSummary, Flow, FlowPolicy, FlowResult, FlowSummary};
+pub use flow::{FabricSummary, Flow, FlowResult, FlowSummary};
 pub use json::ToJson;
 pub use report::{ComparisonRow, PlacerComparisonRow};
 // The routing-engine seam, re-exported for `Flow::router` callers.
 pub use qspr_route::{RouterFactory, RouterKind, RoutingEngine, RoutingStats};
+// The policy, re-exported for `Flow::policy` callers.
+pub use qspr_sim::FlowPolicy;
 
 // Re-export the layered API so downstream users need only one dependency.
 pub use qspr_fabric as fabric;

@@ -136,8 +136,9 @@ use qspr_qasm::Program;
 use qspr_route::RouterKind;
 
 use crate::error::QsprError;
-use crate::flow::{Flow, FlowPolicy};
+use crate::flow::Flow;
 use crate::json::{JsonObject, JsonValue, ToJson};
+use crate::FlowPolicy;
 
 /// How a [`Server`] binds, how many heavy requests it runs at once,
 /// and how it paces its connections. (The result-cache geometry belongs to

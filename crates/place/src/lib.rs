@@ -35,12 +35,12 @@
 //! use qspr_fabric::{Fabric, TechParams};
 //! use qspr_qasm::Program;
 //! use qspr_place::{MvfbConfig, MvfbPlacer, Placer};
-//! use qspr_sim::{Mapper, MapperPolicy};
+//! use qspr_sim::{FlowPolicy, Mapper};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let fabric = Fabric::quale_45x85();
 //! let tech = TechParams::date2012();
-//! let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+//! let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
 //! let program = Program::parse("QUBIT a\nQUBIT b\nH a\nC-X a,b\n")?;
 //!
 //! let placer = MvfbPlacer::new(MvfbConfig::new(2, 7));

@@ -22,12 +22,12 @@ use crate::seeds::run_indexed;
 /// use qspr_fabric::{Fabric, TechParams};
 /// use qspr_place::{MonteCarloPlacer, Placer};
 /// use qspr_qasm::Program;
-/// use qspr_sim::{Mapper, MapperPolicy};
+/// use qspr_sim::{FlowPolicy, Mapper};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fabric = Fabric::quale_45x85();
 /// let tech = TechParams::date2012();
-/// let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+/// let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
 /// let program = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n")?;
 /// let best = MonteCarloPlacer::new(5, 42).place(&mapper, &program)?;
 /// assert_eq!(best.runs, 5);
@@ -106,7 +106,7 @@ impl Placer for MonteCarloPlacer {
 mod tests {
     use super::*;
     use qspr_fabric::{Fabric, TechParams};
-    use qspr_sim::MapperPolicy;
+    use qspr_sim::FlowPolicy;
 
     const FIG3: &str = "\
 QUBIT q0,0
@@ -132,7 +132,7 @@ C-Z q4,q0
     fn more_runs_never_hurt() {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let program = Program::parse(FIG3).unwrap();
         let few = MonteCarloPlacer::new(2, 7)
             .place(&mapper, &program)
@@ -149,7 +149,7 @@ C-Z q4,q0
     fn is_deterministic() {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let program = Program::parse(FIG3).unwrap();
         let a = MonteCarloPlacer::new(4, 3)
             .place(&mapper, &program)
@@ -165,7 +165,7 @@ C-Z q4,q0
     fn thread_count_never_changes_the_solution() {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let program = Program::parse(FIG3).unwrap();
         let placer = MonteCarloPlacer::new(6, 11);
         let expected = placer.place(&mapper, &program).unwrap();
@@ -185,7 +185,7 @@ C-Z q4,q0
     fn best_placement_reproduces_latency() {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let program = Program::parse(FIG3).unwrap();
         let sol = MonteCarloPlacer::new(4, 11)
             .place(&mapper, &program)
@@ -199,7 +199,7 @@ C-Z q4,q0
     fn zero_runs_is_an_error() {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let program = Program::parse(FIG3).unwrap();
         assert!(MonteCarloPlacer::new(0, 1)
             .place(&mapper, &program)

@@ -180,7 +180,7 @@ impl Placer for MvfbPlacer {
 mod tests {
     use super::*;
     use qspr_fabric::{Fabric, TechParams};
-    use qspr_sim::{validate_trace, MapperPolicy};
+    use qspr_sim::{validate_trace, FlowPolicy};
 
     const FIG3: &str = "\
 QUBIT q0,0
@@ -213,7 +213,7 @@ C-Z q4,q0
     #[test]
     fn finds_a_solution_and_counts_runs() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let sol = MvfbPlacer::new(MvfbConfig::new(2, 5))
             .place(&mapper, &program)
             .unwrap();
@@ -226,7 +226,7 @@ C-Z q4,q0
     #[test]
     fn solution_reproduces_latency() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let sol = MvfbPlacer::new(MvfbConfig::new(2, 5))
             .place(&mapper, &program)
             .unwrap();
@@ -241,7 +241,7 @@ C-Z q4,q0
     #[test]
     fn replay_returns_a_valid_forward_trace() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let sol = MvfbPlacer::new(MvfbConfig::new(2, 5))
             .place(&mapper, &program)
             .unwrap();
@@ -264,7 +264,7 @@ C-Z q4,q0
     #[test]
     fn is_deterministic() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let placer = MvfbPlacer::new(MvfbConfig::new(2, 9));
         let a = placer.place(&mapper, &program).unwrap();
         let b = placer.place(&mapper, &program).unwrap();
@@ -276,7 +276,7 @@ C-Z q4,q0
     #[test]
     fn more_seeds_never_hurt() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let few = MvfbPlacer::new(MvfbConfig::new(1, 5))
             .place(&mapper, &program)
             .unwrap();
@@ -292,7 +292,7 @@ C-Z q4,q0
     #[test]
     fn thread_count_never_changes_the_solution() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let placer = MvfbPlacer::new(MvfbConfig::new(6, 11));
         let expected = placer.place(&mapper, &program).unwrap();
         for jobs in [2, 4] {
@@ -310,7 +310,7 @@ C-Z q4,q0
     #[test]
     fn zero_seeds_is_an_error() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         assert!(MvfbPlacer::new(MvfbConfig::new(0, 1))
             .place(&mapper, &program)
             .is_err());
@@ -319,7 +319,7 @@ C-Z q4,q0
     #[test]
     fn beats_or_matches_plain_center_placement() {
         let (fabric, tech, program) = setup();
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let center = mapper
             .map(&program, &Placement::center(&fabric, 5))
             .unwrap()

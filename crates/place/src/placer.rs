@@ -97,7 +97,7 @@ impl PlacerSolution {
 /// use qspr_fabric::{Fabric, TechParams};
 /// use qspr_place::{PassDirection, Placer, PlacerSolution};
 /// use qspr_qasm::Program;
-/// use qspr_sim::{MapError, Mapper, MapperPolicy, Placement};
+/// use qspr_sim::{FlowPolicy, MapError, Mapper, Placement};
 ///
 /// struct CenterPlacer;
 ///
@@ -127,7 +127,7 @@ impl PlacerSolution {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fabric = Fabric::quale_45x85();
 /// let tech = TechParams::date2012();
-/// let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+/// let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
 /// let program = Program::parse("QUBIT a\nQUBIT b\nH a\nC-X a,b\n")?;
 /// let engine: &dyn Placer = &CenterPlacer;
 /// let solution = engine.place(&mapper, &program)?;

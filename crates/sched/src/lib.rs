@@ -11,10 +11,9 @@
 //! * [`Schedule`] — resource-free ASAP and ALAP schedules
 //!   ([`Qidg::asap`], [`Qidg::alap`]); the ASAP makespan is the paper's
 //!   *ideal baseline* latency (`T_routing = T_congestion = 0`);
-//! * [`PriorityWeights`] — the paper's list-scheduling priority: a linear
-//!   combination of how many operations transitively depend on an
-//!   instruction and the longest delay path from it to the end of the
-//!   QIDG.
+//! * [`Qidg::priorities`] — the paper's list-scheduling priority: how
+//!   many operations transitively depend on an instruction plus the
+//!   longest delay path from it to the end of the QIDG.
 //!
 //! The *dynamic* side — interleaved scheduling and routing on a concrete
 //! fabric — lives in `qspr-sim`, which consumes the priorities computed
@@ -60,25 +59,24 @@
 //! order in `qspr-sim`.
 //!
 //! **The priority scheme is one backward sweep with two accumulators**
-//! (the paper's §III list-scheduling key, [`PriorityWeights`]): for
+//! (the paper's §III list-scheduling key, [`Qidg::priorities`]): for
 //! each node, (a) how many instructions transitively depend on it and
 //! (b) the longest gate-delay path from it to the QIDG's end.
-//! `priority = w_d · dependents + w_p · path_delay`; QSPR weighs both
-//! terms (`default()`), Whitney et al. keep only the path term. Ties
-//! fall back to instruction order, which keeps the dynamic scheduler
-//! deterministic.
+//! `priority = dependents + path_delay`, the §III linear combination
+//! with unit weights, an exact integer. Ties fall back to instruction
+//! order, which keeps the dynamic scheduler deterministic.
 //!
 //! ```
 //! use qspr_fabric::TechParams;
 //! use qspr_qasm::Program;
-//! use qspr_sched::{PriorityWeights, Qidg};
+//! use qspr_sched::Qidg;
 //!
 //! # fn main() -> Result<(), qspr_qasm::ParseError> {
 //! // A chain: every instruction unlocks everything after it, so both
 //! // priority terms — and their combination — strictly decrease.
 //! let chain = Program::parse("QUBIT a\nQUBIT b\nH a\nC-X a,b\nH b\n")?;
 //! let qidg = Qidg::new(&chain, &TechParams::date2012());
-//! let priorities = qidg.priorities(&PriorityWeights::default());
+//! let priorities = qidg.priorities();
 //! assert!(priorities[0] > priorities[1] && priorities[1] > priorities[2]);
 //!
 //! // The ALAP start of the chain's head equals its slack-free ASAP
@@ -90,10 +88,8 @@
 
 #![forbid(unsafe_code)]
 
-mod priority;
 mod qidg;
 mod schedule;
 
-pub use priority::PriorityWeights;
 pub use qidg::{gate_delay, InstrId, Qidg};
 pub use schedule::Schedule;

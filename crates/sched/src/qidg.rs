@@ -5,7 +5,6 @@ use std::fmt;
 use qspr_fabric::{TechParams, Time};
 use qspr_qasm::{Gate, GateArity, Instruction, Program};
 
-use crate::priority::PriorityWeights;
 use crate::schedule::Schedule;
 
 /// Identifier of an instruction node in a [`Qidg`]; equals the
@@ -247,15 +246,15 @@ impl Qidg {
         counts
     }
 
-    /// The paper's list-scheduling priorities: for each node,
-    /// `w_dependents · dependent_count + w_path · longest_path_to_sink`.
+    /// The paper's list-scheduling priorities (§III) with unit weights:
+    /// for each node, `dependent_count + longest_path_to_sink`.
     /// Higher priority instructions issue first.
-    pub fn priorities(&self, weights: &PriorityWeights) -> Vec<f64> {
+    pub fn priorities(&self) -> Vec<u64> {
         let deps = self.dependent_count();
         let paths = self.longest_path_to_sink();
         deps.iter()
             .zip(&paths)
-            .map(|(d, p)| weights.dependents * f64::from(*d) + weights.path * *p as f64)
+            .map(|(&d, &p)| u64::from(d) + p)
             .collect()
     }
 }
@@ -398,10 +397,9 @@ C-Z q4,q0
     fn priorities_combine_both_terms() {
         let p = Program::parse("QUBIT a\nH a\nX a\n").unwrap();
         let g = Qidg::new(&p, &TechParams::date2012());
-        let pr = g.priorities(&PriorityWeights::default());
-        assert!(pr[0] > pr[1]);
-        let only_deps = g.priorities(&PriorityWeights::new(1.0, 0.0));
-        assert_eq!(only_deps, vec![1.0, 0.0]);
+        assert_eq!(g.dependent_count(), vec![1, 0]);
+        assert_eq!(g.longest_path_to_sink(), vec![20, 10]);
+        assert_eq!(g.priorities(), vec![1 + 20, 10]);
     }
 
     #[test]
@@ -519,7 +517,7 @@ mod large_graph_tests {
         for seed in 0..10 {
             let p = random_program(&RandomProgramConfig::new(6, 60), seed);
             let g = Qidg::new(&p, &tech);
-            let pr = g.priorities(&PriorityWeights::default());
+            let pr = g.priorities();
             for id in g.topo_order() {
                 for s in g.succs(id) {
                     assert!(pr[id.index()] > pr[s.index()], "seed {seed}: {id} vs {s}");

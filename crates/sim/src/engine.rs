@@ -16,7 +16,7 @@ use qspr_sched::{InstrId, Qidg};
 use crate::error::MapError;
 use crate::outcome::{InstrStats, MappingOutcome};
 use crate::placement::Placement;
-use crate::policy::{IssueOrder, MapperPolicy, MovementPolicy};
+use crate::policy::FlowPolicy;
 use crate::trace::{MicroCommand, Trace, TraceEntry};
 
 /// Maps programs onto a fabric under a given policy.
@@ -27,7 +27,7 @@ use crate::trace::{MicroCommand, Trace, TraceEntry};
 pub struct Mapper<'a> {
     fabric: &'a Fabric,
     tech: TechParams,
-    policy: MapperPolicy,
+    policy: FlowPolicy,
     router: Arc<dyn RouterFactory + Send + Sync>,
     record_trace: bool,
     jobs: usize,
@@ -35,7 +35,7 @@ pub struct Mapper<'a> {
 
 impl<'a> Mapper<'a> {
     /// Creates a mapper over `fabric` with technology `tech` and `policy`.
-    pub fn new(fabric: &'a Fabric, tech: TechParams, policy: MapperPolicy) -> Mapper<'a> {
+    pub fn new(fabric: &'a Fabric, tech: TechParams, policy: FlowPolicy) -> Mapper<'a> {
         Mapper {
             fabric,
             tech,
@@ -95,11 +95,6 @@ impl<'a> Mapper<'a> {
         &self.tech
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &MapperPolicy {
-        &self.policy
-    }
-
     /// Schedules, places (per the given initial placement) and routes
     /// `program`, returning the full mapping outcome.
     ///
@@ -122,25 +117,26 @@ impl<'a> Mapper<'a> {
     }
 
     /// Builds `program`'s QIDG and issue-order key under this mapper's
-    /// technology and [`IssueOrder`]: everything of a mapping that does
-    /// not depend on the placement. The result serves every
+    /// technology and policy: everything of a mapping that does not
+    /// depend on the placement. The result serves every
     /// [`Mapper::map_prepared`] call of any mapper with the same
-    /// technology and issue order, on any thread.
+    /// technology and policy, on any thread.
     pub fn prepare(&self, program: &Program) -> PreparedProgram {
         let qidg = Qidg::new(program, &self.tech);
-        let order = self.policy.order;
-        let order_key: Vec<f64> = match order {
-            IssueOrder::PriorityList(w) => qidg.priorities(&w).iter().map(|p| -p).collect(),
-            IssueOrder::Alap => {
+        // Lower keys issue first: QSPR's highest priority, QUALE's
+        // earliest ALAP start.
+        let order_key: Vec<i64> = match self.policy {
+            FlowPolicy::Qspr => qidg.priorities().iter().map(|&p| -(p as i64)).collect(),
+            FlowPolicy::Quale => {
                 let alap = qidg.alap();
-                qidg.topo_order().map(|id| alap.start(id) as f64).collect()
+                qidg.topo_order().map(|id| alap.start(id) as i64).collect()
             }
         };
         PreparedProgram {
             qidg,
             order_key,
             tech: self.tech,
-            order,
+            policy: self.policy,
         }
     }
 
@@ -153,8 +149,8 @@ impl<'a> Mapper<'a> {
     ///
     /// # Panics
     ///
-    /// When `prepared` was built for another technology or issue order
-    /// than this mapper's.
+    /// When `prepared` was built for another technology or policy than
+    /// this mapper's.
     pub fn map_prepared(
         &self,
         prepared: &PreparedProgram,
@@ -170,8 +166,8 @@ impl<'a> Mapper<'a> {
         placement: &Placement,
     ) -> Result<MappingOutcome, MapError> {
         assert!(
-            prepared.tech == self.tech && prepared.order == self.policy.order,
-            "program prepared for another technology or issue order"
+            prepared.tech == self.tech && prepared.policy == self.policy,
+            "program prepared for another technology or policy"
         );
         placement.check(self.fabric, prepared.qidg.num_qubits())?;
         Sim::new(self, prepared, placement).run()
@@ -180,7 +176,7 @@ impl<'a> Mapper<'a> {
 
 /// A program ready for [`Mapper::map_prepared`]: its QIDG and the issue
 /// order's per-instruction sort key, built by [`Mapper::prepare`] for
-/// one technology and issue order.
+/// one technology and policy.
 ///
 /// MVFB maps the same two programs (forward and reversed) hundreds of
 /// times per placement; preparing each once keeps the QIDG and its
@@ -188,10 +184,10 @@ impl<'a> Mapper<'a> {
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     qidg: Qidg,
-    order_key: Vec<f64>,
+    order_key: Vec<i64>,
     /// What the QIDG delays and the key were computed from.
     tech: TechParams,
-    order: IssueOrder,
+    policy: FlowPolicy,
 }
 
 impl fmt::Debug for Mapper<'_> {
@@ -225,7 +221,7 @@ enum EventKind {
     /// The gate of `InstrId` finished.
     GateDone(InstrId),
     /// A qubit completed its shuttle back to its home trap
-    /// ([`MovementPolicy::ReturnToHome`]) and is usable again.
+    /// ([`FlowPolicy::Quale`]) and is usable again.
     ReturnedHome(QubitId),
 }
 
@@ -272,7 +268,7 @@ struct Sim<'m, 'a> {
     mapper: &'m Mapper<'a>,
     topo: &'a Topology,
     qidg: &'m Qidg,
-    order_key: &'m [f64],
+    order_key: &'m [i64],
     engine: Box<dyn RoutingEngine + 'a>,
     /// The fabric's empty-fabric bounds at the policy's router weights,
     /// for pruning meeting-trap probes (shared with every router on the
@@ -317,8 +313,8 @@ struct Sim<'m, 'a> {
     /// The unrouted mover of a half-issued instruction.
     second_leg: Vec<Option<QubitId>>,
     gate_trap: Vec<TrapId>,
-    /// Fixed home trap per qubit (the initial placement), used by the
-    /// return-to-home movement policy.
+    /// Fixed home trap per qubit (the initial placement), used by
+    /// QUALE's return-to-home movement.
     home_trap: Vec<TrapId>,
     /// Qubits currently shuttling home (unusable until they arrive).
     in_transit: Vec<bool>,
@@ -378,9 +374,10 @@ impl<'m, 'a> Sim<'m, 'a> {
             .topo_order()
             .filter(|id| pending[id.index()] == 0)
             .collect();
-        let engine = mapper.router.build(topo, mapper.policy.router);
+        let router = mapper.policy.router_config(&mapper.tech);
+        let engine = mapper.router.build(topo, router);
         Sim {
-            bounds: mapper.policy.router.travel_bounds(topo),
+            bounds: router.travel_bounds(topo),
             defer_epoch: engine.refines(),
             epoch_plans: Vec::new(),
             epoch_owners: Vec::new(),
@@ -484,7 +481,7 @@ impl<'m, 'a> Sim<'m, 'a> {
                 }
                 // Under the storage model, the visiting source qubit now
                 // shuttles back to its home trap.
-                if self.mapper.policy.movement == MovementPolicy::ReturnToHome {
+                if self.mapper.policy == FlowPolicy::Quale {
                     if let Operands::Two { control, .. } = self.qidg.instruction(id).operands {
                         let here = self.gate_trap[id.index()];
                         if self.home_trap[control.index()] != here {
@@ -521,18 +518,12 @@ impl<'m, 'a> Sim<'m, 'a> {
                 break;
             }
             self.resources_changed = false;
-            candidates.sort_by(|a, b| {
-                let key = |item: &BusyItem| match item.sort_instr() {
-                    Some(id) => (self.order_key[id.index()], id.0),
-                    // Return legs first: they free traps and qubits.
-                    None => (f64::NEG_INFINITY, 0),
-                };
-                let (ka, kb) = (key(a), key(b));
-                ka.0.partial_cmp(&kb.0)
-                    .expect("priorities are finite")
-                    .then(ka.1.cmp(&kb.1))
+            candidates.sort_by_key(|item| match item.sort_instr() {
+                Some(id) => (self.order_key[id.index()], id.0),
+                // Return legs first: they free traps and qubits.
+                None => (i64::MIN, 0),
             });
-            let strict = matches!(self.mapper.policy.order, IssueOrder::Alap);
+            let strict = self.mapper.policy == FlowPolicy::Quale;
             let mut progressed = false;
             let mut head_blocked = false;
             for item in candidates.drain(..) {
@@ -666,7 +657,7 @@ impl<'m, 'a> Sim<'m, 'a> {
                 true
             }
             Operands::Two { control, target } => {
-                if self.mapper.policy.movement == MovementPolicy::ReturnToHome {
+                if self.mapper.policy == FlowPolicy::Quale {
                     return self.try_issue_return_to_home(id, control, target);
                 }
                 let tc = self.qubit_trap[control.index()];
@@ -1197,7 +1188,7 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = Program::parse("QUBIT a\nH a\nX a\n").unwrap();
         let placement = Placement::center(&f, 1);
-        let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         assert_eq!(out.latency(), 20);
@@ -1210,7 +1201,7 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n").unwrap();
         let placement = Placement::center(&f, 2);
-        let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         assert!(out.latency() > 100, "routing adds to the 100µs gate");
@@ -1228,7 +1219,7 @@ C-Z q4,q0
         let p = fig3();
         let ideal = Qidg::new(&p, &tech).critical_path_delay();
         let placement = Placement::center(&f, 5);
-        let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         assert!(out.latency() >= ideal);
@@ -1241,10 +1232,10 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = fig3();
         let placement = Placement::center(&f, 5);
-        let qspr = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let qspr = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
-        let quale = Mapper::new(&f, tech, MapperPolicy::quale(&tech))
+        let quale = Mapper::new(&f, tech, FlowPolicy::Quale)
             .map(&p, &placement)
             .unwrap();
         assert!(
@@ -1261,7 +1252,7 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = fig3();
         let placement = Placement::center(&f, 5);
-        let m = Mapper::new(&f, tech, MapperPolicy::qspr(&tech));
+        let m = Mapper::new(&f, tech, FlowPolicy::Qspr);
         let a = m.map(&p, &placement).unwrap();
         let b = m.map(&p, &placement).unwrap();
         assert_eq!(a.latency(), b.latency());
@@ -1274,7 +1265,7 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = fig3();
         let placement = Placement::center(&f, 5);
-        let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         assert_eq!(out.final_placement().num_qubits(), 5);
@@ -1286,11 +1277,11 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = fig3();
         let placement = Placement::center(&f, 5);
-        let without = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let without = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         assert!(without.trace().is_none());
-        let with = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let with = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .record_trace(true)
             .map(&p, &placement)
             .unwrap();
@@ -1312,7 +1303,7 @@ C-Z q4,q0
         let t0 = f.topology().trap_at(Coord::new(0, 1)).unwrap();
         let t1 = f.topology().trap_at(Coord::new(0, 6)).unwrap();
         let placement = Placement::new(vec![t0, t1]).unwrap();
-        let err = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let err = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap_err();
         assert_eq!(err, MapError::Stalled { remaining: 1 });
@@ -1324,7 +1315,7 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n").unwrap();
         let placement = Placement::center(&f, 1);
-        let err = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let err = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap_err();
         assert!(matches!(err, MapError::QubitCountMismatch { .. }));
@@ -1338,7 +1329,7 @@ C-Z q4,q0
         let tech = TechParams::date2012();
         let p = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\nC-Z a,b\n").unwrap();
         let placement = Placement::center(&f, 2);
-        let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         let s1 = out.stats_of(qspr_sched::InstrId(1));
@@ -1353,11 +1344,10 @@ C-Z q4,q0
         let f = Fabric::quale_45x85();
         let tech = TechParams::date2012().without_multiplexing();
         let p = Program::parse("QUBIT a\nQUBIT b\nQUBIT c\nQUBIT d\nC-X a,b\nC-X c,d\n").unwrap();
-        let mut policy = MapperPolicy::qspr(&tech);
-        policy.router.channel_capacity = 1;
-        policy.router.junction_capacity = 1;
         let placement = Placement::center(&f, 4);
-        let out = Mapper::new(&f, tech, policy).map(&p, &placement).unwrap();
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
+            .map(&p, &placement)
+            .unwrap();
         let total_wait: Time = out.instr_stats().iter().map(|s| s.congestion_wait()).sum();
         // Both gates contend for the center channels; at least one waits
         // or detours (cannot assert which, but latency must exceed the
@@ -1385,7 +1375,7 @@ mod policy_behavior_tests {
         let p =
             Program::parse("QUBIT a,0\nQUBIT b,0\nQUBIT c,0\nC-X a,b\nC-X b,c\nC-X c,a\n").unwrap();
         let placement = Placement::center(&f, 3);
-        let out = Mapper::new(&f, tech, MapperPolicy::quale(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Quale)
             .map(&p, &placement)
             .unwrap();
         assert_eq!(out.final_placement(), &placement);
@@ -1397,7 +1387,7 @@ mod policy_behavior_tests {
         let tech = TechParams::date2012();
         let p = Program::parse("QUBIT a,0\nQUBIT b,0\nC-X a,b\n").unwrap();
         let placement = Placement::center(&f, 2);
-        let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         let fp = out.final_placement();
@@ -1416,10 +1406,10 @@ mod policy_behavior_tests {
         let tech = TechParams::date2012();
         let p = Program::parse("QUBIT a,0\nQUBIT b,0\nC-X a,b\nC-Z a,b\n").unwrap();
         let placement = Placement::center(&f, 2);
-        let stay = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let stay = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
-        let home = Mapper::new(&f, tech, MapperPolicy::quale(&tech))
+        let home = Mapper::new(&f, tech, FlowPolicy::Quale)
             .map(&p, &placement)
             .unwrap();
         assert!(
@@ -1434,12 +1424,11 @@ mod policy_behavior_tests {
     fn capacity_one_forces_staged_movement_but_still_completes() {
         let f = fabric();
         let tech = TechParams::date2012().without_multiplexing();
-        let mut policy = MapperPolicy::qspr(&tech);
-        policy.router.channel_capacity = 1;
-        policy.router.junction_capacity = 1;
         let p = Program::parse("QUBIT a,0\nQUBIT b,0\nC-X a,b\n").unwrap();
         let placement = Placement::center(&f, 2);
-        let out = Mapper::new(&f, tech, policy).map(&p, &placement).unwrap();
+        let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
+            .map(&p, &placement)
+            .unwrap();
         // Both qubits still reach a common trap; the gate runs.
         assert!(out.latency() >= tech.t_gate_2q);
         let fp = out.final_placement();
@@ -1456,13 +1445,10 @@ mod policy_behavior_tests {
         )
         .unwrap();
         let placement = Placement::center(&f, 4);
-        let fast = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let fast = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
-        let mut slow_policy = MapperPolicy::qspr(&tech);
-        slow_policy.router.channel_capacity = 1;
-        slow_policy.router.junction_capacity = 1;
-        let slow = Mapper::new(&f, tech, slow_policy)
+        let slow = Mapper::new(&f, tech.without_multiplexing(), FlowPolicy::Qspr)
             .map(&p, &placement)
             .unwrap();
         assert!(slow.latency() >= fast.latency());
@@ -1477,7 +1463,7 @@ mod policy_behavior_tests {
         use rand::{rngs::StdRng, SeedableRng};
         let f = fabric();
         let tech = TechParams::date2012();
-        let mapper = Mapper::new(&f, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&f, tech, FlowPolicy::Qspr);
         let qubits: String = (0..8).map(|i| format!("QUBIT q{i},0\n")).collect();
         let prepared = mapper.prepare(&Program::parse(&qubits).unwrap());
         let mut rng = StdRng::seed_from_u64(11);
@@ -1513,7 +1499,7 @@ mod policy_behavior_tests {
         let tech = TechParams::date2012();
         let p = Program::parse("QUBIT a,0\nQUBIT b,0\nC-X a,b\nH a\n").unwrap();
         let placement = Placement::center(&f, 2);
-        let out = Mapper::new(&f, tech, MapperPolicy::quale(&tech))
+        let out = Mapper::new(&f, tech, FlowPolicy::Quale)
             .map(&p, &placement)
             .unwrap();
         let h_stats = out.stats_of(qspr_sched::InstrId(1));
@@ -1532,7 +1518,7 @@ mod prepared_and_probe_order_tests {
 
     /// Both policies and both built-in engines.
     fn mappers<'a>(fabric: &'a Fabric, tech: TechParams) -> Vec<Mapper<'a>> {
-        [MapperPolicy::qspr(&tech), MapperPolicy::quale(&tech)]
+        [FlowPolicy::Qspr, FlowPolicy::Quale]
             .into_iter()
             .flat_map(|policy| {
                 [RouterKind::Greedy, RouterKind::Negotiated]
@@ -1564,13 +1550,13 @@ mod prepared_and_probe_order_tests {
     }
 
     #[test]
-    #[should_panic(expected = "prepared for another technology or issue order")]
+    #[should_panic(expected = "prepared for another technology or policy")]
     fn a_program_prepared_for_another_issue_order_is_refused() {
         let f = Fabric::quale_45x85();
         let tech = TechParams::date2012();
         let program = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n").unwrap();
-        let prepared = Mapper::new(&f, tech, MapperPolicy::quale(&tech)).prepare(&program);
-        let _ = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+        let prepared = Mapper::new(&f, tech, FlowPolicy::Quale).prepare(&program);
+        let _ = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map_prepared(&prepared, &Placement::center(&f, 2));
     }
 
@@ -1589,7 +1575,7 @@ mod prepared_and_probe_order_tests {
         // probes most often cost more than their bounds.
         for bench in [&suite[0], &suite[3], &suite[5]] {
             for router in [RouterKind::Greedy, RouterKind::Negotiated] {
-                let mapper = Mapper::new(&f, tech, MapperPolicy::qspr(&tech)).router(router);
+                let mapper = Mapper::new(&f, tech, FlowPolicy::Qspr).router(router);
                 let passes = [
                     mapper.prepare(&bench.program),
                     mapper.prepare(&bench.program.reversed()),

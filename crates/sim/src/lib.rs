@@ -7,11 +7,11 @@
 //!
 //! * [`Placement`] — an assignment of program qubits to fabric traps
 //!   (center placements, the seeds of every placer, live here too);
-//! * [`MapperPolicy`] — the policy knobs distinguishing QSPR from the
-//!   QUALE baseline: router configuration, movement policy (move both
-//!   operands to the cheapest meeting trap vs. shuttle the source to the
-//!   destination's home and back), and issue order (priority list or
-//!   ALAP);
+//! * [`FlowPolicy`] — QSPR or the paper's QUALE baseline. The one
+//!   value fixes the router configuration
+//!   ([`FlowPolicy::router_config`]), the movement (both operands to the
+//!   cheapest meeting trap vs. the source to the destination's home and
+//!   back) and the issue order (priority list or strict ALAP);
 //! * [`Mapper`] — the event-driven engine. Ready instructions are issued
 //!   in policy order; 2-qubit instructions pick a target trap and route
 //!   their operands, booking channel segments and junctions; blocked
@@ -32,7 +32,7 @@
 //! ```
 //! use qspr_fabric::{Fabric, TechParams};
 //! use qspr_qasm::Program;
-//! use qspr_sim::{Mapper, MapperPolicy, Placement};
+//! use qspr_sim::{FlowPolicy, Mapper, Placement};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let fabric = Fabric::quale_45x85();
@@ -40,7 +40,7 @@
 //! let program = Program::parse("QUBIT a\nQUBIT b\nH a\nC-X a,b\n")?;
 //! let placement = Placement::center(&fabric, program.num_qubits());
 //!
-//! let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+//! let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
 //! let outcome = mapper.map(&program, &placement)?;
 //! assert!(outcome.latency() >= 110); // at least the gate delays
 //! # Ok(())
@@ -57,9 +57,8 @@
 //!    finished are considered in policy order (the `qspr-sched`
 //!    priority list for QSPR, ALAP order for QUALE). A 1-qubit
 //!    instruction starts its gate in place; a 2-qubit instruction picks
-//!    its meeting trap (per the movement policy: the cheapest of the
-//!    median trap and the operands' own traps, or the destination's
-//!    home) and submits its operand legs to the routing engine.
+//!    its meeting trap (QSPR: the cheapest of the median trap and the
+//!    operands' own traps; QUALE: the destination's home) and submits its operand legs to the routing engine.
 //!    Instructions that cannot route or find no free seat join the
 //!    **busy queue**.
 //! 2. **Batch routing.** The epoch's movers go to the configured
@@ -90,7 +89,7 @@
 //! ```
 //! use qspr_fabric::{Fabric, TechParams};
 //! use qspr_qasm::Program;
-//! use qspr_sim::{Mapper, MapperPolicy, Placement, RouterKind};
+//! use qspr_sim::{FlowPolicy, Mapper, Placement, RouterKind};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let fabric = Fabric::quale_45x85();
@@ -101,7 +100,7 @@
 //! let placement = Placement::center(&fabric, program.num_qubits());
 //!
 //! // The same epoch loop drives both engines; runs are deterministic.
-//! let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+//! let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
 //! let greedy = mapper.clone().map(&program, &placement)?;
 //! let negotiated = mapper
 //!     .clone()
@@ -144,7 +143,7 @@ pub use error::{MapError, TraceError};
 // engines without a direct `qspr_route` dependency.
 pub use outcome::{InstrStats, MappingOutcome, Totals};
 pub use placement::Placement;
-pub use policy::{IssueOrder, MapperPolicy, MovementPolicy};
+pub use policy::{FlowPolicy, ParseFlowPolicyError};
 pub use qspr_route::{RouterFactory, RouterKind, RoutingEngine, RoutingStats};
 pub use render::{qubit_positions_at, render_at, render_gantt};
 pub use trace::{MicroCommand, Trace, TraceEntry};

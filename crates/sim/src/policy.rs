@@ -1,82 +1,86 @@
-//! Mapper policies: everything that distinguishes QSPR from the baselines.
+//! The mapper policy: QSPR or the paper's QUALE baseline.
+
+use std::fmt;
+use std::str::FromStr;
 
 use qspr_fabric::TechParams;
 use qspr_route::RouterConfig;
-use qspr_sched::PriorityWeights;
 
-/// How the operands of a 2-qubit instruction are brought together
-/// (paper §I and §IV.B).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MovementPolicy {
-    /// QSPR: both qubits move simultaneously towards the free trap nearest
-    /// to the median of their positions.
-    BothToMedian,
-    /// QUALE (QCCD storage model): every qubit has a *home* trap fixed by
-    /// the initial placement. The source shuttles to the destination's
-    /// home, the gate executes, and the source shuttles back home before
-    /// it can participate in another operation. Consecutive gates on a
-    /// qubit therefore serialize through round trips — the inefficiency
-    /// QSPR's stay-where-you-meet policy removes.
-    ReturnToHome,
-}
-
-/// In which order ready instructions are issued.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IssueOrder {
-    /// QSPR's priority list (§III): a linear combination of transitive
-    /// dependent count and longest path delay to the QIDG sink.
-    PriorityList(PriorityWeights),
-    /// QUALE: instructions *extracted* in ALAP order, strictly: a
-    /// blocked instruction holds back every unissued instruction behind
-    /// it (head-of-line blocking), as in tools that walk a precomputed
-    /// schedule rather than QSPR's dynamic ready list.
-    Alap,
-}
-
-/// The complete mapper policy.
+/// Which of the paper's two tools a [`Mapper`](crate::Mapper) runs
+/// (§I, Tables 1–2): everything that distinguishes QSPR from QUALE.
 ///
 /// # Examples
 ///
 /// ```
 /// use qspr_fabric::TechParams;
-/// use qspr_sim::{MapperPolicy, MovementPolicy};
+/// use qspr_sim::FlowPolicy;
 ///
 /// let tech = TechParams::date2012();
-/// let qspr = MapperPolicy::qspr(&tech);
-/// assert_eq!(qspr.movement, MovementPolicy::BothToMedian);
-/// let quale = MapperPolicy::quale(&tech);
-/// assert_eq!(quale.movement, MovementPolicy::ReturnToHome);
-/// assert_eq!(quale.router.channel_capacity, 1);
+/// assert_eq!("quale".parse::<FlowPolicy>(), Ok(FlowPolicy::Quale));
+/// assert_eq!(FlowPolicy::Qspr.router_config(&tech).channel_capacity, 2);
+/// assert_eq!(FlowPolicy::Quale.router_config(&tech).channel_capacity, 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MapperPolicy {
-    /// Router configuration (turn awareness, capacities, history costs).
-    pub router: RouterConfig,
-    /// Operand movement policy.
-    pub movement: MovementPolicy,
-    /// Ready-instruction issue order.
-    pub order: IssueOrder,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlowPolicy {
+    /// The paper's full tool: priority-list issue (§III), both operands
+    /// move to the cheapest meeting trap, turn-aware multiplexed
+    /// routing (§IV.B).
+    Qspr,
+    /// The QUALE baseline: ALAP extraction, strictly (a blocked
+    /// instruction holds back every unissued one behind it), and the
+    /// QCCD storage model: every qubit has a *home* trap fixed by the
+    /// initial placement, the source shuttles to the destination's home
+    /// and back after the gate, so consecutive gates on a qubit
+    /// serialize through round trips. Routing is turn-blind, capacity-1
+    /// and PathFinder-style.
+    Quale,
 }
 
-impl MapperPolicy {
-    /// The full QSPR policy (§I bullets): turn-aware multiplexed routing,
-    /// both operands move to a median trap, priority-list scheduling.
-    pub fn qspr(tech: &TechParams) -> MapperPolicy {
-        MapperPolicy {
-            router: RouterConfig::qspr(tech),
-            movement: MovementPolicy::BothToMedian,
-            order: IssueOrder::PriorityList(PriorityWeights::default()),
+impl FlowPolicy {
+    /// Stable lowercase name (`"qspr"` / `"quale"`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FlowPolicy::Qspr => "qspr",
+            FlowPolicy::Quale => "quale",
         }
     }
 
-    /// The QUALE baseline: ALAP extraction (strict order), center
-    /// placement (chosen by the caller), PathFinder-style routing, no
-    /// channel multiplexing, turn-blind costs, single moving qubit.
-    pub fn quale(tech: &TechParams) -> MapperPolicy {
-        MapperPolicy {
-            router: RouterConfig::quale(tech),
-            movement: MovementPolicy::ReturnToHome,
-            order: IssueOrder::Alap,
+    /// The router this policy maps with on technology `tech`:
+    /// [`RouterConfig::qspr`] or [`RouterConfig::quale`].
+    pub fn router_config(self, tech: &TechParams) -> RouterConfig {
+        match self {
+            FlowPolicy::Qspr => RouterConfig::qspr(tech),
+            FlowPolicy::Quale => RouterConfig::quale(tech),
+        }
+    }
+}
+
+impl fmt::Display for FlowPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Error returned when parsing an unknown policy name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseFlowPolicyError(String);
+
+impl fmt::Display for ParseFlowPolicyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown policy {:?} (expected qspr or quale)", self.0)
+    }
+}
+
+impl std::error::Error for ParseFlowPolicyError {}
+
+impl FromStr for FlowPolicy {
+    type Err = ParseFlowPolicyError;
+
+    fn from_str(s: &str) -> Result<FlowPolicy, ParseFlowPolicyError> {
+        match s {
+            "qspr" => Ok(FlowPolicy::Qspr),
+            "quale" => Ok(FlowPolicy::Quale),
+            other => Err(ParseFlowPolicyError(other.to_owned())),
         }
     }
 }
@@ -87,19 +91,25 @@ mod tests {
 
     #[test]
     fn qspr_policy_enables_all_improvements() {
-        let p = MapperPolicy::qspr(&TechParams::date2012());
-        assert!(p.router.turn_aware);
-        assert_eq!(p.router.channel_capacity, 2);
-        assert_eq!(p.movement, MovementPolicy::BothToMedian);
-        assert!(matches!(p.order, IssueOrder::PriorityList(_)));
+        let tech = TechParams::date2012();
+        let router = FlowPolicy::Qspr.router_config(&tech);
+        assert!(router.turn_aware);
+        assert!(!router.history_cost);
+        // Capacities come from the technology.
+        assert_eq!(router.channel_capacity, 2);
+        let single = FlowPolicy::Qspr.router_config(&tech.without_multiplexing());
+        assert_eq!((single.channel_capacity, single.junction_capacity), (1, 1));
     }
 
     #[test]
     fn baselines_disable_the_improvements() {
         let tech = TechParams::date2012();
-        let quale = MapperPolicy::quale(&tech);
-        assert!(!quale.router.turn_aware);
-        assert!(quale.router.history_cost);
-        assert_eq!(quale.order, IssueOrder::Alap);
+        assert_eq!(tech.channel_capacity, 2);
+        let router = FlowPolicy::Quale.router_config(&tech);
+        assert!(!router.turn_aware);
+        assert!(router.history_cost);
+        // Capacity 1 whatever the technology allows.
+        assert_eq!((router.channel_capacity, router.junction_capacity), (1, 1));
+        assert_eq!((router.t_move, router.t_turn), (tech.t_move, tech.t_turn));
     }
 }

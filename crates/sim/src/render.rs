@@ -18,14 +18,14 @@ use crate::trace::{MicroCommand, Trace};
 /// ```
 /// use qspr_fabric::{Fabric, TechParams};
 /// use qspr_qasm::Program;
-/// use qspr_sim::{qubit_positions_at, Mapper, MapperPolicy, Placement};
+/// use qspr_sim::{qubit_positions_at, FlowPolicy, Mapper, Placement};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fabric = Fabric::quale_45x85();
 /// let tech = TechParams::date2012();
 /// let program = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n")?;
 /// let placement = Placement::center(&fabric, 2);
-/// let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+/// let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
 ///     .record_trace(true)
 ///     .map(&program, &placement)?;
 /// let at_start = qubit_positions_at(&fabric, &placement, outcome.trace().unwrap(), 0);
@@ -136,7 +136,7 @@ pub fn render_gantt(outcome: &MappingOutcome, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::engine::Mapper;
-    use crate::policy::MapperPolicy;
+    use crate::policy::FlowPolicy;
     use qspr_fabric::TechParams;
     use qspr_qasm::Program;
 
@@ -145,7 +145,7 @@ mod tests {
         let tech = TechParams::date2012();
         let program = Program::parse("QUBIT a,0\nQUBIT b,0\nH a\nC-X a,b\n").unwrap();
         let placement = Placement::center(&fabric, 2);
-        let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
             .record_trace(true)
             .map(&program, &placement)
             .unwrap();

@@ -9,7 +9,7 @@ use qspr_qasm::{random_program, Program, RandomProgramConfig};
 use crate::engine::Mapper;
 use crate::error::MapError;
 use crate::placement::Placement;
-use crate::policy::MapperPolicy;
+use crate::policy::FlowPolicy;
 use crate::validate::validate_trace;
 
 /// A cross with exactly four traps around one junction.
@@ -27,7 +27,7 @@ fn two_qubits_on_a_tiny_cross() {
     let tech = TechParams::date2012();
     let p = Program::parse("QUBIT a,0\nQUBIT b,0\nC-X a,b\nC-Z a,b\nH a\nC-Y b,a\n").unwrap();
     let placement = Placement::center(&f, 2);
-    let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+    let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
         .record_trace(true)
         .map(&p, &placement)
         .unwrap();
@@ -46,7 +46,7 @@ fn four_qubits_saturate_four_traps_but_make_progress() {
     )
     .unwrap();
     let placement = Placement::center(&f, 4);
-    let out = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+    let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
         .record_trace(true)
         .map(&p, &placement)
         .unwrap();
@@ -57,13 +57,10 @@ fn four_qubits_saturate_four_traps_but_make_progress() {
 fn capacity_one_on_the_tiny_cross_still_completes() {
     let f = Fabric::from_ascii(TINY_CROSS).unwrap();
     let tech = TechParams::date2012().without_multiplexing();
-    let mut policy = MapperPolicy::qspr(&tech);
-    policy.router.channel_capacity = 1;
-    policy.router.junction_capacity = 1;
     let p =
         Program::parse("QUBIT a,0\nQUBIT b,0\nQUBIT c,0\n C-X a,b\nC-X b,c\nC-X c,a\n").unwrap();
     let placement = Placement::center(&f, 3);
-    let out = Mapper::new(&f, tech, policy)
+    let out = Mapper::new(&f, tech, FlowPolicy::Qspr)
         .record_trace(true)
         .map(&p, &placement)
         .unwrap();
@@ -76,7 +73,7 @@ fn quale_storage_model_survives_the_tiny_cross() {
     let tech = TechParams::date2012();
     let p = Program::parse("QUBIT a,0\nQUBIT b,0\nQUBIT c,0\nC-X a,b\nC-X b,c\nC-X a,c\n").unwrap();
     let placement = Placement::center(&f, 3);
-    let out = Mapper::new(&f, tech, MapperPolicy::quale(&tech))
+    let out = Mapper::new(&f, tech, FlowPolicy::Quale)
         .record_trace(true)
         .map(&p, &placement)
         .unwrap();
@@ -102,7 +99,7 @@ fn overfull_fabric_stalls_cleanly_instead_of_deadlocking() {
     // a,b share trap 0; c,d share trap 1.
     let traps = f.topology().traps_by_distance(f.center());
     let placement = Placement::new(vec![traps[0], traps[0], traps[1], traps[1]]).unwrap();
-    let err = Mapper::new(&f, tech, MapperPolicy::qspr(&tech))
+    let err = Mapper::new(&f, tech, FlowPolicy::Qspr)
         .map(&p, &placement)
         .unwrap_err();
     assert_eq!(err, MapError::Stalled { remaining: 1 });
@@ -114,10 +111,7 @@ fn long_random_programs_on_a_small_fabric() {
     // programs under every policy.
     let f = Fabric::regular(9, 9, 4).unwrap();
     let tech = TechParams::date2012();
-    for (seed, policy) in [
-        (1u64, MapperPolicy::qspr(&tech)),
-        (2, MapperPolicy::quale(&tech)),
-    ] {
+    for (seed, policy) in [(1u64, FlowPolicy::Qspr), (2, FlowPolicy::Quale)] {
         let p = random_program(&RandomProgramConfig::new(6, 200), seed);
         let placement = Placement::center(&f, 6);
         let out = Mapper::new(&f, tech, policy)

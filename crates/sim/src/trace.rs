@@ -86,14 +86,14 @@ impl fmt::Display for TraceEntry {
 /// ```
 /// use qspr_fabric::{Fabric, TechParams};
 /// use qspr_qasm::Program;
-/// use qspr_sim::{Mapper, MapperPolicy, Placement};
+/// use qspr_sim::{FlowPolicy, Mapper, Placement};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fabric = Fabric::quale_45x85();
 /// let tech = TechParams::date2012();
 /// let program = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n")?;
 /// let placement = Placement::center(&fabric, 2);
-/// let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+/// let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
 ///     .record_trace(true)
 ///     .map(&program, &placement)?;
 /// let trace = outcome.trace().expect("trace was recorded");

@@ -32,14 +32,14 @@ use crate::trace::{MicroCommand, Trace};
 /// ```
 /// use qspr_fabric::{Fabric, TechParams};
 /// use qspr_qasm::Program;
-/// use qspr_sim::{validate_trace, Mapper, MapperPolicy, Placement};
+/// use qspr_sim::{validate_trace, FlowPolicy, Mapper, Placement};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fabric = Fabric::quale_45x85();
 /// let tech = TechParams::date2012();
 /// let program = Program::parse("QUBIT a\nQUBIT b\nH a\nC-X a,b\n")?;
 /// let placement = Placement::center(&fabric, 2);
-/// let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+/// let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
 ///     .record_trace(true)
 ///     .map(&program, &placement)?;
 /// validate_trace(&fabric, &program, &placement, outcome.trace().unwrap(), &tech)?;
@@ -174,7 +174,7 @@ fn check_qubit(q: QubitId, pos: &[Coord], index: usize) -> Result<usize, TraceEr
 mod tests {
     use super::*;
     use crate::engine::Mapper;
-    use crate::policy::MapperPolicy;
+    use crate::policy::FlowPolicy;
     use crate::trace::TraceEntry;
     use qspr_qasm::Gate;
 
@@ -198,12 +198,12 @@ C-Y q3,q0
 C-Z q4,q0
 ";
 
-    fn mapped_trace(policy_of: fn(&TechParams) -> MapperPolicy) {
+    fn mapped_trace(policy: FlowPolicy) {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
         let program = Program::parse(FIG3).unwrap();
         let placement = Placement::center(&fabric, 5);
-        let outcome = Mapper::new(&fabric, tech, policy_of(&tech))
+        let outcome = Mapper::new(&fabric, tech, policy)
             .record_trace(true)
             .map(&program, &placement)
             .unwrap();
@@ -219,12 +219,12 @@ C-Z q4,q0
 
     #[test]
     fn qspr_traces_validate() {
-        mapped_trace(MapperPolicy::qspr);
+        mapped_trace(FlowPolicy::Qspr);
     }
 
     #[test]
     fn quale_traces_validate() {
-        mapped_trace(MapperPolicy::quale);
+        mapped_trace(FlowPolicy::Quale);
     }
 
     #[test]

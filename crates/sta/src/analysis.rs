@@ -397,14 +397,14 @@ fn label(program: &Program, instr: &Instruction) -> String {
 mod tests {
     use super::*;
     use qspr_json::ToJson;
-    use qspr_sim::{Mapper, MapperPolicy, Placement};
+    use qspr_sim::{FlowPolicy, Mapper, Placement};
 
     fn mapped(src: &str) -> (Fabric, TechParams, Program, MappingOutcome) {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
         let program = Program::parse(src).unwrap();
         let placement = Placement::center(&fabric, program.num_qubits());
-        let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
             .record_trace(true)
             .map(&program, &placement)
             .unwrap();
@@ -498,7 +498,7 @@ mod tests {
         let tech = TechParams::date2012();
         let program = Program::parse("QUBIT a\nH a\n").unwrap();
         let placement = Placement::center(&fabric, 1);
-        let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
             .map(&program, &placement)
             .unwrap();
         let err = TimingAnalysis::new(&fabric, tech)

@@ -35,7 +35,7 @@
 //! ```
 //! use qspr_fabric::{Fabric, TechParams};
 //! use qspr_qasm::Program;
-//! use qspr_sim::{Mapper, MapperPolicy, Placement};
+//! use qspr_sim::{FlowPolicy, Mapper, Placement};
 //! use qspr_sta::TimingAnalysis;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +43,7 @@
 //! let tech = TechParams::date2012();
 //! let program = Program::parse("QUBIT a\nQUBIT b\nH a\nC-X a,b\n")?;
 //! let placement = Placement::center(&fabric, 2);
-//! let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+//! let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
 //!     .record_trace(true)
 //!     .map(&program, &placement)?;
 //! let report = TimingAnalysis::new(&fabric, tech).analyze(&program, &outcome)?;

@@ -7,7 +7,7 @@
 use qspr_fabric::{Coord, Fabric, TechParams};
 use qspr_qasm::Program;
 use qspr_route::{ResourceState, Router, RouterConfig, FIG5_DEMO_FABRIC};
-use qspr_sim::{Mapper, MapperPolicy, Placement};
+use qspr_sim::{FlowPolicy, Mapper, Placement};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small fabric: two tile rows, traps hanging off the channels.
@@ -39,8 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          H a\nC-X a,b\nC-X c,d\nC-Z b,c\n",
     )?;
     let placement = Placement::center(&fabric, program.num_qubits());
-    let outcome =
-        Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech)).map(&program, &placement)?;
+    let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr).map(&program, &placement)?;
     println!(
         "mapped: latency {}µs ({} moves, {} turns)",
         outcome.latency(),

@@ -8,7 +8,7 @@
 use qspr_fabric::{Fabric, TechParams};
 use qspr_place::{MonteCarloPlacer, MvfbConfig, MvfbPlacer, Placer};
 use qspr_qecc::codes::benchmark_suite;
-use qspr_sim::{Mapper, MapperPolicy, Placement};
+use qspr_sim::{FlowPolicy, Mapper, Placement};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m: usize = std::env::args()
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let fabric = Fabric::quale_45x85();
     let tech = TechParams::date2012();
-    let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+    let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
     let bench = benchmark_suite()
         .into_iter()
         .find(|b| b.name == "[[9,1,3]]")

@@ -7,7 +7,7 @@
 use qspr_fabric::{Fabric, TechParams};
 use qspr_qecc::codes::fig3_program;
 use qspr_sim::{
-    render_at, render_gantt, validate_trace, Mapper, MapperPolicy, MicroCommand, Placement,
+    render_at, render_gantt, validate_trace, FlowPolicy, Mapper, MicroCommand, Placement,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = fig3_program();
     let placement = Placement::center(&fabric, program.num_qubits());
 
-    let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+    let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
         .record_trace(true)
         .map(&program, &placement)?;
     let trace = outcome.trace().expect("trace recorded");

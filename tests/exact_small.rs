@@ -18,7 +18,7 @@ use std::thread;
 use qspr::Flow;
 use qspr_fabric::{Fabric, TechParams, Time, TrapId};
 use qspr_qecc::codes::benchmark_suite;
-use qspr_sim::{Mapper, MapperPolicy, Placement, PreparedProgram};
+use qspr_sim::{FlowPolicy, Mapper, Placement, PreparedProgram};
 
 /// Per circuit: traps in its window, most qubits per trap, placements
 /// in the window, and MVFB's latency at `m = 25` (µs). With one qubit
@@ -73,7 +73,7 @@ fn search(
 fn mvfb_reaches_the_window_optimum_on_the_small_circuits() {
     let fabric = Fabric::quale_45x85();
     let tech = TechParams::date2012();
-    let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+    let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
     let flow = Flow::on(fabric.clone()).seeds(25);
     let suite = benchmark_suite();
     let mut windows = Vec::new();

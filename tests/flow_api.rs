@@ -83,7 +83,7 @@ fn built_in_engines_agree_through_the_dyn_seam() {
     // not behavior.
     let fabric = Fabric::quale_45x85();
     let tech = *Flow::on(fabric.clone()).tech_params();
-    let mapper = Mapper::new(&fabric, tech, qspr_sim::MapperPolicy::qspr(&tech));
+    let mapper = Mapper::new(&fabric, tech, qspr_sim::FlowPolicy::Qspr);
     let program = fig3_program();
 
     let static_call = MvfbPlacer::new(MvfbConfig::new(3, 42))
@@ -111,8 +111,8 @@ fn engines_share_the_fabrics_goal_fields() {
     let topo = fabric.topology();
     let segments = topo.segments().len();
     let tech = *Flow::on(fabric.clone()).tech_params();
-    let policy = qspr_sim::MapperPolicy::qspr(&tech);
-    let bounds = policy.router.travel_bounds(topo);
+    let policy = qspr_sim::FlowPolicy::Qspr;
+    let bounds = policy.router_config(&tech).travel_bounds(topo);
     let program = benchmark_suite().swap_remove(1).program;
     for router in [RouterKind::Greedy, RouterKind::Negotiated] {
         let mapper = Mapper::new(&fabric, tech, policy).router(router).jobs(2);
@@ -146,12 +146,12 @@ fn engines_share_the_fabrics_goal_fields() {
 #[test]
 fn mappings_share_the_fabrics_quiet_routes() {
     let tech = *Flow::on(Fabric::quale_45x85()).tech_params();
-    let policy = qspr_sim::MapperPolicy::qspr(&tech);
+    let policy = qspr_sim::FlowPolicy::Qspr;
     let program = benchmark_suite().swap_remove(1).program;
     let mut runs = Vec::new();
     for jobs in [1, 2] {
         let fabric = Fabric::quale_45x85();
-        let table = policy.router.quiet_routes(fabric.topology());
+        let table = policy.router_config(&tech).quiet_routes(fabric.topology());
         let mapper = Mapper::new(&fabric, tech, policy).jobs(jobs);
         let placer = MvfbPlacer::new(MvfbConfig::new(25, 0xD57E_2012));
         let sol = placer.place(&mapper, &program).expect("places");
@@ -406,8 +406,8 @@ fn a_second_run_on_the_same_fabric_fills_no_bounds() {
 
     let fabric = Arc::new(Fabric::quale_45x85());
     let tech = *Flow::on(Arc::clone(&fabric)).tech_params();
-    let bounds = qspr_sim::MapperPolicy::qspr(&tech)
-        .router
+    let bounds = qspr_sim::FlowPolicy::Qspr
+        .router_config(&tech)
         .travel_bounds(fabric.topology());
     let program = fig3_program();
     let run = || {

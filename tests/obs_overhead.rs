@@ -19,13 +19,13 @@ use qspr::obs::Collector;
 use qspr::{Flow, RouterKind};
 use qspr_fabric::{Fabric, TechParams};
 use qspr_qecc::codes::benchmark_suite;
-use qspr_sim::{MapperPolicy, Placement};
+use qspr_sim::{FlowPolicy, Placement};
 
 #[test]
 fn disabled_spans_cost_under_two_percent_of_a_map() {
     let bench = benchmark_suite().pop().expect("suite is non-empty");
     let tech = TechParams::date2012();
-    let policy = MapperPolicy::qspr(&tech);
+    let policy = FlowPolicy::Qspr;
     let flow = Flow::on(Fabric::quale_45x85())
         .tech(tech)
         .router(RouterKind::Greedy);

@@ -4,7 +4,7 @@
 use qspr::Flow;
 use qspr_fabric::{Fabric, TechParams};
 use qspr_qecc::codes::{benchmark_suite, fig3_program};
-use qspr_sim::{validate_trace, Mapper, MapperPolicy, Placement};
+use qspr_sim::{validate_trace, FlowPolicy, Mapper, Placement};
 
 fn fast_flow() -> Flow {
     Flow::on(Fabric::quale_45x85()).seeds(4)
@@ -40,10 +40,7 @@ fn all_policies_produce_valid_traces_on_all_benchmarks() {
     let tech = TechParams::date2012();
     for bench in benchmark_suite() {
         let placement = Placement::center(&fabric, bench.program.num_qubits());
-        for (name, policy) in [
-            ("qspr", MapperPolicy::qspr(&tech)),
-            ("quale", MapperPolicy::quale(&tech)),
-        ] {
+        for (name, policy) in [("qspr", FlowPolicy::Qspr), ("quale", FlowPolicy::Quale)] {
             let outcome = Mapper::new(&fabric, tech, policy)
                 .record_trace(true)
                 .map(&bench.program, &placement)
@@ -80,7 +77,7 @@ fn eq1_decomposition_holds_per_instruction() {
     let tech = TechParams::date2012();
     let program = fig3_program();
     let placement = Placement::center(&fabric, program.num_qubits());
-    let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+    let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
         .map(&program, &placement)
         .expect("maps");
     for (i, s) in outcome.instr_stats().iter().enumerate() {
@@ -105,7 +102,7 @@ fn recorded_trace_agrees_with_stats() {
     let tech = TechParams::date2012();
     for bench in benchmark_suite().into_iter().take(4) {
         let placement = Placement::center(&fabric, bench.program.num_qubits());
-        let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
             .record_trace(true)
             .map(&bench.program, &placement)
             .expect("maps");

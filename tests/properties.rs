@@ -6,7 +6,7 @@ use qspr_fabric::{Fabric, TechParams};
 use qspr_qasm::{random_program, Program, RandomProgramConfig};
 use qspr_route::{ResourceState, Router, RouterConfig};
 use qspr_sched::Qidg;
-use qspr_sim::{validate_trace, Mapper, MapperPolicy, Placement};
+use qspr_sim::{validate_trace, FlowPolicy, Mapper, Placement};
 
 fn tech() -> TechParams {
     TechParams::date2012()
@@ -31,7 +31,7 @@ proptest! {
         let fabric = Fabric::quale_45x85();
         let tech = tech();
         let placement = Placement::center(&fabric, qubits);
-        let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
             .record_trace(true)
             .map(&program, &placement)
             .expect("quale fabric maps everything");
@@ -71,7 +71,7 @@ proptest! {
         let fabric = Fabric::quale_45x85();
         let tech = tech();
         let placement = Placement::center(&fabric, qubits);
-        let negotiated = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+        let negotiated = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
             .router(RouterKind::Negotiated)
             .record_trace(true)
             .map(&program, &placement)
@@ -169,7 +169,7 @@ proptest! {
         let fabric = Fabric::quale_45x85();
         let tech = tech();
         let placement = Placement::center(&fabric, qubits);
-        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let mapper = Mapper::new(&fabric, tech, FlowPolicy::Qspr);
         let plain = mapper.map(&program, &placement).expect("maps");
         let traced = mapper
             .clone()
@@ -265,7 +265,7 @@ proptest! {
         let tech = tech();
         let ideal = Qidg::new(&program, &tech).critical_path_delay();
         let placement = Placement::center(&fabric, qubits);
-        for policy in [MapperPolicy::qspr(&tech), MapperPolicy::quale(&tech)] {
+        for policy in [FlowPolicy::Qspr, FlowPolicy::Quale] {
             let outcome = Mapper::new(&fabric, tech, policy)
                 .map(&program, &placement)
                 .expect("maps");

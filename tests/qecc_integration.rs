@@ -5,7 +5,7 @@
 
 use qspr_fabric::{Fabric, TechParams};
 use qspr_qecc::codes;
-use qspr_sim::{validate_trace, Mapper, MapperPolicy, Placement};
+use qspr_sim::{validate_trace, FlowPolicy, Mapper, Placement};
 
 #[test]
 fn every_benchmark_encoder_is_simultaneously_correct_and_mappable() {
@@ -14,7 +14,7 @@ fn every_benchmark_encoder_is_simultaneously_correct_and_mappable() {
     for bench in codes::benchmark_suite() {
         // Mapper validity: the circuit schedules, places and routes.
         let placement = Placement::center(&fabric, bench.program.num_qubits());
-        let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
             .record_trace(true)
             .map(&bench.program, &placement)
             .expect("maps");
