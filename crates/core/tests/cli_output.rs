@@ -1,6 +1,7 @@
 //! What the `qspr` binary writes to stdout: the committed greedy,
 //! negotiated and fabric goldens under `tests/golden/`, byte for byte,
-//! and nothing but a quiet exit once the reader has gone away.
+//! the same bytes at every seed-thread count, and nothing but a quiet
+//! exit once the reader has gone away.
 
 use std::io::Read;
 use std::process::{Child, Command, Stdio};
@@ -111,6 +112,36 @@ fn greedy_outputs_match_the_committed_goldens() {
 #[test]
 fn negotiated_outputs_match_the_committed_goldens() {
     assert_router_goldens("negotiated", &["1"]);
+}
+
+/// `map` and `compare` of the [[7,1,3]] encoder (the file `qspr encode
+/// 7,1,3` prints) at `--m 4` print the same bytes at `--jobs 1` and
+/// `--jobs 2`, under both routers: MVFB seed threads never change an
+/// answer.
+#[test]
+fn seed_threads_never_change_map_or_compare() {
+    let steane = "crates/qecc/circuits/encode_7_1_3.qasm";
+    let mut children = Vec::new();
+    for cmd in ["map", "compare"] {
+        for router in ["greedy", "negotiated"] {
+            for jobs in ["1", "2"] {
+                let args = [
+                    cmd, steane, "--router", router, "--m", "4", "--jobs", jobs, "--format", "json",
+                ];
+                children.push((
+                    format!("{cmd} --router {router} --jobs {jobs}"),
+                    spawn(&args),
+                ));
+            }
+        }
+    }
+    let outputs = stdouts(children);
+    for pair in outputs.chunks(2) {
+        let [(_, one), (what, two)] = pair else {
+            unreachable!("outputs come in --jobs 1, --jobs 2 pairs")
+        };
+        assert_same_bytes(&format!("{what} against --jobs 1"), one, two);
+    }
 }
 
 /// `tests/golden/fabrics.txt`: for the built-in fabric and each
