@@ -773,6 +773,10 @@ C-Z q4,q0
         assert!(result.forward_trace.is_some());
         assert_eq!(result.forward_trace.as_ref(), once.trace());
         assert_eq!(result.outcome, once);
+        // The totals count every shuttle home, as the trace does.
+        let trace = once.trace().unwrap();
+        assert_eq!(trace.move_count() as u64, once.totals().moves);
+        assert_eq!(trace.turn_count() as u64, once.totals().turns);
     }
 
     #[test]

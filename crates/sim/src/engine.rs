@@ -257,11 +257,13 @@ type Candidate = (TrapId, [Option<TrapId>; 2]);
 type Probed = [Option<RoutePlan>; 2];
 
 /// What a routed leg serves: an instruction operand (fires `Arrived`)
-/// or a storage-model shuttle home (fires `ReturnedHome`).
+/// or a storage-model shuttle home after the instruction's gate (fires
+/// `ReturnedHome`). Either way its moves and turns count towards that
+/// instruction.
 #[derive(Debug, Clone, Copy)]
 enum LegOwner {
     Instr(InstrId),
-    Return(QubitId),
+    Return(InstrId),
 }
 
 struct Sim<'m, 'a> {
@@ -318,8 +320,9 @@ struct Sim<'m, 'a> {
     home_trap: Vec<TrapId>,
     /// Qubits currently shuttling home (unusable until they arrive).
     in_transit: Vec<bool>,
-    /// For a queued return leg: the trap the qubit still sits in.
-    return_from: Vec<Option<TrapId>>,
+    /// For a queued return leg: the trap the qubit still sits in and
+    /// the instruction whose gate sends it home.
+    return_from: Vec<Option<(TrapId, InstrId)>>,
     stats: Vec<InstrStats>,
     trace: Option<Vec<TraceEntry>>,
     finished: usize,
@@ -486,7 +489,7 @@ impl<'m, 'a> Sim<'m, 'a> {
                         let here = self.gate_trap[id.index()];
                         if self.home_trap[control.index()] != here {
                             self.in_transit[control.index()] = true;
-                            self.return_from[control.index()] = Some(here);
+                            self.return_from[control.index()] = Some((here, id));
                             if !self.try_return_leg(control) {
                                 self.busy.push(BusyItem::ReturnLeg(control));
                             }
@@ -608,10 +611,9 @@ impl<'m, 'a> Sim<'m, 'a> {
         // History terms must see the plan that actually executes, which
         // for refining engines is only fixed at finalization time.
         self.engine.note_booked(plan);
-        if let LegOwner::Instr(id) = owner {
-            self.stats[id.index()].moves += plan.moves();
-            self.stats[id.index()].turns += plan.turns();
-        }
+        let (LegOwner::Instr(id) | LegOwner::Return(id)) = owner;
+        self.stats[id.index()].moves += plan.moves();
+        self.stats[id.index()].turns += plan.turns();
         for usage in plan.resources() {
             self.schedule(
                 self.time + usage.exit_offset,
@@ -622,8 +624,8 @@ impl<'m, 'a> Sim<'m, 'a> {
             LegOwner::Instr(id) => {
                 self.schedule(self.time + plan.duration(), EventKind::Arrived(id))
             }
-            LegOwner::Return(q) => {
-                self.schedule(self.time + plan.duration(), EventKind::ReturnedHome(q))
+            LegOwner::Return(_) => {
+                self.schedule(self.time + plan.duration(), EventKind::ReturnedHome(qubit))
             }
         }
         self.record_motion(qubit, plan);
@@ -1024,7 +1026,7 @@ impl<'m, 'a> Sim<'m, 'a> {
 
     /// Routes a finished visitor back to its home trap.
     fn try_return_leg(&mut self, q: QubitId) -> bool {
-        let from = self.return_from[q.index()].expect("return leg is pending");
+        let (from, id) = self.return_from[q.index()].expect("return leg is pending");
         let home = self.home_trap[q.index()];
         let Some(plan) = self.route_single(from, home) else {
             return false;
@@ -1036,7 +1038,7 @@ impl<'m, 'a> Sim<'m, 'a> {
         self.trap_occupancy[from.index()] -= 1;
         self.qubit_trap[q.index()] = home;
         self.phys_trap[q.index()] = home;
-        self.commit_motion(q, plan, LegOwner::Return(q));
+        self.commit_motion(q, plan, LegOwner::Return(id));
         self.resources_changed = true;
         true
     }
