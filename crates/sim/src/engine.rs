@@ -125,11 +125,12 @@ impl<'a> Mapper<'a> {
         let qidg = Qidg::new(program, &self.tech);
         // Lower keys issue first: QSPR's highest priority, QUALE's
         // earliest ALAP start.
+        let key = |v: u64| i64::try_from(v).expect("priorities and times fit in i64");
         let order_key: Vec<i64> = match self.policy {
-            FlowPolicy::Qspr => qidg.priorities().iter().map(|&p| -(p as i64)).collect(),
+            FlowPolicy::Qspr => qidg.priorities().into_iter().map(|p| -key(p)).collect(),
             FlowPolicy::Quale => {
                 let alap = qidg.alap();
-                qidg.topo_order().map(|id| alap.start(id) as i64).collect()
+                qidg.topo_order().map(|id| key(alap.start(id))).collect()
             }
         };
         PreparedProgram {
