@@ -8,6 +8,8 @@
 //! qspr serve [--addr A] [--threads T] [--cache N] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
 //! qspr fabric [--fabric F]
 //! qspr encode <CODE>
+//! qspr table1 [--m N]
+//! qspr table2 [--m N]
 //! qspr version
 //! ```
 //!
@@ -25,6 +27,15 @@
 //! files in order, or the paper's six benchmark circuits when no file
 //! is given. It stops at the first circuit that fails to map and names
 //! it in the error.
+//!
+//! `qspr table1` and `qspr table2` print the paper's evaluation tables
+//! (arXiv:1412.8003, §V) on the 45×85 fabric, each row next to the
+//! paper's numbers. Table 1 pits MVFB against Monte Carlo at equal
+//! placement runs, at `m = 25` and `m = 100` unless `--m` names one
+//! seed count. Table 2 is `qspr suite` with the paper's columns, at
+//! `m = 100` unless `--m` says otherwise. Both check the paper's shape
+//! (MVFB ≤ MC at `m` = 25 and 100; baseline ≤ QSPR ≤ QUALE) and fail
+//! on the first circuit that breaks it.
 //!
 //! `qspr sta` maps a circuit with trace recording on and prints the
 //! static timing analysis of `qspr-sta`: per-instruction slack, the
@@ -54,7 +65,7 @@ use std::sync::Arc;
 
 use qspr::json::JsonArray;
 use qspr::service::{MapService, ServeConfig, Server, DEFAULT_CACHE_ENTRIES};
-use qspr::{Flow, FlowPolicy, QsprError, RouterKind, ToJson};
+use qspr::{ComparisonRow, Flow, FlowPolicy, QsprError, RouterKind, ToJson};
 use qspr_fabric::Fabric;
 use qspr_qasm::Program;
 use qspr_qecc::codes;
@@ -113,6 +124,8 @@ usage:
   qspr serve [--addr A] [--threads T] [--cache N] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
   qspr fabric [--fabric F]
   qspr encode <CODE>          (5,1,3 | 7,1,3 | 9,1,3 | 14,8,3 | 19,1,7 | 23,1,7)
+  qspr table1 [--m N]         (paper Table 1; default m = 25, then m = 100)
+  qspr table2 [--m N]         (paper Table 2; default m = 100)
   qspr version
 
 options:
@@ -340,6 +353,8 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
         "serve" => cmd_serve,
         "fabric" => cmd_fabric,
         "encode" => cmd_encode,
+        "table1" => cmd_table1,
+        "table2" => cmd_table2,
         other => return Err(QsprError::usage(format!("unknown command {other:?}")).into()),
     };
     let cli = Cli::parse(&args[1..])?;
@@ -475,14 +490,36 @@ fn cmd_compare(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     Ok(())
 }
 
+/// The paper's six benchmark circuits, named, in table order.
+fn paper_circuits() -> Vec<(String, Program)> {
+    codes::benchmark_suite()
+        .into_iter()
+        .map(|bench| (bench.name, bench.program))
+        .collect()
+}
+
+/// Compares each of `circuits` in order and hands its Table 2 row to
+/// `each`. The first circuit that fails to map stops the run, named in
+/// the error.
+fn compare_each(
+    flow: &Flow,
+    circuits: &[(String, Program)],
+    mut each: impl FnMut(ComparisonRow) -> Result<(), Failure>,
+) -> Result<(), Failure> {
+    for (name, program) in circuits {
+        let row = flow
+            .compare(name, program)
+            .map_err(|e| QsprError::circuit(name, e))?;
+        each(row)?;
+    }
+    Ok(())
+}
+
 fn cmd_suite(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
     let format = cli.format()?;
     let flow = cli.flow()?;
-    let circuits: Vec<(String, Program)> = if cli.positional.is_empty() {
-        codes::benchmark_suite()
-            .into_iter()
-            .map(|bench| (bench.name, bench.program))
-            .collect()
+    let circuits = if cli.positional.is_empty() {
+        paper_circuits()
     } else {
         cli.positional
             .iter()
@@ -490,18 +527,151 @@ fn cmd_suite(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
             .collect::<Result<_, QsprError>>()?
     };
     let mut rows = JsonArray::new();
-    for (name, program) in &circuits {
-        let row = flow
-            .compare(name, program)
-            .map_err(|e| QsprError::circuit(name, e))?;
+    compare_each(&flow, &circuits, |row| {
         match format {
             OutputFormat::Text => writeln!(out, "{row}")?,
             OutputFormat::Json => rows.push_raw(&row.to_json()),
         }
-    }
+        Ok(())
+    })?;
     if format == OutputFormat::Json {
         writeln!(out, "{}", rows.build())?;
     }
+    Ok(())
+}
+
+/// The paper's Table 1 (arXiv:1412.8003): (circuit, m=25 MVFB µs,
+/// m=25 MC µs, m=25 runs, m=100 MVFB µs, m=100 MC µs, m=100 runs).
+const PAPER_TABLE1: [(&str, u64, u64, u64, u64, u64, u64); 6] = [
+    ("[[5,1,3]]", 634, 664, 88, 634, 674, 312),
+    ("[[7,1,3]]", 610, 618, 78, 603, 622, 312),
+    ("[[9,1,3]]", 1159, 1212, 86, 1138, 1198, 308),
+    ("[[14,8,3]]", 3390, 3540, 83, 3342, 3429, 316),
+    ("[[19,1,7]]", 3393, 3483, 82, 3350, 3403, 311),
+    ("[[23,1,7]]", 2066, 2183, 89, 2061, 2085, 315),
+];
+
+/// The paper's Table 2 (arXiv:1412.8003): (circuit, baseline, QUALE,
+/// QSPR) execution latencies in µs.
+const PAPER_TABLE2: [(&str, u64, u64, u64); 6] = [
+    ("[[5,1,3]]", 510, 832, 634),
+    ("[[7,1,3]]", 510, 798, 610),
+    ("[[9,1,3]]", 910, 2216, 1159),
+    ("[[14,8,3]]", 2500, 7511, 3390),
+    ("[[19,1,7]]", 2510, 6838, 3393),
+    ("[[23,1,7]]", 1410, 3738, 2066),
+];
+
+/// `circuit` breaks the paper's shape as `broken` says: an error naming
+/// the circuit (exit 1, without the usage text).
+fn shape_error(circuit: &str, broken: String) -> Failure {
+    QsprError::circuit(circuit, QsprError::usage(broken)).into()
+}
+
+fn cmd_table1(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
+    // The paper's two seed counts, or the one `--m` names.
+    let ms = match cli.value("--m") {
+        None => vec![25, 100],
+        Some(_) => vec![cli.number("--m", 25, 1, POSITIVE)?],
+    };
+    let flow = Flow::on(Fabric::quale_45x85());
+    let circuits = paper_circuits();
+    for m in ms {
+        writeln!(out, "Table 1 — MVFB vs Monte Carlo, m={m} (45x85 fabric)")?;
+        writeln!(
+            out,
+            "{:<12} {:>9} {:>9} {:>9} {:>9} {:>6} | paper(m={m}): MVFB/MC µs, runs",
+            "circuit", "MVFB µs", "MVFB ms", "MC µs", "MC ms", "runs"
+        )?;
+        let flow = flow.clone().seeds(m);
+        for ((name, program), paper) in circuits.iter().zip(PAPER_TABLE1) {
+            let row = flow
+                .compare_placers(name, program)
+                .map_err(|e| QsprError::circuit(name, e))?;
+            let paper_ref = match m {
+                25 => format!("{} / {} ({})", paper.1, paper.2, paper.3),
+                100 => format!("{} / {} ({})", paper.4, paper.5, paper.6),
+                _ => "-".to_owned(),
+            };
+            writeln!(
+                out,
+                "{:<12} {:>9} {:>9} {:>9} {:>9} {:>6} | {}",
+                row.circuit,
+                row.mvfb_latency,
+                row.mvfb_cpu.as_millis(),
+                row.mc_latency,
+                row.mc_cpu.as_millis(),
+                row.runs,
+                paper_ref,
+            )?;
+            // The paper's observation (MVFB <= MC at equal placement
+            // runs) holds at its seed counts, m = 25 and m = 100, and
+            // is enforced there. At a reduced m such as 5 the search is
+            // too shallow for the claim: Monte Carlo wins [[9,1,3]] by
+            // ~1% (MVFB 790 vs MC 780), so off-paper seed counts only
+            // warn.
+            if !row.mvfb_wins() {
+                let lost = format!(
+                    "MVFB ({}) lost to MC ({})",
+                    row.mvfb_latency, row.mc_latency
+                );
+                if matches!(m, 25 | 100) {
+                    return Err(shape_error(name, format!("{lost} at equal runs")));
+                }
+                writeln!(out, "  warning: {name}: {lost} at off-paper m={m}")?;
+            }
+        }
+        writeln!(out)?;
+    }
+    writeln!(
+        out,
+        "Shape checks passed: MVFB <= MC at the paper's seed counts everywhere."
+    )?;
+    Ok(())
+}
+
+fn cmd_table2(cli: &Cli, out: &mut dyn Write) -> Result<(), Failure> {
+    let m = cli.number("--m", 100, 1, POSITIVE)?;
+    let flow = Flow::on(Fabric::quale_45x85()).seeds(m);
+    writeln!(
+        out,
+        "Table 2 — Baseline vs QUALE vs QSPR (45x85 fabric, MVFB m={m})"
+    )?;
+    writeln!(
+        out,
+        "{:<12} {:>10} {:>10} {:>10} {:>8} | paper: {:>6} {:>6} {:>6} {:>7}",
+        "circuit", "baseline", "QUALE", "QSPR", "impr%", "base", "QUALE", "QSPR", "impr%"
+    )?;
+    let mut paper_rows = PAPER_TABLE2.iter();
+    compare_each(&flow, &paper_circuits(), |row| {
+        let paper = paper_rows.next().expect("one paper row per circuit");
+        let paper_impr = 100.0 * (paper.2 as f64 - paper.3 as f64) / paper.2 as f64;
+        writeln!(
+            out,
+            "{:<12} {:>9}µ {:>9}µ {:>9}µ {:>7.2}% | paper: {:>6} {:>6} {:>6} {:>6.2}%",
+            row.circuit,
+            row.baseline,
+            row.quale,
+            row.qspr,
+            row.improvement_pct(),
+            paper.1,
+            paper.2,
+            paper.3,
+            paper_impr,
+        )?;
+        if !(row.baseline <= row.qspr && row.qspr <= row.quale) {
+            let broken = format!(
+                "baseline ({}) <= QSPR ({}) <= QUALE ({}) does not hold",
+                row.baseline, row.qspr, row.quale
+            );
+            return Err(shape_error(&row.circuit, broken));
+        }
+        Ok(())
+    })?;
+    writeln!(
+        out,
+        "\nShape checks passed: baseline <= QSPR <= QUALE on every circuit."
+    )?;
     Ok(())
 }
 
@@ -780,9 +950,15 @@ mod tests {
                 format!("--jobs expects a positive number, got {bad:?}")
             );
         }
+        for command in ["suite", "table1", "table2"] {
+            assert_eq!(
+                usage_error(&[command, "--m", "0"]),
+                r#"--m expects a positive number, got "0""#
+            );
+        }
         assert_eq!(
-            usage_error(&["suite", "--m", "0"]),
-            r#"--m expects a positive number, got "0""#
+            usage_error(&["table2", "--m", "1OO"]),
+            r#"--m expects a positive number, got "1OO""#
         );
         assert!(Cli::parse(&strings(&["--jobs"])).is_err());
         assert!(Cli::parse(&strings(&["--jobs", "1", "--jobs", "2"])).is_err());
@@ -902,6 +1078,10 @@ mod tests {
                 r#"unexpected argument "7,1,3" for encode"#,
             ),
             ("fabric extra", r#"unexpected argument "extra" for fabric"#),
+            ("table1 --quick", "unknown flag --quick"),
+            ("table2 --jobs 2", "table2 does not take --jobs"),
+            ("table1 --fabric f.json", "table1 does not take --fabric"),
+            ("table2 extra", r#"unexpected argument "extra" for table2"#),
         ] {
             let err = run_quiet(&strings(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
             assert!(matches!(err, QsprError::Usage(_)), "{line}");
@@ -913,6 +1093,8 @@ mod tests {
             "map a.qasm --trace --profile --jobs 2",
             "suite a.qasm b.qasm c.qasm --router negotiated",
             "serve --threads 2 --log --keep-alive 0",
+            "table1 --m 5",
+            "table2 --m 5",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let cli = Cli::parse(&strings(&args[1..])).unwrap();
@@ -938,6 +1120,32 @@ mod tests {
                 .starts_with("[[5,1,3]]: fabric has 2 traps but "),
             "{err}"
         );
+    }
+
+    #[test]
+    fn paper_reference_improvements_are_24_to_55_percent() {
+        for (name, _, quale, qspr) in PAPER_TABLE2 {
+            let imp = 100.0 * (quale as f64 - qspr as f64) / quale as f64;
+            assert!((23.0..56.0).contains(&imp), "{name}: {imp}");
+        }
+    }
+
+    #[test]
+    fn paper_tables_list_the_suite_in_order() {
+        let names: Vec<String> = paper_circuits().into_iter().map(|(name, _)| name).collect();
+        let table1: Vec<&str> = PAPER_TABLE1.iter().map(|row| row.0).collect();
+        let table2: Vec<&str> = PAPER_TABLE2.iter().map(|row| row.0).collect();
+        assert_eq!(names, table1);
+        assert_eq!(names, table2);
+    }
+
+    #[test]
+    fn a_broken_shape_names_its_circuit_without_the_usage_text() {
+        let Failure::Qspr(err) = shape_error("[[9,1,3]]", "MVFB (790) lost".into()) else {
+            panic!("not a QSPR failure")
+        };
+        assert!(matches!(err, QsprError::Circuit { .. }), "{err}");
+        assert_eq!(err.to_string(), "[[9,1,3]]: MVFB (790) lost");
     }
 
     #[test]

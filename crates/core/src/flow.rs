@@ -257,7 +257,8 @@ impl Flow {
             String::new()
         };
         format!(
-            "qspr-fp-v1|fabric={}x{}:{:016x}{}|tech={},{},{},{},{},{}|policy={}|placer={}|router={}|m={},{},{}|rng={:#x}|trace={}|prog={}|{}",
+            // `3,64` are MVFB's fixed patience and pass cap per seed.
+            "qspr-fp-v1|fabric={}x{}:{:016x}{}|tech={},{},{},{},{},{}|policy={}|placer={}|router={}|m={},3,64|rng={:#x}|trace={}|prog={}|{}",
             self.fabric.rows(),
             self.fabric.cols(),
             fabric_hash,
@@ -272,8 +273,6 @@ impl Flow {
             self.placer_name(),
             self.router_name(),
             self.mvfb.seeds,
-            self.mvfb.patience,
-            self.mvfb.max_passes_per_seed,
             self.mvfb.rng_seed,
             self.record_trace,
             program_text.len(),

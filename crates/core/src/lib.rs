@@ -26,7 +26,8 @@
 //! * [`ComparisonRow`] / [`PlacerComparisonRow`] — the rows of the
 //!   paper's Table 2 and Table 1; the Table 2 row is JSON-serializable
 //!   via [`json::ToJson`] like every other report type, and the Table 1
-//!   row (which carries placement wall time) is formatted by `table1`;
+//!   row (which carries placement wall time) is formatted by the `qspr
+//!   table1` command;
 //! * [`service`] — the `qspr serve` subsystem: a resident HTTP/1.1 JSON
 //!   mapping service with one thread per connection, a permit gate
 //!   for the heavy endpoints, a seed-deterministic

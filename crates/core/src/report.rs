@@ -97,7 +97,7 @@ impl fmt::Display for ComparisonRow {
 
 /// One row of the paper's Table 1: MVFB vs Monte Carlo at equal placement
 /// runs. It carries wall-clock fields, so it has no JSON form; the
-/// `table1` binary formats its own columns.
+/// `qspr table1` command formats its own columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacerComparisonRow {
     /// Benchmark circuit name.

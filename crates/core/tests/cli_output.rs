@@ -1,7 +1,7 @@
 //! What the `qspr` binary writes to stdout: the committed greedy,
-//! negotiated and fabric goldens under `tests/golden/`, byte for byte,
-//! the same bytes at every seed-thread count, and nothing but a quiet
-//! exit once the reader has gone away.
+//! negotiated, fabric and Table 2 goldens under `tests/golden/`, byte
+//! for byte, the same bytes at every seed-thread count, and nothing but
+//! a quiet exit once the reader has gone away.
 
 use std::io::Read;
 use std::process::{Child, Command, Stdio};
@@ -182,6 +182,23 @@ fn fabric_outputs_match_the_committed_golden() {
         "fabrics.txt",
         &workspace_file("tests/golden/fabrics.txt"),
         &got,
+    );
+}
+
+/// `tests/golden/table2_quick.txt`: `qspr table2 --m 5`, the suite
+/// mapped under all three columns (baseline, QUALE, QSPR) on one fabric
+/// in one process, so policies that share the fabric's bound tables
+/// must map as they would alone.
+#[test]
+fn table2_matches_the_committed_golden() {
+    let outputs = stdouts(vec![(
+        "table2 --m 5".to_owned(),
+        spawn(&["table2", "--m", "5"]),
+    )]);
+    assert_same_bytes(
+        "table2_quick.txt",
+        &workspace_file("tests/golden/table2_quick.txt"),
+        &outputs[0].1,
     );
 }
 

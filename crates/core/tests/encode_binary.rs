@@ -76,8 +76,9 @@ fn usage_text_follows_only_usage_errors() {
         assert!(stderr.starts_with(&format!("qspr: {error}: ")), "{stderr}");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
     }
-    // An unknown flag, a policy that does not exist and zero seeds are,
-    // and all show the usage text; each fails before any mapping runs.
+    // An unknown flag, a policy that does not exist, zero seeds and a
+    // seed count that is not a number are, and all show the usage text;
+    // each fails before any mapping runs.
     for (args, error) in [
         (
             &["map", "a.qasm", "--frob"][..],
@@ -92,6 +93,15 @@ fn usage_text_follows_only_usage_errors() {
             &["map", FIVE, "--m", "0"][..],
             "qspr: --m expects a positive number, got \"0\"\n",
         ),
+        (
+            &["table2", "--m", "0"][..],
+            "qspr: --m expects a positive number, got \"0\"\n",
+        ),
+        (
+            &["table2", "--m", "1OO"][..],
+            "qspr: --m expects a positive number, got \"1OO\"\n",
+        ),
+        (&["table1", "--quick"][..], "qspr: unknown flag --quick\n"),
     ] {
         let stderr = failure(args);
         assert!(stderr.starts_with(error), "{stderr}");

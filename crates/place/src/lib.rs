@@ -14,9 +14,9 @@
 //!   so a forward execution of the QIDG from placement `P` yields a
 //!   placement `P'` from which the *uncompute* program (UIDG) can be
 //!   executed backwards, yielding `P''`, and so on. Each pass is a
-//!   *placement run*; a seed's local search stops after
-//!   [`MvfbConfig::patience`] consecutive non-improving runs, and the best
-//!   pass over all `m` random seeds wins. If the best pass was backward,
+//!   *placement run*; a seed's local search stops after three
+//!   consecutive non-improving runs, and the best pass over all `m`
+//!   random seeds wins. If the best pass was backward,
 //!   the reported control trace is its reversal (§IV.A).
 //!
 //! The multi-start placers run their seeds (Monte Carlo: their draws)

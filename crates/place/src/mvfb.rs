@@ -13,32 +13,28 @@ use qspr_sim::{MapError, Mapper, Placement, PreparedProgram};
 use crate::placer::{PassDirection, Placer, PlacerSolution};
 use crate::seeds::run_indexed;
 
+/// A seed's local search stops after this many consecutive
+/// non-improving placement runs. The paper gives no value; 3 is this
+/// implementation's stopping rule, under which `m'` comes out 1.7–2.7×
+/// the paper's Table 1 counts (ROADMAP item 2).
+const PATIENCE: usize = 3;
+
+/// Hard safety cap on passes per seed.
+const MAX_PASSES_PER_SEED: usize = 64;
+
 /// MVFB tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MvfbConfig {
     /// Number of random center-placement seeds (the paper's `m`).
     pub seeds: usize,
-    /// Stop a seed's local search after this many consecutive
-    /// non-improving placement runs. The paper gives no value; 3 is
-    /// this implementation's stopping rule, under which `m'` comes out
-    /// 1.7–2.7× the paper's Table 1 counts (ROADMAP item 2).
-    pub patience: usize,
-    /// Hard safety cap on passes per seed.
-    pub max_passes_per_seed: usize,
     /// RNG seed making the whole search reproducible.
     pub rng_seed: u64,
 }
 
 impl MvfbConfig {
-    /// A config with `seeds` starts and a patience of 3 (this
-    /// implementation's stopping rule, see [`MvfbConfig::patience`]).
+    /// A config with `seeds` starts drawn from `rng_seed`.
     pub fn new(seeds: usize, rng_seed: u64) -> MvfbConfig {
-        MvfbConfig {
-            seeds,
-            patience: 3,
-            max_passes_per_seed: 64,
-            rng_seed,
-        }
+        MvfbConfig { seeds, rng_seed }
     }
 }
 
@@ -58,8 +54,8 @@ type Pass = (Time, PassDirection, Placement);
 ///
 /// For each of `m` random center placements, alternate forward passes of
 /// the program and backward passes of its uncompute, feeding each pass's
-/// final placement to the next, until [`MvfbConfig::patience`] consecutive
-/// passes fail to improve the seed's best. The globally best pass wins.
+/// final placement to the next, until three consecutive passes fail to
+/// improve the seed's best. The globally best pass wins.
 ///
 /// See the crate docs for an end-to-end example.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +92,7 @@ impl MvfbPlacer {
         let mut runs = 0usize;
         let mut stale = 0usize;
         let mut forward = true;
-        for _ in 0..self.config.max_passes_per_seed {
+        for _ in 0..MAX_PASSES_PER_SEED {
             let prog = if forward { program } else { reversed };
             let outcome = mapper.map_prepared(prog, &placement)?;
             runs += 1;
@@ -111,7 +107,7 @@ impl MvfbPlacer {
                 stale = 0;
             } else {
                 stale += 1;
-                if stale >= self.config.patience {
+                if stale >= PATIENCE {
                     break;
                 }
             }
@@ -217,7 +213,7 @@ C-Z q4,q0
         let sol = MvfbPlacer::new(MvfbConfig::new(2, 5))
             .place(&mapper, &program)
             .unwrap();
-        // Each seed performs at least patience+1 = 4 passes before giving
+        // Each seed performs at least PATIENCE + 1 = 4 passes before giving
         // up (the first pass always "improves" from Time::MAX).
         assert!(sol.runs >= 2 * 4, "got {} runs", sol.runs);
         assert!(sol.latency > 0);

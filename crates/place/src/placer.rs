@@ -149,27 +149,7 @@ pub trait Placer {
     fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError>;
 }
 
-impl<P: Placer + ?Sized> Placer for &P {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
-        (**self).place(mapper, program)
-    }
-}
-
 impl<P: Placer + ?Sized> Placer for std::sync::Arc<P> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
-        (**self).place(mapper, program)
-    }
-}
-
-impl<P: Placer + ?Sized> Placer for Box<P> {
     fn name(&self) -> &str {
         (**self).name()
     }

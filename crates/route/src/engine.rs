@@ -230,35 +230,7 @@ pub trait RouterFactory {
     ) -> Box<dyn RoutingEngine + 't>;
 }
 
-impl<F: RouterFactory + ?Sized> RouterFactory for &F {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn build<'t>(
-        &self,
-        topology: &'t Topology,
-        config: RouterConfig,
-    ) -> Box<dyn RoutingEngine + 't> {
-        (**self).build(topology, config)
-    }
-}
-
 impl<F: RouterFactory + ?Sized> RouterFactory for std::sync::Arc<F> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn build<'t>(
-        &self,
-        topology: &'t Topology,
-        config: RouterConfig,
-    ) -> Box<dyn RoutingEngine + 't> {
-        (**self).build(topology, config)
-    }
-}
-
-impl<F: RouterFactory + ?Sized> RouterFactory for Box<F> {
     fn name(&self) -> &str {
         (**self).name()
     }

@@ -20,7 +20,9 @@ use crate::trace::{MicroCommand, Trace};
 /// * gates execute in trap cells with all operands present and at most
 ///   two qubits co-located;
 /// * instantaneous channel-segment and junction occupancy never exceeds
-///   the technology capacities;
+///   the resource's capacity: the fabric's override where it has one
+///   (`Topology::segment_cap` / `junction_cap`), the technology's
+///   otherwise;
 /// * every gate's end follows its start by exactly the gate delay.
 ///
 /// # Errors
@@ -65,11 +67,7 @@ pub fn validate_trace(
     let mut open_gates: HashMap<InstrId, Time> = HashMap::new();
     let mut last_time: Time = 0;
 
-    let occupancy_key = |c: Coord| -> (Option<usize>, Option<usize>) {
-        let seg = topo.channel_at(c).map(|(s, _)| s.index());
-        let jct = topo.junction_at(c).map(|j| j.index());
-        (seg, jct)
-    };
+    let occupancy_key = |c: Coord| (topo.channel_at(c).map(|(s, _)| s), topo.junction_at(c));
 
     for (index, entry) in trace.iter().enumerate() {
         if entry.time < last_time {
@@ -88,21 +86,23 @@ pub fn validate_trace(
                 let (old_seg, old_jct) = occupancy_key(from);
                 let (new_seg, new_jct) = occupancy_key(to);
                 if let Some(s) = old_seg {
-                    seg_occ[s] -= 1;
+                    seg_occ[s.index()] -= 1;
                 }
                 if let Some(j) = old_jct {
-                    jct_occ[j] -= 1;
+                    jct_occ[j.index()] -= 1;
                 }
                 pos[q] = to;
                 if let Some(s) = new_seg {
-                    seg_occ[s] += 1;
-                    if seg_occ[s] > tech.channel_capacity {
+                    seg_occ[s.index()] += 1;
+                    let cap = topo.segment_cap(s).unwrap_or(tech.channel_capacity);
+                    if seg_occ[s.index()] > cap {
                         return Err(TraceError::ChannelOverflow { index });
                     }
                 }
                 if let Some(j) = new_jct {
-                    jct_occ[j] += 1;
-                    if jct_occ[j] > tech.junction_capacity {
+                    jct_occ[j.index()] += 1;
+                    let cap = topo.junction_cap(j).unwrap_or(tech.junction_capacity);
+                    if jct_occ[j.index()] > cap {
                         return Err(TraceError::JunctionOverflow { index });
                     }
                 }
@@ -198,12 +198,13 @@ C-Y q3,q0
 C-Z q4,q0
 ";
 
-    fn mapped_trace(policy: FlowPolicy) {
+    /// Maps Fig. 3 under `policy` on the date2012 technology and
+    /// validates the trace against the capacities of `bound`.
+    fn mapped_trace(policy: FlowPolicy, bound: TechParams) {
         let fabric = Fabric::quale_45x85();
-        let tech = TechParams::date2012();
         let program = Program::parse(FIG3).unwrap();
         let placement = Placement::center(&fabric, 5);
-        let outcome = Mapper::new(&fabric, tech, policy)
+        let outcome = Mapper::new(&fabric, TechParams::date2012(), policy)
             .record_trace(true)
             .map(&program, &placement)
             .unwrap();
@@ -212,19 +213,64 @@ C-Z q4,q0
             &program,
             &placement,
             outcome.trace().unwrap(),
-            &tech,
+            &bound,
         )
         .unwrap();
     }
 
     #[test]
     fn qspr_traces_validate() {
-        mapped_trace(FlowPolicy::Qspr);
+        mapped_trace(FlowPolicy::Qspr, TechParams::date2012());
     }
 
+    /// QUALE books at most one qubit per channel and junction.
     #[test]
     fn quale_traces_validate() {
-        mapped_trace(FlowPolicy::Quale);
+        mapped_trace(
+            FlowPolicy::Quale,
+            TechParams::date2012().without_multiplexing(),
+        );
+    }
+
+    /// The regular 21×41 pitch-4 grid with every channel declared to
+    /// hold one qubit at a time.
+    const SINGLE_FILE_CHANNELS: &str = r#"{
+        "name": "single-file",
+        "types": [{"name": "single", "kind": "channel", "capacity": 1}],
+        "regions": [{"family": "regular", "rows": 21, "cols": 41, "pitch": 4}],
+        "capacities": [{"type": "single", "rect": [0, 0, 20, 40]}]
+    }"#;
+
+    #[test]
+    fn fabric_capacities_bound_the_occupancy() {
+        let tech = TechParams::date2012();
+        let uniform = Fabric::regular(21, 41, 4).unwrap();
+        let single = Fabric::parse(SINGLE_FILE_CHANNELS).unwrap();
+        let program = Program::parse(FIG3).unwrap();
+        let placement = Placement::center(&uniform, 5);
+        let map_on = |fabric: &Fabric| {
+            Mapper::new(fabric, tech, FlowPolicy::Qspr)
+                .record_trace(true)
+                .map(&program, &placement)
+                .unwrap()
+        };
+        // On the uniform grid two qubits share a channel segment, which
+        // the technology's capacity of 2 allows and the spec's 1 does not.
+        let shared = map_on(&uniform);
+        let shared = shared.trace().unwrap();
+        validate_trace(&uniform, &program, &placement, shared, &tech).unwrap();
+        let err = validate_trace(&single, &program, &placement, shared, &tech).unwrap_err();
+        assert!(matches!(err, TraceError::ChannelOverflow { .. }), "{err}");
+        // The router keeps the spec's capacity, and so does its trace.
+        let single_file = map_on(&single);
+        validate_trace(
+            &single,
+            &program,
+            &placement,
+            single_file.trace().unwrap(),
+            &tech,
+        )
+        .unwrap();
     }
 
     #[test]
