@@ -430,12 +430,19 @@ fn render_sample(out: &mut String, name: &str, labels: &str, value: u64) {
 /// long-lived collection mode used by `qspr serve`.
 pub struct MetricsSpanSink {
     registry: Arc<Registry>,
+    /// Each span name's histogram, looked up in the registry once: the
+    /// simulator closes spans tens of thousands of times per mapping,
+    /// and a registry lookup allocates its keys.
+    histograms: Mutex<Vec<(&'static str, Arc<Histogram>)>>,
 }
 
 impl MetricsSpanSink {
     /// Creates a sink recording into `registry`.
     pub fn new(registry: Arc<Registry>) -> MetricsSpanSink {
-        MetricsSpanSink { registry }
+        MetricsSpanSink {
+            registry,
+            histograms: Mutex::new(Vec::new()),
+        }
     }
 }
 
@@ -445,13 +452,20 @@ impl SpanSink for MetricsSpanSink {
     }
 
     fn exit(&self, _token: u32, name: &'static str, nanos: u64) {
-        self.registry
-            .histogram(
-                "qspr_span_us",
-                "Mapping-pipeline span durations in microseconds",
-                &[("span", name)],
-            )
-            .record(nanos / 1_000);
+        let mut histograms = self.histograms.lock().expect("span histogram lock");
+        let at = match histograms.iter().position(|&(n, _)| n == name) {
+            Some(at) => at,
+            None => {
+                let h = self.registry.histogram(
+                    "qspr_span_us",
+                    "Mapping-pipeline span durations in microseconds",
+                    &[("span", name)],
+                );
+                histograms.push((name, h));
+                histograms.len() - 1
+            }
+        };
+        histograms[at].1.record(nanos / 1_000);
     }
 }
 

@@ -1,7 +1,5 @@
 //! The event-driven mapping engine (paper §III–§IV).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -17,6 +15,7 @@ use crate::error::MapError;
 use crate::outcome::{InstrStats, MappingOutcome};
 use crate::placement::Placement;
 use crate::policy::FlowPolicy;
+use crate::queue::EventQueue;
 use crate::trace::{MicroCommand, Trace, TraceEntry};
 
 /// Maps programs onto a fabric under a given policy.
@@ -206,14 +205,7 @@ impl fmt::Debug for Mapper<'_> {
 }
 
 /// A scheduled simulator event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    time: Time,
-    seq: u64,
-    kind: EventKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum EventKind {
     /// A qubit exits a channel segment or junction; its booking frees.
     Release(Resource),
@@ -308,8 +300,7 @@ struct Sim<'m, 'a> {
     ready: Vec<InstrId>,
     busy: Vec<BusyItem>,
     resources_changed: bool,
-    events: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    events: EventQueue<EventKind>,
     time: Time,
     arrivals_needed: Vec<u8>,
     arrivals_done: Vec<u8>,
@@ -400,8 +391,7 @@ impl<'m, 'a> Sim<'m, 'a> {
             ready,
             busy: Vec::new(),
             resources_changed: false,
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             time: 0,
             arrivals_needed: vec![0; n],
             arrivals_done: vec![0; n],
@@ -421,19 +411,19 @@ impl<'m, 'a> Sim<'m, 'a> {
     fn run(mut self) -> Result<MappingOutcome, MapError> {
         let _span = self.obs.then(|| qspr_obs::span("simulate"));
         self.issue_phase();
-        while let Some(&Reverse(next)) = self.events.peek() {
+        while let Some(t) = self.events.next_time() {
             if let Some(e) = self.saturated.take() {
                 return Err(e);
             }
-            let t = next.time;
             debug_assert!(t >= self.time, "event time went backwards");
             self.time = t;
-            while let Some(&Reverse(ev)) = self.events.peek() {
-                if ev.time != t {
-                    break;
+            // Every event at `t` fires, including those scheduled at `t`
+            // while draining, then one issue phase runs.
+            {
+                let _span = self.obs.then(|| qspr_obs::span("events"));
+                while let Some(kind) = self.events.pop() {
+                    self.process(kind);
                 }
-                let ev = self.events.pop().expect("peeked").0;
-                self.process(ev.kind);
             }
             self.issue_phase();
         }
@@ -616,19 +606,16 @@ impl<'m, 'a> Sim<'m, 'a> {
         self.stats[id.index()].moves += plan.moves();
         self.stats[id.index()].turns += plan.turns();
         for usage in plan.resources() {
-            self.schedule(
+            self.events.push(
                 self.time + usage.exit_offset,
                 EventKind::Release(usage.resource),
             );
         }
-        match owner {
-            LegOwner::Instr(id) => {
-                self.schedule(self.time + plan.duration(), EventKind::Arrived(id))
-            }
-            LegOwner::Return(_) => {
-                self.schedule(self.time + plan.duration(), EventKind::ReturnedHome(qubit))
-            }
-        }
+        let arrival = match owner {
+            LegOwner::Instr(id) => EventKind::Arrived(id),
+            LegOwner::Return(_) => EventKind::ReturnedHome(qubit),
+        };
+        self.events.push(self.time + plan.duration(), arrival);
         self.record_motion(qubit, plan);
     }
 
@@ -1096,16 +1083,7 @@ impl<'m, 'a> Sim<'m, 'a> {
                 q1,
             },
         );
-        self.schedule(self.time + delay, EventKind::GateDone(id));
-    }
-
-    fn schedule(&mut self, time: Time, kind: EventKind) {
-        self.seq += 1;
-        self.events.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            kind,
-        }));
+        self.events.push(self.time + delay, EventKind::GateDone(id));
     }
 
     fn record_motion(&mut self, qubit: QubitId, plan: &RoutePlan) {
@@ -1340,6 +1318,46 @@ C-Z q4,q0
         assert_eq!(s1.moves, 0);
     }
 
+    /// A two-qubit gate of 1 000 000 µs schedules its end far beyond the
+    /// event queue's ring of slots: the mapping must come out as on the
+    /// paper's technology with the longer gate, and quickly.
+    #[test]
+    fn events_far_beyond_the_ring_keep_their_time() {
+        let f = Fabric::quale_45x85();
+        let date2012 = TechParams::date2012();
+        let slow = TechParams {
+            t_gate_2q: 1_000_000,
+            ..date2012
+        };
+        let cx = Program::parse("QUBIT a\nQUBIT b\nC-X a,b\n").unwrap();
+        let two = Placement::center(&f, 2);
+        let paper = Mapper::new(&f, date2012, FlowPolicy::Qspr)
+            .map(&cx, &two)
+            .unwrap();
+        let far = Mapper::new(&f, slow, FlowPolicy::Qspr)
+            .map(&cx, &two)
+            .unwrap();
+        assert_eq!(far.latency(), paper.latency() + (1_000_000 - 100));
+
+        let p = fig3();
+        let five = Placement::center(&f, 5);
+        for (policy, bound) in [
+            (FlowPolicy::Qspr, slow),
+            (FlowPolicy::Quale, slow.without_multiplexing()),
+        ] {
+            let out = Mapper::new(&f, slow, policy)
+                .record_trace(true)
+                .map(&p, &five)
+                .unwrap();
+            assert!(
+                out.latency() > 3_000_000,
+                "{policy}: three C-Zs in a row on q0"
+            );
+            crate::validate::validate_trace(&f, &p, &five, out.trace().unwrap(), &bound)
+                .unwrap_or_else(|e| panic!("{policy}: {e}"));
+        }
+    }
+
     #[test]
     fn congestion_wait_appears_under_contention() {
         // Two independent CX gates whose operands sit in the same tile
@@ -1561,6 +1579,56 @@ mod prepared_and_probe_order_tests {
         let prepared = Mapper::new(&f, tech, FlowPolicy::Quale).prepare(&program);
         let _ = Mapper::new(&f, tech, FlowPolicy::Qspr)
             .map_prepared(&prepared, &Placement::center(&f, 2));
+    }
+
+    /// `program` with its `QUBIT` declarations in `order` (a permutation
+    /// of the qubit ids), and `placement` permuted to match: every qubit
+    /// keeps its name and its trap.
+    fn relabelled(
+        program: &Program,
+        placement: &Placement,
+        order: &[usize],
+    ) -> (Program, Placement) {
+        let text = program.to_qasm();
+        let (decls, body): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|line| line.starts_with("QUBIT "));
+        let lines: Vec<&str> = order.iter().map(|&q| decls[q]).chain(body).collect();
+        let relabelled = Program::parse(&(lines.join("\n") + "\n")).unwrap();
+        let traps = order
+            .iter()
+            .map(|&q| placement.trap_of(QubitId(q as u32)))
+            .collect();
+        (relabelled, Placement::new(traps).unwrap())
+    }
+
+    /// Reordering the `QUBIT` declarations, with the placement permuted
+    /// to match, changes no latency, move or turn: no tie-break of the
+    /// simulator or the routers may depend on qubit ids.
+    #[test]
+    fn relabelling_qubits_changes_no_latency_moves_or_turns() {
+        use rand::seq::SliceRandom;
+        let f = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let mut rng = StdRng::seed_from_u64(16);
+        for bench in qspr_qecc::codes::benchmark_suite() {
+            let n = bench.program.num_qubits();
+            for _ in 0..2 {
+                let placement = Placement::center_permutation(&f, n, &mut rng);
+                let mut order: Vec<usize> = (0..n).collect();
+                order.shuffle(&mut rng);
+                let (program, moved) = relabelled(&bench.program, &placement, &order);
+                for mapper in mappers(&f, tech) {
+                    let a = mapper.map(&bench.program, &placement).unwrap();
+                    let b = mapper.map(&program, &moved).unwrap();
+                    assert_eq!(
+                        (a.latency(), a.totals().moves, a.totals().turns),
+                        (b.latency(), b.totals().moves, b.totals().turns),
+                        "{} {mapper:?} {order:?}",
+                        bench.name
+                    );
+                }
+            }
+        }
     }
 
     /// Bound-order meeting probes pick what the index-order search

@@ -5,6 +5,7 @@ use std::fmt;
 
 use qspr_fabric::{FabricError, Time, TrapId};
 use qspr_qasm::QubitId;
+use qspr_sched::InstrId;
 
 /// Why a program could not be mapped onto a fabric.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,10 +137,21 @@ pub enum TraceError {
         /// Expected delay.
         expected: Time,
     },
-    /// A gate ended that never started, or started twice.
+    /// A gate ended that never started, started or ended twice, or
+    /// names no instruction of the program.
     UnmatchedGate {
         /// Index of the offending entry.
         index: usize,
+    },
+    /// An instruction of the program has no gate start in the trace.
+    GateNeverStarted {
+        /// The instruction.
+        instr: InstrId,
+    },
+    /// An instruction's gate started but has no end in the trace.
+    GateNeverEnded {
+        /// The instruction.
+        instr: InstrId,
     },
 }
 
@@ -178,6 +190,12 @@ impl fmt::Display for TraceError {
             }
             TraceError::UnmatchedGate { index } => {
                 write!(f, "entry {index}: gate start/end mismatch")
+            }
+            TraceError::GateNeverStarted { instr } => {
+                write!(f, "instruction {instr} never started")
+            }
+            TraceError::GateNeverEnded { instr } => {
+                write!(f, "instruction {instr} started but never ended")
             }
         }
     }

@@ -25,7 +25,7 @@
 //! * [`validate_trace`] — an independent replay checker enforcing the
 //!   physical invariants (no teleports, turns only at junctions, gates
 //!   only in traps with ≤ 2 co-located qubits, channel/junction capacity
-//!   never exceeded).
+//!   never exceeded) and that every instruction starts and ends once.
 //!
 //! # Examples
 //!
@@ -49,9 +49,12 @@
 //!
 //! # Design notes: the event-driven epoch loop
 //!
-//! The simulator advances a single clock over a binary-heap event
-//! queue; nothing is time-stepped. One iteration of the main loop is
-//! an **epoch**:
+//! The simulator advances a single clock over an event queue keyed on
+//! integer time: a ring of 256 one-µs slots, each a FIFO list, plus an
+//! overflow list for events further ahead. Events pop by time, and in
+//! schedule order within a time; the clock jumps from one pending time
+//! to the next, so nothing is time-stepped. One iteration of the main
+//! loop is an **epoch**:
 //!
 //! 1. **Issue phase.** All instructions whose QIDG predecessors have
 //!    finished are considered in policy order (the `qspr-sched`
@@ -70,14 +73,16 @@
 //!    (`finalize_epoch`), when the engine's plans are final. A later
 //!    mover that comes back blocked can trigger a joint renegotiation
 //!    of the epoch's still-uncommitted legs.
-//! 3. **Event pop.** The earliest event fires and the clock jumps to
-//!    it. The paper's two event kinds drive everything: *instruction
-//!    finished* (its QIDG successors may now be ready, its trap seats
-//!    free up) and *qubit exits a channel* (booked segments and
-//!    junctions release, so busy-queue entries get retried). Each pop
-//!    re-enters the issue phase; the loop ends when the event queue
-//!    drains, and stalls (a non-empty busy queue that no event can
-//!    unblock) surface as [`MapError::Stalled`] rather than hanging.
+//! 3. **Events.** The clock jumps to the earliest pending time and
+//!    every event at that time fires, in schedule order, including
+//!    events scheduled at that same time while they fire. The paper's
+//!    two event kinds drive everything: *instruction finished* (its
+//!    QIDG successors may now be ready, its trap seats free up) and
+//!    *qubit exits a channel* (booked segments and junctions release,
+//!    so busy-queue entries get retried). Then one issue phase runs.
+//!    The loop ends when the event queue is empty, and stalls (a
+//!    non-empty busy queue that no event can unblock) surface as
+//!    [`MapError::Stalled`] rather than hanging.
 //!
 //! Instruction delay follows the paper's Eq. 1,
 //! `T_gate + T_routing + T_congestion`: the gate term comes from the
@@ -132,6 +137,7 @@ mod policy;
 // release builds entirely.
 #[cfg(test)]
 mod proptests;
+mod queue;
 mod render;
 mod stress;
 mod trace;

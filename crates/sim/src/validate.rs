@@ -1,7 +1,5 @@
 //! Independent replay validation of micro-command traces.
 
-use std::collections::HashMap;
-
 use qspr_fabric::{Cell, Coord, Fabric, TechParams, Time};
 use qspr_qasm::{Program, QubitId};
 use qspr_sched::{gate_delay, InstrId};
@@ -23,11 +21,14 @@ use crate::trace::{MicroCommand, Trace};
 ///   the resource's capacity: the fabric's override where it has one
 ///   (`Topology::segment_cap` / `junction_cap`), the technology's
 ///   otherwise;
-/// * every gate's end follows its start by exactly the gate delay.
+/// * every gate's end follows its start by exactly the gate delay;
+/// * every instruction of `program` starts and ends exactly once.
 ///
 /// # Errors
 ///
-/// Returns the first [`TraceError`] encountered, indexed by trace entry.
+/// Returns the first [`TraceError`] encountered, indexed by trace entry;
+/// once the replay ends, the first instruction without exactly one gate
+/// start and one gate end, by instruction.
 ///
 /// # Examples
 ///
@@ -64,7 +65,9 @@ pub fn validate_trace(
     // Instantaneous occupancy per segment / junction.
     let mut seg_occ = vec![0u8; topo.segments().len()];
     let mut jct_occ = vec![0u8; topo.junctions().len()];
-    let mut open_gates: HashMap<InstrId, Time> = HashMap::new();
+    // Per instruction: when its gate started, and whether it ended.
+    let mut started: Vec<Option<Time>> = vec![None; program.instructions().len()];
+    let mut ended = vec![false; started.len()];
     let mut last_time: Time = 0;
 
     let occupancy_key = |c: Coord| (topo.channel_at(c).map(|(s, _)| s), topo.junction_at(c));
@@ -144,19 +147,33 @@ pub fn validate_trace(
                 if residents > 2 {
                     return Err(TraceError::TrapOverflow { index });
                 }
-                if open_gates.insert(instr, entry.time).is_some() {
-                    return Err(TraceError::UnmatchedGate { index });
+                match started.get_mut(instr.index()) {
+                    Some(start @ None) => *start = Some(entry.time),
+                    _ => return Err(TraceError::UnmatchedGate { index }),
                 }
             }
             MicroCommand::GateEnd { instr } => {
-                let Some(started) = open_gates.remove(&instr) else {
+                let i = instr.index();
+                let Some(Some(start)) = started.get(i).copied() else {
                     return Err(TraceError::UnmatchedGate { index });
                 };
-                let expected = gate_delay(program.instructions()[instr.index()].gate, tech);
-                if entry.time - started != expected {
+                if std::mem::replace(&mut ended[i], true) {
+                    return Err(TraceError::UnmatchedGate { index });
+                }
+                let expected = gate_delay(program.instructions()[i].gate, tech);
+                if entry.time - start != expected {
                     return Err(TraceError::BadGateTiming { index, expected });
                 }
             }
+        }
+    }
+    for (i, (start, &end)) in started.iter().zip(&ended).enumerate() {
+        let instr = InstrId(i as u32);
+        if start.is_none() {
+            return Err(TraceError::GateNeverStarted { instr });
+        }
+        if !end {
+            return Err(TraceError::GateNeverEnded { instr });
         }
     }
     Ok(())
@@ -350,6 +367,80 @@ C-Z q4,q0
                 expected: 10
             }
         );
+    }
+
+    /// The QSPR trace of Fig. 3 at the center placement without the
+    /// entries `remove` picks, given the instruction whose gate ends
+    /// last; returns the validator's error and that instruction.
+    fn edited_fig3(remove: impl Fn(&MicroCommand, InstrId) -> bool) -> (TraceError, InstrId) {
+        let fabric = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let program = Program::parse(FIG3).unwrap();
+        let placement = Placement::center(&fabric, 5);
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
+            .record_trace(true)
+            .map(&program, &placement)
+            .unwrap();
+        let trace = outcome.trace().unwrap();
+        validate_trace(&fabric, &program, &placement, trace, &tech).unwrap();
+        let last = trace
+            .iter()
+            .rev()
+            .find_map(|e| match e.command {
+                MicroCommand::GateEnd { instr } => Some(instr),
+                _ => None,
+            })
+            .unwrap();
+        let kept = trace.iter().filter(|e| !remove(&e.command, last)).copied();
+        let edited = Trace::new(kept.collect());
+        let err = validate_trace(&fabric, &program, &placement, &edited, &tech).unwrap_err();
+        (err, last)
+    }
+
+    #[test]
+    fn a_dropped_gate_is_rejected() {
+        let (err, last) = edited_fig3(|command, last| {
+            matches!(*command,
+                MicroCommand::GateStart { instr, .. } | MicroCommand::GateEnd { instr }
+                    if instr == last)
+        });
+        assert_eq!(err, TraceError::GateNeverStarted { instr: last });
+    }
+
+    #[test]
+    fn an_unfinished_gate_is_rejected() {
+        let (err, last) = edited_fig3(
+            |command, last| matches!(*command, MicroCommand::GateEnd { instr } if instr == last),
+        );
+        assert_eq!(err, TraceError::GateNeverEnded { instr: last });
+    }
+
+    #[test]
+    fn a_gate_run_twice_is_rejected() {
+        let fabric = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let program = Program::parse("QUBIT a\nH a\n").unwrap();
+        let placement = Placement::center(&fabric, 1);
+        let trap = fabric
+            .topology()
+            .trap(placement.trap_of(QubitId(0)))
+            .coord();
+        let start = MicroCommand::GateStart {
+            instr: InstrId(0),
+            gate: Gate::H,
+            trap,
+            q0: QubitId(0),
+            q1: None,
+        };
+        let end = MicroCommand::GateEnd { instr: InstrId(0) };
+        let trace = Trace::new(
+            [(0, start), (10, end), (10, start), (20, end)]
+                .into_iter()
+                .map(|(time, command)| TraceEntry { time, command })
+                .collect(),
+        );
+        let err = validate_trace(&fabric, &program, &placement, &trace, &tech).unwrap_err();
+        assert_eq!(err, TraceError::UnmatchedGate { index: 2 });
     }
 
     #[test]
