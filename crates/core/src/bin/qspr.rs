@@ -13,8 +13,8 @@
 //! qspr version
 //! ```
 //!
-//! `--fabric` takes `quale45x85` (default) or a path to a fabric file —
-//! a JSON `FabricSpec` document or plain ASCII art (auto-detected); `--router` is `greedy` (default) or `negotiated`
+//! `--fabric` takes `quale45x85` (default) or a path to an ASCII fabric
+//! file (`Fabric::from_ascii`); `--router` is `greedy` (default) or `negotiated`
 //! (PathFinder-style rip-up-and-reroute); `--jobs N` runs the placer's
 //! MVFB seeds on N worker threads with byte-identical output at every
 //! N; `--format` is `text`
@@ -129,7 +129,7 @@ usage:
   qspr version
 
 options:
-  --fabric F    quale45x85 (default) or a fabric file (spec JSON or ASCII art)
+  --fabric F    quale45x85 (default) or an ASCII fabric file
   --policy P    mapper policy: qspr (default) or quale
   --router R    routing engine: greedy (default) or negotiated
   --m N         MVFB seed count (default 25)
@@ -270,7 +270,7 @@ impl Cli {
             Some(path) => {
                 let text =
                     std::fs::read_to_string(path).map_err(|e| QsprError::io("read", path, e))?;
-                Ok(Fabric::parse(&text)?)
+                Ok(Fabric::from_ascii(&text)?)
             }
         }
     }

@@ -41,7 +41,7 @@ use qspr_sim::{FlowPolicy, MapError, Mapper, MappingOutcome, Placement, Trace};
 use qspr_sta::{TimingAnalysis, TimingReport};
 
 use crate::error::QsprError;
-use crate::json::{JsonArray, JsonObject, ToJson};
+use crate::json::{JsonObject, ToJson};
 use crate::report::{ComparisonRow, PlacerComparisonRow};
 
 /// The full QSPR flow as an owned, reusable value.
@@ -234,35 +234,12 @@ impl Flow {
     /// ```
     pub fn fingerprint(&self, program_text: &str) -> String {
         let fabric_hash = fnv1a_64(self.fabric.to_string().as_bytes());
-        // The ASCII rendering carries geometry but not per-resource
-        // capacity overrides, so spec-declared capacities get their own
-        // digest. Uniform fabrics contribute nothing, keeping their
-        // fingerprints byte-identical to the pre-spec format.
-        let caps_digest = if self.fabric.topology().has_capacity_overrides() {
-            let mut bytes = Vec::new();
-            for cap in self
-                .fabric
-                .topology()
-                .segment_caps()
-                .iter()
-                .chain(self.fabric.topology().junction_caps())
-            {
-                match cap {
-                    Some(v) => bytes.extend_from_slice(&[1, *v]),
-                    None => bytes.push(0),
-                }
-            }
-            format!(":caps{:016x}", fnv1a_64(&bytes))
-        } else {
-            String::new()
-        };
         format!(
             // `3,64` are MVFB's fixed patience and pass cap per seed.
-            "qspr-fp-v1|fabric={}x{}:{:016x}{}|tech={},{},{},{},{},{}|policy={}|placer={}|router={}|m={},3,64|rng={:#x}|trace={}|prog={}|{}",
+            "qspr-fp-v1|fabric={}x{}:{:016x}|tech={},{},{},{},{},{}|policy={}|placer={}|router={}|m={},3,64|rng={:#x}|trace={}|prog={}|{}",
             self.fabric.rows(),
             self.fabric.cols(),
             fabric_hash,
-            caps_digest,
             self.tech.t_move,
             self.tech.t_turn,
             self.tech.t_gate_1q,
@@ -349,7 +326,6 @@ impl Flow {
         let latency = outcome.latency();
         Ok(FlowResult {
             policy: self.policy,
-            fabric: self.fabric_summary(),
             // Baselines bypass the placer for their fixed center
             // placement; report what actually ran.
             placer: match self.policy {
@@ -425,18 +401,6 @@ impl Flow {
         placement: &Placement,
     ) -> Result<MappingOutcome, QsprError> {
         Ok(self.mapper(policy).map(program, placement)?)
-    }
-
-    /// Provenance summary of the fabric, when the fabric was built by a
-    /// [`qspr_fabric::FabricSpec`] (programmatic constructors carry no
-    /// provenance, and their reports stay byte-identical).
-    fn fabric_summary(&self) -> Option<FabricSummary> {
-        self.fabric.info().map(|info| FabricSummary {
-            name: info.name.clone(),
-            family: info.family.clone(),
-            regions: info.regions,
-            capacity_histogram: self.fabric.topology().capacity_histogram(),
-        })
     }
 
     /// The paper's ideal baseline: execution latency on a fabric with
@@ -527,9 +491,6 @@ impl fmt::Debug for Flow {
 pub struct FlowResult {
     /// The policy that produced this result.
     pub policy: FlowPolicy,
-    /// Provenance of the fabric, when it was built from a
-    /// [`qspr_fabric::FabricSpec`] document.
-    pub fabric: Option<FabricSummary>,
     /// Name of the placement engine used (`"mvfb"` unless swapped).
     pub placer: String,
     /// Name of the routing engine used (`"greedy"` unless swapped).
@@ -556,7 +517,6 @@ impl FlowResult {
         let totals = self.outcome.totals();
         FlowSummary {
             policy: self.policy,
-            fabric: self.fabric.clone(),
             placer: self.placer.clone(),
             router: self.router.clone(),
             latency: self.latency,
@@ -594,60 +554,15 @@ pub struct FlowSummary {
     pub congestion_wait: Time,
     /// Routing-engine congestion stats of the winning mapping.
     pub routing: RoutingStats,
-    /// Provenance of the fabric, when it was built from a
-    /// [`qspr_fabric::FabricSpec`] document.
-    pub fabric: Option<FabricSummary>,
     /// Command count of the recorded trace, when one was recorded.
     pub trace_commands: Option<usize>,
-}
-
-/// Provenance summary of a spec-built fabric, surfaced in
-/// [`FlowSummary`] JSON as the optional `fabric` block. Fabrics built
-/// by programmatic constructors (`Fabric::new`, `Fabric::from_ascii`,
-/// `Fabric::quale_45x85`) have no provenance and omit the block
-/// entirely, keeping their report bytes identical to the pre-spec
-/// format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FabricSummary {
-    /// The spec document's `name`.
-    pub name: String,
-    /// Region family (`"regular"`, `"ascii"`, ..., or `"composite"`
-    /// for multi-region fabrics).
-    pub family: String,
-    /// Number of regions the spec declared.
-    pub regions: usize,
-    /// Occupancy-capacity histogram over all segments and junctions:
-    /// `(override, count)` with `None` (the technology default) first.
-    pub capacity_histogram: Vec<(Option<u8>, usize)>,
-}
-
-impl ToJson for FabricSummary {
-    /// `{"name","family","regions":[..],"capacity_histogram":
-    /// [{"capacity":null|n,"count":n},..]}`; pinned by the golden test
-    /// in [`crate::json`].
-    fn to_json(&self) -> String {
-        let mut histogram = JsonArray::new();
-        for &(cap, count) in &self.capacity_histogram {
-            let bucket = match cap {
-                Some(v) => JsonObject::new().number("capacity", u64::from(v)),
-                None => JsonObject::new().raw("capacity", "null"),
-            };
-            histogram.push_raw(&bucket.number("count", count as u64).build());
-        }
-        JsonObject::new()
-            .string("name", &self.name)
-            .string("family", &self.family)
-            .number("regions", self.regions as u64)
-            .raw("capacity_histogram", &histogram.build())
-            .build()
-    }
 }
 
 impl ToJson for FlowSummary {
     /// Stable JSON schema, pinned by the golden test in [`crate::json`]:
     /// `{"policy","placer","router","latency_us","direction","runs",
     /// "moves","turns","congestion_wait_us","epochs","rip_iterations",
-    /// "ripped_routes","max_segment_pressure"[,"fabric"][,"trace_commands"]}`.
+    /// "ripped_routes","max_segment_pressure"[,"trace_commands"]}`.
     /// It carries no clock: the bytes are a pure function of the
     /// program, the fabric and the flow's configuration.
     fn to_json(&self) -> String {
@@ -665,9 +580,6 @@ impl ToJson for FlowSummary {
             .number("rip_iterations", self.routing.iterations)
             .number("ripped_routes", self.routing.ripped)
             .number("max_segment_pressure", u64::from(self.routing.max_pressure));
-        if let Some(fabric) = &self.fabric {
-            obj = obj.raw("fabric", &fabric.to_json());
-        }
         if let Some(n) = self.trace_commands {
             obj = obj.number("trace_commands", n as u64);
         }

@@ -70,7 +70,7 @@ mod report;
 pub mod service;
 
 pub use error::QsprError;
-pub use flow::{FabricSummary, Flow, FlowResult, FlowSummary};
+pub use flow::{Flow, FlowResult, FlowSummary};
 pub use json::ToJson;
 pub use report::{ComparisonRow, PlacerComparisonRow};
 // The routing-engine seam, re-exported for `Flow::router` callers.

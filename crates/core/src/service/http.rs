@@ -33,7 +33,7 @@ const MAX_HEADERS: usize = 100;
 /// program (the biggest paper circuit is under 4 KiB) and at most one
 /// `"fabric"` document of up to the service's `MAX_FABRIC_CELLS`
 /// (2^18) grid cells, about 256 KiB as ASCII art before JSON escaping;
-/// the limit leaves room for a spelled-out spec of that size.
+/// even with every cell escaped as `\uXXXX` it stays under 2 MiB.
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
 
 /// One parsed HTTP request: method, path, (possibly empty) body, and

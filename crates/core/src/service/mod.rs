@@ -52,11 +52,10 @@
 //! requests times seed threads cannot oversubscribe the host. A client
 //! that wants many Table 2 rows sends one `/compare` per circuit,
 //! pipelined on one keep-alive connection if it likes. The optional
-//! `"fabric"` field carries a fabric description *document* (a JSON
-//! [`qspr_fabric::FabricSpec`] embedded as a string, or ASCII art) and
-//! maps that request onto the described fabric instead of the server's
-//! resident one; a malformed document, or a program with more qubits
-//! than the fabric has traps, is `422`. Unknown body fields are rejected (`400`), an
+//! `"fabric"` field carries a fabric as ASCII art embedded in a string
+//! (the `--fabric` file format) and maps that request onto it instead
+//! of the server's resident fabric; malformed art, or a program with
+//! more qubits than the fabric has traps, is `422`. Unknown body fields are rejected (`400`), an
 //! unmappable program is `422`, and every response is
 //! `application/json` (except `GET /metrics`, which is Prometheus
 //! plain text). Untrusted input is bounded on every axis: request
@@ -192,7 +191,8 @@ const MAX_SEEDS: usize = 10_000;
 
 /// Largest grid a request's `"fabric"` document may describe, in cells
 /// (`rows × cols`). Building a fabric costs time linear in its cells,
-/// so without a cap a one-line spec could buy seconds of work; 2^18 is
+/// and ragged lines are padded to the longest, so without a cap a few
+/// KiB of newlines and one long line could buy seconds of work; 2^18 is
 /// a 512×512 grid, ~68x the paper's 45×85 fabric.
 const MAX_FABRIC_CELLS: usize = 1 << 18;
 
@@ -341,8 +341,8 @@ struct MapRequest {
     jobs: usize,
     /// `/compare` only: the circuit name echoed in the row.
     name: String,
-    /// Optional fabric description document (spec JSON or ASCII art)
-    /// overriding the server's resident fabric for this request.
+    /// Optional fabric as ASCII art, overriding the server's resident
+    /// fabric for this request.
     fabric: Option<String>,
 }
 
@@ -686,9 +686,9 @@ fn endpoint_label(path: &str) -> &'static str {
 }
 
 /// The cache-key fragment for a request-supplied fabric document. The
-/// fingerprint hashes fabric geometry and capacities but not spec
-/// provenance (which shows up in the response's `fabric` block), so
-/// the document itself joins the cache key verbatim.
+/// fingerprint already holds a 64-bit FNV hash of the fabric's grid;
+/// the document joins the key verbatim too, so that two fabrics whose
+/// hashes collide never share a cache entry across clients.
 fn fabric_cache_key(fabric: Option<&str>) -> String {
     fabric.map_or(String::new(), |text| {
         format!("fabric:{}:{text}|", text.len())
@@ -836,9 +836,7 @@ fn parse_mapping_request(endpoint: Endpoint, body: &str) -> Result<MapRequest, Q
         None => None,
         Some(v) => Some(
             v.as_str()
-                .ok_or_else(|| {
-                    QsprError::usage("field \"fabric\" must be a string (spec JSON or ASCII art)")
-                })?
+                .ok_or_else(|| QsprError::usage("field \"fabric\" must be a string (ASCII art)"))?
                 .to_owned(),
         ),
     };

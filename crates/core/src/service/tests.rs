@@ -405,51 +405,39 @@ fn jobs_field_parses_clamps_and_never_changes_bytes() {
 
 #[test]
 fn request_fabric_overrides_the_resident_fabric() {
+    // Three traps on one channel: GHZ3 takes two more moves here than
+    // on the resident 45×85 grid.
+    const THREE_TRAPS: &str = ".T.T.T.\n-------\n";
     let service = service();
-    // A spec expressible only through the description layer: two
-    // junction types with different capacities.
-    let spec = r#"{
-        "name": "hetero",
-        "types": [{"name": "wide", "kind": "junction", "capacity": 4}],
-        "regions": [{"family": "regular", "rows": 9, "cols": 9, "pitch": 4}],
-        "capacities": [{"type": "wide", "at": [0, 0]}]
-    }"#;
-    let body = format!("{{\"program\":{BELL:?},\"m\":2,\"fabric\":{spec:?}}}");
+    let resident = post(
+        &service,
+        "/map",
+        &format!("{{\"program\":{GHZ3:?},\"m\":2}}"),
+    );
+    assert_eq!(resident.status, 200, "{}", resident.body);
+    let body = format!("{{\"program\":{GHZ3:?},\"m\":2,\"fabric\":{THREE_TRAPS:?}}}");
     let response = post(&service, "/map", &body);
     assert_eq!(response.status, 200, "{}", response.body);
-    // The response advertises the spec provenance in its fabric block.
-    assert!(
-        response
-            .body
-            .contains(r#""fabric":{"name":"hetero","family":"regular","regions":1,"#),
-        "{}",
-        response.body
+    assert_ne!(
+        response.body, resident.body,
+        "mapped on the request's fabric"
     );
-    assert!(response.body.contains(r#"{"capacity":4,"count":1}"#));
     // And the cached repeat is byte-identical.
     let warm = post(&service, "/map", &body);
     assert_eq!(warm, response);
-    // ASCII art works through the same field, without a fabric block.
-    let ascii_body = format!("{{\"program\":{BELL:?},\"m\":2,\"fabric\":{TWO_TRAPS:?}}}");
-    let ascii = post(&service, "/map", &ascii_body);
-    assert_eq!(ascii.status, 200, "{}", ascii.body);
-    assert!(!ascii.body.contains(r#""fabric":"#), "{}", ascii.body);
 }
 
 #[test]
 fn malformed_fabric_documents_are_422_goldens() {
-    // Golden: a malformed spec document is 422 with the pinned
-    // {"error":"invalid fabric spec: ..."} wire shape, not a panic.
+    // Golden: a document that is not ASCII art (here a JSON object) is
+    // 422 with the pinned {"error":...} wire shape, not a panic.
     let service = service();
     let body = format!("{{\"program\":{BELL:?},\"m\":2,\"fabric\":\"{{\\\"nope\\\":1}}\"}}");
     let response = post(&service, "/map", &body);
     assert_eq!(response.status, 422, "{}", response.body);
-    assert!(
-        response
-            .body
-            .starts_with(r#"{"error":"invalid fabric spec:"#),
-        "{}",
-        response.body
+    assert_eq!(
+        response.body,
+        r#"{"error":"line 1, column 1: unknown cell character '{'"}"#
     );
     // A non-string fabric field is a 400 schema error.
     let response = post(
@@ -463,15 +451,23 @@ fn malformed_fabric_documents_are_422_goldens() {
 
 #[test]
 fn oversized_fabric_documents_are_422_before_any_work() {
-    // A one-line spec for a 4001×4001 grid (16M cells, ~1.6 s to build
-    // unchecked) and ASCII art past the budget are both refused with
-    // 422 on every endpoint that accepts a fabric, in well under the
-    // time building them would take.
+    // ASCII art past the budget is refused with 422 on every endpoint
+    // that accepts a fabric, in well under the time building it would
+    // take, and so is a JSON document, which is not ASCII art.
     let service = service();
-    let bomb = r#"{"name":"b","regions":[{"family":"regular","rows":4001,"cols":4001,"pitch":4}]}"#;
     let art = format!("{}\n", "-".repeat(600)).repeat(600);
+    let json = r#"{"name":"b","regions":[{"family":"regular","rows":4001,"cols":4001,"pitch":4}]}"#;
     let started = std::time::Instant::now();
-    for fabric in [bomb.to_owned(), art] {
+    for (fabric, error) in [
+        (
+            art,
+            format!("fabric grid of 360000 cells exceeds the {MAX_FABRIC_CELLS}-cell budget"),
+        ),
+        (
+            json.to_owned(),
+            "line 1, column 1: unknown cell character '{'".to_owned(),
+        ),
+    ] {
         for (path, body) in [
             (
                 "/map",
@@ -488,13 +484,10 @@ fn oversized_fabric_documents_are_422_before_any_work() {
         ] {
             let response = post(&service, path, &body);
             assert_eq!(response.status, 422, "{path}: {}", response.body);
-            assert!(
-                response.body.starts_with(r#"{"error":"fabric grid of "#)
-                    && response
-                        .body
-                        .contains(&format!("exceeds the {MAX_FABRIC_CELLS}-cell budget")),
-                "{path}: {}",
-                response.body
+            assert_eq!(
+                response.body,
+                JsonObject::new().string("error", &error).build(),
+                "{path}"
             );
         }
     }

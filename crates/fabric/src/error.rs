@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::cell::Coord;
-use crate::spec::REPAINTS;
 
 /// Why a fabric description was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,8 +38,16 @@ pub enum FabricError {
     NoTraps,
     /// A trap has no adjacent channel cell, so no qubit can ever enter it.
     TrapWithoutPort(Coord),
-    /// A regular-fabric spec was inconsistent (e.g. pitch < 2).
-    BadSpec(String),
+    /// A regular grid ([`crate::Fabric::regular`]) with `pitch < 2`, or
+    /// with no room for one full tile.
+    BadRegular {
+        /// Requested row count.
+        rows: u16,
+        /// Requested column count.
+        cols: u16,
+        /// Requested junction pitch.
+        pitch: u16,
+    },
     /// The grid holds more cells than the caller's budget allows
     /// ([`crate::Fabric::parse_within`]); rejected before any cell is
     /// built.
@@ -49,15 +56,6 @@ pub enum FabricError {
         cells: usize,
         /// The budget.
         max: usize,
-    },
-    /// A spec's regions, links and capacity rules would paint more
-    /// cells than [`crate::Fabric::parse_within`] allows, 8 times the
-    /// caller's cell budget; rejected before anything is painted.
-    TooMuchPainting {
-        /// Cells the regions, links and capacity rules would paint.
-        painted: usize,
-        /// The caller's cell budget.
-        budget: usize,
     },
     /// A booking counter hit its hard ceiling (`u8::MAX` concurrent
     /// bookings on one resource): the capacity configuration admits more
@@ -88,17 +86,14 @@ impl fmt::Display for FabricError {
             FabricError::TrapWithoutPort(c) => {
                 write!(f, "trap at {c} has no adjacent channel cell")
             }
-            FabricError::BadSpec(msg) => write!(f, "invalid fabric spec: {msg}"),
+            FabricError::BadRegular { rows, cols, pitch } => write!(
+                f,
+                "regular grid {rows}×{cols} at pitch {pitch}: needs pitch ≥ 2 and room for one tile"
+            ),
             FabricError::TooManyCells { cells, max } => {
                 write!(
                     f,
                     "fabric grid of {cells} cells exceeds the {max}-cell budget"
-                )
-            }
-            FabricError::TooMuchPainting { painted, budget } => {
-                write!(
-                    f,
-                    "fabric spec paints {painted} cells, more than {REPAINTS}× the {budget}-cell budget"
                 )
             }
             FabricError::CapacityOverflow { resource } => {

@@ -4,7 +4,6 @@ use std::fmt;
 
 use crate::cell::{Cell, Coord};
 use crate::error::FabricError;
-use crate::spec::FabricInfo;
 use crate::topology::Topology;
 
 /// An ion-trap circuit fabric: a rectangular grid of cells plus its derived
@@ -32,22 +31,12 @@ pub struct Fabric {
     cols: u16,
     grid: Vec<Cell>,
     topology: Topology,
-    /// Provenance metadata attached by the spec elaborator (absent on
-    /// directly constructed fabrics). Descriptive only — never physics.
-    info: Option<FabricInfo>,
 }
 
 impl PartialEq for Fabric {
     fn eq(&self, other: &Fabric) -> bool {
-        // The topology is a pure function of the grid plus the capacity
-        // overrides, so comparing those compares the physics. The `info`
-        // metadata is provenance, not physics, and is excluded: a fabric
-        // built from a spec equals the same fabric built directly.
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.grid == other.grid
-            && self.topology.segment_caps() == other.topology.segment_caps()
-            && self.topology.junction_caps() == other.topology.junction_caps()
+        // The topology is a pure function of the grid.
+        self.rows == other.rows && self.cols == other.cols && self.grid == other.grid
     }
 }
 
@@ -64,23 +53,6 @@ impl Fabric {
     /// * [`FabricError::NoTraps`] / [`FabricError::TrapWithoutPort`] if the
     ///   layout cannot host computation.
     pub fn new(rows: usize, cols: usize, cells: Vec<Cell>) -> Result<Fabric, FabricError> {
-        Fabric::with_capacities(rows, cols, cells, &[])
-    }
-
-    /// Like [`Fabric::new`], with per-cell capacity overrides (row-major,
-    /// same dimensions; empty for a uniform fabric). This is the spec
-    /// elaborator's entry point; see [`crate::FabricSpec`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Fabric::new`], plus [`FabricError::DimensionMismatch`] when a
-    /// non-empty `cell_caps` has the wrong length.
-    pub fn with_capacities(
-        rows: usize,
-        cols: usize,
-        cells: Vec<Cell>,
-        cell_caps: &[Option<u8>],
-    ) -> Result<Fabric, FabricError> {
         if rows == 0 || cols == 0 {
             return Err(FabricError::EmptyGrid);
         }
@@ -93,20 +65,13 @@ impl Fabric {
                 actual: cells.len(),
             });
         }
-        if !cell_caps.is_empty() && cell_caps.len() != rows * cols {
-            return Err(FabricError::DimensionMismatch {
-                expected: rows * cols,
-                actual: cell_caps.len(),
-            });
-        }
         let (rows, cols) = (rows as u16, cols as u16);
-        let topology = Topology::build(rows, cols, &cells, cell_caps)?;
+        let topology = Topology::build(rows, cols, &cells)?;
         Ok(Fabric {
             rows,
             cols,
             grid: cells,
             topology,
-            info: None,
         })
     }
 
@@ -114,19 +79,46 @@ impl Fabric {
     /// (empty), `T` (trap), `-`/`|` (channels), `+`/`J` (junction). Ragged
     /// lines are padded with empty cells on the right.
     ///
+    /// This is the loader behind every `--fabric <file>` flag.
+    ///
     /// # Errors
     ///
     /// Returns [`FabricError::UnknownChar`] for unrecognized characters and
     /// any validation error from [`Fabric::new`].
     pub fn from_ascii(text: &str) -> Result<Fabric, FabricError> {
+        Fabric::parse_within(text, usize::MAX)
+    }
+
+    /// [`Fabric::from_ascii`] for untrusted documents: art whose grid
+    /// would hold more than `max_cells` cells is rejected with
+    /// [`FabricError::TooManyCells`] before any cell is built, so a few
+    /// bytes cannot buy an arbitrarily large fabric.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fabric::from_ascii`], plus [`FabricError::TooManyCells`].
+    pub fn parse_within(text: &str, max_cells: usize) -> Result<Fabric, FabricError> {
         let lines: Vec<&str> = text.lines().collect();
-        let (rows, cols) = ascii_dims(&lines);
-        let mut cells = vec![Cell::Empty; rows * cols];
-        read_ascii(&lines, |r, c, cell| {
-            cells[r * cols + c] = cell;
-            Ok(())
-        })?;
-        Fabric::new(rows, cols, cells)
+        let rows = lines.len();
+        let cols = lines.iter().map(|l| l.chars().count()).max().unwrap_or(0);
+        let cells = rows.saturating_mul(cols);
+        if cells > max_cells {
+            return Err(FabricError::TooManyCells {
+                cells,
+                max: max_cells,
+            });
+        }
+        let mut grid = vec![Cell::Empty; cells];
+        for (r, line) in lines.iter().enumerate() {
+            for (c, ch) in line.chars().enumerate() {
+                grid[r * cols + c] = Cell::from_char(ch).ok_or(FabricError::UnknownChar {
+                    line: r + 1,
+                    column: c + 1,
+                    ch,
+                })?;
+            }
+        }
+        Fabric::new(rows, cols, grid)
     }
 
     /// Renders the fabric in the ASCII format accepted by
@@ -182,50 +174,6 @@ impl Fabric {
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
-
-    /// Spec provenance metadata, when this fabric was elaborated from a
-    /// [`crate::FabricSpec`]; `None` for directly constructed fabrics.
-    pub fn info(&self) -> Option<&FabricInfo> {
-        self.info.as_ref()
-    }
-
-    /// Attaches spec provenance metadata.
-    pub(crate) fn set_info(&mut self, info: FabricInfo) {
-        self.info = Some(info);
-    }
-}
-
-/// The `(rows, cols)` of ASCII art: one row per line, as wide as its
-/// longest line.
-pub(crate) fn ascii_dims<S: AsRef<str>>(lines: &[S]) -> (usize, usize) {
-    let cols = lines.iter().map(|l| l.as_ref().chars().count()).max();
-    (lines.len(), cols.unwrap_or(0))
-}
-
-/// The one reader of the ASCII cell format, shared by
-/// [`Fabric::from_ascii`] and the spec's `ascii` regions and tiles:
-/// hands `put` the 0-based `(row, col)` and cell of every character in
-/// row-major order. Padding of ragged lines is left to the caller.
-///
-/// # Errors
-///
-/// [`FabricError::UnknownChar`] (1-based) at the first character that is
-/// not a cell, or the first error `put` returns.
-pub(crate) fn read_ascii<S: AsRef<str>>(
-    lines: &[S],
-    mut put: impl FnMut(usize, usize, Cell) -> Result<(), FabricError>,
-) -> Result<(), FabricError> {
-    for (r, line) in lines.iter().enumerate() {
-        for (c, ch) in line.as_ref().chars().enumerate() {
-            let cell = Cell::from_char(ch).ok_or(FabricError::UnknownChar {
-                line: r + 1,
-                column: c + 1,
-                ch,
-            })?;
-            put(r, c, cell)?;
-        }
-    }
-    Ok(())
 }
 
 impl fmt::Display for Fabric {
@@ -272,6 +220,19 @@ T.|..
                 ch: 'X'
             }
         );
+    }
+
+    #[test]
+    fn cell_budget_rejects_oversized_art_before_building() {
+        let art = "T-\n".repeat(600);
+        assert_eq!(
+            Fabric::parse_within(&art, 1000),
+            Err(FabricError::TooManyCells {
+                cells: 1200,
+                max: 1000
+            })
+        );
+        assert!(Fabric::parse_within(&art, 1200).is_ok());
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! [`Fabric::quale_45x85`] generates a regular macro-tile layout with the
 //! same dimensions (junction pitch 4, four traps per tile) in its place;
 //! [`Fabric::regular`] paints that layout at any size and pitch.
-//! Arbitrary layouts can be supplied as ASCII art
-//! ([`Fabric::from_ascii`]) or as a JSON [`FabricSpec`] document that
-//! composes regions of either kind with links and per-type capacities;
-//! [`Fabric::parse`] accepts both.
+//! Any other layout is supplied as ASCII art ([`Fabric::from_ascii`]);
+//! [`Fabric::parse_within`] reads it under a cell budget. Channel and
+//! junction capacities are the technology's ([`TechParams`]), the same
+//! for every resource of a fabric.
 //!
 //! # Examples
 //!
@@ -50,7 +50,6 @@ mod grid;
 mod pmd;
 mod regular;
 mod search;
-mod spec;
 mod stats;
 mod topology;
 
@@ -60,7 +59,6 @@ pub use error::FabricError;
 pub use grid::Fabric;
 pub use pmd::{TechParams, Time};
 pub use search::{SearchEdge, SearchGraph};
-pub use spec::{FabricInfo, FabricSpec};
 pub use stats::FabricStats;
 pub use topology::{
     Direction, Junction, JunctionId, Port, Segment, SegmentEnd, SegmentId, Topology, Trap, TrapId,

@@ -28,17 +28,17 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::BadSpec`] when `pitch < 2` or the grid is too
+    /// Returns [`FabricError::BadRegular`] when `pitch < 2` or the grid is too
     /// small to contain a full tile (needs at least `pitch+1` in each
     /// dimension), plus any validation error from [`Fabric::new`].
     pub fn regular(rows: u16, cols: u16, pitch: u16) -> Result<Fabric, FabricError> {
-        let width = usize::from(cols);
-        let mut cells = vec![Cell::Empty; usize::from(rows) * width];
-        paint_regular(rows, cols, pitch, |r, c, cell| {
-            cells[r * width + c] = cell;
-            Ok(())
-        })?;
-        Fabric::new(usize::from(rows), width, cells)
+        if pitch < 2 || rows <= pitch || cols <= pitch {
+            return Err(FabricError::BadRegular { rows, cols, pitch });
+        }
+        let cells = (0..rows)
+            .flat_map(|r| (0..cols).map(move |c| regular_cell(rows, cols, pitch, r, c)))
+            .collect();
+        Fabric::new(usize::from(rows), usize::from(cols), cells)
     }
 
     /// The 45×85 fabric used for every experiment in the paper (Fig. 4),
@@ -55,46 +55,8 @@ impl Fabric {
     }
 }
 
-/// The one painter of the regular grid, shared by [`Fabric::regular`]
-/// and the spec's `regular` and `nearest_neighbor` regions: checks the
-/// grid with [`check_regular`], then hands `put` the 0-based
-/// `(row, col)` and cell of every grid cell in row-major order.
-///
-/// # Errors
-///
-/// The error of [`check_regular`], or the first error `put` returns.
-pub(crate) fn paint_regular(
-    rows: u16,
-    cols: u16,
-    pitch: u16,
-    mut put: impl FnMut(usize, usize, Cell) -> Result<(), FabricError>,
-) -> Result<(), FabricError> {
-    check_regular(rows, cols, pitch)?;
-    for r in 0..rows {
-        for c in 0..cols {
-            put(r.into(), c.into(), regular_cell(rows, cols, pitch, r, c))?;
-        }
-    }
-    Ok(())
-}
-
-/// Rejects a regular grid with `pitch < 2` or no room for one full tile.
-pub(crate) fn check_regular(rows: u16, cols: u16, pitch: u16) -> Result<(), FabricError> {
-    if pitch < 2 {
-        return Err(FabricError::BadSpec(format!(
-            "pitch must be at least 2, got {pitch}"
-        )));
-    }
-    if rows <= pitch || cols <= pitch {
-        return Err(FabricError::BadSpec(format!(
-            "grid {rows}×{cols} smaller than one tile (pitch {pitch})"
-        )));
-    }
-    Ok(())
-}
-
 /// The cell at `(r, c)` of a `rows × cols` regular grid (see
-/// [`Fabric::regular`]); the grid must pass [`check_regular`].
+/// [`Fabric::regular`]).
 fn regular_cell(rows: u16, cols: u16, pitch: u16, r: u16, c: u16) -> Cell {
     let on_line = |x: u16| x % pitch == 0;
     let corner = |x: u16| x % pitch == 1 || x % pitch == pitch - 1;
@@ -181,16 +143,16 @@ mod tests {
     fn bad_specs_are_rejected() {
         assert!(matches!(
             Fabric::regular(45, 85, 1),
-            Err(FabricError::BadSpec(_))
+            Err(FabricError::BadRegular { .. })
         ));
         assert!(matches!(
             Fabric::regular(3, 85, 4),
-            Err(FabricError::BadSpec(_))
+            Err(FabricError::BadRegular { .. })
         ));
         // No room for a tile, without overflowing `pitch + 1`.
         assert!(matches!(
             Fabric::regular(5, 5, u16::MAX),
-            Err(FabricError::BadSpec(_))
+            Err(FabricError::BadRegular { .. })
         ));
     }
 

@@ -261,9 +261,6 @@ pub struct Topology {
     junction_at: Vec<Option<JunctionId>>,
     trap_at: Vec<Option<TrapId>>,
     channel_at: Vec<Option<(SegmentId, u16)>>,
-    // Per-resource capacity overrides (`None` = the technology default).
-    segment_caps: Vec<Option<u8>>,
-    junction_caps: Vec<Option<u8>>,
     search: SearchGraph,
     bounds: BoundTables,
 }
@@ -344,52 +341,6 @@ impl Topology {
     /// table, so each entry is computed once per fabric.
     pub fn travel_bounds(&self, t_move: Time, t_turn: Time, goal_turn: Time) -> Arc<TravelBounds> {
         self.bounds.get(self, t_move, t_turn, goal_turn)
-    }
-
-    /// The capacity override of a segment, `None` when it uses the
-    /// technology default. Overrides come from a fabric spec's capacity
-    /// assignments; a segment spanning several overridden cells takes
-    /// the minimum (the narrowest cell bounds the whole run).
-    pub fn segment_cap(&self, id: SegmentId) -> Option<u8> {
-        self.segment_caps[id.index()]
-    }
-
-    /// The capacity override of a junction, `None` for the default.
-    pub fn junction_cap(&self, id: JunctionId) -> Option<u8> {
-        self.junction_caps[id.index()]
-    }
-
-    /// Per-segment capacity overrides, indexed by [`SegmentId`].
-    pub fn segment_caps(&self) -> &[Option<u8>] {
-        &self.segment_caps
-    }
-
-    /// Per-junction capacity overrides, indexed by [`JunctionId`].
-    pub fn junction_caps(&self) -> &[Option<u8>] {
-        &self.junction_caps
-    }
-
-    /// `true` when any resource carries a capacity override, i.e. the
-    /// fabric is *heterogeneous* and the global technology capacities do
-    /// not tell the whole story.
-    pub fn has_capacity_overrides(&self) -> bool {
-        self.segment_caps.iter().any(Option::is_some)
-            || self.junction_caps.iter().any(Option::is_some)
-    }
-
-    /// Occupancy-capacity histogram over all segments and junctions:
-    /// `(override, count)` pairs with `None` (the technology default)
-    /// first, then ascending capacity values.
-    pub fn capacity_histogram(&self) -> Vec<(Option<u8>, usize)> {
-        let mut histogram: Vec<(Option<u8>, usize)> = Vec::new();
-        for cap in self.segment_caps.iter().chain(&self.junction_caps) {
-            match histogram.iter_mut().find(|(c, _)| c == cap) {
-                Some((_, n)) => *n += 1,
-                None => histogram.push((*cap, 1)),
-            }
-        }
-        histogram.sort_by_key(|(c, _)| c.map_or(0u16, |v| v as u16 + 1));
-        histogram
     }
 
     /// The trap nearest to `to` (Manhattan metric) among those for which
@@ -488,21 +439,11 @@ impl Topology {
     /// Builds the topology for a validated grid. Called by
     /// [`crate::Fabric::new`]; exposed for tests.
     ///
-    /// `cell_caps` carries per-cell capacity overrides from the spec
-    /// elaborator (row-major, same dimensions as `grid`, or empty for a
-    /// uniform fabric). A junction takes its own cell's override; a
-    /// segment takes the minimum override among its member cells.
-    ///
     /// # Errors
     ///
     /// Returns [`FabricError::NoTraps`] or [`FabricError::TrapWithoutPort`]
     /// when the fabric cannot host computation.
-    pub(crate) fn build(
-        rows: u16,
-        cols: u16,
-        grid: &[Cell],
-        cell_caps: &[Option<u8>],
-    ) -> Result<Topology, FabricError> {
+    pub(crate) fn build(rows: u16, cols: u16, grid: &[Cell]) -> Result<Topology, FabricError> {
         let cell = |r: u16, c: u16| grid[r as usize * cols as usize + c as usize];
         let n_cells = rows as usize * cols as usize;
 
@@ -633,14 +574,6 @@ impl Topology {
             return Err(FabricError::NoTraps);
         }
 
-        // Fold per-cell overrides into per-resource capacities.
-        let cap_at = |coord: Coord| cell_caps.get(idx(coord.row, coord.col)).copied().flatten();
-        let segment_caps: Vec<Option<u8>> = segments
-            .iter()
-            .map(|seg| seg.cells().filter_map(cap_at).min())
-            .collect();
-        let junction_caps: Vec<Option<u8>> = junctions.iter().map(|j| cap_at(j.coord)).collect();
-
         let search = SearchGraph::build(&segments, &junctions);
         Ok(Topology {
             rows,
@@ -651,8 +584,6 @@ impl Topology {
             junction_at,
             trap_at,
             channel_at,
-            segment_caps,
-            junction_caps,
             search,
             bounds: BoundTables::default(),
         })
@@ -813,17 +744,16 @@ T.|..
     }
 
     /// Fabrics for the ring-search equivalence property: regular grids
-    /// of every pitch the generator picks, plus the committed spec
-    /// fabrics (irregular regions, links and ASCII tiles).
+    /// of every pitch the generator picks, plus the committed example
+    /// fabrics.
     fn ring_search_fabric(kind: u8, rows: u16, cols: u16, pitch: u16) -> Fabric {
-        let spec = match kind % 6 {
+        let art = match kind % 6 {
             0 => return Fabric::quale_45x85(),
-            1 => include_str!("../../../examples/fabrics/two_region_bridge.json"),
-            2 => include_str!("../../../examples/fabrics/ulb_tiled.json"),
-            3 => include_str!("../../../examples/fabrics/nearest_neighbor_6x6.json"),
+            1 => include_str!("../../../examples/fabrics/nearest_neighbor_6x6.txt"),
+            2 => include_str!("../../../examples/fabrics/regular_21x41_p4.txt"),
             _ => return Fabric::regular(rows, cols, pitch).expect("generated regular grid builds"),
         };
-        Fabric::parse(spec).expect("committed spec builds")
+        Fabric::from_ascii(art).expect("committed fabric builds")
     }
 
     proptest::proptest! {

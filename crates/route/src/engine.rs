@@ -621,9 +621,8 @@ impl<'a> NegotiatedRouter<'a> {
         }
         let mut conflicts = 0;
         for &resource in &self.touched {
-            // Per-resource: a spec capacity override beats the global
-            // technology default, so negotiation converges toward the
-            // same feasibility the hard-capacity search enforces.
+            // The capacity the hard-capacity search enforces, so
+            // negotiation converges toward the same feasibility.
             let cap = self.router.capacity(resource);
             let extra = match resource {
                 Resource::Segment(s) => self.extra_segments[s.index()],
@@ -841,7 +840,7 @@ impl RoutingEngine for NegotiatedRouter<'_> {
 }
 
 /// `true` when booking every resource of `plan` on top of `state` stays
-/// within the effective (per-resource) capacities.
+/// within the router's capacities.
 fn fits(state: &ResourceState, plan: &RoutePlan, router: &Router<'_>) -> bool {
     plan.resources()
         .iter()

@@ -475,33 +475,31 @@ proptest! {
         }
     }
 
-    /// Per-resource capacities from the spec layer. Two properties:
-    /// on a fabric with *heterogeneous* junction/segment overrides the
-    /// arena search stays identical to the naive reference (both read
-    /// capacities through the same per-resource tables), and overrides
-    /// *equal* to the config's global caps are indistinguishable from
-    /// the override-free fabric — the uniform-fabric byte-identity
-    /// guarantee.
+    /// Distinct channel and junction capacities (1 to 3 each, from the
+    /// router configuration): routes committed one after another never
+    /// book a resource past its capacity, and the arena search stays
+    /// identical to the naive reference under that load.
     #[test]
-    fn per_resource_capacities_agree_with_naive_and_uniform_baseline(
+    fn configured_capacities_agree_with_the_naive_search(
         rows in 9u16..16,
         cols in 9u16..16,
-        junction_cap in 1u8..5,
-        channel_cap in 1u8..5,
+        junction_cap in 1u8..4,
+        channel_cap in 1u8..4,
         load in proptest::collection::vec((0usize..64, 0usize..64), 0..5),
         pairs in proptest::collection::vec((0usize..64, 0usize..64), 1..6),
     ) {
-        let tech = TechParams::date2012();
-        let config = RouterConfig::qspr(&tech);
-        let plain = Fabric::regular(rows, cols, 4)
+        let fabric = Fabric::regular(rows, cols, 4)
             .expect("geometry fits at least one pitch-4 tile");
+        let topo = fabric.topology();
+        let config = RouterConfig {
+            channel_capacity: channel_cap,
+            junction_capacity: junction_cap,
+            ..RouterConfig::qspr(&TechParams::date2012())
+        };
+        let router = Router::new(topo, config);
+        let n = topo.traps().len();
 
-        let hetero = hetero_fabric(rows, cols, junction_cap, channel_cap);
-        prop_assert!(hetero.topology().has_capacity_overrides());
-        let router = Router::new(hetero.topology(), config);
-        let n = hetero.topology().traps().len();
-
-        let mut state = ResourceState::new(hetero.topology());
+        let mut state = ResourceState::new(topo);
         for &(a, b) in &load {
             let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
             if from == to {
@@ -512,7 +510,7 @@ proptest! {
                     state.book(usage.resource).unwrap();
                     prop_assert!(
                         state.usage(usage.resource) <= router.capacity(usage.resource),
-                        "{} over its per-resource capacity", usage.resource
+                        "{} over its capacity", usage.resource
                     );
                 }
             }
@@ -521,55 +519,7 @@ proptest! {
             let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
             let fast = router.route_with(&state, from, to, None);
             let naive = router.route_naive(&state, from, to, None);
-            prop_assert_eq!(&fast, &naive, "hetero from {} to {}", from, to);
-        }
-
-        // Uniform baseline: overriding every resource with the global
-        // caps must reproduce the override-free plans byte for byte.
-        let uniform_doc = format!(
-            r#"{{
-                "name": "uniform",
-                "types": [
-                    {{"name": "j", "kind": "junction", "capacity": {}}},
-                    {{"name": "c", "kind": "channel", "capacity": {}}}
-                ],
-                "regions": [{{"family": "regular", "rows": {rows}, "cols": {cols}, "pitch": 4}}],
-                "capacities": [
-                    {{"type": "j", "rect": [0, 0, {}, {}]}},
-                    {{"type": "c", "rect": [0, 0, {}, {}]}}
-                ]
-            }}"#,
-            config.junction_capacity, config.channel_capacity,
-            rows - 1, cols - 1, rows - 1, cols - 1,
-        );
-        let uniform = qspr_fabric::FabricSpec::parse_json(&uniform_doc)
-            .expect("well-formed document")
-            .build()
-            .expect("full-grid rects always match");
-        prop_assert!(uniform.topology().has_capacity_overrides());
-        let base_router = Router::new(plain.topology(), config);
-        let uni_router = Router::new(uniform.topology(), config);
-        let mut base_state = ResourceState::new(plain.topology());
-        let mut uni_state = ResourceState::new(uniform.topology());
-        for &(a, b) in &load {
-            let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
-            if from == to {
-                continue;
-            }
-            if let Some(plan) = base_router.route(&base_state, from, to) {
-                for usage in plan.resources() {
-                    base_state.book(usage.resource).unwrap();
-                    uni_state.book(usage.resource).unwrap();
-                }
-            }
-        }
-        for &(a, b) in &pairs {
-            let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
-            prop_assert_eq!(
-                base_router.route(&base_state, from, to),
-                uni_router.route(&uni_state, from, to),
-                "uniform overrides must not change plans ({} to {})", from, to
-            );
+            prop_assert_eq!(&fast, &naive, "from {} to {}", from, to);
         }
     }
 
@@ -582,12 +532,11 @@ proptest! {
     /// with one booking on the interior of a stored plan, and under the
     /// load again. Anything the loaded searches stored must be right on
     /// the quiet fabric. It runs the QSPR router and the
-    /// history-keeping QUALE router, on regular grids and on a spec
-    /// fabric with capacity overrides, and `route_with` also checks
+    /// history-keeping QUALE router on regular grids, at channel and
+    /// junction capacities of 1 to 3 each, and `route_with` also checks
     /// every hit against the full search.
     #[test]
     fn quiet_route_hits_equal_the_naive_search(
-        spec in any::<bool>(),
         quale in any::<bool>(),
         rows in 9u16..16,
         cols in 9u16..16,
@@ -598,14 +547,14 @@ proptest! {
         ports in proptest::collection::vec((0u8..2, 0u8..2), 1..5),
         interior in proptest::collection::vec(0usize..64, 1..6),
     ) {
-        let fabric = if spec {
-            hetero_fabric(rows, cols, junction_cap, channel_cap)
-        } else {
-            Fabric::regular(rows, cols, 4).expect("geometry fits at least one pitch-4 tile")
-        };
+        let fabric = Fabric::regular(rows, cols, 4).expect("geometry fits at least one pitch-4 tile");
         let topo = fabric.topology();
         let tech = TechParams::date2012();
-        let config = if quale { RouterConfig::quale(&tech) } else { RouterConfig::qspr(&tech) };
+        let config = RouterConfig {
+            channel_capacity: channel_cap,
+            junction_capacity: junction_cap,
+            ..if quale { RouterConfig::quale(&tech) } else { RouterConfig::qspr(&tech) }
+        };
         let mut router = Router::new(topo, config);
         let n = topo.traps().len();
         let trap = |i: usize| TrapId((i % n) as u32);
@@ -738,35 +687,6 @@ proptest! {
     }
 }
 
-/// A `rows × cols` pitch-4 spec fabric with heterogeneous capacity
-/// overrides: junctions of capacity `junction_cap` on the left half,
-/// channels of capacity `channel_cap` on the top half, defaults
-/// elsewhere.
-fn hetero_fabric(rows: u16, cols: u16, junction_cap: u8, channel_cap: u8) -> Fabric {
-    let doc = format!(
-        r#"{{
-            "name": "hetero",
-            "types": [
-                {{"name": "wide", "kind": "junction", "capacity": {junction_cap}}},
-                {{"name": "fat", "kind": "channel", "capacity": {channel_cap}}}
-            ],
-            "regions": [{{"family": "regular", "rows": {rows}, "cols": {cols}, "pitch": 4}}],
-            "capacities": [
-                {{"type": "wide", "rect": [0, 0, {}, {}]}},
-                {{"type": "fat", "rect": [0, 0, {}, {}]}}
-            ]
-        }}"#,
-        rows - 1,
-        cols / 2,
-        rows / 2,
-        cols - 1,
-    );
-    qspr_fabric::FabricSpec::parse_json(&doc)
-        .expect("well-formed document")
-        .build()
-        .expect("halves of a 9+ grid contain junctions and channels")
-}
-
 /// The quale fabric (`kind` 0) or a regular grid of random geometry.
 fn bounds_fabric(kind: u8, rows: u16, cols: u16, pitch: u16) -> Fabric {
     match kind % 2 {
@@ -776,16 +696,14 @@ fn bounds_fabric(kind: u8, rows: u16, cols: u16, pitch: u16) -> Fabric {
 }
 
 /// The fabrics of the `min_duration` reference property: the QUALE
-/// fabric and every committed spec under `examples/fabrics/`.
+/// fabric and every committed fabric under `examples/fabrics/`.
 fn example_fabric(kind: u8) -> Fabric {
-    let spec = match kind % 5 {
+    let art = match kind % 3 {
         0 => return Fabric::quale_45x85(),
-        1 => include_str!("../../../examples/fabrics/two_region_bridge.json"),
-        2 => include_str!("../../../examples/fabrics/ulb_tiled.json"),
-        3 => include_str!("../../../examples/fabrics/nearest_neighbor_6x6.json"),
-        _ => include_str!("../../../examples/fabrics/regular_21x41_p4.json"),
+        1 => include_str!("../../../examples/fabrics/nearest_neighbor_6x6.txt"),
+        _ => include_str!("../../../examples/fabrics/regular_21x41_p4.txt"),
     };
-    Fabric::parse(spec).expect("committed spec builds")
+    Fabric::from_ascii(art).expect("committed fabric builds")
 }
 
 /// Books the routes of `load` pairs one after another (skipping blocked
@@ -865,7 +783,7 @@ proptest! {
     /// negotiated engine's lower-bound gate relies on the equality).
     #[test]
     fn min_duration_equals_the_empty_fabric_route(
-        kind in 0u8..5,
+        kind in 0u8..3,
         quale in any::<bool>(),
         pairs in proptest::collection::vec((0usize..4000, 0usize..4000), 1..12),
     ) {

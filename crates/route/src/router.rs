@@ -285,14 +285,6 @@ struct PlanScratch {
 pub struct Router<'a> {
     topology: &'a Topology,
     config: RouterConfig,
-    /// Effective per-segment capacity: the fabric's per-resource
-    /// override where the spec declared one, else the configured
-    /// technology default. On uniform fabrics every entry equals
-    /// `config.channel_capacity`, so behavior is identical to the
-    /// pre-spec global cap.
-    seg_caps: Vec<u8>,
-    /// Effective per-junction capacity (same resolution rule).
-    junc_caps: Vec<u8>,
     history: Vec<u32>,
     /// Reusable search arena; `RefCell` because `route` is a pure query
     /// (`&self`) yet needs somewhere to run Dijkstra without
@@ -319,24 +311,12 @@ pub struct Router<'a> {
 impl<'a> Router<'a> {
     /// Creates a router for `topology` with the given policy.
     pub fn new(topology: &'a Topology, config: RouterConfig) -> Router<'a> {
-        let seg_caps: Vec<u8> = topology
-            .segment_caps()
-            .iter()
-            .map(|c| c.unwrap_or(config.channel_capacity))
-            .collect();
-        let junc_caps: Vec<u8> = topology
-            .junction_caps()
-            .iter()
-            .map(|c| c.unwrap_or(config.junction_capacity))
-            .collect();
         let bounds = config.travel_bounds(topology);
-        let quiet = (!seg_caps.contains(&0) && !junc_caps.contains(&0))
+        let quiet = (config.channel_capacity > 0 && config.junction_capacity > 0)
             .then(|| bounds.attached(QuietRoutes::default));
         Router {
             topology,
             config,
-            seg_caps,
-            junc_caps,
             history: vec![0; topology.segments().len()],
             scratch: RefCell::new(SearchScratch::new(topology.search_graph().num_nodes())),
             plan: RefCell::default(),
@@ -352,14 +332,12 @@ impl<'a> Router<'a> {
         &self.bounds
     }
 
-    /// The effective capacity of `resource`: the fabric's per-resource
-    /// override when the spec declared one, else the configured
-    /// technology default ([`RouterConfig::channel_capacity`] /
-    /// [`RouterConfig::junction_capacity`]).
+    /// The capacity of `resource`: [`RouterConfig::channel_capacity`]
+    /// for a segment, [`RouterConfig::junction_capacity`] for a junction.
     pub fn capacity(&self, resource: Resource) -> u8 {
         match resource {
-            Resource::Segment(s) => self.seg_caps[s.index()],
-            Resource::Junction(j) => self.junc_caps[j.index()],
+            Resource::Segment(_) => self.config.channel_capacity,
+            Resource::Junction(_) => self.config.junction_capacity,
         }
     }
 
@@ -437,7 +415,7 @@ impl<'a> Router<'a> {
         let port = |trap: TrapId| {
             let seg = self.topology.trap(trap).port().segment;
             let n = state.usage(Resource::Segment(seg));
-            (n <= 1 && n < self.seg_caps[seg.index()] && !self.has_history(seg)).then_some(n)
+            (n <= 1 && n < self.config.channel_capacity && !self.has_history(seg)).then_some(n)
         };
         Some(QuietKey::new(from, to, [port(from)?, port(to)?]))
     }
@@ -454,7 +432,7 @@ impl<'a> Router<'a> {
             Resource::Segment(s) => {
                 ports.contains(&s) || (state.usage(u.resource) == 0 && !self.has_history(s))
             }
-            Resource::Junction(j) => state.usage(u.resource) < self.junc_caps[j.index()],
+            Resource::Junction(_) => state.usage(u.resource) < self.config.junction_capacity,
         })
     }
 
@@ -903,7 +881,7 @@ impl<'a> Router<'a> {
         if let Some(ov) = overlay {
             n = n.saturating_add(ov.extra_segments[seg.index()]);
         }
-        let cap = self.seg_caps[seg.index()];
+        let cap = self.config.channel_capacity;
         let soft = overlay.is_some_and(|ov| ov.soft);
         if n >= cap && !soft {
             return None;
@@ -946,7 +924,7 @@ impl<'a> Router<'a> {
         if let Some(ov) = overlay {
             n = n.saturating_add(ov.extra_junctions[j.index()]);
         }
-        let cap = self.junc_caps[j.index()];
+        let cap = self.config.junction_capacity;
         if n < cap {
             return Some(0);
         }

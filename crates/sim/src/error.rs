@@ -137,6 +137,28 @@ pub enum TraceError {
         /// Expected delay.
         expected: Time,
     },
+    /// A qubit's move or turn completed sooner than `T_move` or
+    /// `T_turn` after its previous move, turn or gate end.
+    TooFast {
+        /// The qubit that moved or turned.
+        qubit: QubitId,
+        /// Index of the offending entry.
+        index: usize,
+    },
+    /// A qubit moved or turned between its gate's start and end.
+    MoveDuringGate {
+        /// The qubit that moved or turned.
+        qubit: QubitId,
+        /// Index of the offending entry.
+        index: usize,
+    },
+    /// A gate started before one of its QIDG predecessors ended.
+    DependencyViolated {
+        /// Index of the offending entry.
+        index: usize,
+        /// The predecessor that had not ended.
+        pred: InstrId,
+    },
     /// A gate ended that never started, started or ended twice, or
     /// names no instruction of the program.
     UnmatchedGate {
@@ -187,6 +209,15 @@ impl fmt::Display for TraceError {
             }
             TraceError::BadGateTiming { index, expected } => {
                 write!(f, "entry {index}: gate did not take {expected}µs")
+            }
+            TraceError::TooFast { qubit, index } => {
+                write!(f, "entry {index}: {qubit} moved or turned too soon")
+            }
+            TraceError::MoveDuringGate { qubit, index } => {
+                write!(f, "entry {index}: {qubit} moved or turned during its gate")
+            }
+            TraceError::DependencyViolated { index, pred } => {
+                write!(f, "entry {index}: gate started before {pred} ended")
             }
             TraceError::UnmatchedGate { index } => {
                 write!(f, "entry {index}: gate start/end mismatch")

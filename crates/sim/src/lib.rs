@@ -138,7 +138,6 @@ mod policy;
 #[cfg(test)]
 mod proptests;
 mod queue;
-mod render;
 mod stress;
 mod trace;
 mod validate;
@@ -151,6 +150,5 @@ pub use outcome::{InstrStats, MappingOutcome, Totals};
 pub use placement::Placement;
 pub use policy::{FlowPolicy, ParseFlowPolicyError};
 pub use qspr_route::{RouterFactory, RouterKind, RoutingEngine, RoutingStats};
-pub use render::{qubit_positions_at, render_at, render_gantt};
 pub use trace::{MicroCommand, Trace, TraceEntry};
 pub use validate::validate_trace;

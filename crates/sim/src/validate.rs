@@ -2,7 +2,7 @@
 
 use qspr_fabric::{Cell, Coord, Fabric, TechParams, Time};
 use qspr_qasm::{Program, QubitId};
-use qspr_sched::{gate_delay, InstrId};
+use qspr_sched::{InstrId, Qidg};
 
 use crate::error::TraceError;
 use crate::placement::Placement;
@@ -18,9 +18,12 @@ use crate::trace::{MicroCommand, Trace};
 /// * gates execute in trap cells with all operands present and at most
 ///   two qubits co-located;
 /// * instantaneous channel-segment and junction occupancy never exceeds
-///   the resource's capacity: the fabric's override where it has one
-///   (`Topology::segment_cap` / `junction_cap`), the technology's
-///   otherwise;
+///   the technology's `channel_capacity` / `junction_capacity`;
+/// * each qubit's move completes at least `T_move`, and each turn at
+///   least `T_turn`, after its previous move, turn or gate end (or after
+///   time 0);
+/// * no operand moves or turns between its gate's start and end;
+/// * a gate starts no earlier than every QIDG predecessor's end;
 /// * every gate's end follows its start by exactly the gate delay;
 /// * every instruction of `program` starts and ends exactly once.
 ///
@@ -65,9 +68,14 @@ pub fn validate_trace(
     // Instantaneous occupancy per segment / junction.
     let mut seg_occ = vec![0u8; topo.segments().len()];
     let mut jct_occ = vec![0u8; topo.junctions().len()];
-    // Per instruction: when its gate started, and whether it ended.
-    let mut started: Vec<Option<Time>> = vec![None; program.instructions().len()];
-    let mut ended = vec![false; started.len()];
+    // Per qubit: when its last move, turn or gate ended, and whether
+    // it is an operand of a running gate.
+    let mut ready: Vec<Time> = vec![0; pos.len()];
+    let mut in_gate = vec![false; pos.len()];
+    // Per instruction: when its gate started and ended.
+    let qidg = Qidg::new(program, tech);
+    let mut started: Vec<Option<Time>> = vec![None; qidg.len()];
+    let mut ended: Vec<Option<Time>> = vec![None; qidg.len()];
     let mut last_time: Time = 0;
 
     let occupancy_key = |c: Coord| (topo.channel_at(c).map(|(s, _)| s), topo.junction_at(c));
@@ -83,6 +91,14 @@ pub fn validate_trace(
                 if pos[q] != from || from.manhattan(to) != 1 {
                     return Err(TraceError::BrokenMove { qubit, index });
                 }
+                pace(
+                    &mut ready[q],
+                    in_gate[q],
+                    qubit,
+                    entry.time,
+                    tech.t_move,
+                    index,
+                )?;
                 if !fabric.in_bounds(to) || fabric.cell(to) == Cell::Empty {
                     return Err(TraceError::BadDestination { qubit, index });
                 }
@@ -97,15 +113,13 @@ pub fn validate_trace(
                 pos[q] = to;
                 if let Some(s) = new_seg {
                     seg_occ[s.index()] += 1;
-                    let cap = topo.segment_cap(s).unwrap_or(tech.channel_capacity);
-                    if seg_occ[s.index()] > cap {
+                    if seg_occ[s.index()] > tech.channel_capacity {
                         return Err(TraceError::ChannelOverflow { index });
                     }
                 }
                 if let Some(j) = new_jct {
                     jct_occ[j.index()] += 1;
-                    let cap = topo.junction_cap(j).unwrap_or(tech.junction_capacity);
-                    if jct_occ[j.index()] > cap {
+                    if jct_occ[j.index()] > tech.junction_capacity {
                         return Err(TraceError::JunctionOverflow { index });
                     }
                 }
@@ -124,6 +138,14 @@ pub fn validate_trace(
                 if topo.junction_at(at).is_none() {
                     return Err(TraceError::TurnOutsideJunction { qubit, index });
                 }
+                pace(
+                    &mut ready[q],
+                    in_gate[q],
+                    qubit,
+                    entry.time,
+                    tech.t_turn,
+                    index,
+                )?;
             }
             MicroCommand::GateStart {
                 instr,
@@ -151,31 +173,68 @@ pub fn validate_trace(
                     Some(start @ None) => *start = Some(entry.time),
                     _ => return Err(TraceError::UnmatchedGate { index }),
                 }
+                for &pred in qidg.preds(instr) {
+                    if !ended[pred.index()].is_some_and(|end| end <= entry.time) {
+                        return Err(TraceError::DependencyViolated { index, pred });
+                    }
+                }
+                for q in qidg.instruction(instr).qubits() {
+                    if let Some(flag) = in_gate.get_mut(q.index()) {
+                        *flag = true;
+                    }
+                }
             }
             MicroCommand::GateEnd { instr } => {
                 let i = instr.index();
                 let Some(Some(start)) = started.get(i).copied() else {
                     return Err(TraceError::UnmatchedGate { index });
                 };
-                if std::mem::replace(&mut ended[i], true) {
+                if ended[i].replace(entry.time).is_some() {
                     return Err(TraceError::UnmatchedGate { index });
                 }
-                let expected = gate_delay(program.instructions()[i].gate, tech);
+                let expected = qidg.delay(instr);
                 if entry.time - start != expected {
                     return Err(TraceError::BadGateTiming { index, expected });
+                }
+                for q in qidg.instruction(instr).qubits() {
+                    if let Some(flag) = in_gate.get_mut(q.index()) {
+                        *flag = false;
+                        ready[q.index()] = entry.time;
+                    }
                 }
             }
         }
     }
-    for (i, (start, &end)) in started.iter().zip(&ended).enumerate() {
+    for (i, (start, end)) in started.iter().zip(&ended).enumerate() {
         let instr = InstrId(i as u32);
         if start.is_none() {
             return Err(TraceError::GateNeverStarted { instr });
         }
-        if !end {
+        if end.is_none() {
             return Err(TraceError::GateNeverEnded { instr });
         }
     }
+    Ok(())
+}
+
+/// Checks the pace of a move or turn of `qubit` that completes at `time`
+/// and takes `delay`, after the qubit was last `ready`; on success the
+/// qubit is ready again at `time`.
+fn pace(
+    ready: &mut Time,
+    in_gate: bool,
+    qubit: QubitId,
+    time: Time,
+    delay: Time,
+    index: usize,
+) -> Result<(), TraceError> {
+    if in_gate {
+        return Err(TraceError::MoveDuringGate { qubit, index });
+    }
+    if time < ready.saturating_add(delay) {
+        return Err(TraceError::TooFast { qubit, index });
+    }
+    *ready = time;
     Ok(())
 }
 
@@ -249,45 +308,31 @@ C-Z q4,q0
         );
     }
 
-    /// The regular 21×41 pitch-4 grid with every channel declared to
-    /// hold one qubit at a time.
-    const SINGLE_FILE_CHANNELS: &str = r#"{
-        "name": "single-file",
-        "types": [{"name": "single", "kind": "channel", "capacity": 1}],
-        "regions": [{"family": "regular", "rows": 21, "cols": 41, "pitch": 4}],
-        "capacities": [{"type": "single", "rect": [0, 0, 20, 40]}]
-    }"#;
-
+    /// The QSPR trace of Fig. 3 on the regular 21×41 pitch-4 grid,
+    /// where two qubits share a channel segment and, first, a junction:
+    /// the technology's capacities of 2 allow it, capacities of 1 do
+    /// not.
     #[test]
-    fn fabric_capacities_bound_the_occupancy() {
+    fn technology_capacities_bound_the_occupancy() {
         let tech = TechParams::date2012();
-        let uniform = Fabric::regular(21, 41, 4).unwrap();
-        let single = Fabric::parse(SINGLE_FILE_CHANNELS).unwrap();
+        let fabric = Fabric::regular(21, 41, 4).unwrap();
         let program = Program::parse(FIG3).unwrap();
-        let placement = Placement::center(&uniform, 5);
-        let map_on = |fabric: &Fabric| {
-            Mapper::new(fabric, tech, FlowPolicy::Qspr)
-                .record_trace(true)
-                .map(&program, &placement)
-                .unwrap()
+        let placement = Placement::center(&fabric, 5);
+        let outcome = Mapper::new(&fabric, tech, FlowPolicy::Qspr)
+            .record_trace(true)
+            .map(&program, &placement)
+            .unwrap();
+        let trace = outcome.trace().unwrap();
+        validate_trace(&fabric, &program, &placement, trace, &tech).unwrap();
+        let single = tech.without_multiplexing();
+        let err = validate_trace(&fabric, &program, &placement, trace, &single).unwrap_err();
+        assert!(matches!(err, TraceError::JunctionOverflow { .. }), "{err}");
+        let single_file = TechParams {
+            channel_capacity: 1,
+            ..tech
         };
-        // On the uniform grid two qubits share a channel segment, which
-        // the technology's capacity of 2 allows and the spec's 1 does not.
-        let shared = map_on(&uniform);
-        let shared = shared.trace().unwrap();
-        validate_trace(&uniform, &program, &placement, shared, &tech).unwrap();
-        let err = validate_trace(&single, &program, &placement, shared, &tech).unwrap_err();
+        let err = validate_trace(&fabric, &program, &placement, trace, &single_file).unwrap_err();
         assert!(matches!(err, TraceError::ChannelOverflow { .. }), "{err}");
-        // The router keeps the spec's capacity, and so does its trace.
-        let single_file = map_on(&single);
-        validate_trace(
-            &single,
-            &program,
-            &placement,
-            single_file.trace().unwrap(),
-            &tech,
-        )
-        .unwrap();
     }
 
     #[test]
@@ -369,10 +414,9 @@ C-Z q4,q0
         );
     }
 
-    /// The QSPR trace of Fig. 3 at the center placement without the
-    /// entries `remove` picks, given the instruction whose gate ends
-    /// last; returns the validator's error and that instruction.
-    fn edited_fig3(remove: impl Fn(&MicroCommand, InstrId) -> bool) -> (TraceError, InstrId) {
+    /// The QSPR trace of Fig. 3 at the center placement, validated, and
+    /// the validator's error on edited entries of it.
+    fn fig3_trace() -> (Trace, impl Fn(Vec<TraceEntry>) -> TraceError) {
         let fabric = Fabric::quale_45x85();
         let tech = TechParams::date2012();
         let program = Program::parse(FIG3).unwrap();
@@ -381,8 +425,19 @@ C-Z q4,q0
             .record_trace(true)
             .map(&program, &placement)
             .unwrap();
-        let trace = outcome.trace().unwrap();
-        validate_trace(&fabric, &program, &placement, trace, &tech).unwrap();
+        let trace = outcome.trace().unwrap().clone();
+        validate_trace(&fabric, &program, &placement, &trace, &tech).unwrap();
+        let check = move |entries| {
+            validate_trace(&fabric, &program, &placement, &Trace::new(entries), &tech).unwrap_err()
+        };
+        (trace, check)
+    }
+
+    /// The Fig. 3 trace without the entries `remove` picks, given the
+    /// instruction whose gate ends last; returns the validator's error
+    /// and that instruction.
+    fn edited_fig3(remove: impl Fn(&MicroCommand, InstrId) -> bool) -> (TraceError, InstrId) {
+        let (trace, check) = fig3_trace();
         let last = trace
             .iter()
             .rev()
@@ -392,9 +447,33 @@ C-Z q4,q0
             })
             .unwrap();
         let kept = trace.iter().filter(|e| !remove(&e.command, last)).copied();
-        let edited = Trace::new(kept.collect());
-        let err = validate_trace(&fabric, &program, &placement, &edited, &tech).unwrap_err();
-        (err, last)
+        (check(kept.collect()), last)
+    }
+
+    /// The Fig. 3 trace with the first move or turn that `pick` accepts
+    /// and that follows another move or turn of its qubit re-stamped at
+    /// `restamp(time of that previous one)`; returns the validator's
+    /// error and the qubit.
+    fn restamped_fig3(
+        pick: impl Fn(&MicroCommand) -> bool,
+        restamp: impl Fn(Time) -> Time,
+    ) -> (TraceError, QubitId) {
+        let (trace, check) = fig3_trace();
+        let mut entries = trace.entries().to_vec();
+        let mut last = [None; 5];
+        for i in 0..entries.len() {
+            let (MicroCommand::Move { qubit, .. } | MicroCommand::Turn { qubit, .. }) =
+                entries[i].command
+            else {
+                continue;
+            };
+            if let (Some(prev), true) = (last[qubit.index()], pick(&entries[i].command)) {
+                entries[i].time = restamp(prev);
+                return (check(entries), qubit);
+            }
+            last[qubit.index()] = Some(entries[i].time);
+        }
+        panic!("no such entry in the trace");
     }
 
     #[test]
@@ -455,5 +534,88 @@ C-Z q4,q0
         }]);
         let err = validate_trace(&fabric, &program, &placement, &trace, &tech).unwrap_err();
         assert_eq!(err, TraceError::UnmatchedGate { index: 0 });
+    }
+
+    #[test]
+    fn a_zero_duration_move_is_rejected() {
+        let (err, qubit) = restamped_fig3(|c| matches!(c, MicroCommand::Move { .. }), |prev| prev);
+        assert!(
+            matches!(err, TraceError::TooFast { qubit: q, .. } if q == qubit),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_short_turn_is_rejected() {
+        let t_turn = TechParams::date2012().t_turn;
+        let (err, qubit) = restamped_fig3(
+            |c| matches!(c, MicroCommand::Turn { .. }),
+            |prev| prev + t_turn - 1,
+        );
+        assert!(
+            matches!(err, TraceError::TooFast { qubit: q, .. } if q == qubit),
+            "{err}"
+        );
+    }
+
+    /// The validator's error on one qubit running instruction 0, an `H`,
+    /// from time 0 to 10 in its trap, plus the entries `extra` returns
+    /// given the trap's and its port's cells.
+    fn one_qubit_trace(
+        source: &str,
+        extra: impl FnOnce(Coord, Coord) -> Vec<(Time, MicroCommand)>,
+    ) -> TraceError {
+        let fabric = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let program = Program::parse(source).unwrap();
+        let placement = Placement::center(&fabric, 1);
+        let trap = fabric.topology().trap(placement.trap_of(QubitId(0)));
+        let start = MicroCommand::GateStart {
+            instr: InstrId(0),
+            gate: Gate::H,
+            trap: trap.coord(),
+            q0: QubitId(0),
+            q1: None,
+        };
+        let end = MicroCommand::GateEnd { instr: InstrId(0) };
+        let entries = [(0, start), (10, end)]
+            .into_iter()
+            .chain(extra(trap.coord(), trap.port().coord))
+            .map(|(time, command)| TraceEntry { time, command });
+        let trace = Trace::new(entries.collect());
+        validate_trace(&fabric, &program, &placement, &trace, &tech).unwrap_err()
+    }
+
+    #[test]
+    fn a_move_inside_a_gate_is_rejected() {
+        let err = one_qubit_trace("QUBIT a\nH a\n", |trap, port| {
+            let step_out = MicroCommand::Move {
+                qubit: QubitId(0),
+                from: trap,
+                to: port,
+            };
+            vec![(5, step_out)]
+        });
+        let qubit = QubitId(0);
+        assert_eq!(err, TraceError::MoveDuringGate { qubit, index: 1 });
+    }
+
+    #[test]
+    fn a_gate_before_its_predecessor_ends_is_rejected() {
+        let err = one_qubit_trace("QUBIT a\nH a\nH a\n", |trap, _| {
+            let second = MicroCommand::GateStart {
+                instr: InstrId(1),
+                gate: Gate::H,
+                trap,
+                q0: QubitId(0),
+                q1: None,
+            };
+            vec![
+                (5, second),
+                (15, MicroCommand::GateEnd { instr: InstrId(1) }),
+            ]
+        });
+        let pred = InstrId(0);
+        assert_eq!(err, TraceError::DependencyViolated { index: 1, pred });
     }
 }

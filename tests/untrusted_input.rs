@@ -1,12 +1,12 @@
 //! Never-panic properties of the parsers that read untrusted input:
-//! OpenQASM programs and fabric descriptions (spec JSON and ASCII art),
-//! as served by `qspr serve` and read by every `--fabric` flag. Each
+//! OpenQASM programs and ASCII-art fabrics, as served by `qspr serve`
+//! and read by every `--fabric` flag. Each
 //! parser must answer arbitrary bytes, arbitrary UTF-8 and near-miss
 //! token soups with `Ok` or a typed error, never a panic.
 
 use proptest::prelude::*;
 
-use qspr_fabric::{Fabric, FabricSpec};
+use qspr_fabric::Fabric;
 use qspr_qasm::Program;
 
 /// The cell budget the service applies to request fabrics; the
@@ -49,10 +49,8 @@ const QASM_PROGRAM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n
 h q[0];\ncx q[0],q[1];\nrz(pi/4) q[2];\nbarrier q;\nmeasure q[1] -> c[1];\n";
 
 const FABRIC_DOCUMENTS: &[&str] = &[
-    include_str!("../examples/fabrics/two_region_bridge.json"),
-    include_str!("../examples/fabrics/ulb_tiled.json"),
-    include_str!("../examples/fabrics/nearest_neighbor_6x6.json"),
-    include_str!("../examples/fabrics/regular_21x41_p4.json"),
+    include_str!("../examples/fabrics/nearest_neighbor_6x6.txt"),
+    include_str!("../examples/fabrics/regular_21x41_p4.txt"),
 ];
 
 const QASM_TOKENS: &[&str] = &[
@@ -97,7 +95,9 @@ const QASM_TOKENS: &[&str] = &[
     "==",
 ];
 
-const FABRIC_TOKENS: &[&str] = &[
+/// JSON tokens, with a few cells among them: clients that send JSON
+/// where art belongs.
+const JSON_TOKENS: &[&str] = &[
     "{",
     "}",
     "[",
@@ -105,52 +105,20 @@ const FABRIC_TOKENS: &[&str] = &[
     ":",
     ",",
     "\"name\"",
-    "\"regions\"",
-    "\"family\"",
-    "\"regular\"",
-    "\"nearest_neighbor\"",
-    "\"ascii\"",
-    "\"tiled\"",
     "\"rows\"",
-    "\"cols\"",
-    "\"pitch\"",
-    "\"sites_rows\"",
-    "\"sites_cols\"",
-    "\"art\"",
-    "\"tile\"",
-    "\"tiles\"",
-    "\"tile_rows\"",
-    "\"tile_cols\"",
-    "\"origin\"",
-    "\"links\"",
-    "\"from\"",
-    "\"to\"",
-    "\"types\"",
-    "\"kind\"",
-    "\"junction\"",
-    "\"channel\"",
-    "\"capacity\"",
-    "\"capacities\"",
-    "\"type\"",
-    "\"at\"",
-    "\"rect\"",
     "\"T-+|.\"",
-    "\"-+-\"",
     "0",
-    "1",
-    "2",
-    "4",
-    "9",
-    "65535",
     "65536",
     "-3",
     "1e999",
-    "0.5",
     "null",
     "true",
     "\"\\u0000\"",
-    "\"x\"",
     " ",
+    "\n",
+    "T",
+    "-",
+    "+",
 ];
 
 const ART_TOKENS: &[&str] = &["T", "-", "|", "+", ".", " ", "\n", "\r\n", "x", "é"];
@@ -174,24 +142,23 @@ proptest! {
         }
     }
 
-    /// The fabric spec JSON front end answers any input without
-    /// panicking: parsing, and building within the cell budget (the
-    /// JSON-looking soups take the spec path, the rest the art path).
+    /// The ASCII loader answers JSON-looking documents without
+    /// panicking: token soups, and the committed fabrics with JSON
+    /// spliced in.
     #[test]
-    fn fabric_spec_parser_never_panics(
+    fn json_looking_fabrics_never_panic_the_ascii_loader(
         bytes in proptest::collection::vec(any::<u8>(), 0..300),
         scalars in proptest::collection::vec(0u32..0x11_0000, 0..120),
         picks in proptest::collection::vec(0usize..1000, 0..120),
-        doc in 0usize..4,
+        doc in 0usize..2,
         at in 0usize..10_000,
         cut in 0usize..10_000,
         take in 0usize..6,
     ) {
-        let soup = from_tokens(FABRIC_TOKENS, &picks);
-        let insert = from_tokens(FABRIC_TOKENS, &picks[..take.min(picks.len())]);
+        let soup = from_tokens(JSON_TOKENS, &picks);
+        let insert = from_tokens(JSON_TOKENS, &picks[..take.min(picks.len())]);
         let near_miss = splice(FABRIC_DOCUMENTS[doc], at, cut, &insert);
         for text in [from_bytes(&bytes), from_scalars(&scalars), soup, near_miss] {
-            let _ = FabricSpec::parse_json(&text);
             let _ = Fabric::parse_within(&text, MAX_CELLS);
         }
     }
